@@ -227,14 +227,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="kingspeps",
+    # -v goes before or after the subcommand; SUPPRESS stops a reset to 0
+    verbosity = argparse.ArgumentParser(add_help=False)
+    verbosity.add_argument("-v", "--verbose", action="count",
+                           default=argparse.SUPPRESS,
+                           help="progress on stderr (-vv for debug)")
+    parser = _Parser(prog="kingspeps", parents=[verbosity],
                      description="Low-energy configurations of Potts/Ising "
                                  "problems on king's graphs")
-    verbosity = argparse.ArgumentParser(add_help=False)
-    verbosity.add_argument("-v", "--verbose", action="count", default=0,
-                           help="progress on stderr (-vv for debug)")
-    parser.add_argument("-v", "--verbose", action="count", default=0,
-                        help="progress on stderr (-vv for debug)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="solve an instance",
@@ -286,7 +286,7 @@ def main(argv=None) -> int:
         print(parser.format_usage().rstrip(), file=sys.stderr)
         return 1
 
-    if args.verbose:
+    if getattr(args, "verbose", 0):
         logging.basicConfig(
             stream=sys.stderr,
             level=logging.DEBUG if args.verbose > 1 else logging.INFO,

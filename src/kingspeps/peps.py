@@ -342,9 +342,9 @@ class EnvironmentCache:
             if r == net.rows:
                 env = BoundaryMps.ones(net.row_dims(r), dtype=net.dtype)
             else:
-                grown = apply_mpo(row_transfer_mpo(net, r).transpose(),
-                                  self._bottom[r + 1])
-                env, _ = compress(grown, params)
+                # unnamed, the MPO-MPS product is freed before the next one
+                mpo = row_transfer_mpo(net, r).transpose()
+                env, _ = compress(apply_mpo(mpo, self._bottom[r + 1]), params)
             self._bottom[r] = env
         return self._bottom[row]
 

@@ -9,7 +9,9 @@ Conventions:
 * a :class:`BoundaryMps` represents ``(contraction of its tensors) *
   exp(log_scale)``. Keeping magnitudes in the log accumulator is what
   lets Boltzmann-weight chains with log-weights of several hundred pass
-  through without overflowing.
+  through without overflowing;
+* :func:`compress` reads its fidelity off the canonical centre; its
+  docstring shows why the result ``c`` of input ``t`` has ``<c|t> = <c|c>``.
 
 All operations are pure: inputs are never mutated.
 """
@@ -244,7 +246,8 @@ def _variational_sweep(state: BoundaryMps, target: BoundaryMps) -> BoundaryMps:
     ``state`` must be right-canonical; the result is right-canonical
     again and represents the best local approximation of ``target`` on
     the current bond dimensions. Every local update maximizes the
-    normalized overlap, so sweeps never decrease the fidelity.
+    normalized overlap, so sweeps never decrease the fidelity. Chains meet
+    each (large) target tensor at an outer leg first, so it is never copied.
     """
     length = len(state)
     cs = [t for t in state.tensors]
@@ -253,42 +256,31 @@ def _variational_sweep(state: BoundaryMps, target: BoundaryMps) -> BoundaryMps:
     renv = [None] * (length + 1)
     renv[length] = np.ones((1, 1), dtype=ts[0].dtype)
     for i in range(length - 1, 0, -1):
-        renv[i] = np.einsum("adb,AdB,bB->aA", cs[i], ts[i], renv[i + 1])
+        x = np.tensordot(ts[i], renv[i + 1], axes=(2, 1))
+        renv[i] = np.tensordot(cs[i], x, axes=([1, 2], [1, 2]))
 
     lenv = [None] * (length + 1)
     lenv[0] = np.ones((1, 1), dtype=ts[0].dtype)
-    for i in range(length):
-        t = np.einsum("aA,AdB,bB->adb", lenv[i], ts[i], renv[i + 1])
-        if i < length - 1:
-            dl, d, dr = t.shape
-            q, _ = np.linalg.qr(t.reshape(dl * d, dr))
-            cs[i] = q.reshape(dl, d, q.shape[1])
-            lenv[i + 1] = np.einsum("adb,AdB,aA->bB", cs[i], ts[i], lenv[i])
-        else:
-            cs[i] = t
+    for i in range(length - 1):  # the backward pass starts at the last site
+        y = np.tensordot(lenv[i], ts[i], axes=(1, 0))
+        t = np.tensordot(y, renv[i + 1], axes=(2, 1))
+        dl, d, dr = t.shape
+        q, _ = np.linalg.qr(t.reshape(dl * d, dr))
+        cs[i] = q.reshape(dl, d, q.shape[1])
+        lenv[i + 1] = np.tensordot(cs[i], y, axes=([0, 1], [0, 1]))
 
     right = np.ones((1, 1), dtype=ts[0].dtype)
     for i in range(length - 1, 0, -1):
-        t = np.einsum("aA,AdB,bB->adb", lenv[i], ts[i], right)
+        x = np.tensordot(ts[i], right, axes=(2, 1))
+        t = np.tensordot(lenv[i], x, axes=(1, 0))
         dl, d, dr = t.shape
         q, _ = np.linalg.qr(t.reshape(dl, d * dr).T)
         cs[i] = q.T.reshape(q.shape[1], d, dr)
-        right = np.einsum("adb,AdB,bB->aA", cs[i], ts[i], right)
-    cs[0] = np.einsum("aA,AdB,bB->adb", lenv[0], ts[0], right)
+        right = np.tensordot(cs[i], x, axes=([1, 2], [1, 2]))
+    cs[0] = np.tensordot(ts[0], right, axes=(2, 1))  # lenv[0] is [[1]]
 
     log_scale = _fold_center(cs, target.log_scale, 0)
     return BoundaryMps(cs, log_scale)
-
-
-def _fidelity(state: BoundaryMps, target: BoundaryMps) -> float:
-    v_ct, ls_ct = overlap(state, target)
-    if v_ct == 0.0:
-        return 0.0
-    v_cc, ls_cc = overlap(state, state)
-    v_tt, ls_tt = overlap(target, target)
-    log_f = (2.0 * (math.log(abs(v_ct)) + ls_ct)
-             - (math.log(v_cc) + ls_cc) - (math.log(v_tt) + ls_tt))
-    return math.exp(log_f)
 
 
 def compress(mps: BoundaryMps, params: ContractionParams):
@@ -298,6 +290,12 @@ def compress(mps: BoundaryMps, params: ContractionParams):
     ``params.bond_dim``, then run ``params.num_sweeps`` rounds of
     single-site variational refinement against the input. The norm is
     folded into ``log_scale`` so site tensors stay O(1).
+
+    The truncation and every sweep leave ``c = P t``, with ``P`` the
+    orthogonal projector onto the right isometries at sites 1..n-1 and
+    the centre at site 0 holding the coefficients. Hence ``<c|t> =
+    <Pt|Pt> = <c|c>`` and the fidelity is ``|c|^2 / |t|^2``: the centre's
+    norm against the input norm that :func:`left_canonicalize` yields.
 
     Returns:
         ``(compressed, fidelity)`` where fidelity is the normalized
@@ -310,7 +308,8 @@ def compress(mps: BoundaryMps, params: ContractionParams):
     state, _ = _truncate_right_sweep(canonical, params.bond_dim)
     for _ in range(params.num_sweeps):
         state = _variational_sweep(state, mps)
-    return state, _fidelity(state, mps)
+    log_norm = math.log(np.linalg.norm(state.tensors[0])) + state.log_scale
+    return state, math.exp(2.0 * (log_norm - canonical.log_scale))
 
 
 def overlap(a: BoundaryMps, b: BoundaryMps):
@@ -327,7 +326,8 @@ def overlap(a: BoundaryMps, b: BoundaryMps):
     v = np.ones((1, 1), dtype=np.result_type(a.tensors[0], b.tensors[0]))
     log_scale = a.log_scale + b.log_scale
     for ta, tb in zip(a.tensors, b.tensors):
-        v = np.einsum("ab,adc,bdf->cf", v, ta, tb)
+        v = np.tensordot(ta, np.tensordot(v, tb, axes=(1, 0)),
+                         axes=([0, 1], [0, 1]))
         mx = np.max(np.abs(v))
         if mx == 0.0:
             return 0.0, log_scale

@@ -7,7 +7,7 @@ import pytest
 
 from kingspeps import (ClusterTopology, RunConfig, cluster, exact_spectrum,
                        generate_instance, parse_ising)
-from kingspeps.cli import main, run
+from kingspeps.cli import _build_parser, main, run
 
 
 class TestGenerate:
@@ -46,6 +46,21 @@ class TestGenerate:
                      "-o", str(out)])
         assert code == 0
         assert parse_ising(out.read_text()).n_spins == 9
+
+
+class TestVerbosity:
+    @pytest.mark.parametrize("argv,count", [
+        (["-v", "gen", "2", "2"], 1), (["gen", "2", "2", "-v"], 1),
+        (["-vv", "solve", "x"], 2), (["solve", "x", "-vv"], 2),
+        (["--verbose", "solve", "x"], 1), (["solve", "x", "--verbose"], 1)])
+    def test_counted_before_and_after_subcommand(self, argv, count):
+        assert _build_parser().parse_args(argv).verbose == count
+
+    def test_main_runs_with_verbose(self, tmp_path):
+        out = tmp_path / "inst.txt"
+        assert main(["gen", "2", "2", "--seed", "1", "-o", str(out),
+                     "-vv"]) == 0
+        assert parse_ising(out.read_text()).n_spins == 4
 
 
 def _write_instance(tmp_path, rows=3, cols=3, t=1, seed=11):

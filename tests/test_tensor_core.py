@@ -184,6 +184,27 @@ class TestCompress:
         with pytest.raises(DegenerateStateError):
             compress(mps, ContractionParams(bond_dim=2))
 
+    @pytest.mark.parametrize("dtype,rel", [(np.float64, 1e-10),
+                                           (np.float32, 1e-5)])
+    @pytest.mark.parametrize("num_sweeps", [0, 1, 2, 3])
+    def test_fidelity_needs_no_overlap(self, monkeypatch, dtype, rel,
+                                       num_sweeps):
+        # the fidelity is read off the canonical centre, never contracted
+        def forbidden(*args):
+            raise AssertionError("compress called overlap")
+
+        monkeypatch.setattr("kingspeps.tensor_core.overlap", forbidden)
+        for seed, dims in enumerate(([2, 3, 4, 2, 3], [4, 2, 3],
+                                     [3, 2, 2, 4, 2, 3], [5, 2])):
+            mps = random_boundary_mps(dims, 6, seed=400 + seed, dtype=dtype)
+            out, fid = compress(mps, ContractionParams(bond_dim=3,
+                                                       num_sweeps=num_sweeps))
+            assert out.tensors[0].dtype == dtype
+            c = dense_mps_vector(out).astype(np.float64)
+            t = dense_mps_vector(mps).astype(np.float64)
+            dense_fid = np.dot(c, t) ** 2 / (np.dot(c, c) * np.dot(t, t))
+            assert fid == pytest.approx(dense_fid, rel=rel)
+
     def test_sweep_recovers_from_truncation(self):
         mps = random_boundary_mps([2, 2, 2, 2, 2, 2], 8, seed=13)
         f0 = compress(mps, ContractionParams(bond_dim=3, num_sweeps=0))[1]
@@ -213,6 +234,20 @@ class TestOverlap:
             value, log_scale = overlap(a, b)
             dense = float(np.dot(dense_mps_vector(a), dense_mps_vector(b)))
             assert value * math.exp(log_scale) == pytest.approx(dense, rel=1e-10)
+
+    def test_matches_dense_ragged_unequal_bonds(self):
+        for seed, (dims, bond_a, bond_b) in enumerate((
+                ([4, 2, 3, 5, 2], 2, 7), ([3, 5, 2], 6, 1), ([5], 1, 1),
+                ([2, 4, 3, 2, 3, 2], 5, 3))):
+            a = random_boundary_mps(dims, bond_a, seed=500 + seed)
+            b = random_boundary_mps(dims, bond_b, seed=600 + seed)
+            b.log_scale = -3.0
+            va, vb = dense_mps_vector(a), dense_mps_vector(b)
+            for x, y, dense in ((a, b, np.dot(va, vb)), (b, a, np.dot(va, vb)),
+                                (a, a, np.dot(va, va))):
+                value, log_scale = overlap(x, y)
+                assert value * math.exp(log_scale) == pytest.approx(
+                    float(dense), rel=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
