@@ -18,10 +18,10 @@ from .instance_io import (parse_ising, parse_potts, serialize_ising,
 from .tensor_core import (BoundaryMps, ContractionParams, RowMpo, apply_mpo,
                           compress, left_canonicalize, overlap, svd_truncate)
 from .peps import (ALL_TRANSFORMS, EnvironmentCache, LatticeTransform,
-                   PepsNetwork, apply_transform, bottom_env, build_network,
+                   PepsNetwork, build_network,
                    conditional_distribution, contract_network, first_row_mps,
                    row_transfer_mpo)
-from .search import (Droplet, DropletParams, PartialConfig, SearchParams,
+from .search import (Branches, Droplet, DropletParams, SearchParams,
                      Solution, boundary_sites, branch, low_energy_spectrum,
                      merge_and_collect, merge_solutions, prune,
                      unpack_droplets)
@@ -32,11 +32,12 @@ from .cli import RunConfig, generate_instance
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_TRANSFORMS", "BoundaryMps", "ClusterTopology", "ContractionParams",
+    "ALL_TRANSFORMS", "BoundaryMps", "Branches", "ClusterTopology",
+    "ContractionParams",
     "Droplet", "DropletParams", "EnvironmentCache", "ExactSpectrum",
-    "IsingGraph", "LatticeTransform", "PartialConfig", "PepsNetwork",
+    "IsingGraph", "LatticeTransform", "PepsNetwork",
     "PottsHamiltonian", "RowMpo", "RunConfig", "SearchParams", "Solution",
-    "apply_mpo", "apply_transform", "bottom_env", "boundary_sites", "branch",
+    "apply_mpo", "boundary_sites", "branch",
     "build_network", "cluster", "cluster_spin_values", "compress",
     "conditional_distribution", "config_energies", "contract_network",
     "decode", "encode", "errors", "exact_conditional", "exact_spectrum",

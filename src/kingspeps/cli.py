@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,9 +56,7 @@ class RunConfig:
     transforms: tuple[str, ...] = ("all",)
     output: str | None = None
     precision: str = "float64"
-    seed: int | None = None
     check_transforms: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 def _resolve_transforms(names) -> list[LatticeTransform]:
@@ -123,12 +121,17 @@ def run(config: RunConfig) -> int:
             solutions.append(sol)
 
         if config.check_transforms:
-            energies = list(best_per_transform.values())
-            spread = max(energies) - min(energies)
-            scale = max(1.0, max(abs(e) for e in energies))
-            if spread > 1e-6 * scale:
-                print(f"transform disagreement: best energies {energies} "
-                      f"spread {spread:g}", file=sys.stderr)
+            energies = best_per_transform.values()
+            best = min(energies)
+            tolerance = 1e-6 * max(1.0, max(abs(e) for e in energies))
+            culprits = [name for name, e in best_per_transform.items()
+                        if e - best > tolerance]
+            if culprits:
+                listing = ", ".join(f"{name}={e!r}" for name, e
+                                    in best_per_transform.items())
+                print(f"transform disagreement: best energies {listing}; "
+                      f"{', '.join(culprits)} more than {tolerance:g} above "
+                      "the best", file=sys.stderr)
                 return 2
 
         merged = merge_solutions(solutions)
@@ -225,20 +228,27 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        # a subcommand is parsed into a fresh namespace that is copied over
+        # the top level's, so its -v count has its own dest; add the two
+        args = super().parse_args(args, namespace)
+        args.verbose += vars(args).pop("sub_verbose", 0)
+        return args
+
 
 def _build_parser() -> _Parser:
-    # -v goes before or after the subcommand; SUPPRESS stops a reset to 0
-    verbosity = argparse.ArgumentParser(add_help=False)
-    verbosity.add_argument("-v", "--verbose", action="count",
-                           default=argparse.SUPPRESS,
-                           help="progress on stderr (-vv for debug)")
-    parser = _Parser(prog="kingspeps", parents=[verbosity],
+    # -v goes before and/or after the subcommand
+    parser = _Parser(prog="kingspeps",
                      description="Low-energy configurations of Potts/Ising "
                                  "problems on king's graphs")
+    sub_verbosity = argparse.ArgumentParser(add_help=False)
+    for owner, dest in ((parser, "verbose"), (sub_verbosity, "sub_verbose")):
+        owner.add_argument("-v", "--verbose", action="count", dest=dest,
+                           default=0, help="progress on stderr (-vv for debug)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="solve an instance",
-                           parents=[verbosity])
+                           parents=[sub_verbosity])
     solve.add_argument("instance", help="path to the instance file")
     solve.add_argument("--format", choices=("ising", "potts"), default="ising")
     solve.add_argument("--topology", nargs=3, type=int, metavar=("M", "N", "T"),
@@ -263,7 +273,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("-o", "--output", help="JSON output path (default stdout)")
 
     genp = sub.add_parser("gen", help="generate a random test instance",
-                          parents=[verbosity])
+                          parents=[sub_verbosity])
     genp.add_argument("rows", type=int)
     genp.add_argument("cols", type=int)
     genp.add_argument("--spins", type=int, default=1,
@@ -286,7 +296,7 @@ def main(argv=None) -> int:
         print(parser.format_usage().rstrip(), file=sys.stderr)
         return 1
 
-    if getattr(args, "verbose", 0):
+    if args.verbose:
         logging.basicConfig(
             stream=sys.stderr,
             level=logging.DEBUG if args.verbose > 1 else logging.INFO,

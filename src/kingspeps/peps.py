@@ -22,7 +22,6 @@ read off the same four tables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,14 +108,7 @@ class LatticeTransform:
 
 ALL_TRANSFORMS = tuple(LatticeTransform(code) for code in range(8))
 
-IDENTITY_TRANSFORM = ALL_TRANSFORMS[0]
-
 _BACK_OFFSETS = {"w": (0, -1), "nw": (-1, -1), "n": (-1, 0), "ne": (-1, 1)}
-
-
-def apply_transform(transform: LatticeTransform, site, dims):
-    """Coordinate map of a transform; see :meth:`LatticeTransform.apply`."""
-    return transform.apply(site, dims)
 
 
 class PepsNetwork:
@@ -203,7 +195,7 @@ class PepsNetwork:
 
 
 def build_network(hamiltonian: PottsHamiltonian,
-                  transform: LatticeTransform = IDENTITY_TRANSFORM,
+                  transform: LatticeTransform = ALL_TRANSFORMS[0],
                   beta: float = 1.0, dtype=np.float64) -> PepsNetwork:
     """Build the Boltzmann network whose full contraction is the
     partition function Z = sum_x exp(-beta * E(x))."""
@@ -299,43 +291,33 @@ def first_row_mps(net: PepsNetwork) -> BoundaryMps:
 
 
 class EnvironmentCache:
-    """Memoized environments of one solver run.
+    """Bottom environments of one solver run.
 
-    Holds the bottom boundary MPS per row, right parts keyed by
-    ``(row, column, fixed values of the row above at columns >= column)``
-    and left parts keyed by the fixed prefix of the current row. Keys
-    contain exactly the values the environment depends on, which is what
-    lets merged search branches share work. Entries are bit-reproducible
-    for identical keys; a cache must not outlive its network.
+    Holds the bottom boundary MPS of each row, shared by every branch,
+    and counts the negative conditional weights clamped to zero. What
+    depends on assigned values lives with the search's branches: each
+    carries its left vector, and :func:`right_tables` builds a row's
+    right parts at once. A cache must not outlive its network.
     """
 
     def __init__(self):
         self._bottom: dict[int, BoundaryMps] = {}
-        self._right: dict[tuple, np.ndarray] = {}
-        self._left: dict[tuple, np.ndarray] = {}
         self._network: PepsNetwork | None = None
         self.negative_clamps = 0
 
-    def clear(self):
-        self._bottom.clear()
-        self._right.clear()
-        self._left.clear()
-        self._network = None
-        self.negative_clamps = 0
-
-    def __len__(self):
-        return len(self._bottom) + len(self._right) + len(self._left)
-
-    def _bind(self, net: PepsNetwork):
+    def bottom(self, net: PepsNetwork, row: int,
+               params: ContractionParams) -> BoundaryMps:
+        """Boundary MPS summing everything strictly below ``row`` plus the
+        couplings between rows ``row`` and ``row + 1``; its physical legs
+        are the states of row ``row`` (all ones for the last row). Built
+        by applying the transposed transfer operators and compressing."""
         if self._network is None:
             self._network = net
         elif self._network is not net:
-            raise ValueError("EnvironmentCache reused with a different network; "
-                             "call clear() between runs")
-
-    def bottom(self, net: PepsNetwork, row: int,
-               params: ContractionParams) -> BoundaryMps:
-        self._bind(net)
+            raise ValueError("EnvironmentCache reused with a different "
+                             "network; use one cache per network")
+        if not 1 <= row <= net.rows:
+            raise InvalidIndexError(f"row {row} outside 1..{net.rows}")
         for r in range(net.rows, row - 1, -1):
             if r in self._bottom:
                 continue
@@ -348,122 +330,91 @@ class EnvironmentCache:
             self._bottom[r] = env
         return self._bottom[row]
 
-    def left_part(self, net: PepsNetwork, row: int, prefix: tuple[int, ...],
-                  bottom: BoundaryMps) -> np.ndarray:
-        """Bottom-MPS tensors of ``row`` contracted with the fixed values
-        ``prefix`` of columns 1..len(prefix)."""
-        self._bind(net)
-        key = (row, prefix)
-        found = self._left.get(key)
-        if found is not None:
-            return found
-        if not prefix:
-            vec = np.ones(1, dtype=net.dtype)
-        else:
-            prev = self.left_part(net, row, prefix[:-1], bottom)
-            vec = prev @ bottom.tensors[len(prefix) - 1][:, prefix[-1] - 1, :]
-            mx = np.max(np.abs(vec))
-            if mx > 0:
-                vec = vec / mx
-        self._left[key] = vec
-        return vec
 
-    def right_part(self, net: PepsNetwork, row: int, col: int,
-                   above: tuple[int, ...], bottom: BoundaryMps) -> np.ndarray:
-        """Summed weights of the free columns right of ``col`` in ``row``.
-
-        ``above`` carries the fixed values of row ``row - 1`` at columns
-        ``col..cols`` (empty for the first row). The result has shape
-        ``(d_col, right bond of column col)`` and is indexed by the
-        candidate state of column ``col``.
-        """
-        self._bind(net)
-        key = (row, col, above)
-        found = self._right.get(key)
-        if found is not None:
-            return found
-        if col == net.cols:
-            env = np.ones((net.dim_at(row, col), 1), dtype=net.dtype)
-        else:
-            tail = self.right_part(net, row, col + 1, above[1:], bottom)
-            a = bottom.tensors[col]  # column col + 1, 0-based storage
-            h = np.einsum("axb,xb->xa", a, tail)
-            v = _free_column_weights(net, row, col + 1, above, col)
-            env = v @ h
-            mx = np.max(np.abs(env))
-            if mx > 0:
-                env = env / mx
-        self._right[key] = env
-        return env
+def _max_normalized(x: np.ndarray, axes) -> np.ndarray:
+    """``x`` divided by its largest magnitude over ``axes`` (where nonzero)."""
+    scale = np.max(np.abs(x), axis=axes, keepdims=True)
+    scale[scale == 0] = 1
+    return x / scale
 
 
-def bottom_env(net: PepsNetwork, row: int, params: ContractionParams,
-               cache: EnvironmentCache | None = None) -> BoundaryMps:
-    """Boundary MPS summing everything strictly below ``row`` plus the
-    couplings between rows ``row`` and ``row + 1``.
+def right_tables(net: PepsNetwork, bottom: BoundaryMps, row: int,
+                 values: np.ndarray) -> list[np.ndarray]:
+    """Summed weights of the free columns right of each column of ``row``.
 
-    The physical legs are the states of row ``row``; for the last row
-    the environment is the all-ones product state. Built by repeatedly
-    applying the transposed transfer operator and compressing; memoized
-    per row in the cache.
+    ``values`` holds U assignments that cover at least the rows above
+    ``row``. In one backward sweep batched over U, each free column
+    contributes its site weight, its edge to the left and its couplings
+    to the row above. Entry ``col - 1`` of the result has shape
+    ``(U, d_col, right bond of column col)``, is indexed by the
+    candidate state of column ``col`` and is max-normalized per ``u``.
     """
-    if not 1 <= row <= net.rows:
-        raise InvalidIndexError(f"row {row} outside 1..{net.rows}")
-    if cache is None:
-        cache = EnvironmentCache()
-    return cache.bottom(net, row, params)
-
-
-def _free_column_weights(net: PepsNetwork, row: int, col: int,
-                         above: tuple[int, ...], anchor: int) -> np.ndarray:
-    """Weight matrix V[x_{col-1}, x_col] of a free column.
-
-    Collects the site weight, the horizontal edge to the left, and the
-    vertical/diagonal couplings to the fixed row above. ``above`` holds
-    the fixed values starting at column ``anchor``.
-    """
-    d_prev = net.dim_at(row, col - 1)
-    d = net.dim_at(row, col)
-    v = np.ones((d_prev, d), dtype=net.dtype) * net.site_weight[(row, col)][None, :]
-    w_horiz = net.back(row, col, "w", weight=True)
-    if w_horiz is not None:
-        v = v * w_horiz
-    if row > 1:
-        w_vert = net.back(row, col, "n", weight=True)
-        if w_vert is not None:
-            v = v * w_vert[above[col - anchor] - 1, :][None, :]
-        w_nw = net.back(row, col, "nw", weight=True)
-        if w_nw is not None:
-            v = v * w_nw[above[col - 1 - anchor] - 1, :][None, :]
-        if col < net.cols:
-            w_ne = net.back(row, col, "ne", weight=True)
-            if w_ne is not None:
-                v = v * w_ne[above[col + 1 - anchor] - 1, :][None, :]
-    return v
-
-
-def _candidate_weights(net: PepsNetwork, row: int, col: int,
-                       partial) -> np.ndarray:
-    """Boltzmann weights of the next site against its fixed neighbors."""
-    n = net.cols
-    w = net.site_weight[(row, col)].copy()
-    if col > 1:
+    env = np.ones((len(values), net.dim_at(row, net.cols), 1), dtype=net.dtype)
+    tables = [env]
+    for col in range(net.cols, 1, -1):
+        a = bottom.tensors[col - 1]
+        # h[u, x, a] = sum_b a[a, x, b] env[u, x, b], one matmul per x
+        h = np.matmul(env.transpose(1, 0, 2), a.transpose(1, 2, 0))
+        # v[u, x_{col-1}, x_col]: the weights of free column col
+        v = (np.ones((net.dim_at(row, col - 1), 1), dtype=net.dtype)
+             * net.site_weight[(row, col)][None, :])
         w_horiz = net.back(row, col, "w", weight=True)
         if w_horiz is not None:
-            w = w * w_horiz[partial[net.position(row, col - 1) - 1] - 1, :]
-    if row > 1:
-        w_vert = net.back(row, col, "n", weight=True)
-        if w_vert is not None:
-            w = w * w_vert[partial[net.position(row - 1, col) - 1] - 1, :]
-        if col > 1:
-            w_nw = net.back(row, col, "nw", weight=True)
-            if w_nw is not None:
-                w = w * w_nw[partial[net.position(row - 1, col - 1) - 1] - 1, :]
-        if col < n:
-            w_ne = net.back(row, col, "ne", weight=True)
-            if w_ne is not None:
-                w = w * w_ne[partial[net.position(row - 1, col + 1) - 1] - 1, :]
-    return w
+            v = v * w_horiz
+        for rows in back_rows(net, row, col, values, ("n", "nw", "ne"),
+                              weight=True):
+            v = v * rows[:, None, :]
+        env = _max_normalized(v @ h.transpose(1, 0, 2), (1, 2))
+        tables.append(env)
+    return tables[::-1]
+
+
+def back_rows(net: PepsNetwork, row: int, col: int, values: np.ndarray,
+              directions, *, weight: bool):
+    """Rows of the backward tables of ``(row, col)`` picked by the
+    branches' values of the neighbors, one ``(B, d)`` array per present
+    direction in the order given. ``values`` is ``(B, >= position - 1)``.
+    """
+    for direction in directions:
+        table = net.back(row, col, direction, weight=weight)
+        if table is not None:
+            dr, dc = _BACK_OFFSETS[direction]
+            yield table[values[:, net.position(row + dr, col + dc) - 1] - 1]
+
+
+def conditionals(net: PepsNetwork, cache: EnvironmentCache, bottom: BoundaryMps,
+                 row: int, col: int, values: np.ndarray, left: np.ndarray,
+                 right: np.ndarray, above: np.ndarray):
+    """Conditional distributions of site ``(row, col)`` for B branches.
+
+    With ``t = left @ A`` for the column's bottom tensor A, branch b's
+    numerator is ``sum_c t[b, s, c] * right[above[b], s, c]`` times its
+    candidate weights; negative truncation noise is clamped to zero and
+    counted on ``cache.negative_clamps``. Returns the (B, d) float64
+    conditionals and the children's left vectors, ``t`` max-normalized
+    per (b, s). Raises ContractionDegenerateError when every weight of a
+    branch underflowed.
+    """
+    a = bottom.tensors[col - 1]
+    chi, d, chi_right = a.shape
+    t = (left @ a.reshape(chi, d * chi_right)).reshape(-1, d, chi_right)
+    numerator = np.einsum("bsc,bsc->bs", t, right[above])
+    weights = net.site_weight[(row, col)][None, :]
+    for rows in back_rows(net, row, col, values, ("w", "n", "nw", "ne"),
+                          weight=True):
+        weights = weights * rows
+    numerator = numerator * weights
+
+    negative = numerator < 0
+    if negative.any():
+        cache.negative_clamps += int(negative.sum())
+        numerator = np.where(negative, 0.0, numerator)
+    norm = numerator.sum(axis=1)
+    if not np.all((norm > 0) & np.isfinite(norm)):
+        raise ContractionDegenerateError(
+            "conditional weights vanished", position=(row, col))
+    probabilities = (numerator / norm[:, None]).astype(np.float64)
+    return probabilities, _max_normalized(t, 2)
 
 
 def conditional_distribution(net: PepsNetwork, cache: EnvironmentCache | None,
@@ -472,52 +423,37 @@ def conditional_distribution(net: PepsNetwork, cache: EnvironmentCache | None,
     """Conditional Boltzmann distribution of the next site.
 
     ``partial`` must assign exactly the row-major predecessors of the
-    site being queried, in the transformed frame. The numerator combines
-    the exact left part of the current row, the candidate weights, the
-    summed right part of the row, and the bottom environment; the vector
-    is normalized to sum 1 with negative truncation noise clamped to
-    zero (counted on ``cache.negative_clamps``).
+    site being queried, in the transformed frame, each value within its
+    own site's dimension. This is the single-branch case of
+    :func:`conditionals`, the search's batched kernel.
 
     Raises:
+        InvalidIndexError: a value lies outside 1..d of its site.
         ContractionDegenerateError: every weight underflowed to zero.
     """
     if cache is None:
         cache = EnvironmentCache()
-    partial = tuple(partial)
-    k = len(partial) + 1
+    values = np.array(tuple(partial), dtype=np.int64).reshape(1, -1)
+    k = values.shape[1] + 1
     total = net.rows * net.cols
     if k > total:
         raise InvalidIndexError(
             f"partial assignment already covers all {total} sites")
-    if partial and min(partial) < 1:
-        raise InvalidIndexError("state values are 1-based")
+    dims = [net.dim_at(*net.site_of(p)) for p in range(1, k)]
+    if np.any(values < 1) or np.any(values > np.array(dims, dtype=np.int64)):
+        raise InvalidIndexError(
+            "partial assignment contains a state outside its site dimension")
     row, col = net.site_of(k)
 
-    try:
-        bottom = cache.bottom(net, row, params)
-        prefix = partial[(row - 1) * net.cols:(row - 1) * net.cols + col - 1]
-        left = cache.left_part(net, row, prefix, bottom)
-        if row > 1:
-            above = partial[(row - 2) * net.cols + col - 1:(row - 1) * net.cols]
-        else:
-            above = ()
-        right = cache.right_part(net, row, col, above, bottom)
-        weights = _candidate_weights(net, row, col, partial)
-        numerator = np.einsum("a,asb,sb->s", left,
-                              bottom.tensors[col - 1], right) * weights
-    except IndexError:
-        raise InvalidIndexError(
-            f"partial assignment contains a state outside its site dimension")
-
-    negative = numerator < 0
-    if negative.any():
-        cache.negative_clamps += int(negative.sum())
-        numerator = np.where(negative, 0.0, numerator)
-    norm = float(numerator.sum())
-    if norm <= 0.0 or not math.isfinite(norm):
-        raise ContractionDegenerateError(
-            "conditional weights vanished", position=(row, col))
-    return (numerator / norm).astype(np.float64)
+    bottom = cache.bottom(net, row, params)
+    start = (row - 1) * net.cols
+    left = np.ones((1, 1), dtype=net.dtype)
+    for c, value in enumerate(values[0, start:start + col - 1]):
+        left = _max_normalized(left @ bottom.tensors[c][:, value - 1, :], 1)
+    right = right_tables(net, bottom, row, values)[col - 1]
+    probabilities, _ = conditionals(net, cache, bottom, row, col, values, left,
+                                    right, np.zeros(1, dtype=np.intp))
+    return probabilities[0]
 
 
 def contract_network(net: PepsNetwork, params: ContractionParams | None = None,

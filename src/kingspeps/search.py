@@ -1,7 +1,8 @@
 """Branch-and-bound search in probability space.
 
 The solver sweeps the grid row-major in the transformed frame, adding
-one variable at a time. At each step every branch spawns one child per
+one variable at a time to all branches at once; the population is one
+struct of arrays, :class:`Branches`. Every branch spawns one child per
 state of the new site, branches that agree on the *boundary* (the
 assigned sites still adjacent to unexplored ones) are merged keeping
 the lowest-energy representative, and the population is pruned to the
@@ -9,6 +10,11 @@ most probable ``max_states``. Merging records the discarded branch as a
 droplet on the survivor: the set of bulk sites where the two differed,
 plus the energy gap. Unpacking droplets afterwards reconstructs the
 low-energy configurations the merges absorbed.
+
+One contraction per step gives all conditionals: each branch carries its
+left vector along the row, and a row's right tables are built once, at
+its first column, for the distinct rows above. Ties are broken by values
+through a lexicographic rank: a child's is its parent's times d plus s.
 """
 
 from __future__ import annotations
@@ -22,11 +28,15 @@ import numpy as np
 
 from .errors import DimensionError, InvalidIndexError, UnsupportedError
 from .peps import (ALL_TRANSFORMS, EnvironmentCache, LatticeTransform,
-                   PepsNetwork, build_network, conditional_distribution)
+                   PepsNetwork, back_rows, build_network, conditionals,
+                   right_tables)
 from .potts import PottsHamiltonian, potts_energy
 from .tensor_core import ContractionParams
 
 logger = logging.getLogger(__name__)
+
+# set bits of each byte value, for spin-mode distances
+_SET_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -61,7 +71,6 @@ class DropletParams:
 
     energy_cutoff: float = 0.0
     hamming_cutoff: int = 0
-    metric: str = "hamming"
     mode: str = "potts"
 
     def __post_init__(self):
@@ -71,8 +80,6 @@ class DropletParams:
         if self.hamming_cutoff < 0:
             raise DimensionError(
                 f"hamming_cutoff must be >= 0, got {self.hamming_cutoff}")
-        if self.metric != "hamming":
-            raise UnsupportedError(f"unknown droplet metric {self.metric!r}")
         if self.mode not in ("spin", "potts"):
             raise UnsupportedError(f"unknown droplet mode {self.mode!r}")
 
@@ -98,19 +105,45 @@ class Droplet:
                        tuple(s.remap(position_map) for s in self.sub_droplets))
 
 
-@dataclass(frozen=True)
-class PartialConfig:
-    """One branch of the search.
+@dataclass
+class Branches:
+    """The branch population, one row per branch.
 
-    ``values`` are the assigned states in row-major transformed order;
-    ``log_probability`` accumulates the log conditionals; ``energy`` is
-    the exact energy of all terms determined so far.
+    ``values`` (B, k): assigned states in row-major transformed order;
+    ``log_probability`` (B,): summed log conditionals; ``energy`` (B,):
+    exact energy of the terms determined so far; ``rank``: lexicographic
+    order of the values; ``left``: left vectors in the current row;
+    ``above``: each branch's row in ``right``, the current row's right
+    tables (None between rows); ``droplets``: a tuple per branch.
     """
 
-    values: tuple[int, ...]
-    log_probability: float
-    energy: float
-    droplets: tuple[Droplet, ...] = ()
+    values: np.ndarray
+    log_probability: np.ndarray
+    energy: np.ndarray
+    rank: np.ndarray
+    left: np.ndarray
+    above: np.ndarray
+    droplets: list
+    right: list | None = None
+
+    @classmethod
+    def root(cls, net: PepsNetwork) -> "Branches":
+        """The single empty branch every search starts from."""
+        value_dtype = np.min_scalar_type(max(net.site_dims.values()))
+        return cls(np.zeros((1, 0), dtype=value_dtype), np.zeros(1),
+                   np.zeros(1), np.zeros(1, dtype=np.intp),
+                   np.ones((1, 1), dtype=net.dtype),
+                   np.zeros(1, dtype=np.intp), [()])
+
+    def __len__(self):
+        return len(self.values)
+
+    def take(self, index: np.ndarray) -> "Branches":
+        """The branches at ``index``, in that order."""
+        return Branches(self.values[index], self.log_probability[index],
+                        self.energy[index], self.rank[index], self.left[index],
+                        self.above[index],
+                        [self.droplets[i] for i in index.tolist()], self.right)
 
 
 @dataclass
@@ -153,48 +186,59 @@ def boundary_sites(dims, k: int) -> list[tuple[int, int]]:
     return out
 
 
-def branch(states: Sequence[PartialConfig], k: int, net: PepsNetwork,
-           cache: EnvironmentCache, params: ContractionParams
-           ) -> list[PartialConfig]:
+def _distinct_rows(block: np.ndarray):
+    """The first index of each distinct row of ``block`` and every row's
+    group, found by one sort on the rows' bytes (a leading zero column
+    gives rows of no columns a key too)."""
+    rows = np.zeros((len(block), block.shape[1] + 1), dtype=block.dtype)
+    rows[:, 1:] = block
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    return first, group
+
+
+def branch(states: Branches, k: int, net: PepsNetwork,
+           cache: EnvironmentCache, params: ContractionParams) -> Branches:
     """Extend every branch by all states of site ``k``.
 
-    Children pick up the log conditional and the exact energy of the
-    newly determined terms (the site's own table plus its edges to
-    already-assigned neighbors).
+    Children come parent-major and pick up the log conditional and the
+    exact energy of the newly determined terms (the site's own table
+    plus its edges to already-assigned neighbors).
     """
     row, col = net.site_of(k)
-    out = []
-    for state in states:
-        if len(state.values) != k - 1:
-            raise DimensionError(
-                f"branch at position {k} requires {k - 1} assigned values, "
-                f"got {len(state.values)}")
-        conditional = conditional_distribution(net, cache, params, state.values)
-        for s in range(1, net.dim_at(row, col) + 1):
-            p = conditional[s - 1]
-            log_p = state.log_probability + (math.log(p) if p > 0 else -math.inf)
-            energy = state.energy + _new_terms_energy(net, row, col,
-                                                      state.values, s)
-            out.append(PartialConfig(state.values + (s,), log_p, energy,
-                                     state.droplets))
-    return out
+    if states.values.shape[1] != k - 1:
+        raise DimensionError(
+            f"branch at position {k} requires {k - 1} assigned values, "
+            f"got {states.values.shape[1]}")
+    bottom = cache.bottom(net, row, params)
+    if col == 1:
+        first, index = _distinct_rows(states.values[:, max(k - 1 - net.cols, 0):])
+        states = replace(states, left=np.ones((len(states), 1), dtype=net.dtype),
+                         above=index,
+                         right=right_tables(net, bottom, row, states.values[first]))
+    probabilities, lefts = conditionals(
+        net, cache, bottom, row, col, states.values, states.left,
+        states.right[col - 1], states.above)
+    n, d = probabilities.shape
 
+    with np.errstate(divide="ignore"):
+        log_p = states.log_probability[:, None] + np.log(probabilities)
+    terms = net.site_energy[(row, col)][None, :]
+    for rows in back_rows(net, row, col, states.values, ("w", "nw", "n", "ne"),
+                          weight=False):
+        terms = terms + rows
+    energy = states.energy[:, None] + terms
 
-def _new_terms_energy(net: PepsNetwork, row: int, col: int,
-                      values: tuple[int, ...], state: int) -> float:
-    energy = float(net.site_energy[(row, col)][state - 1])
-    if col > 1:
-        table = net.back(row, col, "w", weight=False)
-        if table is not None:
-            energy += table[values[net.position(row, col - 1) - 1] - 1, state - 1]
-    if row > 1:
-        for direction, c in (("nw", col - 1), ("n", col), ("ne", col + 1)):
-            if not 1 <= c <= net.cols:
-                continue
-            table = net.back(row, col, direction, weight=False)
-            if table is not None:
-                energy += table[values[net.position(row - 1, c) - 1] - 1, state - 1]
-    return energy
+    values = np.empty((n, d, k), dtype=states.values.dtype)
+    values[:, :, :-1] = states.values[:, None, :]
+    values[:, :, -1] = np.arange(1, d + 1)
+    rank = np.unique(states.rank, return_inverse=True)[1][:, None] * d + np.arange(d)
+    parents = np.repeat(np.arange(n), d)
+    return Branches(values.reshape(n * d, k), log_p.reshape(-1),
+                    energy.reshape(-1), rank.reshape(-1),
+                    lefts.reshape(n * d, -1), states.above[parents],
+                    [states.droplets[i] for i in parents.tolist()],
+                    None if col == net.cols else states.right)
 
 
 def _droplet_distance(a: Droplet, b: Droplet, carrier: tuple[int, ...],
@@ -213,8 +257,17 @@ def _droplet_distance(a: Droplet, b: Droplet, carrier: tuple[int, ...],
     return distance
 
 
-def merge_and_collect(states: Sequence[PartialConfig], k: int, dims,
-                      dp: DropletParams) -> list[PartialConfig]:
+def _distances(config: np.ndarray, configs: np.ndarray, mode: str) -> np.ndarray:
+    """Distances of ``config`` to each row of ``configs``, counted as
+    :func:`_droplet_distance` counts them, for whole configurations."""
+    if mode == "potts":
+        return (configs != config).sum(axis=1)
+    diff = (configs - 1) ^ (config - 1)
+    return _SET_BITS[diff.view(np.uint8)].sum(axis=1)
+
+
+def merge_and_collect(states: Branches, k: int, dims,
+                      dp: DropletParams) -> Branches:
     """Merge branches with identical boundary values, collecting droplets.
 
     Within a group the lowest-energy branch survives (ties broken
@@ -222,65 +275,74 @@ def merge_and_collect(states: Sequence[PartialConfig], k: int, dims,
     becomes a droplet on the survivor, carrying its own droplets as
     sub-droplets, unless it comes closer than ``hamming_cutoff`` to an
     already-attached droplet; of such a clashing pair only the lower
-    excitation energy is kept.
+    excitation energy is kept. Only those candidates run Python code.
     """
-    positions = [(site[0] - 1) * dims[1] + site[1]
-                 for site in boundary_sites(dims, k)]
-    groups: dict[tuple[int, ...], list[PartialConfig]] = {}
-    for state in states:
-        key = tuple(state.values[p - 1] for p in positions)
-        groups.setdefault(key, []).append(state)
+    positions = [(r - 1) * dims[1] + c - 1 for r, c in boundary_sites(dims, k)]
+    _, group = _distinct_rows(states.values[:, positions])
+    order = np.lexsort((states.rank, states.energy, group))
+    grouped = group[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = grouped[1:] != grouped[:-1]
+    survivor = order[np.maximum.accumulate(
+        np.where(first, np.arange(len(order)), 0))]
+    gap = states.energy[order] - states.energy[survivor]
+    pick = np.flatnonzero(~first & (gap <= dp.energy_cutoff))
 
-    merged = []
-    for group in groups.values():
-        group.sort(key=lambda s: (s.energy, s.values))
-        survivor = group[0]
-        droplets = list(survivor.droplets)
-        for other in group[1:]:
-            gap = other.energy - survivor.energy
-            if gap > dp.energy_cutoff:
+    others, carriers = order[pick], survivor[pick]
+    rows, cols = np.nonzero(states.values[others] != states.values[carriers])
+    bounds = np.searchsorted(rows, np.arange(len(pick) + 1)).tolist()
+    flips = list(zip((cols + 1).tolist(),
+                     states.values[others[rows], cols].tolist()))
+    droplets = list(states.droplets)
+    configs = {}
+    # gaps stay numpy floats, as the energies they come from
+    for i, (other, carrier, delta) in enumerate(zip(
+            others.tolist(), carriers.tolist(), gap[pick])):
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo == hi:
+            continue
+        candidate = Droplet(tuple(flips[lo:hi]), delta, states.droplets[other])
+        attached = droplets[carrier]
+        if dp.hamming_cutoff > 0 and attached:
+            known = configs.get(carrier)
+            if known is None:
+                carrier_values = states.values[carrier].tolist()
+                known = configs[carrier] = np.array(
+                    [_apply_flips(carrier_values, d.flips) for d in attached])
+            clash = (_distances(states.values[other], known, dp.mode)
+                     < dp.hamming_cutoff).tolist()
+            if any(d.delta_energy <= delta
+                   for d, c in zip(attached, clash) if c):
                 continue
-            flips = tuple((p, other.values[p - 1])
-                          for p in range(1, k + 1)
-                          if other.values[p - 1] != survivor.values[p - 1])
-            if not flips:
-                continue
-            candidate = Droplet(flips, gap, other.droplets)
-            clashing = [d for d in droplets
-                        if _droplet_distance(candidate, d, survivor.values,
-                                             dp.mode) < dp.hamming_cutoff]
-            if any(d.delta_energy <= gap for d in clashing):
-                continue
-            if clashing:
-                droplets = [d for d in droplets if d not in clashing]
-            droplets.append(candidate)
-        merged.append(replace(survivor, droplets=tuple(droplets)))
-    return merged
+            attached = tuple(d for d, c in zip(attached, clash) if not c)
+            configs[carrier] = np.concatenate(
+                [known[np.logical_not(clash)], states.values[other][None, :]])
+        droplets[carrier] = attached + (candidate,)
+    survivors = order[first]
+    return replace(states.take(survivors),
+                   droplets=[droplets[i] for i in survivors.tolist()])
 
 
-def prune(states: Sequence[PartialConfig], sp: SearchParams,
+def prune(states: Branches, sp: SearchParams,
           largest_discarded: float = -math.inf):
     """Keep the ``max_states`` most probable branches above the threshold.
 
-    Returns the kept branches and the updated running maximum of the
+    Returns the kept branches, most probable first (ties broken
+    lexicographically), and the updated running maximum of the
     discarded log probabilities.
     """
-    if not states:
-        return list(states), largest_discarded
-    ranked = sorted(states, key=lambda s: (-s.log_probability, s.values))
-    best = ranked[0].log_probability
+    if not len(states):
+        return states, largest_discarded
+    order = np.lexsort((states.rank, -states.log_probability))
+    ranked = states.log_probability[order]
+    keep = len(order)
     if sp.cut_off_prob > 0.0:
-        threshold = best + math.log(sp.cut_off_prob)
-        cut = len(ranked)
-        while cut > 1 and ranked[cut - 1].log_probability < threshold:
-            cut -= 1
-        ranked, below = ranked[:cut], ranked[cut:]
-    else:
-        below = []
-    kept = ranked[:sp.max_states]
-    for dropped in below + ranked[sp.max_states:]:
-        largest_discarded = max(largest_discarded, dropped.log_probability)
-    return kept, largest_discarded
+        threshold = ranked[0] + math.log(sp.cut_off_prob)
+        keep = max(1, int(np.count_nonzero(ranked >= threshold)))
+    keep = min(keep, sp.max_states)
+    if keep < len(order):
+        largest_discarded = max(largest_discarded, float(ranked[keep]))
+    return states.take(order[:keep]), largest_discarded
 
 
 def low_energy_spectrum(h: PottsHamiltonian,
@@ -316,7 +378,7 @@ def low_energy_spectrum(h: PottsHamiltonian,
     dims = (net.rows, net.cols)
     total = net.rows * net.cols
 
-    states = [PartialConfig((), 0.0, 0.0)]
+    states = Branches.root(net)
     largest_discarded = -math.inf
     for k in range(1, total + 1):
         states = branch(states, k, net, cache, params)
@@ -324,20 +386,22 @@ def low_energy_spectrum(h: PottsHamiltonian,
             states = merge_and_collect(states, k, dims, droplet_params)
         states, largest_discarded = prune(states, search_params,
                                           largest_discarded)
-        if k % net.cols == 0:
-            logger.debug("row %d/%d: %d branches, %d cached environments",
-                         k // net.cols, net.rows, len(states), len(cache))
+        if k % net.cols == 0 and logger.isEnabledFor(logging.DEBUG):
+            above = states.values[:, max(k - 2 * net.cols, 0):k - net.cols]
+            logger.debug("row %d/%d: %d branches, %d distinct rows above",
+                         k // net.cols, net.rows, len(states),
+                         len(_distinct_rows(above)[0]))
 
     position_map = {p: net.original_position(p) for p in range(1, total + 1)}
+    original = np.empty_like(states.values)
+    original[:, [position_map[p] - 1 for p in range(1, total + 1)]] = states.values
     finalized = []
-    for state in states:
-        original = [0] * total
-        for p, value in enumerate(state.values, start=1):
-            original[position_map[p] - 1] = value
-        original = tuple(original)
-        energy = potts_energy(h, original)
-        droplets = tuple(d.remap(position_map) for d in state.droplets)
-        finalized.append((original, energy, state.log_probability, droplets))
+    for values, log_p, droplets in zip(original.tolist(),
+                                       states.log_probability.tolist(),
+                                       states.droplets):
+        values = tuple(values)
+        finalized.append((values, potts_energy(h, values), log_p,
+                          tuple(d.remap(position_map) for d in droplets)))
     finalized.sort(key=lambda item: (item[1], item[0]))
 
     return Solution(
@@ -369,6 +433,22 @@ def _apply_flips(values: tuple[int, ...], flips) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _sorted_unique(entries, largest_discarded: float, beta: float,
+                   parameters: dict) -> Solution:
+    """Solution of ``(energy, values, log_p, droplets)`` entries, sorted
+    by (energy, values) and keeping the first entry of each values."""
+    seen = set()
+    kept = []
+    for entry in sorted(entries, key=lambda item: (item[0], item[1])):
+        if entry[1] not in seen:
+            seen.add(entry[1])
+            kept.append(entry)
+    energies, states, log_ps, droplets = (
+        [list(column) for column in zip(*kept)] or [[], [], [], []])
+    return Solution(states, energies, log_ps, droplets, largest_discarded,
+                    beta, dict(parameters))
+
+
 def unpack_droplets(solution: Solution, max_depth: int | None = 2) -> Solution:
     """Expand droplets into explicit configurations.
 
@@ -386,32 +466,19 @@ def unpack_droplets(solution: Solution, max_depth: int | None = 2) -> Solution:
         flipped_energy = energy + droplet.delta_energy
         flipped_log_p = log_p - solution.beta * droplet.delta_energy
         entries.append((flipped_energy, flipped, flipped_log_p,
-                        droplet.sub_droplets))
+                        tuple(droplet.sub_droplets)))
         for sub in droplet.sub_droplets:
             expand(flipped, flipped_energy, flipped_log_p, sub, level + 1)
 
     for values, energy, log_p, droplets in zip(
             solution.states, solution.energies, solution.log_probabilities,
             solution.droplets):
-        entries.append((energy, values, log_p, droplets))
+        entries.append((energy, values, log_p, tuple(droplets)))
         for droplet in droplets:
             expand(values, energy, log_p, droplet, 1)
 
-    entries.sort(key=lambda item: (item[0], item[1]))
-    seen = set()
-    states, energies, log_ps, droplets = [], [], [], []
-    for energy, values, log_p, ds in entries:
-        if values in seen:
-            continue
-        seen.add(values)
-        states.append(values)
-        energies.append(energy)
-        log_ps.append(log_p)
-        droplets.append(tuple(ds))
-
-    return Solution(states, energies, log_ps, droplets,
-                    solution.largest_discarded_probability, solution.beta,
-                    dict(solution.parameters))
+    return _sorted_unique(entries, solution.largest_discarded_probability,
+                          solution.beta, solution.parameters)
 
 
 def merge_solutions(solutions: Sequence[Solution]) -> Solution:
@@ -422,17 +489,6 @@ def merge_solutions(solutions: Sequence[Solution]) -> Solution:
     for sol in solutions:
         entries.extend(zip(sol.energies, sol.states, sol.log_probabilities,
                            sol.droplets))
-    entries.sort(key=lambda item: (item[0], item[1]))
-    seen = set()
-    states, energies, log_ps, droplets = [], [], [], []
-    for energy, values, log_p, ds in entries:
-        if values in seen:
-            continue
-        seen.add(values)
-        states.append(values)
-        energies.append(energy)
-        log_ps.append(log_p)
-        droplets.append(ds)
-    return Solution(states, energies, log_ps, droplets,
-                    max(s.largest_discarded_probability for s in solutions),
-                    solutions[0].beta, dict(solutions[0].parameters))
+    return _sorted_unique(entries,
+                          max(s.largest_discarded_probability for s in solutions),
+                          solutions[0].beta, solutions[0].parameters)

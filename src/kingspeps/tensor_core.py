@@ -90,9 +90,6 @@ class BoundaryMps:
     def bond_dims(self) -> tuple[int, ...]:
         return tuple(t.shape[2] for t in self.tensors[:-1])
 
-    def copy(self) -> "BoundaryMps":
-        return BoundaryMps([t.copy() for t in self.tensors], self.log_scale)
-
     def normalize_scale(self) -> "BoundaryMps":
         """Divide each tensor by its largest magnitude, folding the logs
         into ``log_scale``. The represented vector is unchanged."""

@@ -56,6 +56,11 @@ class TestVerbosity:
     def test_counted_before_and_after_subcommand(self, argv, count):
         assert _build_parser().parse_args(argv).verbose == count
 
+    @pytest.mark.parametrize("argv,count", [
+        (["-v", "solve", "x", "-v"], 2), (["-v", "gen", "2", "2", "-vv"], 3)])
+    def test_counts_on_both_sides_add(self, argv, count):
+        assert _build_parser().parse_args(argv).verbose == count
+
     def test_main_runs_with_verbose(self, tmp_path):
         out = tmp_path / "inst.txt"
         assert main(["gen", "2", "2", "--seed", "1", "-o", str(out),
@@ -174,6 +179,32 @@ class TestSolve:
         e64 = json.loads(out64.read_text())["best_energy"]
         e32 = json.loads(out32.read_text())["best_energy"]
         assert e32 == pytest.approx(e64, rel=1e-5)
+
+    def test_check_transforms_names_disagreeing(self, tmp_path, capsys,
+                                                monkeypatch):
+        import kingspeps.cli as cli
+        solve = cli.low_energy_spectrum
+        offsets = {"r90": 0.5, "r180f": 1e-9}
+
+        def shifted(h, transform, *args, **kwargs):
+            sol = solve(h, transform, *args, **kwargs)
+            sol.energies = [e + offsets.get(transform.name, 0.0)
+                            for e in sol.energies]
+            return sol
+
+        monkeypatch.setattr(cli, "low_energy_spectrum", shifted)
+        path = _write_instance(tmp_path, rows=2, cols=2)
+        assert main(["solve", str(path), "--topology", "2", "2", "1",
+                     "--transforms", "r0,r90,r180f", "--check-transforms",
+                     "-o", str(tmp_path / "sol.json")]) == 2
+        err = capsys.readouterr().err
+        energies = {name: e for name, e in re.findall(r"(r\w+)=(\S+?)[,;]", err)}
+        assert set(energies) == {"r0", "r90", "r180f"}
+        assert float(energies["r90"]) == pytest.approx(
+            float(energies["r0"]) + 0.5)
+        culprits = err.split(";", 1)[1]
+        assert "r90" in culprits
+        assert "r0" not in culprits and "r180f" not in culprits
 
     def test_run_config_direct(self, tmp_path):
         path = _write_instance(tmp_path, rows=2, cols=3)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kingspeps import (ALL_TRANSFORMS, ContractionParams, EnvironmentCache,
                        IsingGraph, LatticeTransform, PottsHamiltonian,
-                       apply_mpo, apply_transform, bottom_env, build_network,
+                       apply_mpo, build_network,
                        cluster, ClusterTopology, conditional_distribution,
                        contract_network, exact_conditional, exact_spectrum,
                        first_row_mps, potts_energy, row_transfer_mpo)
@@ -24,9 +24,13 @@ def exact_params(net):
     return ContractionParams(bond_dim=2 ** 30, num_sweeps=0, beta=net.beta)
 
 
+def bottom_env(net, row, params, cache=None):
+    return (cache or EnvironmentCache()).bottom(net, row, params)
+
+
 class TestLatticeTransform:
     def test_identity(self):
-        assert apply_transform(ALL_TRANSFORMS[0], (2, 3), (4, 5)) == (2, 3)
+        assert ALL_TRANSFORMS[0].apply((2, 3), (4, 5)) == (2, 3)
 
     def test_rotation_90(self):
         tr = LatticeTransform(1)
@@ -316,6 +320,20 @@ class TestConditionalDistribution:
             conditional_distribution(net, None, exact_params(net), (0,))
         with pytest.raises(InvalidIndexError):
             conditional_distribution(net, None, exact_params(net), (5,))
+
+    def test_value_beyond_own_site_dimension_rejected(self):
+        # ragged dims 2, 4 / 3, 2: value 3 or 4 is valid at site 2 only
+        h = PottsHamiltonian(2, 2)
+        for site, d in zip(h.sites(), (2, 4, 3, 2)):
+            h.set_node(site, np.linspace(-1, 1, d))
+        h.set_edge((1, 1), (1, 2), np.ones((2, 4)))
+        h.set_edge((1, 2), (2, 1), np.ones((4, 3)))
+        net = build_network(h, beta=1.0)
+        params = exact_params(net)
+        assert conditional_distribution(net, None, params, (2, 4, 3)).shape == (2,)
+        for partial in ((3,), (2, 4, 4), (1, 5)):
+            with pytest.raises(InvalidIndexError):
+                conditional_distribution(net, None, params, partial)
 
 
 class TestClusteredNetworks:

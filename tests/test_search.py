@@ -2,15 +2,17 @@
 
 import itertools
 import math
+from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kingspeps import (ALL_TRANSFORMS, ContractionParams, Droplet,
+from kingspeps import (ALL_TRANSFORMS, Branches, ContractionParams, Droplet,
                        DropletParams, EnvironmentCache, IsingGraph,
-                       PartialConfig, PottsHamiltonian, SearchParams,
+                       PottsHamiltonian, SearchParams,
                        boundary_sites, branch, build_network, cluster,
                        ClusterTopology, decode, exact_spectrum, ising_energy,
                        low_energy_spectrum, merge_and_collect,
@@ -53,15 +55,58 @@ class TestBoundarySites:
         assert boundary_sites((m, n), k) == sorted(boundary_sites((m, n), k))
 
 
+# One branch as the tests state it; populations are built from and read
+# back into lists of these.
+_Row = namedtuple("_Row", "values log_probability energy droplets")
+
+
+def _population(rows):
+    """A population of the given branches (no environment attached)."""
+    values = np.array([r.values for r in rows], dtype=np.int64)
+    values = values.reshape(len(rows), -1)
+    _, rank = np.unique(values, axis=0, return_inverse=True)
+    return Branches(values, np.array([r.log_probability for r in rows], float),
+                    np.array([r.energy for r in rows], float),
+                    rank.reshape(-1), np.ones((len(rows), 1)),
+                    np.zeros(len(rows), dtype=np.intp),
+                    [tuple(r.droplets) for r in rows])
+
+
+def _rows(branches):
+    return [_Row(tuple(v), lp, e, d) for v, lp, e, d in zip(
+        branches.values.tolist(), branches.log_probability.tolist(),
+        branches.energy.tolist(), branches.droplets)]
+
+
+def _grown(net, cache, params, row):
+    """A population holding ``row``, grown from the root by branching so
+    that it carries its environment."""
+    states = Branches.root(net)
+    for k, value in enumerate(row.values, start=1):
+        states = branch(states, k, net, cache, params)
+        states = states.take(np.flatnonzero(states.values[:, -1] == value))
+    return replace(states, log_probability=np.array([row.log_probability]),
+                   energy=np.array([row.energy]))
+
+
+def _merge(rows, k, dims, dp):
+    return _rows(merge_and_collect(_population(rows), k, dims, dp))
+
+
+def _prune(rows, sp, **kwargs):
+    kept, largest_discarded = prune(_population(rows), sp, **kwargs)
+    return _rows(kept), largest_discarded
+
+
 def _run_branch_chain(h, beta=1.0, bond_dim=64):
     net = build_network(h, beta=beta)
     params = ContractionParams(bond_dim=bond_dim, num_sweeps=0, beta=beta)
     cache = EnvironmentCache()
-    states = [PartialConfig((), 0.0, 0.0)]
-    history = [states]
+    states = Branches.root(net)
+    history = [_rows(states)]
     for k in range(1, net.rows * net.cols + 1):
         states = branch(states, k, net, cache, params)
-        history.append(states)
+        history.append(_rows(states))
     return net, history
 
 
@@ -71,8 +116,9 @@ class TestBranch:
         net = build_network(h, beta=1.0)
         params = ContractionParams(bond_dim=16, num_sweeps=0, beta=1.0)
         cache = EnvironmentCache()
-        parent = PartialConfig((1,), -0.3, 0.55)
-        children = branch([parent], 2, net, cache, params)
+        parent = _Row((1,), -0.3, 0.55, ())
+        children = _rows(branch(_grown(net, cache, params, parent), 2, net,
+                                cache, params))
         assert len(children) == 2
         total = sum(math.exp(c.log_probability) for c in children)
         assert total == pytest.approx(math.exp(parent.log_probability), rel=1e-10)
@@ -84,7 +130,7 @@ class TestBranch:
         net = build_network(h, beta=1.0)
         cache = EnvironmentCache()
         params = ContractionParams(bond_dim=4, num_sweeps=0, beta=1.0)
-        children = branch([PartialConfig((), 0.0, 0.0)], 1, net, cache, params)
+        children = _rows(branch(Branches.root(net), 1, net, cache, params))
         assert all(c.log_probability == pytest.approx(math.log(0.5))
                    for c in children)
 
@@ -112,15 +158,15 @@ class TestBranch:
 
 
 def _mk(values, energy, log_p=0.0, droplets=()):
-    return PartialConfig(tuple(values), log_p, energy, tuple(droplets))
+    return _Row(tuple(values), log_p, energy, tuple(droplets))
 
 
 class TestMergeAndCollect:
     def test_identical_states_single_survivor_no_droplet(self):
         a = _mk((1, 2, 1), -1.0)
         b = _mk((1, 2, 1), -1.0)
-        merged = merge_and_collect([a, b], 3, (3, 3),
-                                   DropletParams(energy_cutoff=5.0))
+        merged = _merge([a, b], 3, (3, 3),
+                        DropletParams(energy_cutoff=5.0))
         assert len(merged) == 1
         assert merged[0].droplets == ()
 
@@ -129,7 +175,7 @@ class TestMergeAndCollect:
         dp = DropletParams(energy_cutoff=5.0, hamming_cutoff=0)
         low = _mk((1, 1, 2, 1, 1), -2.0)
         high = _mk((2, 1, 2, 1, 1), -1.5)
-        merged = merge_and_collect([low, high], 5, (3, 3), dp)
+        merged = _merge([low, high], 5, (3, 3), dp)
         assert len(merged) == 1
         survivor = merged[0]
         assert survivor.values == low.values
@@ -142,21 +188,21 @@ class TestMergeAndCollect:
         dp = DropletParams(energy_cutoff=0.25, hamming_cutoff=0)
         low = _mk((1, 1, 2, 1, 1), -2.0)
         high = _mk((2, 1, 2, 1, 1), -1.5)
-        merged = merge_and_collect([low, high], 5, (3, 3), dp)
+        merged = _merge([low, high], 5, (3, 3), dp)
         assert len(merged) == 1
         assert merged[0].droplets == ()
 
     def test_different_boundaries_not_merged(self):
         a = _mk((1, 1), -1.0)
         b = _mk((1, 2), -0.5)
-        merged = merge_and_collect([a, b], 2, (3, 3), DropletParams())
+        merged = _merge([a, b], 2, (3, 3), DropletParams())
         assert len(merged) == 2
 
     def test_tie_broken_lexicographically(self):
         a = _mk((2, 1, 1, 1, 1), -1.0)
         b = _mk((1, 1, 1, 1, 1), -1.0)
-        merged = merge_and_collect([a, b], 5, (3, 3),
-                                   DropletParams(energy_cutoff=5.0))
+        merged = _merge([a, b], 5, (3, 3),
+                        DropletParams(energy_cutoff=5.0))
         assert merged[0].values == b.values
 
     def test_hamming_filter_keeps_lower_gap(self):
@@ -164,7 +210,7 @@ class TestMergeAndCollect:
         base = _mk((1, 1, 1, 1, 1, 1, 1), -2.0)
         first = _mk((2, 1, 1, 1, 1, 1, 1), -1.0)   # gap 1.0
         second = _mk((2, 2, 1, 1, 1, 1, 1), -1.75)  # gap 0.25, distance 1 to first
-        merged = merge_and_collect([base, first, second], 7, (3, 3), dp)
+        merged = _merge([base, first, second], 7, (3, 3), dp)
         (survivor,) = merged
         assert len(survivor.droplets) == 1
         assert survivor.droplets[0].delta_energy == pytest.approx(0.25)
@@ -174,7 +220,7 @@ class TestMergeAndCollect:
         base = _mk((1, 1, 1, 1, 1, 1, 1), -2.0)
         first = _mk((2, 2, 1, 1, 1, 1, 1), -1.75)  # gap 0.25 recorded first
         second = _mk((2, 1, 1, 1, 1, 1, 1), -1.0)  # gap 1.0, clashes
-        merged = merge_and_collect([base, first, second], 7, (3, 3), dp)
+        merged = _merge([base, first, second], 7, (3, 3), dp)
         (survivor,) = merged
         assert len(survivor.droplets) == 1
         assert survivor.droplets[0].delta_energy == pytest.approx(0.25)
@@ -183,8 +229,8 @@ class TestMergeAndCollect:
         inner = Droplet(flips=((1, 2),), delta_energy=0.125)
         discarded = _mk((2, 1, 1, 1, 1), -1.5, droplets=(inner,))
         survivor = _mk((1, 1, 1, 1, 1), -2.0)
-        merged = merge_and_collect([survivor, discarded], 5, (3, 3),
-                                   DropletParams(energy_cutoff=5.0))
+        merged = _merge([survivor, discarded], 5, (3, 3),
+                        DropletParams(energy_cutoff=5.0))
         droplet = merged[0].droplets[0]
         assert droplet.sub_droplets == (inner,)
 
@@ -194,44 +240,69 @@ class TestMergeAndCollect:
         base = _mk((1, 1, 1, 1, 1), -2.0)
         both_flipped = _mk((4, 1, 1, 1, 1), -1.5)
         one_flipped = _mk((2, 1, 1, 1, 1), -1.0)
-        merged = merge_and_collect([base, both_flipped, one_flipped], 5,
-                                   (3, 3), dp_wide)
+        merged = _merge([base, both_flipped, one_flipped], 5,
+                        (3, 3), dp_wide)
         # distance(candidate2, droplet1) = popcount(3 ^ 1) = 1 < 3: clash,
         # existing droplet has the lower gap and wins
         assert len(merged[0].droplets) == 1
         assert merged[0].droplets[0].flips == ((1, 4),)
 
 
+class TestDistances:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(2, 9), st.data())
+    def test_array_distances_match_loop_reference(self, n, d, data):
+        from kingspeps.search import _apply_flips, _distances, _droplet_distance
+        carrier = tuple(data.draw(st.lists(st.integers(1, d), min_size=n,
+                                           max_size=n)))
+
+        def droplet():
+            positions = data.draw(st.sets(st.integers(1, n)))
+            return Droplet(tuple(sorted(
+                (p, data.draw(st.integers(1, d).filter(
+                    lambda v, p=p: v != carrier[p - 1]))) for p in positions)),
+                0.0)
+
+        others = [droplet() for _ in range(3)]
+        mine = droplet()
+        configs = np.array([_apply_flips(carrier, o.flips) for o in others],
+                           dtype=np.uint8)
+        config = np.array(_apply_flips(carrier, mine.flips), dtype=np.uint8)
+        for mode in ("spin", "potts"):
+            assert _distances(config, configs, mode).tolist() == [
+                _droplet_distance(mine, o, carrier, mode) for o in others]
+
+
 class TestPrune:
     def test_unchanged_when_under_limits(self):
         states = [_mk((1,), 0.0, log_p=-0.5), _mk((2,), 0.0, log_p=-0.7)]
-        kept, ldp = prune(states, SearchParams(max_states=4, cut_off_prob=1e-4))
+        kept, ldp = _prune(states, SearchParams(max_states=4, cut_off_prob=1e-4))
         assert len(kept) == 2
         assert ldp == -math.inf
 
     def test_uniform_counting(self):
         log_p = math.log(1 / 512)
         states = [_mk((v,), 0.0, log_p=log_p) for v in range(512)]
-        kept, ldp = prune(states, SearchParams(max_states=256, cut_off_prob=1e-4))
+        kept, ldp = _prune(states, SearchParams(max_states=256, cut_off_prob=1e-4))
         assert len(kept) == 256
         assert math.exp(ldp) == pytest.approx(1 / 512)
 
     def test_relative_threshold(self):
         states = [_mk((1,), 0.0, log_p=0.0),
                   _mk((2,), 0.0, log_p=math.log(1e-5))]
-        kept, ldp = prune(states, SearchParams(max_states=16, cut_off_prob=1e-4))
+        kept, ldp = _prune(states, SearchParams(max_states=16, cut_off_prob=1e-4))
         assert len(kept) == 1
         assert math.exp(ldp) == pytest.approx(1e-5)
 
     def test_ordered_most_probable_first(self):
         states = [_mk((v,), 0.0, log_p=-float(v)) for v in (3, 1, 2)]
-        kept, _ = prune(states, SearchParams(max_states=2, cut_off_prob=0.0))
+        kept, _ = _prune(states, SearchParams(max_states=2, cut_off_prob=0.0))
         assert [s.log_probability for s in kept] == [-1.0, -2.0]
 
     def test_running_maximum_carried(self):
         states = [_mk((1,), 0.0, log_p=0.0)]
-        kept, ldp = prune(states, SearchParams(max_states=1, cut_off_prob=1e-4),
-                          largest_discarded=math.log(0.25))
+        kept, ldp = _prune(states, SearchParams(max_states=1, cut_off_prob=1e-4),
+                           largest_discarded=math.log(0.25))
         assert ldp == math.log(0.25)
 
 
