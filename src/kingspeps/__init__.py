@@ -17,8 +17,8 @@ from .instance_io import (parse_ising, parse_potts, serialize_ising,
                           solution_to_dict, write_solution)
 from .tensor_core import (BoundaryMps, ContractionParams, RowMpo, apply_mpo,
                           compress, left_canonicalize, overlap, svd_truncate)
-from .peps import (ALL_TRANSFORMS, EnvironmentCache, LatticeTransform,
-                   PepsNetwork, build_network,
+from .peps import (ALL_TRANSFORMS, LatticeTransform, PepsNetwork,
+                   bottom_environments, build_network,
                    conditional_distribution, contract_network, first_row_mps,
                    row_transfer_mpo)
 from .search import (Branches, Droplet, DropletParams, SearchParams,
@@ -27,17 +27,17 @@ from .search import (Branches, Droplet, DropletParams, SearchParams,
                      unpack_droplets)
 from .oracle import (ExactSpectrum, config_energies, exact_conditional,
                      exact_spectrum)
-from .cli import RunConfig, generate_instance
+from .cli import generate_instance
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALL_TRANSFORMS", "BoundaryMps", "Branches", "ClusterTopology",
     "ContractionParams",
-    "Droplet", "DropletParams", "EnvironmentCache", "ExactSpectrum",
+    "Droplet", "DropletParams", "ExactSpectrum",
     "IsingGraph", "LatticeTransform", "PepsNetwork",
-    "PottsHamiltonian", "RowMpo", "RunConfig", "SearchParams", "Solution",
-    "apply_mpo", "boundary_sites", "branch",
+    "PottsHamiltonian", "RowMpo", "SearchParams", "Solution",
+    "apply_mpo", "bottom_environments", "boundary_sites", "branch",
     "build_network", "cluster", "cluster_spin_values", "compress",
     "conditional_distribution", "config_energies", "contract_network",
     "decode", "encode", "errors", "exact_conditional", "exact_spectrum",

@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Two subcommands: ``solve`` ingests an instance, clusters it if needed,
-runs the search per requested transform (fresh environment cache each),
-merges the per-transform solutions, and writes the JSON document;
-``gen`` produces random king's-graph test instances in the Ising triple
-format, deterministic under a seed.
+runs the search per requested transform (each with its own boundary
+contraction), merges the per-transform solutions, and writes the JSON
+document; ``gen`` produces random king's-graph test instances in the
+Ising triple format, deterministic under a seed.
 
 Exit codes: 0 success, 1 parse/validation problems, 2 numerical or
 contraction failures. Progress goes to stderr so stdout stays
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,35 +37,12 @@ class UsageError(Exception):
     """Bad command line or inconsistent options."""
 
 
-@dataclass
-class RunConfig:
-    """Everything one solve run needs."""
-
-    instance: str
-    format: str = "ising"
-    topology: tuple[int, int, int] | None = None
-    beta: float = 2.0
-    bond_dim: int = 16
-    num_sweeps: int = 1
-    max_states: int = 256
-    cut_off_prob: float = 1e-4
-    energy_cutoff: float = 10.0
-    hamming_cutoff: int = 5
-    droplet_mode: str = "auto"
-    transforms: tuple[str, ...] = ("all",)
-    output: str | None = None
-    precision: str = "float64"
-    check_transforms: bool = False
-
-
-def _resolve_transforms(names) -> list[LatticeTransform]:
-    flattened = []
-    for name in names:
-        flattened.extend(part.strip() for part in name.split(",") if part.strip())
-    if not flattened or "all" in flattened:
+def _resolve_transforms(spec: str) -> list[LatticeTransform]:
+    names = [part.strip() for part in spec.split(",") if part.strip()]
+    if not names or "all" in names:
         return list(ALL_TRANSFORMS)
     out = []
-    for name in flattened:
+    for name in names:
         if name not in _TRANSFORM_BY_NAME:
             raise UsageError(
                 f"unknown transform {name!r}; choose from "
@@ -75,40 +51,37 @@ def _resolve_transforms(names) -> list[LatticeTransform]:
     return out
 
 
-def run(config: RunConfig) -> int:
-    """Execute one solve; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one solve from the parsed ``solve`` options; returns the
+    process exit code."""
     try:
-        if config.format not in ("ising", "potts"):
-            raise UsageError(f"unknown format {config.format!r}")
-        if config.format == "ising" and config.topology is None:
+        if args.format == "ising" and args.topology is None:
             raise UsageError("--topology M N T is required for Ising instances")
-        if config.format == "potts" and config.topology is not None:
+        if args.format == "potts" and args.topology is not None:
             raise UsageError("--topology only applies to Ising instances")
-        if config.precision not in ("float32", "float64"):
-            raise UsageError(f"unknown precision {config.precision!r}")
-        dtype = np.float32 if config.precision == "float32" else np.float64
+        dtype = np.float32 if args.precision == "float32" else np.float64
 
-        text = Path(config.instance).read_text(encoding="utf-8")
-        if config.format == "ising":
+        text = Path(args.instance).read_text(encoding="utf-8")
+        if args.format == "ising":
             graph = parse_ising(text)
-            topo = ClusterTopology(*config.topology)
+            topo = ClusterTopology(*args.topology)
             hamiltonian = cluster(graph, topo)
             default_mode = "spin"
         else:
             hamiltonian = parse_potts(text)
             default_mode = "potts"
-        mode = config.droplet_mode if config.droplet_mode != "auto" else default_mode
+        mode = args.droplet_mode if args.droplet_mode != "auto" else default_mode
 
-        params = ContractionParams(bond_dim=config.bond_dim,
-                                   num_sweeps=config.num_sweeps,
-                                   beta=config.beta)
-        search_params = SearchParams(max_states=config.max_states,
-                                     cut_off_prob=config.cut_off_prob)
-        droplet_params = DropletParams(energy_cutoff=config.energy_cutoff,
-                                       hamming_cutoff=config.hamming_cutoff,
+        params = ContractionParams(bond_dim=args.bond_dim,
+                                   num_sweeps=args.num_sweeps,
+                                   beta=args.beta)
+        search_params = SearchParams(max_states=args.max_states,
+                                     cut_off_prob=args.cut_off_prob)
+        droplet_params = DropletParams(energy_cutoff=args.energy_cutoff,
+                                       hamming_cutoff=args.hamming_cutoff,
                                        mode=mode)
 
-        transforms = _resolve_transforms(config.transforms)
+        transforms = _resolve_transforms(args.transforms)
         solutions = []
         best_per_transform = {}
         for transform in transforms:
@@ -120,7 +93,7 @@ def run(config: RunConfig) -> int:
                         transform.name, sol.best_energy)
             solutions.append(sol)
 
-        if config.check_transforms:
+        if args.check_transforms:
             energies = best_per_transform.values()
             best = min(energies)
             tolerance = 1e-6 * max(1.0, max(abs(e) for e in energies))
@@ -136,23 +109,23 @@ def run(config: RunConfig) -> int:
 
         merged = merge_solutions(solutions)
         merged.parameters = {
-            "format": config.format,
-            "topology": list(config.topology) if config.topology else None,
-            "beta": config.beta,
-            "bond_dim": config.bond_dim,
-            "num_sweeps": config.num_sweeps,
-            "max_states": config.max_states,
-            "cut_off_prob": config.cut_off_prob,
-            "energy_cutoff": config.energy_cutoff,
-            "hamming_cutoff": config.hamming_cutoff,
+            "format": args.format,
+            "topology": args.topology,
+            "beta": args.beta,
+            "bond_dim": args.bond_dim,
+            "num_sweeps": args.num_sweeps,
+            "max_states": args.max_states,
+            "cut_off_prob": args.cut_off_prob,
+            "energy_cutoff": args.energy_cutoff,
+            "hamming_cutoff": args.hamming_cutoff,
             "droplet_mode": mode,
             "transforms": [t.name for t in transforms],
             "transform_best_energies": best_per_transform,
-            "precision": config.precision,
+            "precision": args.precision,
         }
 
-        if config.output:
-            write_solution(merged, config.output)
+        if args.output:
+            write_solution(merged, args.output)
             print(f"Best energy found: {merged.best_energy!r}")
         else:
             write_solution(merged, sys.stdout)
@@ -305,24 +278,7 @@ def main(argv=None) -> int:
     if args.command == "gen":
         return gen(args)
 
-    config = RunConfig(
-        instance=args.instance,
-        format=args.format,
-        topology=tuple(args.topology) if args.topology else None,
-        beta=args.beta,
-        bond_dim=args.bond_dim,
-        num_sweeps=args.num_sweeps,
-        max_states=args.max_states,
-        cut_off_prob=args.cut_off_prob,
-        energy_cutoff=args.energy_cutoff,
-        hamming_cutoff=args.hamming_cutoff,
-        droplet_mode=args.droplet_mode,
-        transforms=(args.transforms,),
-        output=args.output,
-        precision=args.precision,
-        check_transforms=args.check_transforms,
-    )
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -239,17 +239,16 @@ def solution_to_dict(solution) -> dict:
 
 
 def write_solution(solution, dest: str | IO[str]) -> None:
-    """Write a solution as a JSON document to a path or open text sink.
+    """Write a solution as a compact one-line JSON document to a path or
+    open text sink.
 
     States are arrays of 1-based values in grid row-major order; droplet
     flips map 1-based row-major positions to alternative values. Sink
     failures propagate to the caller.
     """
-    doc = solution_to_dict(solution)
+    text = json.dumps(solution_to_dict(solution)) + "\n"
     if hasattr(dest, "write"):
-        json.dump(doc, dest, indent=2)
-        dest.write("\n")
+        dest.write(text)
     else:
         with open(dest, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2)
-            handle.write("\n")
+            handle.write(text)

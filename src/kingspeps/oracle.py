@@ -63,50 +63,37 @@ class ExactSpectrum:
     reproducible. The partition function is available on demand.
     """
 
-    def __init__(self, h: PottsHamiltonian, limit: int | None = None):
+    def __init__(self, h: PottsHamiltonian):
         dims = [h.dim(site) for site in h.sites()]
         configs = _enumerate_configs(dims)
         energies = config_energies(h, configs)
         # energy primary, assignment columns as tie breakers
         keys = tuple(configs[:, i] for i in range(configs.shape[1] - 1, -1, -1))
         order = np.lexsort(keys + (energies,))
-        self._states = configs[order]
-        self._energies = energies[order]
-        self.limit = limit
-
-    @property
-    def states(self) -> np.ndarray:
-        if self.limit is None:
-            return self._states
-        return self._states[:self.limit]
-
-    @property
-    def energies(self) -> np.ndarray:
-        if self.limit is None:
-            return self._energies
-        return self._energies[:self.limit]
+        self.states = configs[order]
+        self.energies = energies[order]
 
     @property
     def min_energy(self) -> float:
-        return float(self._energies[0])
+        return float(self.energies[0])
 
     def __len__(self):
         return len(self.states)
 
     def log_partition(self, beta: float) -> float:
-        return _log_sum_exp(-beta * self._energies)
+        return _log_sum_exp(-beta * self.energies)
 
     def partition(self, beta: float) -> float:
         return float(np.exp(self.log_partition(beta)))
 
 
-def exact_spectrum(h: PottsHamiltonian, limit: int | None = None) -> ExactSpectrum:
+def exact_spectrum(h: PottsHamiltonian) -> ExactSpectrum:
     """Enumerate all assignments of a small model.
 
     Raises:
         TooLargeError: the state space exceeds 2^24.
     """
-    return ExactSpectrum(h, limit=limit)
+    return ExactSpectrum(h)
 
 
 def exact_conditional(h: PottsHamiltonian, beta: float, partial,

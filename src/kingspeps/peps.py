@@ -18,20 +18,29 @@ direction that points back to the earlier endpoint:
 With that layout a row-to-row transfer operator, the summed boundary
 of the lower half, and the conditional weights of a single site all
 read off the same four tables.
+
+A solve contracts the lower half once: :func:`bottom_environments`
+returns one boundary MPS per row, a plain list that every conditional
+of the search reads. The contraction parameters set its bond cap and
+sweeps; ``params.beta`` is unused there, because the network already
+holds the Boltzmann weights.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ContractionDegenerateError, InvalidIndexError,
-                     NumericError)
+from .errors import (ContractionDegenerateError, DimensionError,
+                     InvalidIndexError, NumericError)
 from .potts import PottsHamiltonian
 from .tensor_core import (BoundaryMps, ContractionParams, RowMpo, apply_mpo,
                           compress)
 from .tensor_core import overlap as mps_overlap
+
+logger = logging.getLogger(__name__)
 
 _TRANSFORM_NAMES = ("r0", "r90", "r180", "r270", "r0f", "r90f", "r180f", "r270f")
 
@@ -290,45 +299,24 @@ def first_row_mps(net: PepsNetwork) -> BoundaryMps:
     return BoundaryMps(tensors).normalize_scale()
 
 
-class EnvironmentCache:
-    """Bottom environments of one solver run.
+def bottom_environments(net: PepsNetwork,
+                        params: ContractionParams) -> list[BoundaryMps]:
+    """Bottom boundary MPS of every row, built once per solve.
 
-    Holds the bottom boundary MPS of each row, shared by every branch,
-    and counts the negative conditional weights clamped to zero. What
-    depends on assigned values lives with the search's branches: each
-    carries its left vector, and :func:`right_tables` builds a row's
-    right parts at once. A cache must not outlive its network.
+    Entry ``row - 1`` sums everything strictly below ``row`` plus the
+    couplings between rows ``row`` and ``row + 1``; its physical legs
+    are the states of row ``row`` (all ones for the last row). Built
+    bottom-up by applying each transposed transfer operator to the
+    environment below and compressing under ``params``; ``params.beta``
+    is unused, because the weights come from ``net``.
     """
-
-    def __init__(self):
-        self._bottom: dict[int, BoundaryMps] = {}
-        self._network: PepsNetwork | None = None
-        self.negative_clamps = 0
-
-    def bottom(self, net: PepsNetwork, row: int,
-               params: ContractionParams) -> BoundaryMps:
-        """Boundary MPS summing everything strictly below ``row`` plus the
-        couplings between rows ``row`` and ``row + 1``; its physical legs
-        are the states of row ``row`` (all ones for the last row). Built
-        by applying the transposed transfer operators and compressing."""
-        if self._network is None:
-            self._network = net
-        elif self._network is not net:
-            raise ValueError("EnvironmentCache reused with a different "
-                             "network; use one cache per network")
-        if not 1 <= row <= net.rows:
-            raise InvalidIndexError(f"row {row} outside 1..{net.rows}")
-        for r in range(net.rows, row - 1, -1):
-            if r in self._bottom:
-                continue
-            if r == net.rows:
-                env = BoundaryMps.ones(net.row_dims(r), dtype=net.dtype)
-            else:
-                # unnamed, the MPO-MPS product is freed before the next one
-                mpo = row_transfer_mpo(net, r).transpose()
-                env, _ = compress(apply_mpo(mpo, self._bottom[r + 1]), params)
-            self._bottom[r] = env
-        return self._bottom[row]
+    envs = [BoundaryMps.ones(net.row_dims(net.rows), dtype=net.dtype)]
+    for row in range(net.rows - 1, 0, -1):
+        # unnamed, the MPO-MPS product is freed before the next one
+        env, _ = compress(apply_mpo(row_transfer_mpo(net, row).transpose(),
+                                    envs[-1]), params)
+        envs.append(env)
+    return envs[::-1]
 
 
 def _max_normalized(x: np.ndarray, axes) -> np.ndarray:
@@ -382,18 +370,18 @@ def back_rows(net: PepsNetwork, row: int, col: int, values: np.ndarray,
             yield table[values[:, net.position(row + dr, col + dc) - 1] - 1]
 
 
-def conditionals(net: PepsNetwork, cache: EnvironmentCache, bottom: BoundaryMps,
-                 row: int, col: int, values: np.ndarray, left: np.ndarray,
-                 right: np.ndarray, above: np.ndarray):
+def conditionals(net: PepsNetwork, bottom: BoundaryMps, row: int, col: int,
+                 values: np.ndarray, left: np.ndarray, right: np.ndarray,
+                 above: np.ndarray):
     """Conditional distributions of site ``(row, col)`` for B branches.
 
     With ``t = left @ A`` for the column's bottom tensor A, branch b's
     numerator is ``sum_c t[b, s, c] * right[above[b], s, c]`` times its
     candidate weights; negative truncation noise is clamped to zero and
-    counted on ``cache.negative_clamps``. Returns the (B, d) float64
-    conditionals and the children's left vectors, ``t`` max-normalized
-    per (b, s). Raises ContractionDegenerateError when every weight of a
-    branch underflowed.
+    the clamps are logged at DEBUG level with their count and position.
+    Returns the (B, d) float64 conditionals and the children's left
+    vectors, ``t`` max-normalized per (b, s). Raises
+    ContractionDegenerateError when every weight of a branch underflowed.
     """
     a = bottom.tensors[col - 1]
     chi, d, chi_right = a.shape
@@ -407,7 +395,8 @@ def conditionals(net: PepsNetwork, cache: EnvironmentCache, bottom: BoundaryMps,
 
     negative = numerator < 0
     if negative.any():
-        cache.negative_clamps += int(negative.sum())
+        logger.debug("clamped %d negative conditional weights at (%d, %d)",
+                     int(negative.sum()), row, col)
         numerator = np.where(negative, 0.0, numerator)
     norm = numerator.sum(axis=1)
     if not np.all((norm > 0) & np.isfinite(norm)):
@@ -417,22 +406,26 @@ def conditionals(net: PepsNetwork, cache: EnvironmentCache, bottom: BoundaryMps,
     return probabilities, _max_normalized(t, 2)
 
 
-def conditional_distribution(net: PepsNetwork, cache: EnvironmentCache | None,
-                             params: ContractionParams,
+def conditional_distribution(net: PepsNetwork, envs: list[BoundaryMps],
                              partial) -> np.ndarray:
     """Conditional Boltzmann distribution of the next site.
 
-    ``partial`` must assign exactly the row-major predecessors of the
-    site being queried, in the transformed frame, each value within its
-    own site's dimension. This is the single-branch case of
-    :func:`conditionals`, the search's batched kernel.
+    ``envs`` holds one bottom environment per row, as
+    :func:`bottom_environments` builds them (or a caller-built list of
+    the same layout). ``partial`` must assign exactly the row-major
+    predecessors of the site being queried, in the transformed frame,
+    each value within its own site's dimension. This is the
+    single-branch case of :func:`conditionals`, the search's batched
+    kernel.
 
     Raises:
+        DimensionError: ``envs`` does not hold one entry per row.
         InvalidIndexError: a value lies outside 1..d of its site.
         ContractionDegenerateError: every weight underflowed to zero.
     """
-    if cache is None:
-        cache = EnvironmentCache()
+    if len(envs) != net.rows:
+        raise DimensionError(
+            f"expected {net.rows} bottom environments, got {len(envs)}")
     values = np.array(tuple(partial), dtype=np.int64).reshape(1, -1)
     k = values.shape[1] + 1
     total = net.rows * net.cols
@@ -445,19 +438,18 @@ def conditional_distribution(net: PepsNetwork, cache: EnvironmentCache | None,
             "partial assignment contains a state outside its site dimension")
     row, col = net.site_of(k)
 
-    bottom = cache.bottom(net, row, params)
+    bottom = envs[row - 1]
     start = (row - 1) * net.cols
     left = np.ones((1, 1), dtype=net.dtype)
     for c, value in enumerate(values[0, start:start + col - 1]):
         left = _max_normalized(left @ bottom.tensors[c][:, value - 1, :], 1)
     right = right_tables(net, bottom, row, values)[col - 1]
-    probabilities, _ = conditionals(net, cache, bottom, row, col, values, left,
+    probabilities, _ = conditionals(net, bottom, row, col, values, left,
                                     right, np.zeros(1, dtype=np.intp))
     return probabilities[0]
 
 
-def contract_network(net: PepsNetwork, params: ContractionParams | None = None,
-                     cache: EnvironmentCache | None = None):
+def contract_network(net: PepsNetwork, params: ContractionParams | None = None):
     """Full contraction of the network.
 
     Returns ``(value, log_scale)``; the partition function is
@@ -467,7 +459,4 @@ def contract_network(net: PepsNetwork, params: ContractionParams | None = None,
     if params is None:
         params = ContractionParams(bond_dim=2 ** 31 - 1, num_sweeps=0,
                                    beta=net.beta)
-    if cache is None:
-        cache = EnvironmentCache()
-    env = cache.bottom(net, 1, params)
-    return mps_overlap(first_row_mps(net), env)
+    return mps_overlap(first_row_mps(net), bottom_environments(net, params)[0])

@@ -11,10 +11,12 @@ droplet on the survivor: the set of bulk sites where the two differed,
 plus the energy gap. Unpacking droplets afterwards reconstructs the
 low-energy configurations the merges absorbed.
 
-One contraction per step gives all conditionals: each branch carries its
-left vector along the row, and a row's right tables are built once, at
-its first column, for the distinct rows above. Ties are broken by values
-through a lexicographic rank: a child's is its parent's times d plus s.
+The lower half is contracted once per solve, into one bottom
+environment per row. One contraction per step then gives all
+conditionals: each branch carries its left vector along the row, and a
+row's right tables are built once, at its first column, for the
+distinct rows above. Ties are broken by values through a lexicographic
+rank: a child's is its parent's times d plus s.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, InvalidIndexError, UnsupportedError
-from .peps import (ALL_TRANSFORMS, EnvironmentCache, LatticeTransform,
-                   PepsNetwork, back_rows, build_network, conditionals,
+from .peps import (ALL_TRANSFORMS, LatticeTransform, PepsNetwork, back_rows,
+                   bottom_environments, build_network, conditionals,
                    right_tables)
+from .tensor_core import BoundaryMps, ContractionParams
 from .potts import PottsHamiltonian, potts_energy
-from .tensor_core import ContractionParams
 
 logger = logging.getLogger(__name__)
 
@@ -198,27 +200,32 @@ def _distinct_rows(block: np.ndarray):
 
 
 def branch(states: Branches, k: int, net: PepsNetwork,
-           cache: EnvironmentCache, params: ContractionParams) -> Branches:
+           envs: list[BoundaryMps]) -> Branches:
     """Extend every branch by all states of site ``k``.
 
-    Children come parent-major and pick up the log conditional and the
-    exact energy of the newly determined terms (the site's own table
-    plus its edges to already-assigned neighbors).
+    ``envs`` holds the solve's bottom environments, one per row, from
+    :func:`bottom_environments`. Children come parent-major and pick up
+    the log conditional and the exact energy of the newly determined
+    terms (the site's own table plus its edges to already-assigned
+    neighbors).
     """
+    total = net.rows * net.cols
+    if not 1 <= k <= total:
+        raise InvalidIndexError(f"position {k} outside 1..{total}")
     row, col = net.site_of(k)
     if states.values.shape[1] != k - 1:
         raise DimensionError(
             f"branch at position {k} requires {k - 1} assigned values, "
             f"got {states.values.shape[1]}")
-    bottom = cache.bottom(net, row, params)
+    bottom = envs[row - 1]
     if col == 1:
         first, index = _distinct_rows(states.values[:, max(k - 1 - net.cols, 0):])
         states = replace(states, left=np.ones((len(states), 1), dtype=net.dtype),
                          above=index,
                          right=right_tables(net, bottom, row, states.values[first]))
     probabilities, lefts = conditionals(
-        net, cache, bottom, row, col, states.values, states.left,
-        states.right[col - 1], states.above)
+        net, bottom, row, col, states.values, states.left, states.right[col - 1],
+        states.above)
     n, d = probabilities.shape
 
     with np.errstate(divide="ignore"):
@@ -374,14 +381,14 @@ def low_energy_spectrum(h: PottsHamiltonian,
             "use mode='potts' for native grid models")
 
     net = build_network(h, transform, params.beta, dtype)
-    cache = EnvironmentCache()
+    envs = bottom_environments(net, params)
     dims = (net.rows, net.cols)
     total = net.rows * net.cols
 
     states = Branches.root(net)
     largest_discarded = -math.inf
     for k in range(1, total + 1):
-        states = branch(states, k, net, cache, params)
+        states = branch(states, k, net, envs)
         if droplet_params is not None and k < total:
             states = merge_and_collect(states, k, dims, droplet_params)
         states, largest_discarded = prune(states, search_params,

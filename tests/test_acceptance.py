@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from kingspeps import (ALL_TRANSFORMS, ClusterTopology, ContractionParams,
-                       DropletParams, EnvironmentCache, SearchParams,
+                       DropletParams, SearchParams, bottom_environments,
                        build_network, cluster, conditional_distribution,
                        config_energies, contract_network, exact_conditional,
                        exact_spectrum, generate_instance, low_energy_spectrum,
@@ -80,13 +80,13 @@ def test_criterion_2_exact_conditionals():
         h = random_potts(rows, cols, dim, seed=seed)
         net = build_network(h, beta=1.0)
         params = ContractionParams(bond_dim=chi, num_sweeps=0, beta=1.0)
-        cache = EnvironmentCache()
+        envs = bottom_environments(net, params)
         rng = np.random.default_rng(seed)
         for _ in range(100):
             k = int(rng.integers(1, rows * cols + 1))
             partial = tuple(int(rng.integers(1, dim + 1))
                             for _ in range(k - 1))
-            mine = conditional_distribution(net, cache, params, partial)
+            mine = conditional_distribution(net, envs, partial)
             reference = exact_conditional(h, 1.0, partial)
             worst = max(worst, float(np.max(np.abs(mine - reference))))
             checks += 1

@@ -5,9 +5,9 @@ import re
 
 import pytest
 
-from kingspeps import (ClusterTopology, RunConfig, cluster, exact_spectrum,
+from kingspeps import (ClusterTopology, cluster, exact_spectrum,
                        generate_instance, parse_ising)
-from kingspeps.cli import _build_parser, main, run
+from kingspeps.cli import _build_parser, main
 
 
 class TestGenerate:
@@ -209,10 +209,9 @@ class TestSolve:
     def test_run_config_direct(self, tmp_path):
         path = _write_instance(tmp_path, rows=2, cols=3)
         out = tmp_path / "direct.json"
-        config = RunConfig(instance=str(path), topology=(2, 3, 1),
-                           transforms=("r0", "r180f"), output=str(out),
-                           max_states=64)
-        assert run(config) == 0
+        assert main(["solve", str(path), "--topology", "2", "3", "1",
+                     "--transforms", "r0,r180f", "--max-states", "64",
+                     "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["parameters"]["transforms"] == ["r0", "r180f"]
 

@@ -46,15 +46,6 @@ def test_energies_consistent_with_potts_energy():
         assert potts_energy(h, tuple(state)) == pytest.approx(energy, rel=1e-12)
 
 
-def test_limit():
-    h = random_potts(2, 2, 2, seed=1)
-    full = exact_spectrum(h)
-    limited = exact_spectrum(h, limit=3)
-    assert len(limited) == 3
-    assert np.allclose(limited.energies, full.energies[:3])
-    assert limited.log_partition(1.0) == pytest.approx(full.log_partition(1.0))
-
-
 def test_guard():
     h = PottsHamiltonian(5, 6)
     for site in h.sites():

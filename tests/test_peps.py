@@ -1,6 +1,7 @@
 """Network construction, transfer operators, environments, conditionals."""
 
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -8,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kingspeps import (ALL_TRANSFORMS, ContractionParams, EnvironmentCache,
-                       IsingGraph, LatticeTransform, PottsHamiltonian,
-                       apply_mpo, build_network,
+from kingspeps import (ALL_TRANSFORMS, ContractionParams, IsingGraph,
+                       LatticeTransform, PottsHamiltonian, apply_mpo,
+                       bottom_environments, build_network,
                        cluster, ClusterTopology, conditional_distribution,
                        contract_network, exact_conditional, exact_spectrum,
                        first_row_mps, potts_energy, row_transfer_mpo)
-from kingspeps.errors import (ContractionDegenerateError, InvalidIndexError,
-                              NumericError)
+from kingspeps.errors import (ContractionDegenerateError, DimensionError,
+                              InvalidIndexError, NumericError)
 from kingspeps.tensor_core import overlap
 from conftest import dense_mps_vector, random_potts
 
@@ -24,8 +25,12 @@ def exact_params(net):
     return ContractionParams(bond_dim=2 ** 30, num_sweeps=0, beta=net.beta)
 
 
-def bottom_env(net, row, params, cache=None):
-    return (cache or EnvironmentCache()).bottom(net, row, params)
+def exact_envs(net):
+    return bottom_environments(net, exact_params(net))
+
+
+def bottom_env(net, row, params):
+    return bottom_environments(net, params)[row - 1]
 
 
 class TestLatticeTransform:
@@ -155,6 +160,14 @@ class TestRowTransferMpo:
 
 
 class TestBottomEnv:
+    def test_one_environment_per_row(self):
+        h = random_potts(3, 2, 3, seed=11)
+        net = build_network(h, beta=1.0)
+        envs = bottom_environments(net, exact_params(net))
+        assert [env.phys_dims for env in envs] == [
+            tuple(net.row_dims(row)) for row in range(1, net.rows + 1)]
+        assert np.allclose(dense_mps_vector(envs[-1]), 1.0)
+
     def test_single_row_all_ones(self):
         h = random_potts(1, 3, 2, seed=7)
         net = build_network(h, beta=1.0)
@@ -187,14 +200,6 @@ class TestBottomEnv:
         assert value * math.exp(log_scale) == pytest.approx(
             brute_z(h, 1.0), rel=1e-8)
 
-    def test_memoized_per_row(self):
-        h = random_potts(3, 3, 2, seed=10)
-        net = build_network(h, beta=1.0)
-        cache = EnvironmentCache()
-        a = bottom_env(net, 1, exact_params(net), cache)
-        b = bottom_env(net, 1, exact_params(net), cache)
-        assert a is b
-
 
 class TestConditionalDistribution:
     def test_zero_energies_uniform(self):
@@ -202,19 +207,19 @@ class TestConditionalDistribution:
         for site in h.sites():
             h.set_node(site, [0.0, 0.0, 0.0])
         net = build_network(h, beta=1.0)
-        p = conditional_distribution(net, None, exact_params(net), ())
+        p = conditional_distribution(net, exact_envs(net), ())
         assert np.allclose(p, 1 / 3)
 
     def test_chain_first_site_symmetric(self, chain_pair):
         _, h = chain_pair
         net = build_network(h, beta=1.0)
-        p = conditional_distribution(net, None, exact_params(net), ())
+        p = conditional_distribution(net, exact_envs(net), ())
         assert np.allclose(p, 0.5)
 
     def test_chain_second_site_given_up(self, chain_pair):
         _, h = chain_pair
         net = build_network(h, beta=1.0)
-        p = conditional_distribution(net, None, exact_params(net), (1,))
+        p = conditional_distribution(net, exact_envs(net), (1,))
         assert p[0] == pytest.approx(0.8807970779778823, abs=1e-10)
         assert p[1] == pytest.approx(0.11920292202211755, abs=1e-10)
 
@@ -223,12 +228,12 @@ class TestConditionalDistribution:
         h = random_potts(rows, cols, dim, seed=rows * 10 + dim)
         net = build_network(h, beta=1.0)
         params = ContractionParams(bond_dim=chi, num_sweeps=0, beta=1.0)
-        cache = EnvironmentCache()
+        envs = bottom_environments(net, params)
         rng = np.random.default_rng(0)
         for _ in range(40):
             k = int(rng.integers(1, rows * cols + 1))
             partial = tuple(int(rng.integers(1, dim + 1)) for _ in range(k - 1))
-            mine = conditional_distribution(net, cache, params, partial)
+            mine = conditional_distribution(net, envs, partial)
             ref = exact_conditional(h, 1.0, partial)
             assert np.max(np.abs(mine - ref)) <= 1e-8
 
@@ -236,12 +241,12 @@ class TestConditionalDistribution:
         h = random_potts(3, 3, 3, seed=12)
         net = build_network(h, beta=2.0)
         params = ContractionParams(bond_dim=8, num_sweeps=1, beta=2.0)
-        cache = EnvironmentCache()
+        envs = bottom_environments(net, params)
         rng = np.random.default_rng(1)
         for _ in range(25):
             k = int(rng.integers(1, 10))
             partial = tuple(int(rng.integers(1, 4)) for _ in range(k - 1))
-            p = conditional_distribution(net, cache, params, partial)
+            p = conditional_distribution(net, envs, partial)
             assert p.sum() == pytest.approx(1.0, abs=1e-10)
             assert np.all(p >= 0)
 
@@ -249,15 +254,14 @@ class TestConditionalDistribution:
         h = random_potts(3, 3, 2, seed=13)
         beta = 1.5
         net = build_network(h, beta=beta)
-        params = exact_params(net)
-        cache = EnvironmentCache()
+        envs = exact_envs(net)
         z = brute_z(h, beta)
         rng = np.random.default_rng(2)
         for _ in range(10):
             x = tuple(int(v) for v in rng.integers(1, 3, size=9))
             log_p = 0.0
             for k in range(9):
-                p = conditional_distribution(net, cache, params, x[:k])
+                p = conditional_distribution(net, envs, x[:k])
                 log_p += math.log(p[x[k] - 1])
             expected = math.exp(-beta * potts_energy(h, x)) / z
             assert math.exp(log_p) == pytest.approx(expected, rel=1e-6)
@@ -268,14 +272,12 @@ class TestConditionalDistribution:
         reference = None
         for tr in ALL_TRANSFORMS:
             net = build_network(h, tr, beta=beta)
-            params = exact_params(net)
-            cache = EnvironmentCache()
+            envs = exact_envs(net)
             dist = {}
-            dims_t = (net.rows, net.cols)
             for x in itertools.product((1, 2), repeat=6):
                 log_p = 0.0
                 for k in range(6):
-                    p = conditional_distribution(net, cache, params, x[:k])
+                    p = conditional_distribution(net, envs, x[:k])
                     log_p += math.log(p[x[k] - 1])
                 original = [0] * 6
                 for pos, value in enumerate(x, start=1):
@@ -287,39 +289,47 @@ class TestConditionalDistribution:
                 for key, value in dist.items():
                     assert value == pytest.approx(reference[key], abs=1e-8)
 
-    def test_cache_transparent(self):
-        h = random_potts(3, 3, 2, seed=15)
-        net = build_network(h, beta=2.0)
-        params = ContractionParams(bond_dim=4, num_sweeps=1, beta=2.0)
-        cache = EnvironmentCache()
-        partials = [(), (1,), (1, 2), (2, 1, 2, 2), (1, 1, 2, 1, 2, 2, 1)]
-        with_cache = [conditional_distribution(net, cache, params, p)
-                      for p in partials]
-        without = [conditional_distribution(net, None, params, p)
-                   for p in partials]
-        for a, b in zip(with_cache, without):
-            assert np.array_equal(a, b)
-
     def test_degenerate_contraction_reports_position(self):
         h = PottsHamiltonian(1, 1)
         h.set_node((1, 1), [0.0, 0.0])
         net = build_network(h, beta=1.0)
-        # doctor a cache holding a zeroed bottom environment
-        cache = EnvironmentCache()
-        env = bottom_env(net, 1, exact_params(net), cache)
-        for t in env.tensors:
+        # doctor a zeroed bottom environment
+        envs = exact_envs(net)
+        for t in envs[0].tensors:
             t[:] = 0.0
         with pytest.raises(ContractionDegenerateError) as err:
-            conditional_distribution(net, cache, exact_params(net), ())
+            conditional_distribution(net, envs, ())
         assert err.value.position == (1, 1)
+
+    def test_negative_weight_clamped_and_logged(self, caplog):
+        h = random_potts(2, 2, 2, seed=17)
+        net = build_network(h, beta=1.0)
+        # doctor row 2's environment so that state 1 of site (2, 1) has a
+        # negative numerator, as truncation noise can give it
+        envs = exact_envs(net)
+        envs[1].tensors[0][:, 0, :] *= -1.0
+        with caplog.at_level(logging.DEBUG, logger="kingspeps.peps"):
+            p = conditional_distribution(net, envs, (1, 2))
+        assert p.tolist() == [0.0, 1.0]
+        clamps = [r.getMessage() for r in caplog.records
+                  if r.levelno == logging.DEBUG and "clamped" in r.getMessage()]
+        assert clamps == ["clamped 1 negative conditional weights at (2, 1)"]
+
+    def test_wrong_number_of_environments_rejected(self):
+        h = random_potts(3, 2, 2, seed=18)
+        net = build_network(h, beta=1.0)
+        envs = exact_envs(net)
+        for wrong in (envs[:-1], envs + envs[-1:], []):
+            with pytest.raises(DimensionError):
+                conditional_distribution(net, wrong, (1,))
 
     def test_bad_state_value_rejected(self):
         h = random_potts(2, 2, 2, seed=16)
         net = build_network(h, beta=1.0)
         with pytest.raises(InvalidIndexError):
-            conditional_distribution(net, None, exact_params(net), (0,))
+            conditional_distribution(net, exact_envs(net), (0,))
         with pytest.raises(InvalidIndexError):
-            conditional_distribution(net, None, exact_params(net), (5,))
+            conditional_distribution(net, exact_envs(net), (5,))
 
     def test_value_beyond_own_site_dimension_rejected(self):
         # ragged dims 2, 4 / 3, 2: value 3 or 4 is valid at site 2 only
@@ -329,11 +339,11 @@ class TestConditionalDistribution:
         h.set_edge((1, 1), (1, 2), np.ones((2, 4)))
         h.set_edge((1, 2), (2, 1), np.ones((4, 3)))
         net = build_network(h, beta=1.0)
-        params = exact_params(net)
-        assert conditional_distribution(net, None, params, (2, 4, 3)).shape == (2,)
+        envs = exact_envs(net)
+        assert conditional_distribution(net, envs, (2, 4, 3)).shape == (2,)
         for partial in ((3,), (2, 4, 4), (1, 5)):
             with pytest.raises(InvalidIndexError):
-                conditional_distribution(net, None, params, partial)
+                conditional_distribution(net, envs, partial)
 
 
 class TestClusteredNetworks:

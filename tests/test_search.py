@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kingspeps import (ALL_TRANSFORMS, Branches, ContractionParams, Droplet,
-                       DropletParams, EnvironmentCache, IsingGraph,
+                       DropletParams, IsingGraph,
                        PottsHamiltonian, SearchParams,
-                       boundary_sites, branch, build_network, cluster,
+                       bottom_environments, boundary_sites, branch,
+                       build_network, cluster,
                        ClusterTopology, decode, exact_spectrum, ising_energy,
                        low_energy_spectrum, merge_and_collect,
                        merge_solutions, potts_energy, prune, unpack_droplets)
@@ -78,12 +79,12 @@ def _rows(branches):
         branches.energy.tolist(), branches.droplets)]
 
 
-def _grown(net, cache, params, row):
+def _grown(net, envs, row):
     """A population holding ``row``, grown from the root by branching so
     that it carries its environment."""
     states = Branches.root(net)
     for k, value in enumerate(row.values, start=1):
-        states = branch(states, k, net, cache, params)
+        states = branch(states, k, net, envs)
         states = states.take(np.flatnonzero(states.values[:, -1] == value))
     return replace(states, log_probability=np.array([row.log_probability]),
                    energy=np.array([row.energy]))
@@ -101,11 +102,11 @@ def _prune(rows, sp, **kwargs):
 def _run_branch_chain(h, beta=1.0, bond_dim=64):
     net = build_network(h, beta=beta)
     params = ContractionParams(bond_dim=bond_dim, num_sweeps=0, beta=beta)
-    cache = EnvironmentCache()
+    envs = bottom_environments(net, params)
     states = Branches.root(net)
     history = [_rows(states)]
     for k in range(1, net.rows * net.cols + 1):
-        states = branch(states, k, net, cache, params)
+        states = branch(states, k, net, envs)
         history.append(_rows(states))
     return net, history
 
@@ -115,10 +116,9 @@ class TestBranch:
         h = random_potts(2, 2, 2, seed=1)
         net = build_network(h, beta=1.0)
         params = ContractionParams(bond_dim=16, num_sweeps=0, beta=1.0)
-        cache = EnvironmentCache()
+        envs = bottom_environments(net, params)
         parent = _Row((1,), -0.3, 0.55, ())
-        children = _rows(branch(_grown(net, cache, params, parent), 2, net,
-                                cache, params))
+        children = _rows(branch(_grown(net, envs, parent), 2, net, envs))
         assert len(children) == 2
         total = sum(math.exp(c.log_probability) for c in children)
         assert total == pytest.approx(math.exp(parent.log_probability), rel=1e-10)
@@ -128,11 +128,21 @@ class TestBranch:
         for site in h.sites():
             h.set_node(site, [0.0, 0.0])
         net = build_network(h, beta=1.0)
-        cache = EnvironmentCache()
         params = ContractionParams(bond_dim=4, num_sweeps=0, beta=1.0)
-        children = _rows(branch(Branches.root(net), 1, net, cache, params))
+        envs = bottom_environments(net, params)
+        children = _rows(branch(Branches.root(net), 1, net, envs))
         assert all(c.log_probability == pytest.approx(math.log(0.5))
                    for c in children)
+
+    def test_position_past_last_site_rejected(self):
+        h = random_potts(2, 2, 2, seed=3)
+        net = build_network(h, beta=1.0)
+        envs = bottom_environments(net, ContractionParams(beta=1.0))
+        states = Branches.root(net)
+        for k in range(1, 5):
+            states = branch(states, k, net, envs)
+        with pytest.raises(InvalidIndexError):
+            branch(states, 5, net, envs)
 
     def test_incremental_energy_matches_oracle(self):
         h = random_potts(3, 3, 2, seed=2)
