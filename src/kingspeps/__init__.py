@@ -13,8 +13,8 @@ from .ising import IsingGraph, ising_energy
 from .potts import (ClusterTopology, PottsHamiltonian, cluster,
                     cluster_spin_values, decode, encode, king_adjacent,
                     potts_energy)
-from .instance_io import (parse_ising, parse_potts, serialize_ising,
-                          solution_to_dict, write_solution)
+from .instance_io import (generate_instance, parse_ising, parse_potts,
+                          serialize_ising, solution_to_dict, write_solution)
 from .tensor_core import (BoundaryMps, ContractionParams, RowMpo, apply_mpo,
                           compress, left_canonicalize, overlap, svd_truncate)
 from .peps import (ALL_TRANSFORMS, LatticeTransform, PepsNetwork,
@@ -27,7 +27,6 @@ from .search import (Branches, Droplet, DropletParams, SearchParams,
                      unpack_droplets)
 from .oracle import (ExactSpectrum, config_energies, exact_conditional,
                      exact_spectrum)
-from .cli import generate_instance
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,5 @@
-"""Text-format parsers and JSON solution output.
+"""Text-format parsers, the random instance generator and JSON solution
+output.
 
 Two input formats are supported:
 
@@ -107,6 +108,49 @@ def serialize_ising(graph: IsingGraph) -> str:
         n = graph.n_spins
         rows.append(f"{n} {n} {float(graph.fields[n - 1])!r}")
     return "\n".join(rows) + ("\n" if rows else "")
+
+
+def generate_instance(rows: int, cols: int, spins_per_cluster: int,
+                      seed: int | None = None, low: float = -1.0,
+                      high: float = 1.0, with_fields: bool = False) -> str:
+    """Random king's-graph instance in the Ising triple format.
+
+    Couplings are drawn uniformly from [low, high] for every
+    intra-cluster spin pair and every spin pair between king-adjacent
+    clusters, in a fixed traversal order, so output is byte-identical
+    for a given seed.
+    """
+    rng = np.random.default_rng(seed)
+    t = spins_per_cluster
+
+    def spins_of(k):
+        return range(k * t + 1, (k + 1) * t + 1)
+
+    rows_out = []
+    n_clusters = rows * cols
+    for k in range(n_clusters):
+        members = list(spins_of(k))
+        for a in range(t):
+            for b in range(a + 1, t):
+                value = rng.uniform(low, high)
+                rows_out.append(f"{members[a]} {members[b]} {value!r}")
+    for k in range(n_clusters):
+        r, c = k // cols, k % cols
+        for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):
+            rr, cc = r + dr, c + dc
+            if not (0 <= rr < rows and 0 <= cc < cols):
+                continue
+            other = rr * cols + cc
+            for i in spins_of(k):
+                for j in spins_of(other):
+                    value = rng.uniform(low, high)
+                    a, b = (i, j) if i < j else (j, i)
+                    rows_out.append(f"{a} {b} {value!r}")
+    if with_fields:
+        for i in range(1, n_clusters * t + 1):
+            value = rng.uniform(low, high)
+            rows_out.append(f"{i} {i} {value!r}")
+    return "\n".join(rows_out) + "\n"
 
 
 def parse_potts(text) -> PottsHamiltonian:

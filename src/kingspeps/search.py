@@ -17,6 +17,14 @@ conditionals: each branch carries its left vector along the row, and a
 row's right tables are built once, at its first column, for the
 distinct rows above. Ties are broken by values through a lexicographic
 rank: a child's is its parent's times d plus s.
+
+Merging is batched as well. Branches are grouped by one integer key of
+their boundary values, and every distance a droplet candidate must be
+checked against is computed in one pass over flip arrays; Python only
+makes the sequential keep-or-evict decisions and builds the droplets
+that are kept. Droplets are the only Python objects: each branch's
+tuple of them sits in an object array gathered by index like the other
+columns.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +49,7 @@ logger = logging.getLogger(__name__)
 
 # set bits of each byte value, for spin-mode distances
 _SET_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
+_KEY_LIMIT = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -93,12 +104,22 @@ class Droplet:
     ``flips`` maps 1-based row-major positions to the alternative state;
     ``sub_droplets`` are the excitations that were attached to the
     discarded branch when it merged, valid within this droplet's
-    context.
+    context. ``flip_arrays`` holds the flips as arrays for the merge's
+    batched distances; it is cached on first use and is not a field, so
+    it stays out of ``repr``, ``==`` and ``hash``.
     """
 
     flips: tuple[tuple[int, int], ...]
     delta_energy: float
     sub_droplets: tuple["Droplet", ...] = ()
+
+    @cached_property
+    def flip_arrays(self) -> np.ndarray:
+        """The flips as two integer rows, ``positions, values =
+        droplet.flip_arrays``, with 0-based positions."""
+        out = np.array(list(zip(*self.flips)), dtype=np.intp).reshape(2, -1)
+        out[0] -= 1
+        return out
 
     def remap(self, position_map) -> "Droplet":
         flips = tuple(sorted((position_map[pos], value)
@@ -116,7 +137,9 @@ class Branches:
     exact energy of the terms determined so far; ``rank``: lexicographic
     order of the values; ``left``: left vectors in the current row;
     ``above``: each branch's row in ``right``, the current row's right
-    tables (None between rows); ``droplets``: a tuple per branch.
+    tables (None between rows); ``droplets`` (B,): an object array
+    holding each branch's tuple of :class:`Droplet`, so that it is
+    gathered by index like the other columns.
     """
 
     values: np.ndarray
@@ -125,7 +148,7 @@ class Branches:
     rank: np.ndarray
     left: np.ndarray
     above: np.ndarray
-    droplets: list
+    droplets: np.ndarray
     right: list | None = None
 
     @classmethod
@@ -135,7 +158,8 @@ class Branches:
         return cls(np.zeros((1, 0), dtype=value_dtype), np.zeros(1),
                    np.zeros(1), np.zeros(1, dtype=np.intp),
                    np.ones((1, 1), dtype=net.dtype),
-                   np.zeros(1, dtype=np.intp), [()])
+                   np.zeros(1, dtype=np.intp),
+                   np.fromiter([()], dtype=object, count=1))
 
     def __len__(self):
         return len(self.values)
@@ -144,8 +168,7 @@ class Branches:
         """The branches at ``index``, in that order."""
         return Branches(self.values[index], self.log_probability[index],
                         self.energy[index], self.rank[index], self.left[index],
-                        self.above[index],
-                        [self.droplets[i] for i in index.tolist()], self.right)
+                        self.above[index], self.droplets[index], self.right)
 
 
 @dataclass
@@ -188,14 +211,37 @@ def boundary_sites(dims, k: int) -> list[tuple[int, int]]:
     return out
 
 
+def _row_keys(block: np.ndarray) -> np.ndarray:
+    """One ``int64`` key per row of ``block``: equal for equal rows and
+    ordered as the rows are, lexicographically.
+
+    The key is mixed-radix, a column's radix being its largest value
+    plus one. Before it could overflow, it is re-ranked to its place
+    among the distinct keys so far, which keeps the order.
+    """
+    radix = (np.max(block, axis=0, initial=0).astype(np.int64) + 1).tolist()
+    key, bound, start = 0, 1, 0
+    for col, r in enumerate(radix):
+        if bound * r > _KEY_LIMIT:
+            distinct, key = np.unique(_fold(key, block, radix, start, col),
+                                      return_inverse=True)
+            bound, start = len(distinct), col
+        bound *= r
+    return _fold(key, block, radix, start, len(radix))
+
+
+def _fold(key, block, radix, start, stop):
+    """``key`` followed by the digits of columns ``start..stop-1``."""
+    place = [math.prod(radix[j + 1:stop]) for j in range(start, stop)]
+    return (key * math.prod(radix[start:stop])
+            + block[:, start:stop] @ np.array(place, dtype=np.int64))
+
+
 def _distinct_rows(block: np.ndarray):
     """The first index of each distinct row of ``block`` and every row's
-    group, found by one sort on the rows' bytes (a leading zero column
-    gives rows of no columns a key too)."""
-    rows = np.zeros((len(block), block.shape[1] + 1), dtype=block.dtype)
-    rows[:, 1:] = block
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    group, groups numbered in the rows' lexicographic order."""
+    _, first, group = np.unique(_row_keys(block), return_index=True,
+                                return_inverse=True)
     return first, group
 
 
@@ -244,7 +290,7 @@ def branch(states: Branches, k: int, net: PepsNetwork,
     return Branches(values.reshape(n * d, k), log_p.reshape(-1),
                     energy.reshape(-1), rank.reshape(-1),
                     lefts.reshape(n * d, -1), states.above[parents],
-                    [states.droplets[i] for i in parents.tolist()],
+                    states.droplets[parents],
                     None if col == net.cols else states.right)
 
 
@@ -264,13 +310,68 @@ def _droplet_distance(a: Droplet, b: Droplet, carrier: tuple[int, ...],
     return distance
 
 
-def _distances(config: np.ndarray, configs: np.ndarray, mode: str) -> np.ndarray:
-    """Distances of ``config`` to each row of ``configs``, counted as
-    :func:`_droplet_distance` counts them, for whole configurations."""
+def _elementwise_distance(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
+    """Distance between each value of ``a`` and the matching one of
+    ``b``, as :func:`_droplet_distance` counts it at one position."""
     if mode == "potts":
-        return (configs != config).sum(axis=1)
-    diff = (configs - 1) ^ (config - 1)
-    return _SET_BITS[diff.view(np.uint8)].sum(axis=1)
+        return (a != b).astype(np.intp)
+    diff = np.ascontiguousarray((a - 1) ^ (b - 1))
+    return _SET_BITS[diff.view(np.uint8)].reshape(
+        diff.shape + (diff.itemsize,)).sum(axis=-1)
+
+
+def _spans(lengths: np.ndarray):
+    """Runs of the given lengths laid end to end: each element's run and
+    its offset within the run."""
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    return run, np.arange(len(run)) - (np.cumsum(lengths) - lengths)[run]
+
+
+def _clashes(values, others, carriers, rows, cols, flipped, run, run_start,
+             attached, mode, cutoff):
+    """Candidate-reference pairs closer than ``cutoff``, by candidate.
+
+    Candidate ``i`` is the branch ``others[i]``; its flips against its
+    carrier are the entries of ``rows``/``cols``/``flipped`` with
+    ``rows == i``. Candidates of one carrier form run ``run[i]``, which
+    starts at ``run_start[run[i]]``. A candidate's references are the
+    droplets ``attached[run[i]]`` already on its carrier, numbered
+    first and run by run, then the earlier candidates of its run,
+    numbered after them in candidate order. The distance to a reference
+    with flips F is d(other, carrier) + the sum over (p, v) in F of
+    e(other_p, v) - e(other_p, carrier_p); all pairs go in one batch.
+    """
+    n = len(others)
+    counts = np.array([len(t) for t in attached], dtype=np.intp)
+    held, first = counts[run], run_start[run]
+    pair_cand, slot = _spans(held + np.arange(n) - first)
+    if not len(pair_cand):
+        return pair_cand, pair_cand
+    own = held[pair_cand]
+    held_before = (np.cumsum(counts) - counts)[run]
+    pair_ref = np.where(slot < own, held_before[pair_cand] + slot,
+                        counts.sum() + first[pair_cand] + slot - own)
+
+    old = [d.flip_arrays for t in attached for d in t]
+    flips = np.concatenate(old + [np.stack((cols, flipped))], axis=1)
+    lengths = np.concatenate([[f.shape[1] for f in old],
+                              np.bincount(rows, minlength=n)]).astype(np.intp)
+    pair, offset = _spans(lengths[pair_ref])
+    pos, value = flips[:, (np.cumsum(lengths) - lengths)[pair_ref][pair] + offset]
+    cand = pair_cand[pair]
+    other = values[others[cand], pos]
+    # e(other_p, v) and e(other_p, carrier_p) per reference flip, then
+    # e(other_p, carrier_p) per flip of the candidate itself
+    e = _elementwise_distance(
+        np.concatenate([other, other, flipped]),
+        np.concatenate([value.astype(values.dtype), values[carriers[cand], pos],
+                        values[carriers[rows], cols]]), mode)
+    m = len(pair)
+    distance = (np.bincount(rows, weights=e[2 * m:], minlength=n)[pair_cand]
+                + np.bincount(pair, weights=e[:m] - e[m:2 * m],
+                              minlength=len(pair_cand)))
+    hit = distance < cutoff
+    return pair_cand[hit], pair_ref[hit]
 
 
 def merge_and_collect(states: Branches, k: int, dims,
@@ -282,10 +383,17 @@ def merge_and_collect(states: Branches, k: int, dims,
     becomes a droplet on the survivor, carrying its own droplets as
     sub-droplets, unless it comes closer than ``hamming_cutoff`` to an
     already-attached droplet; of such a clashing pair only the lower
-    excitation energy is kept. Only those candidates run Python code.
+    excitation energy is kept. Candidates are taken per survivor in
+    (energy, values) order.
+
+    Grouping, flips and every distance a candidate needs (to the
+    droplets its survivor carries and to the earlier candidates of the
+    same survivor) are computed in batches. Python runs only the
+    sequential keep-or-evict decision, over the candidates with a clash,
+    and builds a :class:`Droplet` for each candidate that is kept.
     """
     positions = [(r - 1) * dims[1] + c - 1 for r, c in boundary_sites(dims, k)]
-    _, group = _distinct_rows(states.values[:, positions])
+    group = _row_keys(states.values[:, positions])
     order = np.lexsort((states.rank, states.energy, group))
     grouped = group[order]
     first = np.ones(len(order), dtype=bool)
@@ -294,40 +402,55 @@ def merge_and_collect(states: Branches, k: int, dims,
         np.where(first, np.arange(len(order)), 0))]
     gap = states.energy[order] - states.energy[survivor]
     pick = np.flatnonzero(~first & (gap <= dp.energy_cutoff))
-
-    others, carriers = order[pick], survivor[pick]
-    rows, cols = np.nonzero(states.values[others] != states.values[carriers])
-    bounds = np.searchsorted(rows, np.arange(len(pick) + 1)).tolist()
-    flips = list(zip((cols + 1).tolist(),
-                     states.values[others[rows], cols].tolist()))
-    droplets = list(states.droplets)
-    configs = {}
-    # gaps stay numpy floats, as the energies they come from
-    for i, (other, carrier, delta) in enumerate(zip(
-            others.tolist(), carriers.tolist(), gap[pick])):
-        lo, hi = bounds[i], bounds[i + 1]
-        if lo == hi:
-            continue
-        candidate = Droplet(tuple(flips[lo:hi]), delta, states.droplets[other])
-        attached = droplets[carrier]
-        if dp.hamming_cutoff > 0 and attached:
-            known = configs.get(carrier)
-            if known is None:
-                carrier_values = states.values[carrier].tolist()
-                known = configs[carrier] = np.array(
-                    [_apply_flips(carrier_values, d.flips) for d in attached])
-            clash = (_distances(states.values[other], known, dp.mode)
-                     < dp.hamming_cutoff).tolist()
-            if any(d.delta_energy <= delta
-                   for d, c in zip(attached, clash) if c):
-                continue
-            attached = tuple(d for d, c in zip(attached, clash) if not c)
-            configs[carrier] = np.concatenate(
-                [known[np.logical_not(clash)], states.values[other][None, :]])
-        droplets[carrier] = attached + (candidate,)
     survivors = order[first]
-    return replace(states.take(survivors),
-                   droplets=[droplets[i] for i in survivors.tolist()])
+    if not len(pick):
+        return states.take(survivors)
+
+    others, carriers, gaps = order[pick], survivor[pick], gap[pick]
+    rows, cols = np.nonzero(states.values[others] != states.values[carriers])
+    moved = np.bincount(rows, minlength=len(pick)) > 0
+    if not moved.all():  # a copy of its survivor adds no droplet
+        others, carriers, gaps = others[moved], carriers[moved], gaps[moved]
+        rows = (np.cumsum(moved) - 1)[rows]
+    flipped = states.values[others[rows], cols]
+    new_run = np.ones(len(others), dtype=bool)
+    new_run[1:] = carriers[1:] != carriers[:-1]
+    run_start = np.flatnonzero(new_run)
+    attached = states.droplets[carriers[run_start]].tolist()
+
+    # kept[r]: whether reference r still stands; references are the
+    # attached droplets, run by run, then the candidates
+    held = sum(map(len, attached))
+    kept = [True] * (held + len(others))
+    if dp.hamming_cutoff > 0:
+        delta = [d.delta_energy for t in attached for d in t] + gaps.tolist()
+        clashing = {}
+        for i, r in zip(*(a.tolist() for a in _clashes(
+                states.values, others, carriers, rows, cols, flipped,
+                np.cumsum(new_run) - 1, run_start, attached, dp.mode,
+                dp.hamming_cutoff))):
+            clashing.setdefault(held + i, []).append(r)
+        for me, refs in clashing.items():
+            refs = [r for r in refs if kept[r]]
+            if any(delta[r] <= delta[me] for r in refs):
+                kept[me] = False
+            else:
+                for r in refs:
+                    kept[r] = False
+
+    droplets = states.droplets.copy()
+    if not all(kept[:held]):  # drop the evicted attached droplets
+        keep = iter(kept[:held])
+        for carrier, old in zip(carriers[run_start].tolist(), attached):
+            droplets[carrier] = tuple([d for d in old if next(keep)])
+    bounds = np.searchsorted(rows, np.arange(len(others) + 1)).tolist()
+    flips = list(zip((cols + 1).tolist(), flipped.tolist()))
+    subs = states.droplets[others].tolist()
+    # gaps stay numpy floats, as the energies they come from
+    for i, carrier in compress(enumerate(carriers.tolist()), kept[held:]):
+        droplets[carrier] += (Droplet(tuple(flips[bounds[i]:bounds[i + 1]]),
+                                      gaps[i], subs[i]),)
+    return replace(states, droplets=droplets).take(survivors)
 
 
 def prune(states: Branches, sp: SearchParams,

@@ -1,7 +1,11 @@
 """Command-line workflow: generation, solving, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,20 @@ class TestGenerate:
                      "-o", str(out)])
         assert code == 0
         assert parse_ising(out.read_text()).n_spins == 9
+
+    def test_module_entry_point_warns_nothing(self):
+        # importing the package must not import the CLI module, or
+        # ``python -m kingspeps.cli`` warns that it is already loaded
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "kingspeps.cli", "gen", "2", "2", "--spins", "1", "--seed", "1"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+            text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert parse_ising(done.stdout).n_spins == 4
 
 
 class TestVerbosity:

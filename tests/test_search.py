@@ -70,7 +70,8 @@ def _population(rows):
                     np.array([r.energy for r in rows], float),
                     rank.reshape(-1), np.ones((len(rows), 1)),
                     np.zeros(len(rows), dtype=np.intp),
-                    [tuple(r.droplets) for r in rows])
+                    np.fromiter((tuple(r.droplets) for r in rows), dtype=object,
+                                count=len(rows)))
 
 
 def _rows(branches):
@@ -258,11 +259,120 @@ class TestMergeAndCollect:
         assert merged[0].droplets[0].flips == ((1, 4),)
 
 
+def _reference_merge(states, k, dims, dp):
+    """The per-candidate merge loop the batched one replaced: groups
+    sorted by boundary values, every clash tested on full carrier
+    configurations through ``_droplet_distance``. Returns the survivors'
+    indices and their droplets."""
+    from kingspeps.search import _droplet_distance
+    positions = [(r - 1) * dims[1] + c - 1 for r, c in boundary_sites(dims, k)]
+    values = states.values.tolist()
+
+    def boundary(i):
+        return [values[i][p] for p in positions]
+
+    order = sorted(range(len(values)), key=lambda i: (
+        boundary(i), states.energy[i], states.rank[i]))
+    droplets = list(states.droplets)
+    survivors = []
+    for _, members in itertools.groupby(order, key=boundary):
+        carrier, *rest = members
+        survivors.append(carrier)
+        carrier_values = tuple(values[carrier])
+        for other in rest:
+            delta = states.energy[other] - states.energy[carrier]
+            if not delta <= dp.energy_cutoff:
+                continue
+            flips = tuple((p + 1, v) for p, (v, c) in enumerate(
+                zip(values[other], carrier_values)) if v != c)
+            if not flips:
+                continue
+            candidate = Droplet(flips, delta, states.droplets[other])
+            attached = droplets[carrier]
+            if dp.hamming_cutoff > 0 and attached:
+                clash = [_droplet_distance(candidate, d, carrier_values, dp.mode)
+                         < dp.hamming_cutoff for d in attached]
+                if any(d.delta_energy <= delta
+                       for d, c in zip(attached, clash) if c):
+                    continue
+                attached = tuple(d for d, c in zip(attached, clash) if not c)
+            droplets[carrier] = attached + (candidate,)
+    return survivors, [droplets[i] for i in survivors]
+
+
+@st.composite
+def _merge_cases(draw):
+    """A population at step ``k`` of a small grid: few boundary patterns
+    (several candidates per survivor), bulk values near a shared base
+    (small distances), tied energies, droplets with sub-droplets."""
+    mode = draw(st.sampled_from(["potts", "spin"]))
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    k = draw(st.integers(cols + 1, rows * cols - 1))
+    wide = draw(st.booleans())  # some columns need uint16
+    dims = [draw(st.integers(256, 3000) if wide and draw(st.booleans())
+                 else st.integers(2, 9)) for _ in range(k)]
+    dtype = draw(st.sampled_from([np.min_scalar_type(max(dims)), np.int64]))
+    boundary = {(r - 1) * cols + c - 1
+                for r, c in boundary_sites((rows, cols), k)}
+
+    def value(p, base):
+        return draw(st.just(base[p]) | st.integers(1, dims[p]))
+
+    base = [draw(st.integers(1, d)) for d in dims]
+    patterns = [[value(p, base) for p in range(k)]
+                for _ in range(draw(st.integers(1, 3)))]
+    energies = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.5])
+
+    def droplet(depth):
+        positions = sorted(draw(st.sets(st.integers(1, k), min_size=1,
+                                        max_size=4)))
+        subs = (tuple(droplet(depth + 1)
+                      for _ in range(draw(st.integers(0, 2))))
+                if depth < 1 else ())
+        return Droplet(tuple((p, draw(st.integers(1, dims[p - 1])))
+                             for p in positions), draw(energies) + 1.0, subs)
+
+    branches = []
+    for _ in range(draw(st.integers(2, 16))):
+        pattern = draw(st.sampled_from(patterns))
+        values = [pattern[p] if p in boundary else value(p, base)
+                  for p in range(k)]
+        branches.append(_Row(tuple(values), draw(st.floats(-5, 0)),
+                             draw(energies),
+                             tuple(droplet(0) for _ in range(
+                                 draw(st.integers(0, 3))))))
+    states = _population(branches)
+    states = replace(states, values=states.values.astype(dtype))
+    dp = DropletParams(
+        energy_cutoff=draw(st.sampled_from([0.0, 0.5, 1.0, math.inf])),
+        hamming_cutoff=draw(st.sampled_from([3, 0, 1, 2, 5, 8, 12])),
+        mode=mode)
+    return states, k, (rows, cols), dp
+
+
+class TestMergeEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(_merge_cases())
+    def test_matches_per_candidate_loop(self, case):
+        states, k, dims, dp = case
+        merged = merge_and_collect(states, k, dims, dp)
+        survivors, droplets = _reference_merge(states, k, dims, dp)
+        assert merged.values.dtype == states.values.dtype
+        assert merged.values.tolist() == states.values[survivors].tolist()
+        assert merged.energy.tolist() == states.energy[survivors].tolist()
+        assert merged.rank.tolist() == states.rank[survivors].tolist()
+        assert merged.log_probability.tolist() == \
+            states.log_probability[survivors].tolist()
+        assert repr(list(merged.droplets)) == repr(droplets)
+
+
 class TestDistances:
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 12), st.integers(2, 9), st.data())
+    @given(st.integers(1, 12), st.integers(2, 9) | st.integers(256, 70000),
+           st.data())
     def test_array_distances_match_loop_reference(self, n, d, data):
-        from kingspeps.search import _apply_flips, _distances, _droplet_distance
+        from kingspeps.search import (_apply_flips, _droplet_distance,
+                                      _elementwise_distance)
         carrier = tuple(data.draw(st.lists(st.integers(1, d), min_size=n,
                                            max_size=n)))
 
@@ -273,14 +383,48 @@ class TestDistances:
                     lambda v, p=p: v != carrier[p - 1]))) for p in positions)),
                 0.0)
 
+        # values in the smallest dtype the search stores them in (uint16
+        # or uint32 above 255), flips as the int64 arrays droplets cache
+        dtype = np.min_scalar_type(d)
         others = [droplet() for _ in range(3)]
         mine = droplet()
         configs = np.array([_apply_flips(carrier, o.flips) for o in others],
-                           dtype=np.uint8)
-        config = np.array(_apply_flips(carrier, mine.flips), dtype=np.uint8)
+                           dtype=dtype)
+        config = np.array(_apply_flips(carrier, mine.flips), dtype=dtype)
+        carrier_row = np.array(carrier, dtype=dtype)
+        positions, values = mine.flip_arrays
         for mode in ("spin", "potts"):
-            assert _distances(config, configs, mode).tolist() == [
-                _droplet_distance(mine, o, carrier, mode) for o in others]
+            expected = [_droplet_distance(mine, o, carrier, mode)
+                        for o in others]
+            assert _elementwise_distance(config[None, :], configs, mode).sum(
+                axis=1).tolist() == expected
+            # the merge's form: d(o, carrier) plus, over mine's flips,
+            # e(o_p, v) - e(o_p, carrier_p)
+            at = configs[:, positions]
+            incremental = (
+                _elementwise_distance(configs, carrier_row[None, :], mode)
+                .sum(axis=1)
+                + _elementwise_distance(at, values, mode).sum(axis=1)
+                - _elementwise_distance(at, carrier_row[positions], mode)
+                .sum(axis=1))
+            assert incremental.tolist() == expected
+
+
+class TestDistinctRows:
+    def test_key_overflowing_int64_matches_row_tuples(self):
+        from kingspeps.search import _distinct_rows
+        rng = np.random.default_rng(5)
+        # 70 binary columns: 2**70 keys, so the key is re-ranked mid-row
+        block = rng.integers(0, 2, size=(120, 70))
+        block[60:] = block[rng.integers(0, 60, size=60)]
+        first, group = _distinct_rows(block.astype(np.uint8))
+        rows = [tuple(r) for r in block.tolist()]
+        first_seen = {}
+        for i, row in enumerate(rows):
+            first_seen.setdefault(row, i)
+        ordered = sorted(first_seen)
+        assert first.tolist() == [first_seen[r] for r in ordered]
+        assert group.tolist() == [ordered.index(r) for r in rows]
 
 
 class TestPrune:
