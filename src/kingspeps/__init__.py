@@ -15,12 +15,11 @@ from .potts import (ClusterTopology, PottsHamiltonian, cluster,
                     potts_energy)
 from .instance_io import (generate_instance, parse_ising, parse_potts,
                           serialize_ising, solution_to_dict, write_solution)
-from .tensor_core import (BoundaryMps, ContractionParams, RowMpo, apply_mpo,
-                          compress, left_canonicalize, overlap, svd_truncate)
+from .tensor_core import (BoundaryMps, ContractionParams, compress,
+                          left_canonicalize, overlap, svd_truncate)
 from .peps import (ALL_TRANSFORMS, LatticeTransform, PepsNetwork,
                    bottom_environments, build_network,
-                   conditional_distribution, contract_network, first_row_mps,
-                   row_transfer_mpo)
+                   conditional_distribution, contract_network)
 from .search import (Branches, Droplet, DropletParams, SearchParams,
                      Solution, boundary_sites, branch, low_energy_spectrum,
                      merge_and_collect, merge_solutions, prune,
@@ -35,14 +34,14 @@ __all__ = [
     "ContractionParams",
     "Droplet", "DropletParams", "ExactSpectrum",
     "IsingGraph", "LatticeTransform", "PepsNetwork",
-    "PottsHamiltonian", "RowMpo", "SearchParams", "Solution",
-    "apply_mpo", "bottom_environments", "boundary_sites", "branch",
+    "PottsHamiltonian", "SearchParams", "Solution",
+    "bottom_environments", "boundary_sites", "branch",
     "build_network", "cluster", "cluster_spin_values", "compress",
     "conditional_distribution", "config_energies", "contract_network",
     "decode", "encode", "errors", "exact_conditional", "exact_spectrum",
-    "first_row_mps", "generate_instance", "ising_energy", "king_adjacent",
+    "generate_instance", "ising_energy", "king_adjacent",
     "left_canonicalize", "low_energy_spectrum", "merge_and_collect",
     "merge_solutions", "overlap", "parse_ising", "parse_potts",
-    "potts_energy", "prune", "row_transfer_mpo", "serialize_ising",
+    "potts_energy", "prune", "serialize_ising",
     "solution_to_dict", "svd_truncate", "unpack_droplets", "write_solution",
 ]

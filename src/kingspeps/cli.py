@@ -39,17 +39,17 @@ class UsageError(Exception):
 
 
 def _resolve_transforms(spec: str) -> list[LatticeTransform]:
-    names = [part.strip() for part in spec.split(",") if part.strip()]
-    if not names or "all" in names:
+    names = [part.strip() for part in spec.split(",")]
+    if "" in names or len(set(names)) != len(names):
+        raise UsageError(f"empty or repeated transform name in {spec!r}")
+    if "all" in names:
         return list(ALL_TRANSFORMS)
-    out = []
     for name in names:
         if name not in _TRANSFORM_BY_NAME:
             raise UsageError(
                 f"unknown transform {name!r}; choose from "
                 f"{', '.join(_TRANSFORM_BY_NAME)} or 'all'")
-        out.append(_TRANSFORM_BY_NAME[name])
-    return out
+    return [_TRANSFORM_BY_NAME[name] for name in names]
 
 
 def run(args: argparse.Namespace) -> int:

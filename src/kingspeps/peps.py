@@ -15,15 +15,17 @@ direction that points back to the earlier endpoint:
     "n"  : (r-1, c)   -- directly above
     "ne" : (r-1, c+1) -- upper right diagonal
 
-With that layout a row-to-row transfer operator, the summed boundary
-of the lower half, and the conditional weights of a single site all
-read off the same four tables.
+With that layout a row's product with the environment below it
+(:func:`row_product`, built from one weight table per column), the
+summed boundary of the lower half, and the conditional weights of a
+single site all read off the same four tables.
 
 A solve contracts the lower half once: :func:`bottom_environments`
 returns one boundary MPS per row, a plain list that every conditional
 of the search reads. The contraction parameters set its bond cap and
 sweeps; ``params.beta`` is unused there, because the network already
-holds the Boltzmann weights.
+holds the Boltzmann weights. :func:`contract_network` finishes the
+contraction with the product of row 1 under a one-state row 0.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ import numpy as np
 from .errors import (ContractionDegenerateError, DimensionError,
                      InvalidIndexError, NumericError)
 from .potts import PottsHamiltonian
-from .tensor_core import (BoundaryMps, ContractionParams, RowMpo, apply_mpo,
-                          compress)
+from .tensor_core import BoundaryMps, ContractionParams, compress
 from .tensor_core import overlap as mps_overlap
 
 logger = logging.getLogger(__name__)
@@ -211,92 +212,79 @@ def build_network(hamiltonian: PottsHamiltonian,
     return PepsNetwork(hamiltonian, transform, beta, dtype)
 
 
-def row_transfer_mpo(net: PepsNetwork, row: int) -> RowMpo:
-    """Transfer operator from row ``row`` to ``row + 1``.
+def row_product(net: PepsNetwork, row: int, env: BoundaryMps) -> BoundaryMps:
+    """Row ``row + 1``'s Boltzmann weights applied to ``env``.
 
-    Input physical legs carry the states x of row ``row``, output legs
-    the states y of row ``row + 1``. The tensor at column c multiplies
-    the weights of: site (row+1, c), the vertical edge above it, the
-    horizontal edge to (row+1, c-1), and both diagonals between the two
-    rows that end at column c. The bond between columns c and c+1
-    carries x_c and/or y_c, but only when some weight to its right
-    actually depends on them, so uncoupled columns factorize with bond
-    extent 1. Applying the full chain to an all-ones start accumulates
-    exactly the Boltzmann weight of everything at or below row ``row+1``
-    plus the inter-row couplings.
+    ``env`` is a state over the states y of row ``row + 1``; the result
+    maps each state x of row ``row`` to the sum over y of ``env(y)``
+    times the weights of the lower row and of its couplings to x. Row 0
+    is a one-state row above row 1, so row 1 sums into a scalar.
+
+    Column c's weight table ``a[xl, yl, x, y]`` multiplies the weights
+    of site (row+1, c), the vertical edge above it, the horizontal edge
+    to (row+1, c-1), and both diagonals between the two rows that end at
+    column c. A bond carries x_c and/or y_c only when a weight to its
+    right depends on them (``xl``/``yl`` have extent 1 otherwise). The
+    table is multiplied into env's tensor, y summed where the right bond
+    does not carry it and x put on the diagonal where it does. Site
+    tensor c has bonds ``(xl*yl*chi_l, x, xr*yr*chi_r)``, row-major,
+    with ``chi`` env's bonds, and the result is max-normalized per site.
+
+    Raises:
+        InvalidIndexError: ``row`` is outside ``0 .. net.rows - 1``.
+        DimensionError: ``env`` is not a state over row ``row + 1``.
+        NumericError: a weight table overflows ``net.dtype``.
     """
-    if not 1 <= row < net.rows:
+    if not 0 <= row < net.rows:
         raise InvalidIndexError(f"row pair {row}|{row + 1} outside grid")
-    n = net.cols
     lower = row + 1
-
-    # carried_x[c] / carried_y[c]: does the bond between columns c and
-    # c+1 need the upper / lower state of column c?
-    carried_x = [False] * (n + 2)
-    carried_y = [False] * (n + 2)
-    for c in range(1, n):
-        carried_x[c] = net.back(lower, c + 1, "nw", weight=True) is not None
-        carried_y[c] = (net.back(lower, c + 1, "w", weight=True) is not None
-                        or net.back(lower, c, "ne", weight=True) is not None)
+    dims_x = net.row_dims(row) if row else [1] * net.cols
+    dims_y = net.row_dims(lower)
+    if env.phys_dims != tuple(dims_y):
+        raise DimensionError(
+            f"state dims {env.phys_dims} do not match row {lower}'s {dims_y}")
 
     tensors = []
-    for c in range(1, n + 1):
-        dx = net.dim_at(row, c)
-        dy = net.dim_at(lower, c)
-        dxl = net.dim_at(row, c - 1) if carried_x[c - 1] else 1
-        dyl = net.dim_at(lower, c - 1) if carried_y[c - 1] else 1
-        dxr = dx if carried_x[c] else 1
-        dyr = dy if carried_y[c] else 1
-
-        a = np.ones((dxl, dyl, dx, dy), dtype=net.dtype)
-        a = a * net.site_weight[(lower, c)][None, None, None, :]
-        w_vert = net.back(lower, c, "n", weight=True)
-        if w_vert is not None:
-            a = a * w_vert[None, None, :, :]
-        if c > 1:
-            w_horiz = net.back(lower, c, "w", weight=True)
-            if w_horiz is not None:
-                a = a * w_horiz[None, :, None, :]
-            w_nw = net.back(lower, c, "nw", weight=True)
-            if w_nw is not None:
-                a = a * w_nw[:, None, None, :]
-            w_ne_prev = net.back(lower, c - 1, "ne", weight=True)
-            if w_ne_prev is not None:
+    dxl = dyl = 1
+    for c, e in enumerate(env.tensors, start=1):
+        dx, dy = dims_x[c - 1], dims_y[c - 1]
+        # does the bond to column c+1 carry the upper / lower state?
+        carry_x = net.back(lower, c + 1, "nw", weight=True) is not None
+        carry_y = (net.back(lower, c + 1, "w", weight=True) is not None
+                   or net.back(lower, c, "ne", weight=True) is not None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = (np.ones((dxl, dyl, dx, dy), dtype=net.dtype)
+                 * net.site_weight[(lower, c)])
+            w = net.back(lower, c, "n", weight=True)
+            if w is not None:
+                a = a * w
+            w = net.back(lower, c, "w", weight=True)
+            if w is not None:
+                a = a * w[None, :, None, :]
+            w = net.back(lower, c, "nw", weight=True)
+            if w is not None:
+                a = a * w[:, None, None, :]
+            w = net.back(lower, c - 1, "ne", weight=True)
+            if w is not None:
                 # couples x_c with y_{c-1}; table is (d_x, d_{y,c-1})
-                a = a * w_ne_prev.T[None, :, :, None]
+                a = a * w.T[None, :, :, None]
+        if not np.all(np.isfinite(a)):
+            raise NumericError(
+                f"weight table of row pair {row}|{lower} at column {c} "
+                f"overflows {net.dtype}; reduce beta or use float64")
 
-        t = np.zeros((dxl * dyl, dx, dy, dxr * dyr), dtype=net.dtype)
-        flat = a.reshape(dxl * dyl, dx, dy)
-        for x in range(dx):
-            for y in range(dy):
-                rbond = (x if carried_x[c] else 0) * dyr + (y if carried_y[c] else 0)
-                t[:, x, y, rbond] = flat[:, x, y]
-        tensors.append(t)
-    return RowMpo(tensors)
-
-
-def first_row_mps(net: PepsNetwork) -> BoundaryMps:
-    """MPS of row 1's own weights: site terms and intra-row horizontal
-    edges. Contracted against a bottom environment it completes Z."""
-    n = net.cols
-    carried = [net.back(1, c + 1, "w", weight=True) is not None
-               for c in range(n)] + [False]
-    # carried[c-1] refers to the bond left of column c (1-based columns)
-    tensors = []
-    for c in range(1, n + 1):
-        d = net.dim_at(1, c)
-        dl = net.dim_at(1, c - 1) if (c > 1 and carried[c - 1]) else 1
-        dr = d if carried[c] else 1
-        v = np.ones((dl, d), dtype=net.dtype) * net.site_weight[(1, c)][None, :]
-        if c > 1:
-            w_horiz = net.back(1, c, "w", weight=True)
-            if w_horiz is not None:
-                v = v * w_horiz
-        t = np.zeros((dl, d, dr), dtype=net.dtype)
-        for x in range(d):
-            t[:, x, x if carried[c] else 0] = v[:, x]
-        tensors.append(t)
-    return BoundaryMps(tensors).normalize_scale()
+        # p[xl, yl, chi_l, x, yr, chi_r]
+        if carry_y:
+            p = a[:, :, None, :, :, None] * e[None, None, :, None, :, :]
+        else:
+            p = np.tensordot(a, e, axes=(3, 1)).transpose(0, 1, 3, 2, 4)
+            p = p[:, :, :, :, None]
+        if carry_x:  # p[xl, yl, chi_l, x, xr, yr, chi_r], zero off x == xr
+            p = (p[:, :, :, :, None]
+                 * np.eye(dx, dtype=p.dtype)[:, :, None, None])
+        tensors.append(p.reshape(dxl * dyl * e.shape[0], dx, -1))
+        dxl, dyl = (dx if carry_x else 1), (dy if carry_y else 1)
+    return BoundaryMps(tensors, env.log_scale).normalize_scale()
 
 
 def bottom_environments(net: PepsNetwork,
@@ -306,15 +294,16 @@ def bottom_environments(net: PepsNetwork,
     Entry ``row - 1`` sums everything strictly below ``row`` plus the
     couplings between rows ``row`` and ``row + 1``; its physical legs
     are the states of row ``row`` (all ones for the last row). Built
-    bottom-up by applying each transposed transfer operator to the
-    environment below and compressing under ``params``; ``params.beta``
-    is unused, because the weights come from ``net``.
+    bottom-up: :func:`row_product` applies row ``row + 1``'s weights to
+    the environment below, giving bonds ``(xl*yl*chi_l, x, xr*yr*chi_r)``
+    of extent up to ``chi * d**2``, which :func:`compress` cuts back to
+    ``params.bond_dim``. ``params.beta`` is unused, because the weights
+    come from ``net``.
     """
     envs = [BoundaryMps.ones(net.row_dims(net.rows), dtype=net.dtype)]
     for row in range(net.rows - 1, 0, -1):
-        # unnamed, the MPO-MPS product is freed before the next one
-        env, _ = compress(apply_mpo(row_transfer_mpo(net, row).transpose(),
-                                    envs[-1]), params)
+        # unnamed, the row's product is freed before the next one
+        env, _ = compress(row_product(net, row, envs[-1]), params)
         envs.append(env)
     return envs[::-1]
 
@@ -459,4 +448,5 @@ def contract_network(net: PepsNetwork, params: ContractionParams | None = None):
     if params is None:
         params = ContractionParams(bond_dim=2 ** 31 - 1, num_sweeps=0,
                                    beta=net.beta)
-    return mps_overlap(first_row_mps(net), bottom_environments(net, params)[0])
+    top = row_product(net, 0, bottom_environments(net, params)[0])
+    return mps_overlap(BoundaryMps.ones([1] * net.cols, dtype=net.dtype), top)

@@ -1,11 +1,8 @@
-"""Dense MPS/MPO kernels behind the boundary contraction.
+"""Dense MPS kernels behind the boundary contraction.
 
 Conventions:
 
 * an MPS site tensor has indices (left bond, physical, right bond);
-* an MPO site tensor has indices (left bond, physical in, physical out,
-  right bond); applying an MPO contracts its input leg with the state's
-  physical leg;
 * a :class:`BoundaryMps` represents ``(contraction of its tensors) *
   exp(log_scale)``. Keeping magnitudes in the log accumulator is what
   lets Boltzmann-weight chains with log-weights of several hundred pass
@@ -109,40 +106,6 @@ class BoundaryMps:
                 f"log_scale={self.log_scale:.3f})")
 
 
-class RowMpo:
-    """Matrix-product operator between two grid rows."""
-
-    def __init__(self, tensors):
-        tensors = [np.asarray(t) for t in tensors]
-        if not tensors:
-            raise DimensionError("an MPO needs at least one site")
-        for t in tensors:
-            if t.ndim != 4:
-                raise DimensionError(f"MPO tensors must have 4 indices, got {t.shape}")
-        if tensors[0].shape[0] != 1 or tensors[-1].shape[3] != 1:
-            raise DimensionError("outer bonds must have extent 1")
-        for left, right in zip(tensors, tensors[1:]):
-            if left.shape[3] != right.shape[0]:
-                raise DimensionError(
-                    f"bond mismatch: {left.shape} next to {right.shape}")
-        self.tensors = tensors
-
-    def __len__(self):
-        return len(self.tensors)
-
-    @property
-    def in_dims(self) -> tuple[int, ...]:
-        return tuple(t.shape[1] for t in self.tensors)
-
-    @property
-    def out_dims(self) -> tuple[int, ...]:
-        return tuple(t.shape[2] for t in self.tensors)
-
-    def transpose(self) -> "RowMpo":
-        """Swap input and output physical legs."""
-        return RowMpo([np.swapaxes(t, 1, 2) for t in self.tensors])
-
-
 def svd_truncate(matrix, bond_dim: int):
     """Rank-revealing truncated SVD.
 
@@ -168,23 +131,6 @@ def svd_truncate(matrix, bond_dim: int):
     keep = min(keep, bond_dim)
     discarded = float(np.sum(s[keep:] ** 2))
     return u[:, :keep], s[:keep], vt[:keep].T, discarded
-
-
-def apply_mpo(mpo: RowMpo, mps: BoundaryMps) -> BoundaryMps:
-    """Exact product of an MPO with a state; bond extents multiply.
-
-    The result is rescaled tensor-by-tensor with the magnitudes folded
-    into ``log_scale``, so entries stay O(1).
-    """
-    if len(mpo) != len(mps) or mpo.in_dims != mps.phys_dims:
-        raise DimensionError(
-            f"MPO input dims {mpo.in_dims} do not match state dims {mps.phys_dims}")
-    out = []
-    for w, a in zip(mpo.tensors, mps.tensors):
-        t = np.einsum("aiob,cid->acobd", w, a)
-        out.append(t.reshape(w.shape[0] * a.shape[0], w.shape[2],
-                             w.shape[3] * a.shape[2]))
-    return BoundaryMps(out, mps.log_scale).normalize_scale()
 
 
 def left_canonicalize(mps: BoundaryMps) -> BoundaryMps:

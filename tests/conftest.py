@@ -23,21 +23,6 @@ def dense_mps_vector(mps: BoundaryMps) -> np.ndarray:
     return vec * math.exp(mps.log_scale)
 
 
-def dense_mpo_matrix(mpo) -> np.ndarray:
-    """Matrix M[in, out] represented by an MPO (site-major flattening)."""
-    acc = mpo.tensors[0]
-    for t in mpo.tensors[1:]:
-        acc = np.tensordot(acc, t, axes=(acc.ndim - 1, 0))
-    acc = acc.reshape([1] + [s for t in mpo.tensors for s in t.shape[1:3]] + [1])
-    acc = acc[0, ..., 0]
-    n = len(mpo.tensors)
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    acc = acc.transpose(order)
-    d_in = int(np.prod([t.shape[1] for t in mpo.tensors]))
-    d_out = int(np.prod([t.shape[2] for t in mpo.tensors]))
-    return acc.reshape(d_in, d_out)
-
-
 def random_boundary_mps(phys_dims, bond_dim, seed, dtype=np.float64):
     rng = np.random.default_rng(seed)
     n = len(phys_dims)

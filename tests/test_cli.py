@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,24 @@ class TestSolve:
         path = _write_instance(tmp_path)
         assert main(["solve", str(path), "--topology", "3", "3", "1",
                      "--transforms", "r45"]) == 1
+
+    @pytest.mark.parametrize("spec", ["r0,r0", "r0, r0", ",", "", "r0,"])
+    def test_bad_transform_list_exits_one(self, tmp_path, capsys, spec):
+        path = _write_instance(tmp_path, rows=2, cols=2)
+        assert main(["solve", str(path), "--topology", "2", "2", "1",
+                     "--transforms", spec,
+                     "-o", str(tmp_path / "sol.json")]) == 1
+        assert "empty or repeated transform name" in capsys.readouterr().err
+        assert not (tmp_path / "sol.json").exists()
+
+    def test_overflowing_float32_weights_exit_two(self, tmp_path, capsys):
+        path = _write_instance(tmp_path, rows=3, cols=3, t=3, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve", str(path), "--topology", "3", "3", "3",
+                         "--beta", "16", "--precision", "float32",
+                         "--transforms", "r0"]) == 2
+        assert "weight table of row pair" in capsys.readouterr().err
 
     def test_usage_error_exits_one(self):
         assert main(["solve"]) == 1

@@ -1,24 +1,26 @@
-"""Network construction, transfer operators, environments, conditionals."""
+"""Network construction, row products, environments, conditionals."""
 
 import itertools
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kingspeps import (ALL_TRANSFORMS, ContractionParams, IsingGraph,
-                       LatticeTransform, PottsHamiltonian, apply_mpo,
+from kingspeps import (ALL_TRANSFORMS, BoundaryMps, ContractionParams,
+                       IsingGraph, LatticeTransform, PottsHamiltonian,
                        bottom_environments, build_network,
                        cluster, ClusterTopology, conditional_distribution,
                        contract_network, exact_conditional, exact_spectrum,
-                       first_row_mps, potts_energy, row_transfer_mpo)
+                       potts_energy)
 from kingspeps.errors import (ContractionDegenerateError, DimensionError,
                               InvalidIndexError, NumericError)
+from kingspeps.peps import row_product
 from kingspeps.tensor_core import overlap
-from conftest import dense_mps_vector, random_potts
+from conftest import dense_mps_vector, random_boundary_mps, random_potts
 
 
 def exact_params(net):
@@ -120,6 +122,8 @@ class TestBuildNetwork:
 
 
 class TestRowTransferMpo:
+    """:func:`row_product`, the transfer from one row to the one above."""
+
     def test_uncoupled_columns_factorize(self):
         h = PottsHamiltonian(2, 3)
         for site in h.sites():
@@ -127,17 +131,15 @@ class TestRowTransferMpo:
         for c in range(1, 4):  # vertical couplings only
             h.set_edge((1, c), (2, c), np.ones((2, 2)))
         net = build_network(h, beta=1.0)
-        mpo = row_transfer_mpo(net, 1)
-        assert all(t.shape[0] == 1 and t.shape[3] == 1 for t in mpo.tensors)
+        env = random_boundary_mps(net.row_dims(2), 3, seed=4)
+        assert row_product(net, 1, env).bond_dims == env.bond_dims
 
     def test_zero_energy_sums_states(self):
         h = PottsHamiltonian(2, 2)
         for site in h.sites():
             h.set_node(site, [0.0, 0.0, 0.0])
         net = build_network(h, beta=1.0)
-        from kingspeps import BoundaryMps
-        ones = BoundaryMps.ones([3, 3])
-        grown = apply_mpo(row_transfer_mpo(net, 1).transpose(), ones)
+        grown = row_product(net, 1, BoundaryMps.ones([3, 3]))
         vec = dense_mps_vector(grown)
         # summing the free lower row contributes a factor d per column
         assert np.allclose(vec, 9.0)
@@ -145,18 +147,48 @@ class TestRowTransferMpo:
     def test_mpo_chain_reproduces_partition_function(self):
         h = random_potts(2, 2, 2, seed=5)
         net = build_network(h, beta=1.3)
-        from kingspeps import BoundaryMps
-        env = BoundaryMps.ones(net.row_dims(2))
-        env = apply_mpo(row_transfer_mpo(net, 1).transpose(), env)
-        value, log_scale = overlap(first_row_mps(net), env)
+        env = row_product(net, 1, BoundaryMps.ones(net.row_dims(2)))
+        # row 0 is a one-state row above row 1
+        top = row_product(net, 0, env)
+        assert top.phys_dims == (1, 1)
+        value, log_scale = overlap(BoundaryMps.ones([1, 1]), top)
         assert value * math.exp(log_scale) == pytest.approx(
             brute_z(h, 1.3), rel=1e-10)
+        assert network_z(net) == pytest.approx(brute_z(h, 1.3), rel=1e-10)
 
     def test_row_out_of_range(self):
         h = random_potts(2, 2, 2, seed=6)
         net = build_network(h, beta=1.0)
-        with pytest.raises(InvalidIndexError):
-            row_transfer_mpo(net, 2)
+        for row in (-1, 2):
+            with pytest.raises(InvalidIndexError):
+                row_product(net, row, BoundaryMps.ones(net.row_dims(2)))
+
+    def test_state_dims_mismatch(self):
+        h = random_potts(2, 2, 2, seed=6)
+        net = build_network(h, beta=1.0)
+        for dims in ([2, 3], [2], [2, 2, 2]):
+            with pytest.raises(DimensionError):
+                row_product(net, 1, BoundaryMps.ones(dims))
+
+    def test_overflowing_weight_table_names_rows_and_column(self):
+        # each weight exp(30) fits float32, but column 2 of row 2 multiplies
+        # five of them (site, n, w, nw and the ne edge of (2, 1))
+        h = PottsHamiltonian(2, 2)
+        for site in h.sites():
+            h.set_node(site, [-30.0, 0.0])
+        for a, b in (((1, 1), (1, 2)), ((1, 1), (2, 1)), ((1, 2), (2, 2)),
+                     ((2, 1), (2, 2)), ((1, 1), (2, 2)), ((1, 2), (2, 1))):
+            h.set_edge(a, b, [[-30.0, 0.0], [0.0, 0.0]])
+        net = build_network(h, beta=1.0, dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"row pair 1\|2 at column 2"):
+                row_product(net, 1, BoundaryMps.ones([2, 2], dtype=np.float32))
+            with pytest.raises(NumericError, match=r"row pair 1\|2 at column 2"):
+                bottom_environments(net, exact_params(net))
+        # the same model contracts in float64
+        assert network_z(build_network(h, beta=1.0)) == pytest.approx(
+            brute_z(h, 1.0), rel=1e-10)
 
 
 class TestBottomEnv:
@@ -194,9 +226,8 @@ class TestBottomEnv:
     def test_contracts_to_partition_function(self):
         h = random_potts(4, 4, 2, seed=9)
         net = build_network(h, beta=1.0)
-        env = bottom_env(net, 1, ContractionParams(bond_dim=16, num_sweeps=1,
-                                                   beta=1.0))
-        value, log_scale = overlap(first_row_mps(net), env)
+        value, log_scale = contract_network(
+            net, ContractionParams(bond_dim=16, num_sweeps=1, beta=1.0))
         assert value * math.exp(log_scale) == pytest.approx(
             brute_z(h, 1.0), rel=1e-8)
 
@@ -355,3 +386,40 @@ class TestClusteredNetworks:
         for beta in (0.5, 2.0):
             net = build_network(h, beta=beta)
             assert network_z(net) == pytest.approx(brute_z(h, beta), rel=1e-9)
+
+
+def ragged_potts(rows, cols, dims, seed):
+    """Native grid model with site dimensions ``dims`` (row-major) and
+    random tables on a random subset of the king edges."""
+    rng = np.random.default_rng(seed)
+    h = PottsHamiltonian(rows, cols)
+    dim = dict(zip(h.sites(), dims))
+    for site in h.sites():
+        h.set_node(site, rng.uniform(-1, 1, size=dim[site]))
+    for r, c in h.sites():
+        for rr, cc in ((r, c + 1), (r + 1, c - 1), (r + 1, c), (r + 1, c + 1)):
+            if (1 <= rr <= rows and 1 <= cc <= cols
+                    and rng.random() < 0.7):
+                h.set_edge((r, c), (rr, cc), rng.uniform(
+                    -1, 1, size=(dim[(r, c)], dim[(rr, cc)])))
+    return h
+
+
+class TestContractNetwork:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.data(),
+           st.integers(0, 7), st.floats(0.1, 4.0),
+           st.sampled_from([(np.float64, 1e-9), (np.float32, 1e-4)]))
+    def test_log_partition_matches_enumeration(self, rows, cols, data, code,
+                                               beta, precision):
+        dtype, rel = precision
+        dims = data.draw(st.lists(st.integers(1, 4), min_size=rows * cols,
+                                  max_size=rows * cols))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        h = ragged_potts(rows, cols, dims, seed)
+        net = build_network(h, LatticeTransform(code), beta=beta, dtype=dtype)
+        value, log_scale = contract_network(net)
+        expected = exact_spectrum(h).log_partition(beta)
+        assert value > 0
+        assert math.log(value) + log_scale == pytest.approx(
+            expected, rel=rel, abs=rel)

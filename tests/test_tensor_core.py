@@ -1,15 +1,15 @@
-"""MPS/MPO kernels: truncation, canonical form, compression, overlaps."""
+"""MPS kernels: truncation, canonical form, compression, overlaps."""
 
 import math
 
 import numpy as np
 import pytest
 
-from kingspeps import (BoundaryMps, ContractionParams, RowMpo, apply_mpo,
-                       compress, left_canonicalize, overlap, svd_truncate)
+from kingspeps import (BoundaryMps, ContractionParams, compress,
+                       left_canonicalize, overlap, svd_truncate)
 from kingspeps.errors import (DegenerateStateError, DimensionError,
                               NumericError)
-from conftest import dense_mpo_matrix, dense_mps_vector, random_boundary_mps
+from conftest import dense_mps_vector, random_boundary_mps
 
 
 class TestSvdTruncate:
@@ -82,56 +82,6 @@ class TestCanonicalForm:
         mps = BoundaryMps([np.zeros((1, 2, 1))])
         with pytest.raises(DegenerateStateError):
             left_canonicalize(mps)
-
-
-def _identity_mpo(dims):
-    return RowMpo([np.eye(d).reshape(1, d, d, 1) for d in dims])
-
-
-class TestApplyMpo:
-    def test_identity(self):
-        mps = random_boundary_mps([2, 3, 2], 3, seed=5)
-        out = apply_mpo(_identity_mpo([2, 3, 2]), mps)
-        assert np.allclose(dense_mps_vector(out), dense_mps_vector(mps),
-                           rtol=1e-12)
-
-    def test_bond_multiplication(self):
-        mps = BoundaryMps.ones([2, 2, 2])
-        rng = np.random.default_rng(6)
-        w = 3
-        tensors = [rng.standard_normal((1 if i == 0 else w, 2, 2,
-                                        1 if i == 2 else w))
-                   for i in range(3)]
-        out = apply_mpo(RowMpo(tensors), mps)
-        assert out.bond_dims == (w, w)
-
-    def test_matches_dense_product(self):
-        rng = np.random.default_rng(8)
-        for dims in ([2, 3], [3, 2, 2], [2, 2, 3, 2]):
-            mps = random_boundary_mps(dims, 3, seed=rng.integers(1 << 30))
-            tensors = []
-            w = 2
-            for i, d in enumerate(dims):
-                wl = 1 if i == 0 else w
-                wr = 1 if i == len(dims) - 1 else w
-                tensors.append(rng.standard_normal((wl, d, d, wr)))
-            mpo = RowMpo(tensors)
-            out = apply_mpo(mpo, mps)
-            expected = dense_mps_vector(mps) @ dense_mpo_matrix(mpo)
-            assert np.allclose(dense_mps_vector(out), expected,
-                               rtol=1e-10, atol=1e-10)
-
-    def test_dimension_mismatch(self):
-        mps = BoundaryMps.ones([2, 2])
-        with pytest.raises(DimensionError):
-            apply_mpo(_identity_mpo([2, 3]), mps)
-
-    def test_transpose_swaps_physical_legs(self):
-        rng = np.random.default_rng(9)
-        mpo = RowMpo([rng.standard_normal((1, 2, 3, 1))])
-        assert mpo.transpose().in_dims == (3,)
-        assert np.allclose(dense_mpo_matrix(mpo.transpose()),
-                           dense_mpo_matrix(mpo).T)
 
 
 class TestCompress:
@@ -258,13 +208,17 @@ class TestLogScaleRobustness:
     def test_large_weight_chain_stays_finite(self):
         # repeated application of a uniformly heavy operator: the raw
         # chain would reach exp(~700) but the accumulator absorbs it
-        d = 2
-        heavy = RowMpo([np.full((1, d, d, 1), math.exp(5.0)) for _ in range(3)])
-        mps = BoundaryMps.ones([d, d, d])
+        def heavy(mps):
+            # every output state gets exp(5) times the sum over input states
+            return BoundaryMps(
+                [np.repeat(math.exp(5.0) * t.sum(axis=1, keepdims=True),
+                           t.shape[1], axis=1) for t in mps.tensors],
+                mps.log_scale).normalize_scale()
+
+        mps = BoundaryMps.ones([2, 2, 2])
         params = ContractionParams(bond_dim=4, num_sweeps=0)
         for _ in range(70):
-            mps = apply_mpo(heavy, mps)
-            mps, _ = compress(mps, params)
+            mps, _ = compress(heavy(mps), params)
         assert all(np.all(np.isfinite(t)) for t in mps.tensors)
         assert mps.log_scale > 600
         value, log_scale = overlap(mps, mps)
