@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError, SolverError
-from .instance_io import (generate_instance, parse_ising, parse_potts,
-                          write_solution)
+from .instance_io import (droplet_table, generate_instance, parse_ising,
+                          parse_potts, write_solution)
 from .peps import ALL_TRANSFORMS, LatticeTransform
 from .potts import ClusterTopology, cluster
 from .search import (DropletParams, SearchParams, low_energy_spectrum,
@@ -50,6 +50,20 @@ def _resolve_transforms(spec: str) -> list[LatticeTransform]:
                 f"unknown transform {name!r}; choose from "
                 f"{', '.join(_TRANSFORM_BY_NAME)} or 'all'")
     return [_TRANSFORM_BY_NAME[name] for name in names]
+
+
+def _log_droplets(solution, written: int) -> None:
+    """One INFO line: droplets on the states, the nodes they span as a
+    tree, the distinct entries of the JSON's table and its size."""
+    table, indices = droplet_table(solution.droplets)
+    tree = []  # entries come children first
+    for entry in table:
+        tree.append(1 + sum(tree[j] for j in entry["sub_droplets"]))
+    logger.info("droplets: %d on %d states, %d nodes as a tree, "
+                "%d distinct table entries; %d JSON bytes written",
+                sum(map(len, indices)), len(indices),
+                sum(tree[i] for per_state in indices for i in per_state),
+                len(table), written)
 
 
 def run(args: argparse.Namespace) -> int:
@@ -126,11 +140,13 @@ def run(args: argparse.Namespace) -> int:
         }
 
         if args.output:
-            write_solution(merged, args.output)
+            written = write_solution(merged, args.output)
             print(f"Best energy found: {merged.best_energy!r}")
         else:
-            write_solution(merged, sys.stdout)
+            written = write_solution(merged, sys.stdout)
             print(f"Best energy found: {merged.best_energy!r}", file=sys.stderr)
+        if logger.isEnabledFor(logging.INFO):
+            _log_droplets(merged, written)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

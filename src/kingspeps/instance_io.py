@@ -258,23 +258,53 @@ def parse_potts(text) -> PottsHamiltonian:
     return h
 
 
-def _droplet_dict(droplet) -> dict:
-    return {
-        "delta_energy": droplet.delta_energy,
-        "flips": {str(pos): int(value) for pos, value in droplet.flips},
-        "sub_droplets": [_droplet_dict(s) for s in droplet.sub_droplets],
-    }
+def droplet_table(droplets) -> tuple[list[dict], list[list[int]]]:
+    """The droplet DAG of per-state droplet tuples as one flat table.
+
+    Returns ``(table, indices)``. Each table entry is ``{delta_energy,
+    flips, sub_droplets}`` with ``sub_droplets`` a list of table
+    indices; ``indices[i]`` lists state ``i``'s droplets the same way.
+    Equal droplets share one entry: entries are keyed by ``(flips,
+    delta_energy, sub-indices)``, a key built from the entries' children
+    so no droplet hash recurses, and each droplet object is looked at
+    once. Entries come children first, so every sub-index is smaller
+    than its own entry's index.
+    """
+    table: list[dict] = []
+    by_key: dict[tuple, int] = {}
+    by_id: dict[int, int] = {}
+
+    def index(droplet) -> int:
+        at = by_id.get(id(droplet))
+        if at is None:
+            subs = [index(sub) for sub in droplet.sub_droplets]
+            key = (droplet.flips, droplet.delta_energy, tuple(subs))
+            at = by_key.get(key)
+            if at is None:
+                at = by_key[key] = len(table)
+                table.append({
+                    "delta_energy": float(droplet.delta_energy),
+                    "flips": {str(pos): int(value)
+                              for pos, value in droplet.flips},
+                    "sub_droplets": subs,
+                })
+            by_id[id(droplet)] = at
+        return at
+
+    return table, [[index(d) for d in per_state] for per_state in droplets]
 
 
 def solution_to_dict(solution) -> dict:
-    """JSON-ready representation of a finalized solution."""
+    """JSON-ready representation of a finalized solution; droplets go
+    into one ``droplet_table`` (see :func:`droplet_table`)."""
+    table, indices = droplet_table(solution.droplets)
     return {
         "best_energy": solution.energies[0] if solution.energies else None,
         "states": [list(map(int, state)) for state in solution.states],
         "energies": list(map(float, solution.energies)),
         "log_probabilities": list(map(float, solution.log_probabilities)),
-        "droplets": [[_droplet_dict(d) for d in per_state]
-                     for per_state in solution.droplets],
+        "droplets": indices,
+        "droplet_table": table,
         "largest_discarded_probability": float(
             solution.largest_discarded_probability),
         "parameters": solution.parameters,
@@ -282,13 +312,16 @@ def solution_to_dict(solution) -> dict:
     }
 
 
-def write_solution(solution, dest: str | IO[str]) -> None:
+def write_solution(solution, dest: str | IO[str]) -> int:
     """Write a solution as a compact one-line JSON document to a path or
-    open text sink.
+    open text sink; returns the document's size in UTF-8 bytes.
 
-    States are arrays of 1-based values in grid row-major order; droplet
-    flips map 1-based row-major positions to alternative values. Sink
-    failures propagate to the caller.
+    States are arrays of 1-based values in grid row-major order. Each
+    state's ``droplets`` and each table entry's ``sub_droplets`` are
+    indices into ``droplet_table``, which holds every distinct droplet
+    once, children before parents; droplet flips map 1-based row-major
+    positions to alternative values. Sink failures propagate to the
+    caller.
     """
     text = json.dumps(solution_to_dict(solution)) + "\n"
     if hasattr(dest, "write"):
@@ -296,3 +329,4 @@ def write_solution(solution, dest: str | IO[str]) -> None:
     else:
         with open(dest, "w", encoding="utf-8") as handle:
             handle.write(text)
+    return len(text)  # json.dumps escapes non-ASCII: one byte a character

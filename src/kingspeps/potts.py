@@ -67,6 +67,8 @@ class PottsHamiltonian:
     Sites are keyed by 1-based ``(row, col)`` tuples; states are
     1-based. Node tables are dense vectors, edge tables are dense
     matrices stored once per pair with the row-major-earlier site first.
+    Stored tables are read-only copies; ``set_node``/``set_edge``
+    replace them.
     ``cluster_map`` is present when the model came from an Ising graph
     and maps each site to the ordered 1-based spin indices it absorbs.
     """
@@ -79,6 +81,7 @@ class PottsHamiltonian:
         self._dims: dict[Site, int] = {}
         self._node: dict[Site, np.ndarray] = {}
         self._edge: dict[tuple[Site, Site], np.ndarray] = {}
+        self._terms = None
         self.cluster_map: dict[Site, tuple[int, ...]] | None = None
 
     # -- construction -------------------------------------------------
@@ -98,8 +101,10 @@ class PottsHamiltonian:
         if old is not None and old != arr.size:
             raise DimensionError(
                 f"site {site} dimension changed from {old} to {arr.size}")
+        arr.flags.writeable = False
         self._dims[site] = arr.size
         self._node[site] = arr
+        self._terms = None
 
     def set_edge(self, a: Site, b: Site, table):
         self._check_site(a)
@@ -121,7 +126,9 @@ class PottsHamiltonian:
             elif old != size:
                 raise DimensionError(
                     f"edge table for {a}-{b} disagrees with dimension {old} at {site}")
+        arr.flags.writeable = False
         self._edge[(a, b)] = arr
+        self._terms = None
 
     # -- access --------------------------------------------------------
 
@@ -152,6 +159,35 @@ class PottsHamiltonian:
     def edge_tables(self) -> Iterator[tuple[tuple[Site, Site], np.ndarray]]:
         for pair in sorted(self._edge):
             yield pair, self._edge[pair]
+
+    def _energy_terms(self):
+        """Every energy term as arrays, in summation order.
+
+        Returns ``(flat, offset, first, second, stride, dims)``: term t
+        is ``flat[offset[t] + x[first[t]] * stride[t] + x[second[t]]]``
+        for 0-based row-major states x, ``flat[0]`` is the 0.0 a sum
+        starts from and ``dims`` holds the site dimensions. Node terms
+        come in ``sites()`` order, naming their site twice with stride 0;
+        edge terms follow in the order the edges were first set. Built
+        once and dropped whenever a table is set.
+        """
+        if self._terms is None:
+            sites = list(self.sites())
+            column = {site: idx for idx, site in enumerate(sites)}
+            nodes = [(column[site], self._node[site]) for site in sites
+                     if site in self._node]
+            edges = list(self._edge.items())
+            tables = [t for _, t in nodes] + [t for _, t in edges]
+            first = [c for c, _ in nodes] + [column[a] for (a, _), _ in edges]
+            second = [c for c, _ in nodes] + [column[b] for (_, b), _ in edges]
+            stride = [0] * len(nodes) + [t.shape[1] for _, t in edges]
+            self._terms = (
+                np.concatenate([np.zeros(1)] + tables, axis=None),
+                np.cumsum([1] + [t.size for t in tables])[:-1].astype(np.intp),
+                np.array(first, dtype=np.intp), np.array(second, dtype=np.intp),
+                np.array(stride, dtype=np.intp),
+                np.array([self._dims.get(site, 1) for site in sites]))
+        return self._terms
 
     @property
     def n_states(self) -> int:
@@ -247,23 +283,55 @@ def _as_site_values(h: PottsHamiltonian, assignment) -> dict[Site, int]:
     return values
 
 
+def potts_energies(h: PottsHamiltonian, values) -> np.ndarray:
+    """Exact energies of full assignments, one per row of ``values``.
+
+    ``values`` is a ``(B, N)`` integer array of 1-based states in
+    row-major site order. Every term of every row is gathered in one
+    pass through ``PottsHamiltonian._energy_terms`` and the terms are
+    summed left to right: node tables in ``h.sites()`` order, then edge
+    tables in the order they were set. That is the order of a plain
+    scalar loop starting from 0.0, so each energy is bit-identical to
+    one, whatever ``B``.
+
+    Raises:
+        DimensionError: ``values`` is not ``(B, rows * cols)``.
+        InvalidIndexError: a state is not an integer or lies outside its
+            site's ``1..dim``; the first offending entry is named.
+    """
+    flat, offset, first, second, stride, dims = h._energy_terms()
+    values = np.asarray(values)
+    if values.ndim != 2 or values.shape[1] != len(dims):
+        raise DimensionError(
+            f"assignments must be (B, {len(dims)}), got shape {values.shape}")
+    if values.size and values.dtype.kind not in "iu":
+        raise InvalidIndexError(f"states must be integers, got {values.dtype}")
+    bad = (values < 1) | (values > dims)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        site = (int(col) // h.cols + 1, int(col) % h.cols + 1)
+        raise InvalidIndexError(
+            f"state {values[row, col]} at site {site} outside 1..{dims[col]}")
+    x = values.astype(np.intp) - 1
+    at = np.zeros((len(x), len(offset) + 1), dtype=np.intp)
+    at[:, 1:] = offset + x[:, first] * stride + x[:, second]
+    # add.accumulate adds left to right, from flat[0] = 0.0
+    return np.add.accumulate(flat[at], axis=1)[:, -1]
+
+
 def potts_energy(h: PottsHamiltonian, assignment) -> float:
-    """Exact energy of a full assignment.
+    """Exact energy of a full assignment: the one-row case of
+    :func:`potts_energies`.
 
     Args:
         h: the model.
         assignment: either a mapping site -> state or a row-major
             sequence of 1-based states.
     """
-    values = _as_site_values(h, assignment)
-    energy = 0.0
-    for site in h.sites():
-        table = h._node.get(site)
-        if table is not None:
-            energy += float(table[values[site] - 1])
-    for (a, b), table in h._edge.items():
-        energy += float(table[values[a] - 1, values[b] - 1])
-    return energy
+    if isinstance(assignment, Mapping):
+        values = _as_site_values(h, assignment)
+        assignment = [values[site] for site in h.sites()]
+    return float(potts_energies(h, [list(assignment)])[0])
 
 
 def decode(h: PottsHamiltonian, assignment) -> np.ndarray:

@@ -43,7 +43,7 @@ from .peps import (ALL_TRANSFORMS, LatticeTransform, PepsNetwork, back_rows,
                    bottom_environments, build_network, conditionals,
                    right_tables)
 from .tensor_core import BoundaryMps, ContractionParams
-from .potts import PottsHamiltonian, potts_energy
+from .potts import PottsHamiltonian, potts_energies
 
 logger = logging.getLogger(__name__)
 
@@ -104,7 +104,11 @@ class Droplet:
     ``flips`` maps 1-based row-major positions to the alternative state;
     ``sub_droplets`` are the excitations that were attached to the
     discarded branch when it merged, valid within this droplet's
-    context. ``flip_arrays`` holds the flips as arrays for the merge's
+    context. Droplets form a DAG, not a tree: a sub-droplet is one
+    object shared by every droplet and branch that carries it, so work
+    over a solve's droplets should visit each object once (memoized by
+    ``id``, as :meth:`remap` and the JSON table do) rather than every
+    path. ``flip_arrays`` holds the flips as arrays for the merge's
     batched distances; it is cached on first use and is not a field, so
     it stays out of ``repr``, ``==`` and ``hash``.
     """
@@ -121,11 +125,24 @@ class Droplet:
         out[0] -= 1
         return out
 
-    def remap(self, position_map) -> "Droplet":
-        flips = tuple(sorted((position_map[pos], value)
-                             for pos, value in self.flips))
-        return Droplet(flips, self.delta_energy,
-                       tuple(s.remap(position_map) for s in self.sub_droplets))
+    def remap(self, position_map, memo: dict) -> "Droplet":
+        """This droplet with every position ``p`` moved to
+        ``position_map[p]``.
+
+        ``memo`` maps ``id`` of a droplet already remapped to its image;
+        passing one dict for a whole solve remaps each shared droplet
+        once and keeps the images shared. The droplets it names must
+        stay alive while it is in use, so that no ``id`` is reused.
+        """
+        image = memo.get(id(self))
+        if image is None:
+            flips = tuple(sorted((position_map[pos], value)
+                                 for pos, value in self.flips))
+            image = Droplet(flips, self.delta_energy,
+                            tuple(s.remap(position_map, memo)
+                                  for s in self.sub_droplets))
+            memo[id(self)] = image
+        return image
 
 
 @dataclass
@@ -525,20 +542,17 @@ def low_energy_spectrum(h: PottsHamiltonian,
     position_map = {p: net.original_position(p) for p in range(1, total + 1)}
     original = np.empty_like(states.values)
     original[:, [position_map[p] - 1 for p in range(1, total + 1)]] = states.values
-    finalized = []
-    for values, log_p, droplets in zip(original.tolist(),
-                                       states.log_probability.tolist(),
-                                       states.droplets):
-        values = tuple(values)
-        finalized.append((values, potts_energy(h, values), log_p,
-                          tuple(d.remap(position_map) for d in droplets)))
-    finalized.sort(key=lambda item: (item[1], item[0]))
+    energies = potts_energies(h, original)
+    # by energy, then values: the last lexsort key is the primary one
+    order = np.lexsort(tuple(original.T[::-1]) + (energies,))
+    memo = {}
 
     return Solution(
-        states=[item[0] for item in finalized],
-        energies=[item[1] for item in finalized],
-        log_probabilities=[item[2] for item in finalized],
-        droplets=[item[3] for item in finalized],
+        states=list(map(tuple, original[order].tolist())),
+        energies=energies[order].tolist(),
+        log_probabilities=states.log_probability[order].tolist(),
+        droplets=[tuple(d.remap(position_map, memo) for d in droplets)
+                  for droplets in states.droplets[order]],
         largest_discarded_probability=math.exp(largest_discarded)
         if largest_discarded > -math.inf else 0.0,
         beta=params.beta,

@@ -48,6 +48,23 @@ def random_potts(rows, cols, dim, seed, scale=1.0) -> PottsHamiltonian:
     return h
 
 
+def ragged_potts(rows, cols, dims, seed):
+    """Native grid model with site dimensions ``dims`` (row-major) and
+    random tables on a random subset of the king edges."""
+    rng = np.random.default_rng(seed)
+    h = PottsHamiltonian(rows, cols)
+    dim = dict(zip(h.sites(), dims))
+    for site in h.sites():
+        h.set_node(site, rng.uniform(-1, 1, size=dim[site]))
+    for r, c in h.sites():
+        for rr, cc in ((r, c + 1), (r + 1, c - 1), (r + 1, c), (r + 1, c + 1)):
+            if (1 <= rr <= rows and 1 <= cc <= cols
+                    and rng.random() < 0.7):
+                h.set_edge((r, c), (rr, cc), rng.uniform(
+                    -1, 1, size=(dim[(r, c)], dim[(rr, cc)])))
+    return h
+
+
 def random_clustered(rows, cols, t, seed):
     """(IsingGraph, clustered PottsHamiltonian) from a generated instance."""
     graph = parse_ising(generate_instance(rows, cols, t, seed=seed))

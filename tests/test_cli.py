@@ -1,6 +1,7 @@
 """Command-line workflow: generation, solving, exit codes, determinism."""
 
 import json
+import logging
 import os
 import re
 import subprocess
@@ -127,6 +128,22 @@ class TestSolve:
         assert params["droplet_mode"] == "spin"
         assert len(params["transforms"]) == 8
         assert len(params["transform_best_energies"]) == 8
+
+    def test_verbose_logs_droplet_summary(self, tmp_path, caplog):
+        path = _write_instance(tmp_path, rows=3, cols=3, t=2, seed=12)
+        out = tmp_path / "sol.json"
+        with caplog.at_level(logging.INFO, logger="kingspeps"):
+            assert main(["-v", "solve", str(path), "--topology", "3", "3",
+                         "2", "--transforms", "r0,r90", "-o", str(out)]) == 0
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("droplets:")]
+        assert len(lines) == 1
+        doc = json.loads(out.read_text())
+        attached = sum(map(len, doc["droplets"]))
+        assert re.fullmatch(
+            rf"droplets: {attached} on {len(doc['states'])} states, \d+ nodes "
+            rf"as a tree, {len(doc['droplet_table'])} distinct table entries; "
+            rf"{out.stat().st_size} JSON bytes written", lines[0]), lines[0]
 
     def test_missing_topology_exits_one(self, tmp_path, capsys):
         path = _write_instance(tmp_path)

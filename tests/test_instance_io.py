@@ -8,11 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kingspeps import (IsingGraph, parse_ising, parse_potts, serialize_ising,
-                       solution_to_dict, write_solution)
+from kingspeps import (ALL_TRANSFORMS, ContractionParams, DropletParams,
+                       IsingGraph, SearchParams, low_energy_spectrum,
+                       merge_solutions, parse_ising, parse_potts,
+                       serialize_ising, solution_to_dict, write_solution)
 from kingspeps.errors import (DuplicateEntryError, GeometryError,
                               InvalidIndexError, ParseError)
 from kingspeps.search import Droplet, Solution
+from conftest import random_clustered
+from test_golden_search import CASES, _case_solutions
 
 
 class TestParseIsing:
@@ -172,10 +176,14 @@ class TestWriteSolution:
         d = Droplet(flips=((3, 2),), delta_energy=0.5,
                     sub_droplets=(Droplet(flips=((1, 2),), delta_energy=0.25),))
         doc = solution_to_dict(_tiny_solution([(d,), ()]))
-        entry = doc["droplets"][0][0]
+        table = doc["droplet_table"]
+        entry = table[doc["droplets"][0][0]]
+        assert doc["droplets"][1] == []
         assert entry["delta_energy"] == 0.5
         assert entry["flips"] == {"3": 2}
-        assert entry["sub_droplets"][0]["flips"] == {"1": 2}
+        (sub,) = entry["sub_droplets"]
+        assert table[sub] == {"delta_energy": 0.25, "flips": {"1": 2},
+                              "sub_droplets": []}
 
     def test_write_to_stream_and_path(self, tmp_path):
         sol = _tiny_solution([(), ()])
@@ -187,3 +195,72 @@ class TestWriteSolution:
         write_solution(sol, str(path))
         assert json.loads(path.read_text())["best_energy"] == -1.0
         assert "generated_at" in parsed
+
+
+def _nested(droplet) -> dict:
+    """A droplet as the JSON wrote it before the table: the full tree."""
+    return {"delta_energy": droplet.delta_energy,
+            "flips": {str(pos): int(value) for pos, value in droplet.flips},
+            "sub_droplets": [_nested(sub) for sub in droplet.sub_droplets]}
+
+
+def _expand_table(doc) -> list:
+    """``droplet_table`` and the index lists back to the nested form."""
+    table = doc["droplet_table"]
+
+    def expand(i):
+        entry = table[i]
+        return {"delta_energy": entry["delta_energy"], "flips": entry["flips"],
+                "sub_droplets": [expand(j) for j in entry["sub_droplets"]]}
+
+    return [[expand(i) for i in per_state] for per_state in doc["droplets"]]
+
+
+def _tree_size(droplets) -> int:
+    return sum(1 + _tree_size(d.sub_droplets) for d in droplets)
+
+
+def _check_round_trip(sol):
+    buf = io.StringIO()
+    written = write_solution(sol, buf)
+    assert written == len(buf.getvalue().encode("utf-8"))
+    doc = json.loads(buf.getvalue())
+    table = doc["droplet_table"]
+    assert _expand_table(doc) == [[_nested(d) for d in per_state]
+                                  for per_state in sol.droplets]
+    assert len({json.dumps(e, sort_keys=True) for e in table}) == len(table)
+    for i, entry in enumerate(table):
+        assert all(0 <= j < i for j in entry["sub_droplets"])
+    for per_state in doc["droplets"]:
+        assert all(0 <= i < len(table) for i in per_state)
+    return doc
+
+
+class TestDropletTable:
+    @pytest.mark.parametrize("case", CASES)
+    def test_expands_to_nested_form_on_golden_cases(self, case):
+        for sol in _case_solutions(case).values():
+            _check_round_trip(sol)
+
+    def test_shared_droplets_written_once(self):
+        # a merge-heavy solve whose sub-droplets are shared
+        _, h = random_clustered(4, 4, 2, seed=4200)
+        solutions = [low_energy_spectrum(
+            h, tr, ContractionParams(bond_dim=16, num_sweeps=1, beta=2.0),
+            SearchParams(max_states=256, cut_off_prob=1e-4),
+            DropletParams(energy_cutoff=10.0, hamming_cutoff=5, mode="spin"))
+            for tr in ALL_TRANSFORMS[:2]]
+        for sol in solutions + [merge_solutions(solutions)]:
+            doc = _check_round_trip(sol)
+            assert len(doc["droplet_table"]) < _tree_size(
+                d for per_state in sol.droplets for d in per_state)
+
+    def test_equal_droplets_share_an_entry(self):
+        inner = Droplet(flips=((1, 2),), delta_energy=0.25)
+        twin = Droplet(flips=((1, 2),), delta_energy=0.25)
+        a = Droplet(flips=((3, 2),), delta_energy=0.5, sub_droplets=(inner,))
+        b = Droplet(flips=((3, 2),), delta_energy=0.5, sub_droplets=(twin,))
+        c = Droplet(flips=((3, 2),), delta_energy=0.75, sub_droplets=(twin,))
+        doc = solution_to_dict(_tiny_solution([(a, c), (b,)]))
+        assert len(doc["droplet_table"]) == 3
+        assert doc["droplets"] == [[1, 2], [1]]

@@ -20,7 +20,8 @@ from kingspeps.errors import (ContractionDegenerateError, DimensionError,
                               InvalidIndexError, NumericError)
 from kingspeps.peps import row_product
 from kingspeps.tensor_core import overlap
-from conftest import dense_mps_vector, random_boundary_mps, random_potts
+from conftest import (dense_mps_vector, random_boundary_mps, random_potts,
+                      ragged_potts)
 
 
 def exact_params(net):
@@ -386,23 +387,6 @@ class TestClusteredNetworks:
         for beta in (0.5, 2.0):
             net = build_network(h, beta=beta)
             assert network_z(net) == pytest.approx(brute_z(h, beta), rel=1e-9)
-
-
-def ragged_potts(rows, cols, dims, seed):
-    """Native grid model with site dimensions ``dims`` (row-major) and
-    random tables on a random subset of the king edges."""
-    rng = np.random.default_rng(seed)
-    h = PottsHamiltonian(rows, cols)
-    dim = dict(zip(h.sites(), dims))
-    for site in h.sites():
-        h.set_node(site, rng.uniform(-1, 1, size=dim[site]))
-    for r, c in h.sites():
-        for rr, cc in ((r, c + 1), (r + 1, c - 1), (r + 1, c), (r + 1, c + 1)):
-            if (1 <= rr <= rows and 1 <= cc <= cols
-                    and rng.random() < 0.7):
-                h.set_edge((r, c), (rr, cc), rng.uniform(
-                    -1, 1, size=(dim[(r, c)], dim[(rr, cc)])))
-    return h
 
 
 class TestContractNetwork:

@@ -4,13 +4,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kingspeps import (ClusterTopology, IsingGraph, PottsHamiltonian, cluster,
-                       cluster_spin_values, decode, encode, ising_energy,
-                       potts_energy)
+                       cluster_spin_values, decode, encode, generate_instance,
+                       ising_energy, parse_ising, potts_energy)
 from kingspeps.errors import (DimensionError, GeometryError,
                               InvalidIndexError, UnsupportedError)
-from conftest import random_clustered
+from kingspeps.potts import potts_energies
+from conftest import ragged_potts, random_clustered
 
 
 class TestClusterMapping:
@@ -72,6 +75,79 @@ class TestPottsEnergy:
         h.set_node((1, 1), [1.0, 0.0])
         h.set_edge((1, 1), (1, 2), [[0.0, 2.0], [0.0, 0.0]])
         assert potts_energy(h, {(1, 1): 1, (1, 2): 2}) == 3.0
+
+
+def _scalar_energy(h, assignment):
+    """The plain loop over the terms that ``potts_energies`` must match
+    bit for bit: node tables row-major, then edges as they were set."""
+    values = dict(zip(h.sites(), assignment))
+    energy = 0.0
+    for site in h.sites():
+        table = h._node.get(site)
+        if table is not None:
+            energy += float(table[values[site] - 1])
+    for (a, b), table in h._edge.items():
+        energy += float(table[values[a] - 1, values[b] - 1])
+    return energy
+
+
+def _bits(energies):
+    return np.asarray(energies, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestPottsEnergies:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.data())
+    def test_bit_identical_to_scalar_sum(self, rows, cols, clustered, data):
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        if clustered:
+            t = data.draw(st.integers(1, 3))
+            h = cluster(parse_ising(generate_instance(
+                rows, cols, t, seed=seed, with_fields=True)),
+                ClusterTopology(rows, cols, t))
+        else:
+            h = ragged_potts(rows, cols, data.draw(st.lists(
+                st.integers(1, 4), min_size=rows * cols,
+                max_size=rows * cols)), seed)
+        dims = [h.dim(site) for site in h.sites()]
+        batch = data.draw(st.integers(1, 8))
+        values = np.random.default_rng(seed).integers(
+            1, np.array(dims) + 1, size=(batch, len(dims)))
+        energies = _bits(potts_energies(h, values))
+        assignments = values.tolist()
+        assert energies == _bits([_scalar_energy(h, x) for x in assignments])
+        assert energies == _bits([potts_energy(h, x) for x in assignments])
+        assert energies == _bits(potts_energies(h, values.astype(np.uint8)))
+
+    @pytest.mark.parametrize("state", ["zero", "above"])
+    @pytest.mark.parametrize("position", [0, 4, 5])
+    def test_state_outside_site_range(self, state, position):
+        h = ragged_potts(2, 3, [1, 2, 3, 4, 2, 3], seed=0)
+        values = np.ones((3, 6), dtype=np.uint8)
+        site = (position // 3 + 1, position % 3 + 1)
+        values[1, position] = 0 if state == "zero" else h.dim(site) + 1
+        with pytest.raises(InvalidIndexError, match=rf"at site \({site[0]}, "
+                                                   rf"{site[1]}\) outside"):
+            potts_energies(h, values)
+        with pytest.raises(InvalidIndexError):
+            potts_energy(h, values[1].tolist())
+
+    def test_shape_checked(self):
+        h = ragged_potts(2, 2, [2, 2, 2, 2], seed=1)
+        with pytest.raises(DimensionError):
+            potts_energies(h, np.ones((2, 3), dtype=int))
+        with pytest.raises(DimensionError):
+            potts_energy(h, (1, 1, 1))
+
+    def test_follows_table_changes(self):
+        h = PottsHamiltonian(1, 2)
+        h.set_node((1, 1), [0.0, 1.0])
+        assert potts_energy(h, (2, 1)) == 1.0
+        h.set_edge((1, 1), (1, 2), [[0.0, 0.0], [0.5, 0.0]])
+        h.set_node((1, 1), [0.0, 2.0])
+        assert potts_energy(h, (2, 1)) == 2.5
+        with pytest.raises(ValueError):
+            h.node_table((1, 1))[1] = 7.0
 
 
 class TestDecode:

@@ -18,6 +18,7 @@ from kingspeps import (ALL_TRANSFORMS, Branches, ContractionParams, Droplet,
                        ClusterTopology, decode, exact_spectrum, ising_energy,
                        low_energy_spectrum, merge_and_collect,
                        merge_solutions, potts_energy, prune, unpack_droplets)
+from kingspeps import search as search_module
 from kingspeps.errors import InvalidIndexError, UnsupportedError
 from conftest import random_clustered, random_potts
 
@@ -596,6 +597,42 @@ class TestLowEnergySpectrum:
                                                  mode="spin"))
             for state, energy in zip(sol.states, sol.energies):
                 assert energy == pytest.approx(reference[state], rel=1e-9)
+
+
+def _distinct(droplets) -> dict:
+    """Every droplet object reachable from ``droplets``, by ``id``."""
+    seen, stack = {}, list(droplets)
+    while stack:
+        droplet = stack.pop()
+        if id(droplet) not in seen:
+            seen[id(droplet)] = droplet
+            stack.extend(droplet.sub_droplets)
+    return seen
+
+
+class TestFinalize:
+    def test_remaps_each_shared_droplet_once(self, monkeypatch):
+        last = {}
+
+        def keep_last(states, *args):
+            kept = prune(states, *args)
+            last["droplets"] = kept[0].droplets
+            return kept
+
+        monkeypatch.setattr(search_module, "prune", keep_last)
+        _, h = random_clustered(4, 4, 2, seed=4200)
+        sol = _solve(h, transform=ALL_TRANSFORMS[1], dp=DropletParams(
+            energy_cutoff=10.0, hamming_cutoff=5, mode="spin"))
+        found = [d for per_state in last["droplets"] for d in per_state]
+        before = _distinct(found)
+        after = _distinct(d for per_state in sol.droplets for d in per_state)
+        assert len(after) == len(before)
+        assert not set(after) & set(before)  # images are new objects
+
+        def tree(droplets):
+            return sum(1 + tree(d.sub_droplets) for d in droplets)
+
+        assert tree(found) > 2 * len(before)  # the case shares sub-droplets
 
 
 class TestUnpackDroplets:
