@@ -47,8 +47,16 @@ def _enumerate_configs(dims: list[int]) -> np.ndarray:
         raise TooLargeError(
             f"{total} configurations exceed the enumeration guard "
             f"({ENUMERATION_GUARD})")
-    grids = np.unravel_index(np.arange(total), dims)
-    return (np.stack(grids, axis=1) + 1).astype(np.int64)
+    # column by column, in row-major order, in the smallest unsigned
+    # dtype that holds the largest state (as Branches.root stores them)
+    configs = np.empty((total, len(dims)),
+                       dtype=np.min_scalar_type(max(dims, default=1)))
+    inner = total
+    for i, d in enumerate(dims):
+        inner //= d
+        configs.reshape(total // (d * inner), d, inner, len(dims))[..., i] = (
+            np.arange(1, d + 1, dtype=configs.dtype)[:, None])
+    return configs
 
 
 def _log_sum_exp(values: np.ndarray) -> float:
@@ -61,6 +69,13 @@ class ExactSpectrum:
 
     Ties are broken lexicographically by assignment, so the ordering is
     reproducible. The partition function is available on demand.
+
+    Attributes:
+        states: ``(n_configs, n_sites)`` 1-based states in row-major
+            site order, in the smallest unsigned dtype that holds the
+            largest site dimension (``np.min_scalar_type``; uint8 up to
+            255 states per site).
+        energies: float64 energies, ascending.
     """
 
     def __init__(self, h: PottsHamiltonian):

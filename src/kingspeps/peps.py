@@ -31,6 +31,7 @@ contraction with the product of row 1 under a one-state row 0.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,6 +246,7 @@ def row_product(net: PepsNetwork, row: int, env: BoundaryMps) -> BoundaryMps:
             f"state dims {env.phys_dims} do not match row {lower}'s {dims_y}")
 
     tensors = []
+    log_scale = env.log_scale
     dxl = dyl = 1
     for c, e in enumerate(env.tensors, start=1):
         dx, dy = dims_x[c - 1], dims_y[c - 1]
@@ -279,12 +281,19 @@ def row_product(net: PepsNetwork, row: int, env: BoundaryMps) -> BoundaryMps:
         else:
             p = np.tensordot(a, e, axes=(3, 1)).transpose(0, 1, 3, 2, 4)
             p = p[:, :, :, :, None]
-        if carry_x:  # p[xl, yl, chi_l, x, xr, yr, chi_r], zero off x == xr
-            p = (p[:, :, :, :, None]
-                 * np.eye(dx, dtype=p.dtype)[:, :, None, None])
-        tensors.append(p.reshape(dxl * dyl * e.shape[0], dx, -1))
+        if carry_x:  # q[xl, yl, chi_l, x * xr, yr, chi_r], zero off x == xr
+            q = np.zeros(p.shape[:3] + (dx * dx,) + p.shape[4:], dtype=p.dtype)
+            q[:, :, :, ::dx + 1] = p
+            p = q
+        t = p.reshape(dxl * dyl * e.shape[0], dx, -1)
+        # t shares no memory with env, so it is max-normalized in place
+        mx = max(t.max(), -t.min())
+        if mx > 0 and mx != 1.0:
+            t /= mx
+            log_scale += math.log(mx)
+        tensors.append(t)
         dxl, dyl = (dx if carry_x else 1), (dy if carry_y else 1)
-    return BoundaryMps(tensors, env.log_scale).normalize_scale()
+    return BoundaryMps(tensors, log_scale)
 
 
 def bottom_environments(net: PepsNetwork,
@@ -299,11 +308,21 @@ def bottom_environments(net: PepsNetwork,
     of extent up to ``chi * d**2``, which :func:`compress` cuts back to
     ``params.bond_dim``. ``params.beta`` is unused, because the weights
     come from ``net``.
+
+    Each row logs one DEBUG line, ``environment of row R: product bond
+    B, bonds (...), fidelity F``: the product's largest bond, the
+    compressed bonds and :func:`compress`'s fidelity. It follows
+    compress's own DEBUG line, which says whether the sweeps ran.
     """
     envs = [BoundaryMps.ones(net.row_dims(net.rows), dtype=net.dtype)]
     for row in range(net.rows - 1, 0, -1):
-        # unnamed, the row's product is freed before the next one
-        env, _ = compress(row_product(net, row, envs[-1]), params)
+        product = row_product(net, row, envs[-1])
+        product_bond = max(product.bond_dims, default=1)
+        env, fidelity = compress(product, params)
+        del product  # freed before the next row's product is built
+        logger.debug("environment of row %d: product bond %d, bonds %s, "
+                     "fidelity %.12g", row, product_bond, env.bond_dims,
+                     fidelity)
         envs.append(env)
     return envs[::-1]
 

@@ -15,12 +15,15 @@ All operations are pure: inputs are never mutated.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateStateError, DimensionError, NumericError)
+
+logger = logging.getLogger(__name__)
 
 # Relative singular-value floor, applied on every truncation regardless
 # of the bond-dimension cap. Keeps ranks honest and avoids carrying
@@ -35,7 +38,8 @@ class ContractionParams:
     Attributes:
         bond_dim: maximal virtual bond dimension kept after truncation.
         num_sweeps: rounds of single-site variational refinement run
-            after the SVD truncation inside :func:`compress`.
+            after the SVD truncation inside :func:`compress`, only when
+            the truncation cut a bond.
         beta: inverse temperature of the Boltzmann weights.
     """
 
@@ -143,7 +147,7 @@ def left_canonicalize(mps: BoundaryMps) -> BoundaryMps:
     carry = None
     for t in mps.tensors:
         if carry is not None:
-            t = np.tensordot(carry, t, axes=(1, 0))
+            t = _times_left(carry, t)
         dl, d, dr = t.shape
         q, r = np.linalg.qr(t.reshape(dl * d, dr))
         tensors.append(q.reshape(dl, d, q.shape[1]))
@@ -164,23 +168,39 @@ def _fold_center(tensors, log_scale, index):
     return log_scale + math.log(mx)
 
 
+def _times_left(m, t):
+    """``m`` contracted into the left bond of site tensor ``t``."""
+    dl, d, dr = t.shape
+    return (m @ t.reshape(dl, d * dr)).reshape(m.shape[0], d, dr)
+
+
+def _times_right(t, m):
+    """Site tensor ``t``'s right bond contracted into ``m``."""
+    dl, d, dr = t.shape
+    return (t.reshape(dl * d, dr) @ m).reshape(dl, d, m.shape[1])
+
+
 def _truncate_right_sweep(mps: BoundaryMps, bond_dim: int):
     """SVD-truncate a left-canonical state, sweeping right to left.
 
-    Returns a right-canonical state (orthogonality center at site 0)
-    plus the total discarded singular weight.
+    Returns a right-canonical state (orthogonality center at site 0),
+    the total discarded singular weight, and whether every bond kept
+    all its singular values (each SVD's rank equal to its matrix's
+    smaller side), in which case the state is the input up to rounding.
     """
     tensors = [t for t in mps.tensors]
     discarded = 0.0
+    exact = True
     for i in range(len(tensors) - 1, 0, -1):
         dl, d, dr = tensors[i].shape
         u, s, v, dw = svd_truncate(tensors[i].reshape(dl, d * dr), bond_dim)
         k = s.size
+        exact = exact and k == min(dl, d * dr)
         tensors[i] = v.T.reshape(k, d, dr)
-        tensors[i - 1] = np.tensordot(tensors[i - 1], u * s, axes=(2, 0))
+        tensors[i - 1] = _times_right(tensors[i - 1], u * s)
         discarded += dw
     log_scale = _fold_center(tensors, mps.log_scale, 0)
-    return BoundaryMps(tensors, log_scale), discarded
+    return BoundaryMps(tensors, log_scale), discarded, exact
 
 
 def _variational_sweep(state: BoundaryMps, target: BoundaryMps) -> BoundaryMps:
@@ -196,31 +216,33 @@ def _variational_sweep(state: BoundaryMps, target: BoundaryMps) -> BoundaryMps:
     cs = [t for t in state.tensors]
     ts = target.tensors
 
+    # renv[i][p, a]: sites i.. of the state against the target's, by
+    # their left bonds p and a
     renv = [None] * (length + 1)
     renv[length] = np.ones((1, 1), dtype=ts[0].dtype)
     for i in range(length - 1, 0, -1):
-        x = np.tensordot(ts[i], renv[i + 1], axes=(2, 1))
-        renv[i] = np.tensordot(cs[i], x, axes=([1, 2], [1, 2]))
+        x = _times_right(ts[i], renv[i + 1].T)
+        renv[i] = cs[i].reshape(len(cs[i]), -1) @ x.reshape(len(x), -1).T
 
     lenv = [None] * (length + 1)
     lenv[0] = np.ones((1, 1), dtype=ts[0].dtype)
     for i in range(length - 1):  # the backward pass starts at the last site
-        y = np.tensordot(lenv[i], ts[i], axes=(1, 0))
-        t = np.tensordot(y, renv[i + 1], axes=(2, 1))
+        y = _times_left(lenv[i], ts[i])
+        t = _times_right(y, renv[i + 1].T)
         dl, d, dr = t.shape
         q, _ = np.linalg.qr(t.reshape(dl * d, dr))
         cs[i] = q.reshape(dl, d, q.shape[1])
-        lenv[i + 1] = np.tensordot(cs[i], y, axes=([0, 1], [0, 1]))
+        lenv[i + 1] = q.T @ y.reshape(dl * d, -1)
 
     right = np.ones((1, 1), dtype=ts[0].dtype)
     for i in range(length - 1, 0, -1):
-        x = np.tensordot(ts[i], right, axes=(2, 1))
-        t = np.tensordot(lenv[i], x, axes=(1, 0))
+        x = _times_right(ts[i], right.T)
+        t = _times_left(lenv[i], x)
         dl, d, dr = t.shape
         q, _ = np.linalg.qr(t.reshape(dl, d * dr).T)
         cs[i] = q.T.reshape(q.shape[1], d, dr)
-        right = np.tensordot(cs[i], x, axes=([1, 2], [1, 2]))
-    cs[0] = np.tensordot(ts[0], right, axes=(2, 1))  # lenv[0] is [[1]]
+        right = q.T @ x.reshape(len(x), -1).T
+    cs[0] = _times_right(ts[0], right.T)  # lenv[0] is [[1]]
 
     log_scale = _fold_center(cs, target.log_scale, 0)
     return BoundaryMps(cs, log_scale)
@@ -230,15 +252,22 @@ def compress(mps: BoundaryMps, params: ContractionParams):
     """Truncate a state to the configured bond dimension.
 
     Pipeline: left-canonicalize, SVD-truncate every bond to
-    ``params.bond_dim``, then run ``params.num_sweeps`` rounds of
-    single-site variational refinement against the input. The norm is
-    folded into ``log_scale`` so site tensors stay O(1).
+    ``params.bond_dim`` (right to left), then, only if some bond was
+    cut, run ``params.num_sweeps`` rounds of single-site variational
+    refinement against the input. The norm is folded into ``log_scale``
+    so site tensors stay O(1).
 
     The truncation and every sweep leave ``c = P t``, with ``P`` the
     orthogonal projector onto the right isometries at sites 1..n-1 and
     the centre at site 0 holding the coefficients. Hence ``<c|t> =
     <Pt|Pt> = <c|c>`` and the fidelity is ``|c|^2 / |t|^2``: the centre's
     norm against the input norm that :func:`left_canonicalize` yields.
+
+    Skip rule: when every SVD kept all its singular values (rank equal
+    to the smaller side of its matrix), ``P`` is the identity on the
+    range of ``t``, so ``c = t`` already and a sweep could only add
+    rounding. The sweeps are then skipped and a DEBUG line says so;
+    otherwise a DEBUG line reports the sweeps run.
 
     Returns:
         ``(compressed, fidelity)`` where fidelity is the normalized
@@ -248,9 +277,15 @@ def compress(mps: BoundaryMps, params: ContractionParams):
         DegenerateStateError: the input represents the zero vector.
     """
     canonical = left_canonicalize(mps)
-    state, _ = _truncate_right_sweep(canonical, params.bond_dim)
-    for _ in range(params.num_sweeps):
-        state = _variational_sweep(state, mps)
+    state, _, exact = _truncate_right_sweep(canonical, params.bond_dim)
+    if exact:
+        logger.debug("compress: every bond kept whole, %d sweep(s) skipped",
+                     params.num_sweeps)
+    else:
+        logger.debug("compress: a bond was cut, %d sweep(s) run",
+                     params.num_sweeps)
+        for _ in range(params.num_sweeps):
+            state = _variational_sweep(state, mps)
     log_norm = math.log(np.linalg.norm(state.tensors[0])) + state.log_scale
     return state, math.exp(2.0 * (log_norm - canonical.log_scale))
 

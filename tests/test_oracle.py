@@ -9,7 +9,8 @@ from kingspeps import (ALL_TRANSFORMS, IsingGraph, PottsHamiltonian,
                        ClusterTopology, cluster, config_energies,
                        exact_conditional, exact_spectrum, potts_energy)
 from kingspeps.errors import DimensionError, TooLargeError
-from conftest import random_potts
+from kingspeps.oracle import _enumerate_configs
+from conftest import random_clustered, random_potts
 
 
 def test_single_site_spectrum():
@@ -52,6 +53,27 @@ def test_guard():
         h.set_node(site, np.zeros(4))
     with pytest.raises(TooLargeError):
         exact_spectrum(h)
+
+
+@pytest.mark.parametrize("dims,dtype", [
+    ([2], np.uint8), ([3, 1, 2], np.uint8), ([1, 1], np.uint8),
+    ([4, 2, 3, 4, 1, 2], np.uint8), ([255, 2], np.uint8),
+    ([2, 256, 3], np.uint16)])
+def test_enumeration_matches_unravel_index(dims, dtype):
+    reference = np.stack(np.unravel_index(np.arange(math.prod(dims)), dims),
+                         axis=1) + 1
+    configs = _enumerate_configs(dims)
+    assert configs.dtype == dtype
+    assert np.array_equal(configs, reference)
+
+
+def test_clustered_spectrum_states_compact():
+    _, h = random_clustered(2, 2, 2, seed=5)
+    spec = exact_spectrum(h)
+    assert spec.states.dtype == np.uint8 and spec.states.shape == (256, 4)
+    assert np.array_equal(spec.energies,
+                          config_energies(h, spec.states.astype(np.int64)))
+    assert len({tuple(s) for s in spec.states.tolist()}) == 256
 
 
 def test_spectrum_invariant_under_transforms():

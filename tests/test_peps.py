@@ -21,7 +21,7 @@ from kingspeps.errors import (ContractionDegenerateError, DimensionError,
 from kingspeps.peps import row_product
 from kingspeps.tensor_core import overlap
 from conftest import (dense_mps_vector, random_boundary_mps, random_potts,
-                      ragged_potts)
+                      ragged_potts, random_clustered)
 
 
 def exact_params(net):
@@ -192,6 +192,85 @@ class TestRowTransferMpo:
             brute_z(h, 1.0), rel=1e-10)
 
 
+def reference_row_product(net, row, env):
+    """:func:`row_product` as first written: x put on the diagonal by a
+    product with an identity, then ``normalize_scale`` over the row."""
+    lower = row + 1
+    dims_x = net.row_dims(row) if row else [1] * net.cols
+    dims_y = net.row_dims(lower)
+    tensors = []
+    dxl = dyl = 1
+    for c, e in enumerate(env.tensors, start=1):
+        dx, dy = dims_x[c - 1], dims_y[c - 1]
+        carry_x = net.back(lower, c + 1, "nw", weight=True) is not None
+        carry_y = (net.back(lower, c + 1, "w", weight=True) is not None
+                   or net.back(lower, c, "ne", weight=True) is not None)
+        a = (np.ones((dxl, dyl, dx, dy), dtype=net.dtype)
+             * net.site_weight[(lower, c)])
+        w = net.back(lower, c, "n", weight=True)
+        if w is not None:
+            a = a * w
+        w = net.back(lower, c, "w", weight=True)
+        if w is not None:
+            a = a * w[None, :, None, :]
+        w = net.back(lower, c, "nw", weight=True)
+        if w is not None:
+            a = a * w[:, None, None, :]
+        w = net.back(lower, c - 1, "ne", weight=True)
+        if w is not None:
+            a = a * w.T[None, :, :, None]
+        if carry_y:
+            p = a[:, :, None, :, :, None] * e[None, None, :, None, :, :]
+        else:
+            p = np.tensordot(a, e, axes=(3, 1)).transpose(0, 1, 3, 2, 4)
+            p = p[:, :, :, :, None]
+        if carry_x:
+            p = (p[:, :, :, :, None]
+                 * np.eye(dx, dtype=p.dtype)[:, :, None, None])
+        tensors.append(p.reshape(dxl * dyl * e.shape[0], dx, -1))
+        dxl, dyl = (dx if carry_x else 1), (dy if carry_y else 1)
+    return BoundaryMps(tensors, env.log_scale).normalize_scale()
+
+
+def assert_same_row_products(net, seed):
+    """Every row's product equals the reference, entry for entry, on a
+    random environment and on the solver's own environments."""
+    envs = exact_envs(net)
+    for row in range(net.rows):
+        own = envs[row]
+        rand = random_boundary_mps(own.phys_dims, 3, seed=seed + row,
+                                   dtype=net.dtype)
+        for env in (own, rand):
+            got = row_product(net, row, env)
+            want = reference_row_product(net, row, env)
+            assert got.log_scale == want.log_scale
+            assert len(got.tensors) == len(want.tensors)
+            for g, r in zip(got.tensors, want.tensors):
+                assert g.shape == r.shape and g.dtype == r.dtype
+                assert np.all(g == r)
+
+
+class TestRowProductReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.data(), st.integers(0, 7),
+           st.sampled_from([np.float64, np.float32]))
+    def test_ragged_native_potts(self, rows, cols, data, code, dtype):
+        dims = data.draw(st.lists(st.integers(1, 4), min_size=rows * cols,
+                                  max_size=rows * cols))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        h = ragged_potts(rows, cols, dims, seed)
+        net = build_network(h, LatticeTransform(code), beta=1.5, dtype=dtype)
+        assert_same_row_products(net, seed % 1000)
+
+    @pytest.mark.parametrize("rows,cols,t,seed", [(3, 3, 2, 3300),
+                                                  (4, 4, 2, 4200),
+                                                  (2, 4, 3, 7)])
+    def test_clustered(self, rows, cols, t, seed):
+        _, h = random_clustered(rows, cols, t, seed=seed)
+        for tr in ALL_TRANSFORMS[:2] + ALL_TRANSFORMS[4:5]:
+            assert_same_row_products(build_network(h, tr, beta=2.0), seed)
+
+
 class TestBottomEnv:
     def test_one_environment_per_row(self):
         h = random_potts(3, 2, 3, seed=11)
@@ -223,6 +302,24 @@ class TestBottomEnv:
         h_lower.set_edge((1, 1), (1, 2), h.edge_table((2, 1), (2, 2)))
         expected = brute_z(h_lower, 1.0)
         assert vec[0] == pytest.approx(expected, rel=1e-10)
+
+    def test_logs_one_line_per_row(self, caplog):
+        _, h = random_clustered(3, 3, 2, seed=42)
+        net = build_network(h, beta=2.0)
+        params = ContractionParams(bond_dim=16, num_sweeps=1, beta=2.0)
+        with caplog.at_level(logging.DEBUG, logger="kingspeps"):
+            envs = bottom_environments(net, params)
+        rows = [r.getMessage() for r in caplog.records
+                if r.name == "kingspeps.peps"]
+        sweeps = [r.getMessage() for r in caplog.records
+                  if r.name == "kingspeps.tensor_core"]
+        assert len(rows) == net.rows - 1
+        for row, line in zip(range(net.rows - 1, 0, -1), rows):
+            assert line.startswith(f"environment of row {row}: product bond ")
+            assert f"bonds {envs[row - 1].bond_dims}, fidelity 1" in line
+        # chi=16 covers the exact rank of a 3-column d=4 row
+        assert sweeps == ["compress: every bond kept whole, "
+                          "1 sweep(s) skipped"] * (net.rows - 1)
 
     def test_contracts_to_partition_function(self):
         h = random_potts(4, 4, 2, seed=9)

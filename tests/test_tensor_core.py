@@ -1,10 +1,14 @@
 """MPS kernels: truncation, canonical form, compression, overlaps."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kingspeps.tensor_core as tensor_core
 from kingspeps import (BoundaryMps, ContractionParams, compress,
                        left_canonicalize, overlap, svd_truncate)
 from kingspeps.errors import (DegenerateStateError, DimensionError,
@@ -160,6 +164,87 @@ class TestCompress:
         f0 = compress(mps, ContractionParams(bond_dim=3, num_sweeps=0))[1]
         f3 = compress(mps, ContractionParams(bond_dim=3, num_sweeps=3))[1]
         assert f3 >= f0 - 1e-12
+
+
+def count_sweeps(monkeypatch):
+    """Counter of :func:`compress`'s variational sweeps."""
+    calls = []
+    sweep = tensor_core._variational_sweep
+
+    def counted(state, target):
+        calls.append(1)
+        return sweep(state, target)
+
+    monkeypatch.setattr(tensor_core, "_variational_sweep", counted)
+    return calls
+
+
+def schmidt_ranks(mps):
+    """Exact rank of the state's vector across each bond."""
+    vec = dense_mps_vector(mps)
+    dims = mps.phys_dims
+    return [np.linalg.matrix_rank(vec.reshape(math.prod(dims[:i]), -1))
+            for i in range(1, len(dims))]
+
+
+class TestSweepSkip:
+    @pytest.mark.parametrize("num_sweeps", [1, 3])
+    def test_no_sweep_when_bond_cap_covers_rank(self, monkeypatch,
+                                                num_sweeps):
+        calls = count_sweeps(monkeypatch)
+        mps = random_boundary_mps([2, 3, 2, 4, 2], 5, seed=30)
+        assert max(schmidt_ranks(mps)) == 5
+        for bond_dim in (5, 6, 100):
+            out, fid = compress(mps, ContractionParams(bond_dim=bond_dim,
+                                                       num_sweeps=num_sweeps))
+            ref = dense_mps_vector(mps)
+            assert np.allclose(dense_mps_vector(out), ref, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(ref)))
+            assert fid == pytest.approx(1.0, abs=1e-12)
+        assert calls == []
+
+    @pytest.mark.parametrize("num_sweeps", [0, 1, 3])
+    def test_num_sweeps_when_a_bond_is_cut(self, monkeypatch, num_sweeps):
+        calls = count_sweeps(monkeypatch)
+        mps = random_boundary_mps([2, 3, 2, 4, 2], 5, seed=30)
+        _, fid = compress(mps, ContractionParams(bond_dim=4,
+                                                 num_sweeps=num_sweeps))
+        assert len(calls) == num_sweeps
+        assert fid < 1.0
+
+    def test_logs_whether_sweeps_ran(self, caplog):
+        mps = random_boundary_mps([2, 3, 2], 3, seed=31)
+        with caplog.at_level(logging.DEBUG, logger="kingspeps.tensor_core"):
+            compress(mps, ContractionParams(bond_dim=8, num_sweeps=2))
+            compress(mps, ContractionParams(bond_dim=1, num_sweeps=2))
+        assert [r.getMessage() for r in caplog.records] == [
+            "compress: every bond kept whole, 2 sweep(s) skipped",
+            "compress: a bond was cut, 2 sweep(s) run"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=2, max_size=5), st.data(),
+           st.integers(1, 8), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+    def test_sweeps_run_exactly_when_rank_exceeds_cap(self, dims, data,
+                                                      bond_dim, num_sweeps,
+                                                      seed):
+        bonds = data.draw(st.lists(st.integers(1, 5), min_size=len(dims) - 1,
+                                   max_size=len(dims) - 1))
+        rng = np.random.default_rng(seed)
+        shapes = zip([1] + bonds, dims, bonds + [1])
+        mps = BoundaryMps([rng.standard_normal(shape) for shape in shapes])
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = count_sweeps(monkeypatch)
+            out, fid = compress(mps, ContractionParams(bond_dim=bond_dim,
+                                                       num_sweeps=num_sweeps))
+        if bond_dim >= max(schmidt_ranks(mps)):
+            assert calls == []
+            assert fid == pytest.approx(1.0, abs=1e-10)
+            ref = dense_mps_vector(mps)
+            assert np.allclose(dense_mps_vector(out), ref, rtol=1e-10,
+                               atol=1e-10 * np.max(np.abs(ref)))
+        else:
+            assert len(calls) == num_sweeps
+        assert max(out.bond_dims, default=1) <= bond_dim
 
 
 class TestOverlap:
