@@ -273,25 +273,30 @@ def droplet_table(droplets) -> tuple[list[dict], list[list[int]]]:
     table: list[dict] = []
     by_key: dict[tuple, int] = {}
     by_id: dict[int, int] = {}
+    return table, [[_table_index(d, table, by_key, by_id) for d in per_state]
+                   for per_state in droplets]
 
-    def index(droplet) -> int:
-        at = by_id.get(id(droplet))
+
+def _table_index(droplet, table: list[dict], by_key: dict, by_id: dict) -> int:
+    """``droplet``'s index in ``table``, appended (children first) when
+    new. Not a closure: a recursive closure's cycle would keep the
+    tables alive after the call."""
+    at = by_id.get(id(droplet))
+    if at is None:
+        subs = [_table_index(sub, table, by_key, by_id)
+                for sub in droplet.sub_droplets]
+        key = (droplet.flips, droplet.delta_energy, tuple(subs))
+        at = by_key.get(key)
         if at is None:
-            subs = [index(sub) for sub in droplet.sub_droplets]
-            key = (droplet.flips, droplet.delta_energy, tuple(subs))
-            at = by_key.get(key)
-            if at is None:
-                at = by_key[key] = len(table)
-                table.append({
-                    "delta_energy": float(droplet.delta_energy),
-                    "flips": {str(pos): int(value)
-                              for pos, value in droplet.flips},
-                    "sub_droplets": subs,
-                })
-            by_id[id(droplet)] = at
-        return at
-
-    return table, [[index(d) for d in per_state] for per_state in droplets]
+            at = by_key[key] = len(table)
+            table.append({
+                "delta_energy": float(droplet.delta_energy),
+                "flips": {str(pos): int(value)
+                          for pos, value in droplet.flips},
+                "sub_droplets": subs,
+            })
+        by_id[id(droplet)] = at
+    return at
 
 
 def solution_to_dict(solution) -> dict:

@@ -3,13 +3,14 @@
 The solver sweeps the grid row-major in the transformed frame, adding
 one variable at a time to all branches at once; the population is one
 struct of arrays, :class:`Branches`. Every branch spawns one child per
-state of the new site, branches that agree on the *boundary* (the
-assigned sites still adjacent to unexplored ones) are merged keeping
-the lowest-energy representative, and the population is pruned to the
-most probable ``max_states``. Merging records the discarded branch as a
-droplet on the survivor: the set of bulk sites where the two differed,
-plus the energy gap. Unpacking droplets afterwards reconstructs the
-low-energy configurations the merges absorbed.
+state of the new site. Branches that agree on the *boundary* (the
+assigned sites still adjacent to unexplored ones) are grouped, keeping
+the lowest-energy one; the survivors are pruned to the most probable
+``max_states``; then droplets are collected on the branches kept. A
+droplet records a discarded branch on its survivor: the bulk sites
+where the two differed, plus the energy gap. Unpacking droplets
+afterwards reconstructs the low-energy configurations the merges
+absorbed. Steps where no site leaves the boundary only prune.
 
 The lower half is contracted once per solve, into one bottom
 environment per row. One contraction per step then gives all
@@ -391,9 +392,10 @@ def _clashes(values, others, carriers, rows, cols, flipped, run, run_start,
     return pair_cand[hit], pair_ref[hit]
 
 
-def merge_and_collect(states: Branches, k: int, dims,
-                      dp: DropletParams) -> Branches:
-    """Merge branches with identical boundary values, collecting droplets.
+def merge_and_collect(states: Branches, k: int, dims, dp: DropletParams,
+                      sp: SearchParams, largest_discarded: float = -math.inf):
+    """Merge branches with identical boundary values, prune the
+    survivors as :func:`prune` does, and collect droplets on those kept.
 
     Within a group the lowest-energy branch survives (ties broken
     lexicographically). A discarded branch within ``energy_cutoff``
@@ -403,11 +405,13 @@ def merge_and_collect(states: Branches, k: int, dims,
     excitation energy is kept. Candidates are taken per survivor in
     (energy, values) order.
 
-    Grouping, flips and every distance a candidate needs (to the
-    droplets its survivor carries and to the earlier candidates of the
-    same survivor) are computed in batches. Python runs only the
-    sequential keep-or-evict decision, over the candidates with a clash,
-    and builds a :class:`Droplet` for each candidate that is kept.
+    Survivors are pruned before any droplet work, since a droplet dies
+    with its carrier and merging changes no probability or rank. Flips
+    and every distance a candidate needs (to the droplets its survivor
+    carries and to its survivor's earlier candidates) are computed in
+    batches. Python runs only the sequential keep-or-evict decision,
+    over the candidates with a clash, and builds a :class:`Droplet` for
+    each candidate that is kept. Returns what :func:`prune` returns.
     """
     positions = [(r - 1) * dims[1] + c - 1 for r, c in boundary_sites(dims, k)]
     group = _row_keys(states.values[:, positions])
@@ -417,11 +421,17 @@ def merge_and_collect(states: Branches, k: int, dims,
     first[1:] = grouped[1:] != grouped[:-1]
     survivor = order[np.maximum.accumulate(
         np.where(first, np.arange(len(order)), 0))]
-    gap = states.energy[order] - states.energy[survivor]
-    pick = np.flatnonzero(~first & (gap <= dp.energy_cutoff))
     survivors = order[first]
+    kept_rank, largest_discarded = _prune_order(
+        states.log_probability[survivors], states.rank[survivors], sp,
+        largest_discarded)
+    survivors = survivors[kept_rank]
+    alive = np.zeros(len(states), dtype=bool)
+    alive[survivors] = True
+    gap = states.energy[order] - states.energy[survivor]
+    pick = np.flatnonzero(~first & (gap <= dp.energy_cutoff) & alive[survivor])
     if not len(pick):
-        return states.take(survivors)
+        return states.take(survivors), largest_discarded
 
     others, carriers, gaps = order[pick], survivor[pick], gap[pick]
     rows, cols = np.nonzero(states.values[others] != states.values[carriers])
@@ -467,7 +477,24 @@ def merge_and_collect(states: Branches, k: int, dims,
     for i, carrier in compress(enumerate(carriers.tolist()), kept[held:]):
         droplets[carrier] += (Droplet(tuple(flips[bounds[i]:bounds[i + 1]]),
                                       gaps[i], subs[i]),)
-    return replace(states, droplets=droplets).take(survivors)
+    return replace(states, droplets=droplets).take(survivors), largest_discarded
+
+
+def _prune_order(log_probability: np.ndarray, rank: np.ndarray,
+                 sp: SearchParams, largest_discarded: float):
+    """Indices of the branches :func:`prune` keeps, most probable first
+    (ties broken by ``rank``), and the updated running maximum of the
+    discarded log probabilities."""
+    order = np.lexsort((rank, -log_probability))
+    ranked = log_probability[order]
+    keep = len(order)
+    if sp.cut_off_prob > 0.0 and keep:
+        threshold = ranked[0] + math.log(sp.cut_off_prob)
+        keep = max(1, int(np.count_nonzero(ranked >= threshold)))
+    keep = min(keep, sp.max_states)
+    if keep < len(order):
+        largest_discarded = max(largest_discarded, float(ranked[keep]))
+    return order[:keep], largest_discarded
 
 
 def prune(states: Branches, sp: SearchParams,
@@ -476,20 +503,21 @@ def prune(states: Branches, sp: SearchParams,
 
     Returns the kept branches, most probable first (ties broken
     lexicographically), and the updated running maximum of the
-    discarded log probabilities.
+    discarded log probabilities. A merge step prunes by the same rule
+    inside :func:`merge_and_collect`.
     """
-    if not len(states):
-        return states, largest_discarded
-    order = np.lexsort((states.rank, -states.log_probability))
-    ranked = states.log_probability[order]
-    keep = len(order)
-    if sp.cut_off_prob > 0.0:
-        threshold = ranked[0] + math.log(sp.cut_off_prob)
-        keep = max(1, int(np.count_nonzero(ranked >= threshold)))
-    keep = min(keep, sp.max_states)
-    if keep < len(order):
-        largest_discarded = max(largest_discarded, float(ranked[keep]))
-    return states.take(order[:keep]), largest_discarded
+    kept, largest_discarded = _prune_order(
+        states.log_probability, states.rank, sp, largest_discarded)
+    return states.take(kept), largest_discarded
+
+
+def _sheds_boundary(dims, k: int) -> bool:
+    """Whether placing site ``k`` = (i, j) removes a site from the
+    boundary, as it removes (i-1, j-1) when that exists, (1, j-1) on a
+    one-row grid and (i-1, 1) on a one-column grid."""
+    m, n = dims
+    i, j = (k - 1) // n + 1, (k - 1) % n + 1
+    return (j > 1 and (i > 1 or m == 1)) or (n == 1 and i > 1)
 
 
 def low_energy_spectrum(h: PottsHamiltonian,
@@ -501,10 +529,10 @@ def low_energy_spectrum(h: PottsHamiltonian,
     """Run the full branch-merge-prune sweep over the grid.
 
     With ``droplet_params=None`` branches are never merged (pure
-    branch-and-bound); otherwise merging follows
-    :func:`merge_and_collect` at every site except the last one, where
-    the boundary is empty and merging would collapse the whole spectrum
-    into a single configuration.
+    branch-and-bound). Otherwise :func:`merge_and_collect` runs at each
+    site that removes a site from the boundary, except the last, where
+    merging would collapse the spectrum into one configuration; at the
+    other sites every child's boundary is already distinct.
 
     Returns:
         A :class:`Solution` with complete assignments mapped back to
@@ -527,17 +555,26 @@ def low_energy_spectrum(h: PottsHamiltonian,
 
     states = Branches.root(net)
     largest_discarded = -math.inf
+    merges = 0
     for k in range(1, total + 1):
         states = branch(states, k, net, envs)
-        if droplet_params is not None and k < total:
-            states = merge_and_collect(states, k, dims, droplet_params)
-        states, largest_discarded = prune(states, search_params,
-                                          largest_discarded)
-        if k % net.cols == 0 and logger.isEnabledFor(logging.DEBUG):
-            above = states.values[:, max(k - 2 * net.cols, 0):k - net.cols]
-            logger.debug("row %d/%d: %d branches, %d distinct rows above",
-                         k // net.cols, net.rows, len(states),
-                         len(_distinct_rows(above)[0]))
+        if (droplet_params is not None and k < total
+                and _sheds_boundary(dims, k)):
+            states, largest_discarded = merge_and_collect(
+                states, k, dims, droplet_params, search_params,
+                largest_discarded)
+            merges += 1
+        else:
+            states, largest_discarded = prune(states, search_params,
+                                              largest_discarded)
+        if k % net.cols == 0:
+            if logger.isEnabledFor(logging.DEBUG):
+                above = states.values[:, max(k - 2 * net.cols, 0):k - net.cols]
+                logger.debug("row %d/%d: %d branches, %d distinct rows above, "
+                             "merged at %d of %d steps", k // net.cols,
+                             net.rows, len(states),
+                             len(_distinct_rows(above)[0]), merges, net.cols)
+            merges = 0
 
     position_map = {p: net.original_position(p) for p in range(1, total + 1)}
     original = np.empty_like(states.values)
@@ -602,37 +639,46 @@ def unpack_droplets(solution: Solution, max_depth: int | None = 2) -> Solution:
     The result is re-sorted ascending and deduplicated by assignment.
     """
     entries = []
-
-    def expand(values, energy, log_p, droplet: Droplet, level: int):
-        if max_depth is not None and level > max_depth:
-            return
-        flipped = _apply_flips(values, droplet.flips)
-        flipped_energy = energy + droplet.delta_energy
-        flipped_log_p = log_p - solution.beta * droplet.delta_energy
-        entries.append((flipped_energy, flipped, flipped_log_p,
-                        tuple(droplet.sub_droplets)))
-        for sub in droplet.sub_droplets:
-            expand(flipped, flipped_energy, flipped_log_p, sub, level + 1)
-
+    levels = math.inf if max_depth is None else max_depth
     for values, energy, log_p, droplets in zip(
             solution.states, solution.energies, solution.log_probabilities,
             solution.droplets):
         entries.append((energy, values, log_p, tuple(droplets)))
         for droplet in droplets:
-            expand(values, energy, log_p, droplet, 1)
+            _expand(entries, (energy, values, log_p), droplet, levels,
+                    solution.beta)
 
     return _sorted_unique(entries, solution.largest_discarded_probability,
                           solution.beta, solution.parameters)
 
 
+def _expand(entries: list, carrier, droplet: Droplet, levels, beta: float):
+    """Append ``droplet`` applied to ``carrier`` (energy, values, log_p),
+    then its sub-droplets, ``levels`` deep. Not a closure: a recursive
+    closure's cycle would keep ``entries`` alive after the call."""
+    if levels < 1:
+        return
+    energy, values, log_p = carrier
+    flipped = (energy + droplet.delta_energy,
+               _apply_flips(values, droplet.flips),
+               log_p - beta * droplet.delta_energy)
+    entries.append(flipped + (tuple(droplet.sub_droplets),))
+    for sub in droplet.sub_droplets:
+        _expand(entries, flipped, sub, levels - 1, beta)
+
+
 def merge_solutions(solutions: Sequence[Solution]) -> Solution:
-    """Combine per-transform runs: sort by energy, deduplicate by state."""
+    """Combine per-transform runs: sort by energy, deduplicate by state.
+    The first run's parameters name every run's transform, in order."""
     if not solutions:
         raise DimensionError("nothing to merge")
     entries = []
     for sol in solutions:
         entries.extend(zip(sol.energies, sol.states, sol.log_probabilities,
                            sol.droplets))
+    parameters = dict(solutions[0].parameters, transforms=[
+        s.parameters.get("transform") for s in solutions])
+    parameters.pop("transform", None)
     return _sorted_unique(entries,
                           max(s.largest_discarded_probability for s in solutions),
-                          solutions[0].beta, solutions[0].parameters)
+                          solutions[0].beta, parameters)

@@ -1,5 +1,6 @@
 """Parsers and JSON output."""
 
+import gc
 import io
 import json
 
@@ -184,6 +185,20 @@ class TestWriteSolution:
         (sub,) = entry["sub_droplets"]
         assert table[sub] == {"delta_energy": 0.25, "flips": {"1": 2},
                               "sub_droplets": []}
+
+    def test_leaves_no_reference_cycle(self):
+        # the tables must be freed on return, not at the next cyclic
+        # collection, or they pile up between collections
+        d = Droplet(flips=((3, 2),), delta_energy=0.5,
+                    sub_droplets=(Droplet(flips=((1, 2),), delta_energy=0.25),))
+        sol = _tiny_solution([(d,), (d,)])
+        gc.collect()
+        gc.disable()
+        try:
+            write_solution(sol, io.StringIO())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_write_to_stream_and_path(self, tmp_path):
         sol = _tiny_solution([(), ()])

@@ -1,7 +1,10 @@
 """Branch-and-bound: boundaries, merging, droplets, pruning, full runs."""
 
+import gc
 import itertools
+import logging
 import math
+import re
 from collections import namedtuple
 from dataclasses import replace
 
@@ -21,6 +24,7 @@ from kingspeps import (ALL_TRANSFORMS, Branches, ContractionParams, Droplet,
 from kingspeps import search as search_module
 from kingspeps.errors import InvalidIndexError, UnsupportedError
 from conftest import random_clustered, random_potts
+from test_golden_search import _ragged_potts
 
 
 class TestBoundarySites:
@@ -55,6 +59,16 @@ class TestBoundarySites:
                     break
         assert set(boundary_sites((m, n), k)) == expected
         assert boundary_sites((m, n), k) == sorted(boundary_sites((m, n), k))
+
+
+class TestShedsBoundary:
+    def test_matches_boundary_difference(self):
+        from kingspeps.search import _sheds_boundary
+        for m, n in itertools.product(range(1, 7), repeat=2):
+            for k in range(1, m * n + 1):
+                before = set(boundary_sites((m, n), k - 1)) if k > 1 else set()
+                left = before - set(boundary_sites((m, n), k))
+                assert _sheds_boundary((m, n), k) == bool(left), (m, n, k)
 
 
 # One branch as the tests state it; populations are built from and read
@@ -92,8 +106,13 @@ def _grown(net, envs, row):
                    energy=np.array([row.energy]))
 
 
+# prunes nothing, so a merge's survivors all come back, most probable first
+_KEEP_ALL = SearchParams(max_states=10**6, cut_off_prob=0.0)
+
+
 def _merge(rows, k, dims, dp):
-    return _rows(merge_and_collect(_population(rows), k, dims, dp))
+    return _rows(merge_and_collect(_population(rows), k, dims, dp,
+                                   _KEEP_ALL)[0])
 
 
 def _prune(rows, sp, **kwargs):
@@ -301,6 +320,21 @@ def _reference_merge(states, k, dims, dp):
     return survivors, [droplets[i] for i in survivors]
 
 
+def _reference_prune(states, survivors, sp):
+    """Python form of the prune rule over ``survivors``: the kept ones,
+    most probable first with ties by rank then by input order, and the
+    largest log probability among the rest."""
+    log_p, rank = states.log_probability.tolist(), states.rank.tolist()
+    ranked = sorted(survivors, key=lambda i: (-log_p[i], rank[i]))
+    keep = len(ranked)
+    if sp.cut_off_prob > 0.0:
+        threshold = log_p[ranked[0]] + math.log(sp.cut_off_prob)
+        keep = max(1, sum(log_p[i] >= threshold for i in ranked))
+    keep = min(keep, sp.max_states)
+    return ranked[:keep], max((log_p[i] for i in ranked[keep:]),
+                              default=-math.inf)
+
+
 @st.composite
 def _merge_cases(draw):
     """A population at step ``k`` of a small grid: few boundary patterns
@@ -352,19 +386,68 @@ def _merge_cases(draw):
 
 
 class TestMergeEquivalence:
+    @staticmethod
+    def _check(states, k, dims, dp, sp, largest_discarded=-math.inf):
+        """``merge_and_collect`` equals the per-candidate merge loop
+        followed by the prune rule."""
+        merged, discarded = merge_and_collect(states, k, dims, dp, sp,
+                                              largest_discarded)
+        survivors, droplets = _reference_merge(states, k, dims, dp)
+        kept, reference_discarded = _reference_prune(states, survivors, sp)
+        droplets_of = dict(zip(survivors, droplets))
+        assert merged.values.dtype == states.values.dtype
+        assert merged.values.tolist() == states.values[kept].tolist()
+        assert merged.energy.tolist() == states.energy[kept].tolist()
+        assert merged.rank.tolist() == states.rank[kept].tolist()
+        assert merged.log_probability.tolist() == \
+            states.log_probability[kept].tolist()
+        assert repr(list(merged.droplets)) == \
+            repr([droplets_of[i] for i in kept])
+        assert discarded == max(largest_discarded, reference_discarded)
+
     @settings(max_examples=200, deadline=None)
     @given(_merge_cases())
     def test_matches_per_candidate_loop(self, case):
-        states, k, dims, dp = case
-        merged = merge_and_collect(states, k, dims, dp)
-        survivors, droplets = _reference_merge(states, k, dims, dp)
-        assert merged.values.dtype == states.values.dtype
-        assert merged.values.tolist() == states.values[survivors].tolist()
-        assert merged.energy.tolist() == states.energy[survivors].tolist()
-        assert merged.rank.tolist() == states.rank[survivors].tolist()
-        assert merged.log_probability.tolist() == \
-            states.log_probability[survivors].tolist()
-        assert repr(list(merged.droplets)) == repr(droplets)
+        self._check(*case, _KEEP_ALL)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_merge_cases(), st.data())
+    def test_matches_per_candidate_loop_then_prune(self, case, data):
+        states = case[0]
+        sp = SearchParams(
+            max_states=data.draw(st.integers(1, len(states))),
+            cut_off_prob=data.draw(st.sampled_from([0.0, 1e-4, 0.5])))
+        self._check(*case, sp, data.draw(st.sampled_from([-math.inf, -3.0])))
+
+    def test_pruned_carrier_collects_nothing(self, monkeypatch):
+        batches, built = [], []
+        clashes, droplet = search_module._clashes, search_module.Droplet
+
+        def counted_clashes(values, others, *args):
+            batches.append(others.tolist())
+            return clashes(values, others, *args)
+
+        def counted_droplet(*args):
+            built.append(args)
+            return droplet(*args)
+
+        monkeypatch.setattr(search_module, "_clashes", counted_clashes)
+        monkeypatch.setattr(search_module, "Droplet", counted_droplet)
+        # 3x3 at k=5: site 1 is bulk, so each pair below forms one group
+        states = _population([
+            _mk((1, 1, 1, 1, 1), -2.0, log_p=-0.1),  # kept carrier
+            _mk((2, 1, 1, 1, 1), -1.5, log_p=-0.2),  # its candidate
+            _mk((1, 2, 1, 1, 1), -2.0, log_p=-3.0),  # pruned carrier
+            _mk((2, 2, 1, 1, 1), -1.0, log_p=-0.3),  # its candidate
+        ])
+        merged, discarded = merge_and_collect(
+            states, 5, (3, 3), DropletParams(energy_cutoff=5.0,
+                                             hamming_cutoff=2),
+            SearchParams(max_states=1, cut_off_prob=0.0))
+        assert merged.values.tolist() == [[1, 1, 1, 1, 1]]
+        assert discarded == -3.0
+        assert batches == [[1]]
+        assert len(built) == 1
 
 
 class TestDistances:
@@ -610,6 +693,53 @@ def _distinct(droplets) -> dict:
     return seen
 
 
+class TestMergeSkip:
+    """Merging only where a site leaves the boundary changes nothing."""
+
+    @pytest.mark.parametrize("case", [
+        ("1x5", lambda: random_clustered(1, 5, 2, seed=51)[1], "spin"),
+        ("5x1", lambda: random_clustered(5, 1, 2, seed=15)[1], "spin"),
+        ("3x3x2", lambda: random_clustered(3, 3, 2, seed=33)[1], "spin"),
+        ("4x4x2", lambda: random_clustered(4, 4, 2, seed=44)[1], "spin"),
+        ("ragged3x4", lambda: _ragged_potts(3, 4, seed=34), "potts"),
+    ], ids=lambda case: case[0])
+    def test_equals_merging_at_every_step(self, case, monkeypatch):
+        _, model, mode = case
+        h = model()
+
+        def solve():
+            return low_energy_spectrum(
+                h, ALL_TRANSFORMS[0],
+                ContractionParams(bond_dim=8, num_sweeps=1, beta=2.0),
+                SearchParams(max_states=12, cut_off_prob=1e-4),
+                DropletParams(energy_cutoff=4.0, hamming_cutoff=2, mode=mode))
+
+        skipping = solve()
+        monkeypatch.setattr(search_module, "_sheds_boundary",
+                            lambda dims, k: True)
+        every = solve()
+        assert skipping.states == every.states
+        assert skipping.energies == every.energies
+        assert skipping.log_probabilities == every.log_probabilities
+        assert repr(skipping.droplets) == repr(every.droplets)
+        assert skipping.largest_discarded_probability == \
+            every.largest_discarded_probability
+        assert any(skipping.droplets)
+        assert skipping.largest_discarded_probability > 0
+
+    def test_row_log_counts_merge_steps(self, caplog):
+        _, h = random_clustered(3, 3, 2, seed=33)
+        with caplog.at_level(logging.DEBUG, logger="kingspeps.search"):
+            _solve(h)
+        counts = [re.search(r"^row (\d)/3: .*merged at (\d) of 3 steps$",
+                            r.getMessage()) for r in caplog.records
+                  if r.getMessage().startswith("row ")]
+        # row 1 sheds no site; row 2 sheds at columns 2, 3; row 3 at
+        # column 2, its last step never merges
+        assert [m.groups() for m in counts] == [("1", "0"), ("2", "2"),
+                                                ("3", "1")]
+
+
 class TestFinalize:
     def test_remaps_each_shared_droplet_once(self, monkeypatch):
         last = {}
@@ -654,6 +784,23 @@ class TestUnpackDroplets:
         for state, energy in zip(unpacked.states, unpacked.energies):
             assert energy == pytest.approx(potts_energy(h, state), rel=1e-9)
 
+    def test_leaves_no_reference_cycle(self):
+        # the expanded entries must be freed on return, not at the next
+        # cyclic collection
+        inner = Droplet(flips=((1, 2),), delta_energy=0.25)
+        d = Droplet(flips=((2, 2),), delta_energy=0.5, sub_droplets=(inner,))
+        sol = search_module.Solution(
+            states=[(1, 1)], energies=[0.0], log_probabilities=[-1.0],
+            droplets=[(d,)], largest_discarded_probability=0.0, beta=1.0)
+        gc.collect()
+        gc.disable()
+        try:
+            unpacked = unpack_droplets(sol, max_depth=None)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert unpacked.states == [(1, 1), (1, 2), (2, 2)]
+
     def test_deduplicates(self):
         base = (1, 1, 1, 1)
         d = Droplet(flips=((2, 2),), delta_energy=0.0)
@@ -694,3 +841,11 @@ class TestMergeSolutions:
         assert merged.energies == sorted(merged.energies)
         assert len(set(merged.states)) == len(merged.states)
         assert merged.best_energy == min(s.best_energy for s in sols)
+
+    def test_parameters_name_every_transform(self):
+        _, h = random_clustered(2, 2, 1, seed=22)
+        sols = [_solve(h, tr) for tr in ALL_TRANSFORMS[:2]]
+        parameters = merge_solutions(sols).parameters
+        assert parameters["transforms"] == ["r0", "r90"]
+        assert "transform" not in parameters
+        assert sols[0].parameters["transform"] == "r0"
