@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, SolverError
+from .errors import NumericError, SolverError, TransformDisagreementError
 from .instance_io import (droplet_table, generate_instance, parse_ising,
                           parse_potts, write_solution)
 from .peps import ALL_TRANSFORMS, LatticeTransform
@@ -66,6 +66,22 @@ def _log_droplets(solution, written: int) -> None:
                 len(table), written)
 
 
+def _check_transforms(best_per_transform: dict) -> None:
+    """Raise when a transform's best energy lies above the best one's by
+    more than a relative 1e-6."""
+    energies = best_per_transform.values()
+    best = min(energies)
+    tolerance = 1e-6 * max(1.0, max(abs(e) for e in energies))
+    culprits = [name for name, e in best_per_transform.items()
+                if e - best > tolerance]
+    if culprits:
+        listing = ", ".join(f"{name}={e!r}" for name, e
+                            in best_per_transform.items())
+        raise TransformDisagreementError(
+            f"transform disagreement: best energies {listing}; "
+            f"{', '.join(culprits)} more than {tolerance:g} above the best")
+
+
 def run(args: argparse.Namespace) -> int:
     """Execute one solve from the parsed ``solve`` options; returns the
     process exit code."""
@@ -96,48 +112,20 @@ def run(args: argparse.Namespace) -> int:
                                        hamming_cutoff=args.hamming_cutoff,
                                        mode=mode)
 
-        transforms = _resolve_transforms(args.transforms)
         solutions = []
-        best_per_transform = {}
-        for transform in transforms:
+        for transform in _resolve_transforms(args.transforms):
             sol = low_energy_spectrum(hamiltonian, transform, params,
                                       search_params, droplet_params,
                                       dtype=dtype)
-            best_per_transform[transform.name] = sol.best_energy
             logger.info("transform %-6s best energy % .12g",
                         transform.name, sol.best_energy)
             solutions.append(sol)
 
-        if args.check_transforms:
-            energies = best_per_transform.values()
-            best = min(energies)
-            tolerance = 1e-6 * max(1.0, max(abs(e) for e in energies))
-            culprits = [name for name, e in best_per_transform.items()
-                        if e - best > tolerance]
-            if culprits:
-                listing = ", ".join(f"{name}={e!r}" for name, e
-                                    in best_per_transform.items())
-                print(f"transform disagreement: best energies {listing}; "
-                      f"{', '.join(culprits)} more than {tolerance:g} above "
-                      "the best", file=sys.stderr)
-                return 2
-
         merged = merge_solutions(solutions)
-        merged.parameters = {
-            "format": args.format,
-            "topology": args.topology,
-            "beta": args.beta,
-            "bond_dim": args.bond_dim,
-            "num_sweeps": args.num_sweeps,
-            "max_states": args.max_states,
-            "cut_off_prob": args.cut_off_prob,
-            "energy_cutoff": args.energy_cutoff,
-            "hamming_cutoff": args.hamming_cutoff,
-            "droplet_mode": mode,
-            "transforms": [t.name for t in transforms],
-            "transform_best_energies": best_per_transform,
-            "precision": args.precision,
-        }
+        if args.check_transforms:
+            _check_transforms(merged.parameters["transform_best_energies"])
+        merged.parameters = {"format": args.format, "topology": args.topology,
+                             **merged.parameters}
 
         if args.output:
             written = write_solution(merged, args.output)

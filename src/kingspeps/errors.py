@@ -49,6 +49,10 @@ class NumericError(SolverError):
     """Non-finite values appeared where finite ones are required."""
 
 
+class TransformDisagreementError(NumericError):
+    """Lattice transforms of one model found different best energies."""
+
+
 class DegenerateStateError(NumericError):
     """A boundary state with zero norm cannot be compressed."""
 

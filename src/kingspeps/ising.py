@@ -61,29 +61,10 @@ class IsingGraph:
                         f"fields must have length {self.n_spins}, got {arr.shape}")
                 self.fields = arr.copy()
 
-        # per-spin adjacency, derived from the edge list so the two views
-        # cannot drift apart
-        self._neighbors: list[tuple[int, ...]] = [()] * self.n_spins
-        adj: list[list[int]] = [[] for _ in range(self.n_spins)]
-        for i, j in self.couplings:
-            adj[i - 1].append(j)
-            adj[j - 1].append(i)
-        self._neighbors = [tuple(sorted(a)) for a in adj]
-
     def edges(self) -> Iterable[tuple[Edge, float]]:
         """Edges as ((i, j), J) with i < j, in sorted order."""
         for key in sorted(self.couplings):
             yield key, self.couplings[key]
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        if not 1 <= i <= self.n_spins:
-            raise InvalidIndexError(f"spin {i} outside 1..{self.n_spins}")
-        return self._neighbors[i - 1]
-
-    def field(self, i: int) -> float:
-        if not 1 <= i <= self.n_spins:
-            raise InvalidIndexError(f"spin {i} outside 1..{self.n_spins}")
-        return float(self.fields[i - 1])
 
     def __eq__(self, other):
         if not isinstance(other, IsingGraph):

@@ -53,8 +53,7 @@ class LatticeTransform:
 
     ``code % 4`` counts quarter turns; codes 4..7 additionally flip the
     columns (the flip is applied before the rotation). Together the
-    eight transforms form the symmetry group of the square: composing
-    :meth:`apply` with :meth:`inverse` is the identity on coordinates.
+    eight transforms form the symmetry group of the square.
     """
 
     code: int = 0
@@ -96,26 +95,6 @@ class LatticeTransform:
             return (m + 1 - r, n + 1 - c)
         return (n + 1 - c, r)
 
-    def inverse(self, site, dims):
-        """Map transformed coordinates back; ``dims`` is the original shape."""
-        m, n = dims
-        tm, tn = self.transformed_dims(dims)
-        rt, ct = site
-        if not (1 <= rt <= tm and 1 <= ct <= tn):
-            raise InvalidIndexError(f"site {site} outside {tm}x{tn} grid")
-        k = self.rotations
-        if k == 0:
-            r, c = rt, ct
-        elif k == 1:
-            r, c = m + 1 - ct, rt
-        elif k == 2:
-            r, c = m + 1 - rt, n + 1 - ct
-        else:
-            r, c = ct, n + 1 - rt
-        if self.reflected:
-            c = n + 1 - c
-        return (r, c)
-
 
 ALL_TRANSFORMS = tuple(LatticeTransform(code) for code in range(8))
 
@@ -148,8 +127,11 @@ class PepsNetwork:
         self.back_energy: dict[tuple[tuple[int, int], str], np.ndarray] = {}
         self.back_weight: dict[tuple[tuple[int, int], str], np.ndarray] = {}
 
+        self._original: dict[int, int] = {}  # row-major, 1-based
         for site in hamiltonian.sites():
             ts = transform.apply(site, dims)
+            self._original[self.position(*ts)] = (
+                (site[0] - 1) * hamiltonian.cols + site[1])
             self.site_dims[ts] = hamiltonian.dim(site)
             energy = hamiltonian.node_table(site)
             self.site_energy[ts] = energy
@@ -195,10 +177,7 @@ class PepsNetwork:
 
     def original_position(self, position: int) -> int:
         """Map a transformed linear position to the original frame."""
-        site = self.transform.inverse(
-            self.site_of(position),
-            (self.hamiltonian.rows, self.hamiltonian.cols))
-        return (site[0] - 1) * self.hamiltonian.cols + site[1]
+        return self._original[position]
 
     def __repr__(self):
         return (f"PepsNetwork({self.rows}x{self.cols}, beta={self.beta}, "

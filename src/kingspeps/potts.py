@@ -189,13 +189,6 @@ class PottsHamiltonian:
                 np.array([self._dims.get(site, 1) for site in sites]))
         return self._terms
 
-    @property
-    def n_states(self) -> int:
-        total = 1
-        for site in self.sites():
-            total *= self.dim(site)
-        return total
-
     def __repr__(self):
         return f"PottsHamiltonian({self.rows}x{self.cols}, edges={len(self._edge)})"
 

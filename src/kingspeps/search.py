@@ -537,8 +537,9 @@ def low_energy_spectrum(h: PottsHamiltonian,
     Returns:
         A :class:`Solution` with complete assignments mapped back to
         original coordinates, exact energies sorted ascending, chain
-        log-probabilities, per-state droplets, and the largest discarded
-        probability seen anywhere in the search.
+        log-probabilities, per-state droplets, the largest discarded
+        probability seen anywhere in the search, and the run's settings
+        under ``parameters``.
     """
     params = params or ContractionParams()
     search_params = search_params or SearchParams()
@@ -603,6 +604,7 @@ def low_energy_spectrum(h: PottsHamiltonian,
             "energy_cutoff": droplet_params.energy_cutoff if droplet_params else None,
             "hamming_cutoff": droplet_params.hamming_cutoff if droplet_params else None,
             "droplet_mode": droplet_params.mode if droplet_params else None,
+            "precision": np.dtype(dtype).name,
         },
     )
 
@@ -669,15 +671,19 @@ def _expand(entries: list, carrier, droplet: Droplet, levels, beta: float):
 
 def merge_solutions(solutions: Sequence[Solution]) -> Solution:
     """Combine per-transform runs: sort by energy, deduplicate by state.
-    The first run's parameters name every run's transform, in order."""
+    The first run's parameters name every run's transform, in order,
+    and map each transform's name to its run's best energy."""
     if not solutions:
         raise DimensionError("nothing to merge")
     entries = []
     for sol in solutions:
         entries.extend(zip(sol.energies, sol.states, sol.log_probabilities,
                            sol.droplets))
-    parameters = dict(solutions[0].parameters, transforms=[
-        s.parameters.get("transform") for s in solutions])
+    names = [s.parameters.get("transform") for s in solutions]
+    parameters = dict(solutions[0].parameters, transforms=names,
+                      transform_best_energies={
+                          name: s.best_energy
+                          for name, s in zip(names, solutions)})
     parameters.pop("transform", None)
     return _sorted_unique(entries,
                           max(s.largest_discarded_probability for s in solutions),

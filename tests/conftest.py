@@ -9,9 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from kingspeps import (BoundaryMps, ClusterTopology, IsingGraph,
-                       PottsHamiltonian, cluster, generate_instance,
-                       parse_ising)
+from kingspeps import ClusterTopology, cluster, generate_instance, parse_ising
+from kingspeps.ising import IsingGraph
+from kingspeps.potts import PottsHamiltonian
+from kingspeps.tensor_core import BoundaryMps
 
 
 def dense_mps_vector(mps: BoundaryMps) -> np.ndarray:

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from kingspeps import (ALL_TRANSFORMS, ClusterTopology, ContractionParams,
-                       DropletParams, SearchParams, bottom_environments,
-                       build_network, cluster, conditional_distribution,
-                       config_energies, contract_network, exact_conditional,
-                       exact_spectrum, generate_instance, low_energy_spectrum,
-                       parse_ising, potts_energy, svd_truncate,
-                       unpack_droplets, compress)
+                       DropletParams, SearchParams, cluster, exact_spectrum,
+                       generate_instance, low_energy_spectrum, parse_ising,
+                       potts_energy, unpack_droplets)
+from kingspeps.oracle import config_energies, exact_conditional
+from kingspeps.peps import (bottom_environments, build_network,
+                            conditional_distribution, contract_network)
+from kingspeps.tensor_core import compress, svd_truncate
 from kingspeps.search import _droplet_distance
 from conftest import random_boundary_mps, random_potts
 

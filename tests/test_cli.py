@@ -13,7 +13,8 @@ import pytest
 
 from kingspeps import (ClusterTopology, cluster, exact_spectrum,
                        generate_instance, parse_ising)
-from kingspeps.cli import _build_parser, main
+from kingspeps.cli import _build_parser, _check_transforms, main
+from kingspeps.errors import NumericError, TransformDisagreementError
 
 
 class TestGenerate:
@@ -260,6 +261,32 @@ class TestSolve:
         assert "r90" in culprits
         assert "r0" not in culprits and "r180f" not in culprits
 
+    def test_check_transforms_raises_typed_error(self):
+        with pytest.raises(TransformDisagreementError) as info:
+            _check_transforms({"r0": -2.0, "r90": -1.0, "r180": -2.0})
+        assert isinstance(info.value, NumericError)
+        assert str(info.value).endswith("r90 more than 2e-06 above the best")
+
+    def test_parameters_echo_pinned(self, tmp_path):
+        # every key and value of one fixed run, as first recorded
+        path = tmp_path / "instance.txt"
+        path.write_text(generate_instance(2, 3, 2, seed=5))
+        out = tmp_path / "sol.json"
+        assert main(["solve", str(path), "--topology", "2", "3", "2",
+                     "--beta", "1.5", "--bond-dim", "8", "--num-sweeps", "2",
+                     "--max-states", "64", "--cut-off-prob", "1e-3",
+                     "--energy-cutoff", "4", "--hamming-cutoff", "2",
+                     "--droplet-mode", "potts", "--transforms", "r90f,r0",
+                     "--precision", "float32", "-o", str(out)]) == 0
+        best = -14.080235227014398
+        assert json.loads(out.read_text())["parameters"] == {
+            "format": "ising", "topology": [2, 3, 2], "beta": 1.5,
+            "bond_dim": 8, "num_sweeps": 2, "max_states": 64,
+            "cut_off_prob": 0.001, "energy_cutoff": 4.0, "hamming_cutoff": 2,
+            "droplet_mode": "potts", "transforms": ["r90f", "r0"],
+            "transform_best_energies": {"r90f": best, "r0": best},
+            "precision": "float32"}
+
     def test_run_config_direct(self, tmp_path):
         path = _write_instance(tmp_path, rows=2, cols=3)
         out = tmp_path / "direct.json"
@@ -288,6 +315,6 @@ class TestPottsFormat:
                      "--beta", "1.0", "--transforms", "r0", "-o", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        from kingspeps import parse_potts
+        from kingspeps.instance_io import parse_potts
         spec = exact_spectrum(parse_potts(path.read_text()))
         assert doc["best_energy"] == pytest.approx(spec.min_energy, rel=1e-9)

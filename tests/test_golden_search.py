@@ -20,9 +20,10 @@ import numpy as np
 import pytest
 
 from kingspeps import (ALL_TRANSFORMS, ClusterTopology, ContractionParams,
-                       DropletParams, PottsHamiltonian, SearchParams, cluster,
+                       DropletParams, SearchParams, cluster,
                        generate_instance, low_energy_spectrum, merge_solutions,
                        parse_ising, unpack_droplets)
+from kingspeps.potts import PottsHamiltonian
 
 GOLDEN_PATH = Path(__file__).with_name("golden_search.json")
 

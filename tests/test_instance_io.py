@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kingspeps import (ALL_TRANSFORMS, ContractionParams, DropletParams,
-                       IsingGraph, SearchParams, low_energy_spectrum,
-                       merge_solutions, parse_ising, parse_potts,
-                       serialize_ising, solution_to_dict, write_solution)
+                       SearchParams, low_energy_spectrum, merge_solutions,
+                       parse_ising, write_solution)
+from kingspeps.instance_io import (parse_potts, serialize_ising,
+                                   solution_to_dict)
+from kingspeps.ising import IsingGraph
 from kingspeps.errors import (DuplicateEntryError, GeometryError,
                               InvalidIndexError, ParseError)
 from kingspeps.search import Droplet, Solution
@@ -150,7 +152,7 @@ class TestParsePotts:
     def test_all_edges_king_adjacent(self):
         h = parse_potts("P 2 2\ne 1 1 2 2 1 1 1.0\ne 1 2 2 1 1 1 1.0\n"
                         "e 1 1 1 2 1 1 1.0\ne 2 1 2 2 1 1 1.0")
-        from kingspeps import king_adjacent
+        from kingspeps.potts import king_adjacent
         for (a, b), _ in h.edge_tables():
             assert king_adjacent(a, b)
 
@@ -210,6 +212,25 @@ class TestWriteSolution:
         write_solution(sol, str(path))
         assert json.loads(path.read_text())["best_energy"] == -1.0
         assert "generated_at" in parsed
+
+    def test_python_api_records_the_run(self):
+        # the echo the CLI writes, apart from its own format and topology
+        _, h = random_clustered(2, 2, 1, seed=22)
+        sols = [low_energy_spectrum(
+                    h, tr, ContractionParams(bond_dim=4, beta=1.5),
+                    SearchParams(max_states=16),
+                    DropletParams(energy_cutoff=2.0, hamming_cutoff=1,
+                                  mode="potts"), dtype=np.float32)
+                for tr in ALL_TRANSFORMS[1:3]]
+        buf = io.StringIO()
+        write_solution(merge_solutions(sols), buf)
+        assert json.loads(buf.getvalue())["parameters"] == {
+            "beta": 1.5, "bond_dim": 4, "num_sweeps": 1, "max_states": 16,
+            "cut_off_prob": 1e-4, "energy_cutoff": 2.0, "hamming_cutoff": 1,
+            "droplet_mode": "potts", "precision": "float32",
+            "transforms": ["r90", "r180"],
+            "transform_best_energies": {"r90": sols[0].best_energy,
+                                        "r180": sols[1].best_energy}}
 
 
 def _nested(droplet) -> dict:

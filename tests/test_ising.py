@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kingspeps import IsingGraph, ising_energy
+from kingspeps.ising import IsingGraph, ising_energy
 from kingspeps.errors import (DimensionError, DuplicateEntryError,
                               InvalidIndexError)
 
@@ -52,14 +52,6 @@ def test_constructor_rejects_duplicates_after_normalization():
 def test_constructor_rejects_self_edge():
     with pytest.raises(InvalidIndexError):
         IsingGraph(2, {(1, 1): 1.0})
-
-
-def test_neighbors_consistent_with_edges():
-    g = IsingGraph(4, {(1, 2): 1.0, (2, 4): -1.0, (1, 3): 0.5})
-    assert g.neighbors(2) == (1, 4)
-    assert g.neighbors(3) == (1,)
-    for (i, j), _ in g.edges():
-        assert j in g.neighbors(i) and i in g.neighbors(j)
 
 
 @settings(max_examples=50, deadline=None)

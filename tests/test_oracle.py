@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from kingspeps import (ALL_TRANSFORMS, IsingGraph, PottsHamiltonian,
-                       ClusterTopology, cluster, config_energies,
-                       exact_conditional, exact_spectrum, potts_energy)
+from kingspeps import (ALL_TRANSFORMS, ClusterTopology, cluster,
+                       exact_spectrum, potts_energy)
+from kingspeps.ising import IsingGraph
+from kingspeps.oracle import config_energies, exact_conditional
+from kingspeps.potts import PottsHamiltonian
 from kingspeps.errors import DimensionError, TooLargeError
 from kingspeps.oracle import _enumerate_configs
 from conftest import random_clustered, random_potts

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kingspeps import (ClusterTopology, IsingGraph, PottsHamiltonian, cluster,
-                       cluster_spin_values, decode, encode, generate_instance,
-                       ising_energy, parse_ising, potts_energy)
+from kingspeps import (ClusterTopology, cluster, generate_instance,
+                       parse_ising, potts_energy)
+from kingspeps.ising import IsingGraph, ising_energy
+from kingspeps.potts import (PottsHamiltonian, cluster_spin_values, decode,
+                             encode)
 from kingspeps.errors import (DimensionError, GeometryError,
                               InvalidIndexError, UnsupportedError)
 from kingspeps.potts import potts_energies

@@ -13,14 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kingspeps import (ALL_TRANSFORMS, Branches, ContractionParams, Droplet,
-                       DropletParams, IsingGraph,
-                       PottsHamiltonian, SearchParams,
-                       bottom_environments, boundary_sites, branch,
-                       build_network, cluster,
-                       ClusterTopology, decode, exact_spectrum, ising_energy,
-                       low_energy_spectrum, merge_and_collect,
-                       merge_solutions, potts_energy, prune, unpack_droplets)
+from kingspeps import (ALL_TRANSFORMS, ContractionParams, DropletParams,
+                       SearchParams, exact_spectrum, low_energy_spectrum,
+                       merge_solutions, potts_energy, unpack_droplets)
+from kingspeps.peps import bottom_environments, build_network
+from kingspeps.potts import PottsHamiltonian
+from kingspeps.search import (Branches, Droplet, boundary_sites, branch,
+                              merge_and_collect, prune)
 from kingspeps import search as search_module
 from kingspeps.errors import InvalidIndexError, UnsupportedError
 from conftest import random_clustered, random_potts

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kingspeps.tensor_core as tensor_core
-from kingspeps import (BoundaryMps, ContractionParams, compress,
-                       left_canonicalize, overlap, svd_truncate)
+from kingspeps import ContractionParams
+from kingspeps.tensor_core import (BoundaryMps, compress, left_canonicalize,
+                                   overlap, svd_truncate)
 from kingspeps.errors import (DegenerateStateError, DimensionError,
                               NumericError)
 from conftest import dense_mps_vector, random_boundary_mps
