@@ -87,29 +87,6 @@ def parse_ising(text) -> IsingGraph:
     return IsingGraph(n_spins, couplings, fields)
 
 
-def serialize_ising(graph: IsingGraph) -> str:
-    """Inverse of :func:`parse_ising`; parsing the output reproduces the graph.
-
-    Couplings come first in sorted order, then nonzero fields. When the
-    largest spin index would otherwise go unmentioned, its (possibly
-    zero) field row is emitted to anchor the spin count.
-    """
-    rows = []
-    mentioned = 0
-    for (i, j), value in graph.edges():
-        rows.append(f"{i} {j} {float(value)!r}")
-        mentioned = max(mentioned, j)
-    for i in range(1, graph.n_spins + 1):
-        h = float(graph.fields[i - 1])
-        if h != 0.0:
-            rows.append(f"{i} {i} {h!r}")
-            mentioned = max(mentioned, i)
-    if graph.n_spins > 0 and mentioned < graph.n_spins:
-        n = graph.n_spins
-        rows.append(f"{n} {n} {float(graph.fields[n - 1])!r}")
-    return "\n".join(rows) + ("\n" if rows else "")
-
-
 def generate_instance(rows: int, cols: int, spins_per_cluster: int,
                       seed: int | None = None, low: float = -1.0,
                       high: float = 1.0, with_fields: bool = False) -> str:

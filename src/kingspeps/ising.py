@@ -1,6 +1,4 @@
-"""In-memory Ising model with exact energy evaluation.
-
-The cost function is
+"""In-memory Ising model. Its cost function is
 
     E(s) = sum_{i<j} J_ij s_i s_j + sum_i h_i s_i,    s_i in {-1, +1},
 
@@ -76,23 +74,3 @@ class IsingGraph:
     def __repr__(self):
         return (f"IsingGraph(n_spins={self.n_spins}, "
                 f"n_couplings={len(self.couplings)})")
-
-
-def ising_energy(graph: IsingGraph, spins: Sequence[int]) -> float:
-    """Energy of a full spin assignment, each edge counted once.
-
-    Args:
-        graph: the model.
-        spins: values in {-1, +1}, one per spin, 1-based order.
-
-    Raises:
-        DimensionError: if the assignment length differs from the spin count.
-    """
-    s = np.asarray(spins, dtype=np.float64)
-    if s.shape != (graph.n_spins,):
-        raise DimensionError(
-            f"assignment has length {s.shape}, expected ({graph.n_spins},)")
-    energy = float(np.dot(graph.fields, s))
-    for (i, j), coupling in graph.couplings.items():
-        energy += coupling * s[i - 1] * s[j - 1]
-    return energy

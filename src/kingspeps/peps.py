@@ -364,8 +364,11 @@ def conditionals(net: PepsNetwork, bottom: BoundaryMps, row: int, col: int,
 
     With ``t = left @ A`` for the column's bottom tensor A, branch b's
     numerator is ``sum_c t[b, s, c] * right[above[b], s, c]`` times its
-    candidate weights; negative truncation noise is clamped to zero and
-    the clamps are logged at DEBUG level with their count and position.
+    candidate weights. A branch whose every numerator is negative is
+    negated (truncation gave the environment the wrong sign for that
+    branch's configuration), then negative noise left on a branch with a
+    positive or zero numerator is clamped to zero; both are logged at
+    DEBUG level with their count and position.
     Returns the (B, d) float64 conditionals and the children's left
     vectors, ``t`` max-normalized per (b, s). Raises
     ContractionDegenerateError when every weight of a branch underflowed.
@@ -382,9 +385,17 @@ def conditionals(net: PepsNetwork, bottom: BoundaryMps, row: int, col: int,
 
     negative = numerator < 0
     if negative.any():
-        logger.debug("clamped %d negative conditional weights at (%d, %d)",
-                     int(negative.sum()), row, col)
-        numerator = np.where(negative, 0.0, numerator)
+        flip = negative.all(axis=1)
+        if flip.any():
+            logger.debug("flipped the sign of %d of %d branches' conditional "
+                         "weights at (%d, %d)", int(flip.sum()), len(flip),
+                         row, col)
+            numerator = np.where(flip[:, None], -numerator, numerator)
+            negative = negative & ~flip[:, None]
+        if negative.any():
+            logger.debug("clamped %d negative conditional weights at (%d, %d)",
+                         int(negative.sum()), row, col)
+            numerator = np.where(negative, 0.0, numerator)
     norm = numerator.sum(axis=1)
     if not np.all((norm > 0) & np.isfinite(norm)):
         raise ContractionDegenerateError(

@@ -22,10 +22,11 @@ rank: a child's is its parent's times d plus s.
 Merging is batched as well. Branches are grouped by one integer key of
 their boundary values, and every distance a droplet candidate must be
 checked against is computed in one pass over flip arrays; Python only
-makes the sequential keep-or-evict decisions and builds the droplets
-that are kept. Droplets are the only Python objects: each branch's
-tuple of them sits in an object array gathered by index like the other
-columns.
+makes the sequential keep-or-evict decisions. The droplets a solve
+records go into one append-only :class:`DropletTable` of flat arrays,
+and each branch holds the tuple of its droplets' ids in an object array
+gathered by index like the other columns. :class:`Droplet` objects are
+built once, at the end, for the droplets the final branches carry.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from itertools import compress
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -106,44 +106,89 @@ class Droplet:
     ``sub_droplets`` are the excitations that were attached to the
     discarded branch when it merged, valid within this droplet's
     context. Droplets form a DAG, not a tree: a sub-droplet is one
-    object shared by every droplet and branch that carries it, so work
+    object shared by every droplet and state that carries it, so work
     over a solve's droplets should visit each object once (memoized by
-    ``id``, as :meth:`remap` and the JSON table do) rather than every
-    path. ``flip_arrays`` holds the flips as arrays for the merge's
-    batched distances; it is cached on first use and is not a field, so
-    it stays out of ``repr``, ``==`` and ``hash``.
+    ``id``, as the JSON table does) rather than every path.
     """
 
     flips: tuple[tuple[int, int], ...]
     delta_energy: float
     sub_droplets: tuple["Droplet", ...] = ()
 
-    @cached_property
-    def flip_arrays(self) -> np.ndarray:
-        """The flips as two integer rows, ``positions, values =
-        droplet.flip_arrays``, with 0-based positions."""
-        out = np.array(list(zip(*self.flips)), dtype=np.intp).reshape(2, -1)
-        out[0] -= 1
-        return out
 
-    def remap(self, position_map, memo: dict) -> "Droplet":
-        """This droplet with every position ``p`` moved to
-        ``position_map[p]``.
+def _put(buffer: np.ndarray, at: int, new) -> np.ndarray:
+    """``buffer`` with ``new`` written from ``at`` on, first grown to
+    twice its size when it is too short."""
+    if at + len(new) > len(buffer):
+        buffer = np.resize(buffer, max(at + len(new), 2 * len(buffer)))
+    buffer[at:at + len(new)] = new
+    return buffer
 
-        ``memo`` maps ``id`` of a droplet already remapped to its image;
-        passing one dict for a whole solve remaps each shared droplet
-        once and keeps the images shared. The droplets it names must
-        stay alive while it is in use, so that no ``id`` is reused.
+
+class DropletTable:
+    """A solve's droplets, append-only, each named by its row, its id.
+
+    Droplet ``i``'s flips are ``position[offset[i]:offset[i + 1]]``,
+    0-based row-major positions in the transformed frame, with the
+    alternative states ``value[...]`` at them; ``gap[i]`` is its energy
+    above its carrier and ``subs[i]`` its sub-droplets' ids, all smaller
+    than ``i``.
+    """
+
+    def __init__(self):
+        self.position = np.empty(0, dtype=np.intp)
+        self.value = np.empty(0, dtype=np.intp)
+        self.offset = np.zeros(1, dtype=np.intp)
+        self.gap = np.empty(0)
+        self.subs: list[tuple[int, ...]] = []
+
+    def append(self, positions, values, lengths, gaps, subs):
+        """Add droplets, numbered on from ``len(self.subs)``, whose flips
+        lie end to end in ``positions`` and ``values``, ``lengths[j]`` of
+        them for the j-th."""
+        n, m = len(self.subs), self.offset[len(self.subs)]
+        self.position = _put(self.position, m, positions)
+        self.value = _put(self.value, m, values)
+        self.offset = _put(self.offset, n + 1, m + np.cumsum(lengths))
+        self.gap = _put(self.gap, n, gaps)
+        self.subs.extend(subs)
+
+    def flips(self, ids: np.ndarray):
+        """The flips of droplets ``ids`` end to end: positions, values,
+        and each droplet's count of them."""
+        start = self.offset[ids]
+        lengths = self.offset[ids + 1] - start
+        run, at = _spans(lengths)
+        index = start[run] + at
+        return self.position[index], self.value[index], lengths
+
+    def materialize(self, per_branch: list, position_map: np.ndarray) -> list:
+        """Each tuple of ids in ``per_branch`` as a tuple of
+        :class:`Droplet`, with every position p moved to the 1-based
+        ``position_map[p]`` and the flips sorted by it.
+
+        One object is built per id reachable from ``per_branch``,
+        children first, so a shared sub-droplet stays one shared object.
         """
-        image = memo.get(id(self))
-        if image is None:
-            flips = tuple(sorted((position_map[pos], value)
-                                 for pos, value in self.flips))
-            image = Droplet(flips, self.delta_energy,
-                            tuple(s.remap(position_map, memo)
-                                  for s in self.sub_droplets))
-            memo[id(self)] = image
-        return image
+        reached, stack = set(), list(chain.from_iterable(per_branch))
+        while stack:
+            i = stack.pop()
+            if i not in reached:
+                reached.add(i)
+                stack.extend(self.subs[i])
+        ids = np.array(sorted(reached), dtype=np.intp)
+        positions, values, lengths = self.flips(ids)
+        positions = position_map[positions]
+        order = np.lexsort((positions, np.repeat(np.arange(len(ids)), lengths)))
+        flips = list(zip(positions[order].tolist(), values[order].tolist()))
+        built, start = {}, 0
+        # gaps stay numpy floats, as the energies they come from
+        for i, end, gap in zip(ids.tolist(), np.cumsum(lengths).tolist(),
+                               self.gap[ids]):
+            built[i] = Droplet(tuple(flips[start:end]), gap,
+                               tuple([built[s] for s in self.subs[i]]))
+            start = end
+        return [tuple([built[i] for i in t]) for t in per_branch]
 
 
 @dataclass
@@ -156,8 +201,9 @@ class Branches:
     order of the values; ``left``: left vectors in the current row;
     ``above``: each branch's row in ``right``, the current row's right
     tables (None between rows); ``droplets`` (B,): an object array
-    holding each branch's tuple of :class:`Droplet`, so that it is
-    gathered by index like the other columns.
+    holding each branch's tuple of droplet ids in ``table``, the solve's
+    :class:`DropletTable`, so that it is gathered by index like the
+    other columns.
     """
 
     values: np.ndarray
@@ -168,16 +214,18 @@ class Branches:
     above: np.ndarray
     droplets: np.ndarray
     right: list | None = None
+    table: DropletTable | None = None
 
     @classmethod
     def root(cls, net: PepsNetwork) -> "Branches":
-        """The single empty branch every search starts from."""
+        """The single empty branch every search starts from, and its table."""
         value_dtype = np.min_scalar_type(max(net.site_dims.values()))
         return cls(np.zeros((1, 0), dtype=value_dtype), np.zeros(1),
                    np.zeros(1), np.zeros(1, dtype=np.intp),
                    np.ones((1, 1), dtype=net.dtype),
                    np.zeros(1, dtype=np.intp),
-                   np.fromiter([()], dtype=object, count=1))
+                   np.fromiter([()], dtype=object, count=1),
+                   table=DropletTable())
 
     def __len__(self):
         return len(self.values)
@@ -186,7 +234,8 @@ class Branches:
         """The branches at ``index``, in that order."""
         return Branches(self.values[index], self.log_probability[index],
                         self.energy[index], self.rank[index], self.left[index],
-                        self.above[index], self.droplets[index], self.right)
+                        self.above[index], self.droplets[index], self.right,
+                        self.table)
 
 
 @dataclass
@@ -303,34 +352,23 @@ def branch(states: Branches, k: int, net: PepsNetwork,
     values = np.empty((n, d, k), dtype=states.values.dtype)
     values[:, :, :-1] = states.values[:, None, :]
     values[:, :, -1] = np.arange(1, d + 1)
-    rank = np.unique(states.rank, return_inverse=True)[1][:, None] * d + np.arange(d)
+    # ranks are distinct, so their dense ranks are the inverse of a sort
+    dense = np.empty(n, dtype=np.intp)
+    dense[np.argsort(states.rank)] = np.arange(n)
+    rank = dense[:, None] * d + np.arange(d)
     parents = np.repeat(np.arange(n), d)
     return Branches(values.reshape(n * d, k), log_p.reshape(-1),
                     energy.reshape(-1), rank.reshape(-1),
                     lefts.reshape(n * d, -1), states.above[parents],
                     states.droplets[parents],
-                    None if col == net.cols else states.right)
-
-
-def _droplet_distance(a: Droplet, b: Droplet, carrier: tuple[int, ...],
-                      mode: str) -> int:
-    """Hamming distance between the configurations two droplets produce."""
-    flips_a = dict(a.flips)
-    flips_b = dict(b.flips)
-    distance = 0
-    for pos in set(flips_a) | set(flips_b):
-        va = flips_a.get(pos, carrier[pos - 1])
-        vb = flips_b.get(pos, carrier[pos - 1])
-        if mode == "spin":
-            distance += ((va - 1) ^ (vb - 1)).bit_count()
-        elif va != vb:
-            distance += 1
-    return distance
+                    None if col == net.cols else states.right, states.table)
 
 
 def _elementwise_distance(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
     """Distance between each value of ``a`` and the matching one of
-    ``b``, as :func:`_droplet_distance` counts it at one position."""
+    ``b``: 1 where they differ ("potts"), or the number of spins their
+    states set differently ("spin", a state's spins being the bits of
+    its index minus one)."""
     if mode == "potts":
         return (a != b).astype(np.intp)
     diff = np.ascontiguousarray((a - 1) ^ (b - 1))
@@ -346,36 +384,36 @@ def _spans(lengths: np.ndarray):
 
 
 def _clashes(values, others, carriers, rows, cols, flipped, run, run_start,
-             attached, mode, cutoff):
+             counts, held, mode, cutoff):
     """Candidate-reference pairs closer than ``cutoff``, by candidate.
 
     Candidate ``i`` is the branch ``others[i]``; its flips against its
     carrier are the entries of ``rows``/``cols``/``flipped`` with
     ``rows == i``. Candidates of one carrier form run ``run[i]``, which
     starts at ``run_start[run[i]]``. A candidate's references are the
-    droplets ``attached[run[i]]`` already on its carrier, numbered
-    first and run by run, then the earlier candidates of its run,
+    ``counts[run[i]]`` droplets already on its carrier, whose flips
+    ``held`` holds run by run as :meth:`DropletTable.flips` returns
+    them, numbered first, then the earlier candidates of its run,
     numbered after them in candidate order. The distance to a reference
     with flips F is d(other, carrier) + the sum over (p, v) in F of
     e(other_p, v) - e(other_p, carrier_p); all pairs go in one batch.
     """
     n = len(others)
-    counts = np.array([len(t) for t in attached], dtype=np.intp)
-    held, first = counts[run], run_start[run]
-    pair_cand, slot = _spans(held + np.arange(n) - first)
+    own, first = counts[run], run_start[run]
+    pair_cand, slot = _spans(own + np.arange(n) - first)
     if not len(pair_cand):
         return pair_cand, pair_cand
-    own = held[pair_cand]
+    own = own[pair_cand]
     held_before = (np.cumsum(counts) - counts)[run]
     pair_ref = np.where(slot < own, held_before[pair_cand] + slot,
                         counts.sum() + first[pair_cand] + slot - own)
 
-    old = [d.flip_arrays for t in attached for d in t]
-    flips = np.concatenate(old + [np.stack((cols, flipped))], axis=1)
-    lengths = np.concatenate([[f.shape[1] for f in old],
-                              np.bincount(rows, minlength=n)]).astype(np.intp)
+    held_positions, held_values, held_lengths = held
+    lengths = np.concatenate((held_lengths, np.bincount(rows, minlength=n)))
     pair, offset = _spans(lengths[pair_ref])
-    pos, value = flips[:, (np.cumsum(lengths) - lengths)[pair_ref][pair] + offset]
+    at = (np.cumsum(lengths) - lengths)[pair_ref][pair] + offset
+    pos = np.concatenate((held_positions, cols))[at]
+    value = np.concatenate((held_values, flipped))[at]
     cand = pair_cand[pair]
     other = values[others[cand], pos]
     # e(other_p, v) and e(other_p, carrier_p) per reference flip, then
@@ -408,11 +446,12 @@ def merge_and_collect(states: Branches, k: int, dims, dp: DropletParams,
     Survivors are pruned before any droplet work, since a droplet dies
     with its carrier and merging changes no probability or rank. Flips
     and every distance a candidate needs (to the droplets its survivor
-    carries and to its survivor's earlier candidates) are computed in
-    batches. Python runs only the sequential keep-or-evict decision,
-    over the candidates with a clash, and builds a :class:`Droplet` for
-    each candidate that is kept. Returns what :func:`prune` returns.
+    carries, read from the table, and to its survivor's earlier
+    candidates) are computed in batches. Python runs only the sequential keep-or-evict decision,
+    over the candidates with a clash; the kept candidates are appended
+    to the table in one batch. Returns what :func:`prune` returns.
     """
+    table = states.table
     positions = [(r - 1) * dims[1] + c - 1 for r, c in boundary_sites(dims, k)]
     group = _row_keys(states.values[:, positions])
     order = np.lexsort((states.rank, states.energy, group))
@@ -442,21 +481,23 @@ def merge_and_collect(states: Branches, k: int, dims, dp: DropletParams,
     flipped = states.values[others[rows], cols]
     new_run = np.ones(len(others), dtype=bool)
     new_run[1:] = carriers[1:] != carriers[:-1]
-    run_start = np.flatnonzero(new_run)
+    run, run_start = np.cumsum(new_run) - 1, np.flatnonzero(new_run)
     attached = states.droplets[carriers[run_start]].tolist()
+    counts = np.fromiter(map(len, attached), dtype=np.intp, count=len(attached))
+    held = np.fromiter(chain.from_iterable(attached), dtype=np.intp,
+                       count=counts.sum())
 
     # kept[r]: whether reference r still stands; references are the
     # attached droplets, run by run, then the candidates
-    held = sum(map(len, attached))
-    kept = [True] * (held + len(others))
+    kept = [True] * (len(held) + len(others))
     if dp.hamming_cutoff > 0:
-        delta = [d.delta_energy for t in attached for d in t] + gaps.tolist()
+        delta = table.gap[held].tolist() + gaps.tolist()
         clashing = {}
         for i, r in zip(*(a.tolist() for a in _clashes(
-                states.values, others, carriers, rows, cols, flipped,
-                np.cumsum(new_run) - 1, run_start, attached, dp.mode,
+                states.values, others, carriers, rows, cols, flipped, run,
+                run_start, counts, table.flips(held), dp.mode,
                 dp.hamming_cutoff))):
-            clashing.setdefault(held + i, []).append(r)
+            clashing.setdefault(len(held) + i, []).append(r)
         for me, refs in clashing.items():
             refs = [r for r in refs if kept[r]]
             if any(delta[r] <= delta[me] for r in refs):
@@ -465,18 +506,18 @@ def merge_and_collect(states: Branches, k: int, dims, dp: DropletParams,
                 for r in refs:
                     kept[r] = False
 
-    droplets = states.droplets.copy()
-    if not all(kept[:held]):  # drop the evicted attached droplets
-        keep = iter(kept[:held])
-        for carrier, old in zip(carriers[run_start].tolist(), attached):
-            droplets[carrier] = tuple([d for d in old if next(keep)])
-    bounds = np.searchsorted(rows, np.arange(len(others) + 1)).tolist()
-    flips = list(zip((cols + 1).tolist(), flipped.tolist()))
-    subs = states.droplets[others].tolist()
-    # gaps stay numpy floats, as the energies they come from
-    for i, carrier in compress(enumerate(carriers.tolist()), kept[held:]):
-        droplets[carrier] += (Droplet(tuple(flips[bounds[i]:bounds[i + 1]]),
-                                      gaps[i], subs[i]),)
+    new, start = np.array(kept[len(held):], dtype=bool), len(table.subs)
+    table.append(cols[new[rows]], flipped[new[rows]],
+                 np.bincount(rows, minlength=len(others))[new], gaps[new],
+                 states.droplets[others[new]].tolist())
+    # each run's kept candidates took the next ids, in candidate order
+    stops = start + np.cumsum(np.bincount(run[new], minlength=len(attached)))
+    droplets, keep = states.droplets.copy(), iter(kept)
+    for carrier, old, stop in zip(carriers[run_start].tolist(), attached,
+                                  stops.tolist()):
+        droplets[carrier] = (tuple([d for d in old if next(keep)])
+                             + tuple(range(start, stop)))
+        start = stop
     return replace(states, droplets=droplets).take(survivors), largest_discarded
 
 
@@ -577,20 +618,21 @@ def low_energy_spectrum(h: PottsHamiltonian,
                              len(_distinct_rows(above)[0]), merges, net.cols)
             merges = 0
 
-    position_map = {p: net.original_position(p) for p in range(1, total + 1)}
+    # 0-based transformed position -> 1-based original position
+    position_map = np.array([net.original_position(p)
+                             for p in range(1, total + 1)], dtype=np.intp)
     original = np.empty_like(states.values)
-    original[:, [position_map[p] - 1 for p in range(1, total + 1)]] = states.values
+    original[:, position_map - 1] = states.values
     energies = potts_energies(h, original)
     # by energy, then values: the last lexsort key is the primary one
     order = np.lexsort(tuple(original.T[::-1]) + (energies,))
-    memo = {}
 
     return Solution(
         states=list(map(tuple, original[order].tolist())),
         energies=energies[order].tolist(),
         log_probabilities=states.log_probability[order].tolist(),
-        droplets=[tuple(d.remap(position_map, memo) for d in droplets)
-                  for droplets in states.droplets[order]],
+        droplets=states.table.materialize(states.droplets[order].tolist(),
+                                          position_map),
         largest_discarded_probability=math.exp(largest_discarded)
         if largest_discarded > -math.inf else 0.0,
         beta=params.beta,

@@ -91,20 +91,6 @@ class BoundaryMps:
     def bond_dims(self) -> tuple[int, ...]:
         return tuple(t.shape[2] for t in self.tensors[:-1])
 
-    def normalize_scale(self) -> "BoundaryMps":
-        """Divide each tensor by its largest magnitude, folding the logs
-        into ``log_scale``. The represented vector is unchanged."""
-        out = []
-        log_scale = self.log_scale
-        for t in self.tensors:
-            mx = np.max(np.abs(t))
-            if mx > 0 and mx != 1.0:
-                out.append(t / mx)
-                log_scale += math.log(mx)
-            else:
-                out.append(t)
-        return BoundaryMps(out, log_scale)
-
     def __repr__(self):
         return (f"BoundaryMps(phys={self.phys_dims}, bonds={self.bond_dims}, "
                 f"log_scale={self.log_scale:.3f})")

@@ -10,9 +10,65 @@ import numpy as np
 import pytest
 
 from kingspeps import ClusterTopology, cluster, generate_instance, parse_ising
+from kingspeps.errors import DimensionError
 from kingspeps.ising import IsingGraph
 from kingspeps.potts import PottsHamiltonian
 from kingspeps.tensor_core import BoundaryMps
+
+
+def ising_energy(graph: IsingGraph, spins) -> float:
+    """Energy of a full spin assignment, each edge counted once: the
+    reference the clustered models' energies are checked against.
+
+    Raises:
+        DimensionError: if the assignment length differs from the spin count.
+    """
+    s = np.asarray(spins, dtype=np.float64)
+    if s.shape != (graph.n_spins,):
+        raise DimensionError(
+            f"assignment has length {s.shape}, expected ({graph.n_spins},)")
+    energy = float(np.dot(graph.fields, s))
+    for (i, j), coupling in graph.couplings.items():
+        energy += coupling * s[i - 1] * s[j - 1]
+    return energy
+
+
+def serialize_ising(graph: IsingGraph) -> str:
+    """Inverse of ``parse_ising``; parsing the output reproduces the graph.
+
+    Couplings come first in sorted order, then nonzero fields. When the
+    largest spin index would otherwise go unmentioned, its (possibly
+    zero) field row is emitted to anchor the spin count.
+    """
+    rows = []
+    mentioned = 0
+    for (i, j), value in graph.edges():
+        rows.append(f"{i} {j} {float(value)!r}")
+        mentioned = max(mentioned, j)
+    for i in range(1, graph.n_spins + 1):
+        h = float(graph.fields[i - 1])
+        if h != 0.0:
+            rows.append(f"{i} {i} {h!r}")
+            mentioned = max(mentioned, i)
+    if graph.n_spins > 0 and mentioned < graph.n_spins:
+        n = graph.n_spins
+        rows.append(f"{n} {n} {float(graph.fields[n - 1])!r}")
+    return "\n".join(rows) + ("\n" if rows else "")
+
+
+def normalize_scale(mps: BoundaryMps) -> BoundaryMps:
+    """``mps`` with each tensor divided by its largest magnitude, the logs
+    folded into ``log_scale``. The represented vector is unchanged."""
+    out = []
+    log_scale = mps.log_scale
+    for t in mps.tensors:
+        mx = np.max(np.abs(t))
+        if mx > 0 and mx != 1.0:
+            out.append(t / mx)
+            log_scale += math.log(mx)
+        else:
+            out.append(t)
+    return BoundaryMps(out, log_scale)
 
 
 def dense_mps_vector(mps: BoundaryMps) -> np.ndarray:
@@ -70,6 +126,25 @@ def random_clustered(rows, cols, t, seed):
     """(IsingGraph, clustered PottsHamiltonian) from a generated instance."""
     graph = parse_ising(generate_instance(rows, cols, t, seed=seed))
     return graph, cluster(graph, ClusterTopology(rows, cols, t))
+
+
+def droplet_distance(a, b, carrier, mode: str) -> int:
+    """Hamming distance between the configurations two droplets produce
+    on ``carrier``: differing grid variables ("potts") or differing
+    source spins, a state's spins being the bits of its index minus one
+    ("spin"). The per-pair loop reference for the merge's batched
+    distances."""
+    flips_a = dict(a.flips)
+    flips_b = dict(b.flips)
+    distance = 0
+    for pos in set(flips_a) | set(flips_b):
+        va = flips_a.get(pos, carrier[pos - 1])
+        vb = flips_b.get(pos, carrier[pos - 1])
+        if mode == "spin":
+            distance += ((va - 1) ^ (vb - 1)).bit_count()
+        elif va != vb:
+            distance += 1
+    return distance
 
 
 @pytest.fixture

@@ -19,8 +19,7 @@ from kingspeps.oracle import config_energies, exact_conditional
 from kingspeps.peps import (bottom_environments, build_network,
                             conditional_distribution, contract_network)
 from kingspeps.tensor_core import compress, svd_truncate
-from kingspeps.search import _droplet_distance
-from conftest import random_boundary_mps, random_potts
+from conftest import droplet_distance, random_boundary_mps, random_potts
 
 REFERENCE_PARAMS = ContractionParams(bond_dim=16, num_sweeps=1, beta=2.0)
 REFERENCE_SEARCH = SearchParams(max_states=256, cut_off_prob=1e-4)
@@ -175,7 +174,7 @@ def test_criterion_6_droplet_consistency():
         for state, droplets in zip(sol.states, sol.droplets):
             for a, b in itertools.combinations(droplets, 2):
                 checked_pairs += 1
-                if _droplet_distance(a, b, state, "spin") < 5:
+                if droplet_distance(a, b, state, "spin") < 5:
                     separation_ok = False
     _report(6, "unpacked energies re-evaluate exactly and droplets stay apart",
             energy_ok and separation_ok,

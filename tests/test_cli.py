@@ -202,6 +202,23 @@ class TestSolve:
         assert main(["solve", str(path), "--topology", "1", "2", "1",
                      "--beta", "5"]) == 2
 
+    def test_sign_flipped_environment_solves_every_transform(self, tmp_path,
+                                                             caplog):
+        # at chi=16, r0, r90 and r270f compress row 1's environment of this
+        # instance to about -f: every weight of site (1, 1) is negative
+        path = _write_instance(tmp_path, rows=4, cols=4, t=3, seed=9)
+        out = tmp_path / "sol.json"
+        with caplog.at_level(logging.DEBUG, logger="kingspeps"):
+            assert main(["-vv", "solve", str(path), "--topology", "4", "4",
+                         "3", "--beta", "2", "--bond-dim", "16",
+                         "-o", str(out)]) == 0
+        energies = json.loads(out.read_text())["parameters"][
+            "transform_best_energies"]
+        assert len(energies) == 8
+        flips = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("flipped the sign of ")]
+        assert any(m.endswith(" at (1, 1)") for m in flips), flips
+
     def test_deterministic_output_modulo_timestamp(self, tmp_path):
         path = _write_instance(tmp_path, seed=13)
         outs = []

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 from kingspeps import (ALL_TRANSFORMS, ContractionParams, DropletParams,
                        SearchParams, low_energy_spectrum, merge_solutions,
                        parse_ising, write_solution)
-from kingspeps.instance_io import (parse_potts, serialize_ising,
-                                   solution_to_dict)
+from kingspeps.instance_io import parse_potts, solution_to_dict
 from kingspeps.ising import IsingGraph
 from kingspeps.errors import (DuplicateEntryError, GeometryError,
                               InvalidIndexError, ParseError)
 from kingspeps.search import Droplet, Solution
-from conftest import random_clustered
+from conftest import random_clustered, serialize_ising
 from test_golden_search import CASES, _case_solutions
 
 

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kingspeps.ising import IsingGraph, ising_energy
+from kingspeps.ising import IsingGraph
 from kingspeps.errors import (DimensionError, DuplicateEntryError,
                               InvalidIndexError)
+from conftest import ising_energy
 
 
 def test_field_only():

@@ -18,11 +18,12 @@ from kingspeps.ising import IsingGraph
 from kingspeps.oracle import exact_conditional
 from kingspeps.peps import (LatticeTransform, bottom_environments,
                             build_network, conditional_distribution,
-                            contract_network, row_product)
+                            conditionals, contract_network, right_tables,
+                            row_product)
 from kingspeps.potts import PottsHamiltonian
 from kingspeps.tensor_core import BoundaryMps, overlap
-from conftest import (dense_mps_vector, random_boundary_mps, random_potts,
-                      ragged_potts, random_clustered)
+from conftest import (dense_mps_vector, normalize_scale, random_boundary_mps,
+                      random_potts, ragged_potts, random_clustered)
 
 
 def exact_params(net):
@@ -231,7 +232,7 @@ def reference_row_product(net, row, env):
                  * np.eye(dx, dtype=p.dtype)[:, :, None, None])
         tensors.append(p.reshape(dxl * dyl * e.shape[0], dx, -1))
         dxl, dyl = (dx if carry_x else 1), (dy if carry_y else 1)
-    return BoundaryMps(tensors, env.log_scale).normalize_scale()
+    return normalize_scale(BoundaryMps(tensors, env.log_scale))
 
 
 def assert_same_row_products(net, seed):
@@ -445,6 +446,64 @@ class TestConditionalDistribution:
         clamps = [r.getMessage() for r in caplog.records
                   if r.levelno == logging.DEBUG and "clamped" in r.getMessage()]
         assert clamps == ["clamped 1 negative conditional weights at (2, 1)"]
+
+    def test_sign_flipped_environment_flipped_back_and_logged(self, caplog):
+        h = random_potts(2, 2, 2, seed=17)
+        net = build_network(h, beta=1.0)
+        envs = exact_envs(net)
+        expected = conditional_distribution(net, envs, (1, 2))
+        # doctor row 2's environment into -f, as truncation can give it:
+        # both numerators of site (2, 1) are negative, none positive
+        envs[1].tensors[0] *= -1.0
+        with caplog.at_level(logging.DEBUG, logger="kingspeps.peps"):
+            p = conditional_distribution(net, envs, (1, 2))
+        assert p.tolist() == expected.tolist()
+        lines = [r.getMessage() for r in caplog.records
+                 if r.levelno == logging.DEBUG]
+        assert lines == [
+            "flipped the sign of 1 of 1 branches' conditional weights at (2, 1)"]
+
+    @staticmethod
+    def _two_branches_at_first_site(doctor):
+        # branch 0 sees the exact environment of site (1, 1), branch 1 the
+        # same one with its right table doctored
+        h = random_potts(2, 2, 2, seed=17)
+        net = build_network(h, beta=1.0)
+        bottom = exact_envs(net)[0]
+        values = np.zeros((2, 0), dtype=np.int64)
+        right = right_tables(net, bottom, 1, values[:1])[0]
+        right = np.concatenate([right, doctor(right)])
+        left = np.ones((2, 1), dtype=net.dtype)
+        return conditionals(net, bottom, 1, 1, values, left, right,
+                            np.arange(2))
+
+    def test_branch_flipped_among_positive_siblings(self, caplog):
+        # truncation can give the environment the wrong sign for some
+        # configurations only: every numerator of branch 1 is negative
+        with caplog.at_level(logging.DEBUG, logger="kingspeps.peps"):
+            p, _ = self._two_branches_at_first_site(lambda r: -r)
+        assert p[1].tolist() == p[0].tolist()
+        lines = [r.getMessage() for r in caplog.records
+                 if "conditional weights" in r.getMessage()]
+        assert lines == [
+            "flipped the sign of 1 of 2 branches' conditional weights at (1, 1)"]
+
+    def test_zeros_and_negative_noise_not_flipped(self, caplog):
+        # branch 1's weights underflowed to zero but for one slightly
+        # negative entry: that is noise, not a sign, so it is clamped and
+        # the branch has no weight left
+        def doctor(right):
+            noisy = np.zeros_like(right)
+            noisy[:, 1, :] = -1e-12 * right[:, 1, :]
+            return noisy
+
+        with caplog.at_level(logging.DEBUG, logger="kingspeps.peps"):
+            with pytest.raises(ContractionDegenerateError) as err:
+                self._two_branches_at_first_site(doctor)
+        assert err.value.position == (1, 1)
+        lines = [r.getMessage() for r in caplog.records
+                 if "conditional weights" in r.getMessage()]
+        assert lines == ["clamped 1 negative conditional weights at (1, 1)"]
 
     def test_wrong_number_of_environments_rejected(self):
         h = random_potts(3, 2, 2, seed=18)

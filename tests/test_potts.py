@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from kingspeps import (ClusterTopology, cluster, generate_instance,
                        parse_ising, potts_energy)
-from kingspeps.ising import IsingGraph, ising_energy
+from kingspeps.ising import IsingGraph
 from kingspeps.potts import (PottsHamiltonian, cluster_spin_values, decode,
                              encode)
 from kingspeps.errors import (DimensionError, GeometryError,
                               InvalidIndexError, UnsupportedError)
 from kingspeps.potts import potts_energies
-from conftest import ragged_potts, random_clustered
+from conftest import ising_energy, ragged_potts, random_clustered
 
 
 class TestClusterMapping:

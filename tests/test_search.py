@@ -18,11 +18,11 @@ from kingspeps import (ALL_TRANSFORMS, ContractionParams, DropletParams,
                        merge_solutions, potts_energy, unpack_droplets)
 from kingspeps.peps import bottom_environments, build_network
 from kingspeps.potts import PottsHamiltonian
-from kingspeps.search import (Branches, Droplet, boundary_sites, branch,
-                              merge_and_collect, prune)
+from kingspeps.search import (Branches, Droplet, DropletTable, boundary_sites,
+                              branch, merge_and_collect, prune)
 from kingspeps import search as search_module
 from kingspeps.errors import InvalidIndexError, UnsupportedError
-from conftest import random_clustered, random_potts
+from conftest import droplet_distance, random_clustered, random_potts
 from test_golden_search import _ragged_potts
 
 
@@ -75,23 +75,45 @@ class TestShedsBoundary:
 _Row = namedtuple("_Row", "values log_probability energy droplets")
 
 
+def _load(table, droplet, ids):
+    """``droplet``'s id in ``table``, appended (sub-droplets first) when
+    ``ids``, a dict by object ``id``, does not hold it yet."""
+    if id(droplet) not in ids:
+        subs = tuple(_load(table, sub, ids) for sub in droplet.sub_droplets)
+        positions, values = zip(*droplet.flips)
+        ids[id(droplet)] = len(table.subs)
+        table.append(np.array(positions) - 1, values, [len(positions)],
+                     [droplet.delta_energy], [subs])
+    return ids[id(droplet)]
+
+
 def _population(rows):
-    """A population of the given branches (no environment attached)."""
+    """A population of the given branches (no environment attached),
+    their droplets loaded into a new table."""
     values = np.array([r.values for r in rows], dtype=np.int64)
     values = values.reshape(len(rows), -1)
     _, rank = np.unique(values, axis=0, return_inverse=True)
+    table = DropletTable()
+    ids = {}
     return Branches(values, np.array([r.log_probability for r in rows], float),
                     np.array([r.energy for r in rows], float),
                     rank.reshape(-1), np.ones((len(rows), 1)),
                     np.zeros(len(rows), dtype=np.intp),
-                    np.fromiter((tuple(r.droplets) for r in rows), dtype=object,
-                                count=len(rows)))
+                    np.fromiter((tuple(_load(table, d, ids) for d in r.droplets)
+                                 for r in rows), dtype=object, count=len(rows)),
+                    table=table)
+
+
+def _materialized(branches):
+    """Each branch's droplets built from its table, positions as stored."""
+    return branches.table.materialize(branches.droplets.tolist(),
+                                   np.arange(1, branches.values.shape[1] + 1))
 
 
 def _rows(branches):
     return [_Row(tuple(v), lp, e, d) for v, lp, e, d in zip(
         branches.values.tolist(), branches.log_probability.tolist(),
-        branches.energy.tolist(), branches.droplets)]
+        branches.energy.tolist(), _materialized(branches))]
 
 
 def _grown(net, envs, row):
@@ -163,6 +185,25 @@ class TestBranch:
             states = branch(states, k, net, envs)
         with pytest.raises(InvalidIndexError):
             branch(states, 5, net, envs)
+
+    def test_dense_ranks_match_unique_along_a_solve(self, monkeypatch):
+        steps, real = [], search_module.branch
+
+        def checked(states, k, net, envs):
+            children = real(states, k, net, envs)
+            d = len(children) // len(states)
+            distinct, dense = np.unique(states.rank, return_inverse=True)
+            assert len(distinct) == len(states)
+            assert children.rank.tolist() == \
+                (dense[:, None] * d + np.arange(d)).reshape(-1).tolist()
+            steps.append(k)
+            return children
+
+        monkeypatch.setattr(search_module, "branch", checked)
+        _, h = random_clustered(4, 4, 2, seed=4200)
+        _solve(h, max_states=64, dp=DropletParams(
+            energy_cutoff=10.0, hamming_cutoff=5, mode="spin"))
+        assert steps == list(range(1, 17))
 
     def test_incremental_energy_matches_oracle(self):
         h = random_potts(3, 3, 2, seed=2)
@@ -281,9 +322,8 @@ class TestMergeAndCollect:
 def _reference_merge(states, k, dims, dp):
     """The per-candidate merge loop the batched one replaced: groups
     sorted by boundary values, every clash tested on full carrier
-    configurations through ``_droplet_distance``. Returns the survivors'
+    configurations through ``droplet_distance``. Returns the survivors'
     indices and their droplets."""
-    from kingspeps.search import _droplet_distance
     positions = [(r - 1) * dims[1] + c - 1 for r, c in boundary_sites(dims, k)]
     values = states.values.tolist()
 
@@ -309,7 +349,7 @@ def _reference_merge(states, k, dims, dp):
             candidate = Droplet(flips, delta, states.droplets[other])
             attached = droplets[carrier]
             if dp.hamming_cutoff > 0 and attached:
-                clash = [_droplet_distance(candidate, d, carrier_values, dp.mode)
+                clash = [droplet_distance(candidate, d, carrier_values, dp.mode)
                          < dp.hamming_cutoff for d in attached]
                 if any(d.delta_energy <= delta
                        for d, c in zip(attached, clash) if c):
@@ -388,10 +428,15 @@ class TestMergeEquivalence:
     @staticmethod
     def _check(states, k, dims, dp, sp, largest_discarded=-math.inf):
         """``merge_and_collect`` equals the per-candidate merge loop
-        followed by the prune rule."""
+        followed by the prune rule. The loop runs on the input's droplets
+        as the table builds them, and the droplets of both are compared
+        as the table builds them."""
+        inputs = np.fromiter(_materialized(states), dtype=object,
+                             count=len(states))
         merged, discarded = merge_and_collect(states, k, dims, dp, sp,
                                               largest_discarded)
-        survivors, droplets = _reference_merge(states, k, dims, dp)
+        survivors, droplets = _reference_merge(
+            replace(states, droplets=inputs), k, dims, dp)
         kept, reference_discarded = _reference_prune(states, survivors, sp)
         droplets_of = dict(zip(survivors, droplets))
         assert merged.values.dtype == states.values.dtype
@@ -400,7 +445,7 @@ class TestMergeEquivalence:
         assert merged.rank.tolist() == states.rank[kept].tolist()
         assert merged.log_probability.tolist() == \
             states.log_probability[kept].tolist()
-        assert repr(list(merged.droplets)) == \
+        assert repr(_materialized(merged)) == \
             repr([droplets_of[i] for i in kept])
         assert discarded == max(largest_discarded, reference_discarded)
 
@@ -419,19 +464,15 @@ class TestMergeEquivalence:
         self._check(*case, sp, data.draw(st.sampled_from([-math.inf, -3.0])))
 
     def test_pruned_carrier_collects_nothing(self, monkeypatch):
-        batches, built = [], []
-        clashes, droplet = search_module._clashes, search_module.Droplet
+        batches = []
+        clashes = search_module._clashes
 
         def counted_clashes(values, others, *args):
             batches.append(others.tolist())
             return clashes(values, others, *args)
 
-        def counted_droplet(*args):
-            built.append(args)
-            return droplet(*args)
-
         monkeypatch.setattr(search_module, "_clashes", counted_clashes)
-        monkeypatch.setattr(search_module, "Droplet", counted_droplet)
+        built = _count_droplets(monkeypatch)
         # 3x3 at k=5: site 1 is bulk, so each pair below forms one group
         states = _population([
             _mk((1, 1, 1, 1, 1), -2.0, log_p=-0.1),  # kept carrier
@@ -446,7 +487,43 @@ class TestMergeEquivalence:
         assert merged.values.tolist() == [[1, 1, 1, 1, 1]]
         assert discarded == -3.0
         assert batches == [[1]]
+        # one row appended to the table, no object built
+        assert len(states.table.subs) == 1
+        assert merged.droplets.tolist() == [(0,)]
+        assert built == []
+
+    def test_pruned_carriers_droplet_never_materialized(self, monkeypatch):
+        built = _count_droplets(monkeypatch)
+        # as above, both carriers kept by the merge and one pruned after
+        states = _population([
+            _mk((1, 1, 1, 1, 1), -2.0, log_p=-0.1),
+            _mk((2, 1, 1, 1, 1), -1.5, log_p=-0.2),
+            _mk((1, 2, 1, 1, 1), -2.0, log_p=-3.0),
+            _mk((2, 2, 1, 1, 1), -1.0, log_p=-0.3),
+        ])
+        merged, _ = merge_and_collect(states, 5, (3, 3),
+                                      DropletParams(energy_cutoff=5.0),
+                                      _KEEP_ALL)
+        assert len(states.table.subs) == 2
+        assert sorted(merged.droplets.tolist()) == [(0,), (1,)]
+        kept, _ = prune(merged, SearchParams(max_states=1, cut_off_prob=0.0))
+        assert built == []
+        (droplets,) = _materialized(kept)
         assert len(built) == 1
+        assert droplets == (Droplet(((1, 2),), 0.5),)
+
+
+def _count_droplets(monkeypatch) -> list:
+    """The argument tuples of every :class:`Droplet` the search module
+    builds from now on."""
+    built, droplet = [], search_module.Droplet
+
+    def counted(*args):
+        built.append(args)
+        return droplet(*args)
+
+    monkeypatch.setattr(search_module, "Droplet", counted)
+    return built
 
 
 class TestDistances:
@@ -454,8 +531,7 @@ class TestDistances:
     @given(st.integers(1, 12), st.integers(2, 9) | st.integers(256, 70000),
            st.data())
     def test_array_distances_match_loop_reference(self, n, d, data):
-        from kingspeps.search import (_apply_flips, _droplet_distance,
-                                      _elementwise_distance)
+        from kingspeps.search import _apply_flips, _elementwise_distance
         carrier = tuple(data.draw(st.lists(st.integers(1, d), min_size=n,
                                            max_size=n)))
 
@@ -467,7 +543,7 @@ class TestDistances:
                 0.0)
 
         # values in the smallest dtype the search stores them in (uint16
-        # or uint32 above 255), flips as the int64 arrays droplets cache
+        # or uint32 above 255), flips as the intp arrays of the table
         dtype = np.min_scalar_type(d)
         others = [droplet() for _ in range(3)]
         mine = droplet()
@@ -475,9 +551,10 @@ class TestDistances:
                            dtype=dtype)
         config = np.array(_apply_flips(carrier, mine.flips), dtype=dtype)
         carrier_row = np.array(carrier, dtype=dtype)
-        positions, values = mine.flip_arrays
+        positions = np.array([p - 1 for p, _ in mine.flips], dtype=np.intp)
+        values = np.array([v for _, v in mine.flips], dtype=np.intp)
         for mode in ("spin", "potts"):
-            expected = [_droplet_distance(mine, o, carrier, mode)
+            expected = [droplet_distance(mine, o, carrier, mode)
                         for o in others]
             assert _elementwise_distance(config[None, :], configs, mode).sum(
                 axis=1).tolist() == expected
@@ -649,12 +726,11 @@ class TestLowEnergySpectrum:
 
     def test_droplet_separation_invariant(self):
         _, h = random_clustered(3, 3, 2, seed=15)
-        from kingspeps.search import _droplet_distance
         sol = _solve(h, dp=DropletParams(energy_cutoff=10.0, hamming_cutoff=5,
                                          mode="spin"))
         for state, droplets in zip(sol.states, sol.droplets):
             for a, b in itertools.combinations(droplets, 2):
-                assert _droplet_distance(a, b, state, "spin") >= 5
+                assert droplet_distance(a, b, state, "spin") >= 5
 
     def test_spin_mode_requires_cluster_map(self):
         h = random_potts(2, 2, 2, seed=16)
@@ -739,29 +815,62 @@ class TestMergeSkip:
                                                 ("3", "1")]
 
 
+def _reachable(table, per_branch) -> set:
+    """Every table id reachable from the tuples of ids ``per_branch``."""
+    seen, stack = set(), [i for ids in per_branch for i in ids]
+    while stack:
+        i = stack.pop()
+        if i not in seen:
+            seen.add(i)
+            stack.extend(table.subs[i])
+    return seen
+
+
 class TestFinalize:
-    def test_remaps_each_shared_droplet_once(self, monkeypatch):
+    @staticmethod
+    def _solve_keeping_last(monkeypatch):
+        """The 4x4x2 (seed 4200, r90) solve and its last pruned branches."""
         last = {}
 
         def keep_last(states, *args):
             kept = prune(states, *args)
-            last["droplets"] = kept[0].droplets
+            last["states"] = kept[0]
             return kept
 
         monkeypatch.setattr(search_module, "prune", keep_last)
         _, h = random_clustered(4, 4, 2, seed=4200)
         sol = _solve(h, transform=ALL_TRANSFORMS[1], dp=DropletParams(
             energy_cutoff=10.0, hamming_cutoff=5, mode="spin"))
-        found = [d for per_state in last["droplets"] for d in per_state]
-        before = _distinct(found)
+        return sol, last["states"]
+
+    def test_remaps_each_shared_droplet_once(self, monkeypatch):
+        sol, last = self._solve_keeping_last(monkeypatch)
+        found = last.droplets.tolist()
+        before = _reachable(last.table, found)
         after = _distinct(d for per_state in sol.droplets for d in per_state)
         assert len(after) == len(before)
-        assert not set(after) & set(before)  # images are new objects
 
-        def tree(droplets):
-            return sum(1 + tree(d.sub_droplets) for d in droplets)
+        def tree(ids):
+            return sum(1 + tree(last.table.subs[i]) for i in ids)
 
-        assert tree(found) > 2 * len(before)  # the case shares sub-droplets
+        # the case shares sub-droplets
+        assert tree(i for ids in found for i in ids) > 2 * len(before)
+
+    def test_builds_each_reachable_id_once(self, monkeypatch):
+        built = _count_droplets(monkeypatch)
+        sol, last = self._solve_keeping_last(monkeypatch)
+        reachable = _reachable(last.table, last.droplets.tolist())
+        # what the merges recorded on branches pruned later is never built
+        assert len(built) == len(reachable) < len(last.table.subs)
+        objects = _distinct(d for per_state in sol.droplets for d in per_state)
+        assert len(objects) == len(reachable)
+
+        def paths(droplets):
+            return sum(1 + paths(d.sub_droplets) for d in droplets)
+
+        # shared: many more paths lead to the objects than there are objects
+        assert paths(d for per_state in sol.droplets
+                     for d in per_state) > 2 * len(objects)
 
 
 class TestUnpackDroplets:

@@ -14,7 +14,7 @@ from kingspeps.tensor_core import (BoundaryMps, compress, left_canonicalize,
                                    overlap, svd_truncate)
 from kingspeps.errors import (DegenerateStateError, DimensionError,
                               NumericError)
-from conftest import dense_mps_vector, random_boundary_mps
+from conftest import dense_mps_vector, normalize_scale, random_boundary_mps
 
 
 class TestSvdTruncate:
@@ -296,10 +296,10 @@ class TestLogScaleRobustness:
         # chain would reach exp(~700) but the accumulator absorbs it
         def heavy(mps):
             # every output state gets exp(5) times the sum over input states
-            return BoundaryMps(
+            return normalize_scale(BoundaryMps(
                 [np.repeat(math.exp(5.0) * t.sum(axis=1, keepdims=True),
                            t.shape[1], axis=1) for t in mps.tensors],
-                mps.log_scale).normalize_scale()
+                mps.log_scale))
 
         mps = BoundaryMps.ones([2, 2, 2])
         params = ContractionParams(bond_dim=4, num_sweeps=0)
@@ -313,7 +313,7 @@ class TestLogScaleRobustness:
     def test_normalize_scale_preserves_vector(self):
         mps = random_boundary_mps([2, 2], 2, seed=42)
         scaled = BoundaryMps([t * 1e8 for t in mps.tensors], mps.log_scale)
-        normalized = scaled.normalize_scale()
+        normalized = normalize_scale(scaled)
         assert np.allclose(dense_mps_vector(normalized),
                            dense_mps_vector(scaled), rtol=1e-12)
         assert all(np.max(np.abs(t)) <= 1.0 + 1e-12 for t in normalized.tensors)
