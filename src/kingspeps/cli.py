@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -83,68 +84,56 @@ def _check_transforms(best_per_transform: dict) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute one solve from the parsed ``solve`` options; returns the
-    process exit code."""
-    try:
-        if args.format == "ising" and args.topology is None:
-            raise UsageError("--topology M N T is required for Ising instances")
-        if args.format == "potts" and args.topology is not None:
-            raise UsageError("--topology only applies to Ising instances")
-        dtype = np.float32 if args.precision == "float32" else np.float64
+    """Execute one solve from the parsed ``solve`` options; :func:`main`
+    maps the errors it raises to exit codes."""
+    if args.format == "ising" and args.topology is None:
+        raise UsageError("--topology M N T is required for Ising instances")
+    if args.format == "potts" and args.topology is not None:
+        raise UsageError("--topology only applies to Ising instances")
+    dtype = np.float32 if args.precision == "float32" else np.float64
 
-        text = Path(args.instance).read_text(encoding="utf-8")
-        if args.format == "ising":
-            graph = parse_ising(text)
-            topo = ClusterTopology(*args.topology)
-            hamiltonian = cluster(graph, topo)
-            default_mode = "spin"
-        else:
-            hamiltonian = parse_potts(text)
-            default_mode = "potts"
-        mode = args.droplet_mode if args.droplet_mode != "auto" else default_mode
+    text = Path(args.instance).read_text(encoding="utf-8")
+    if args.format == "ising":
+        graph = parse_ising(text)
+        topo = ClusterTopology(*args.topology)
+        hamiltonian = cluster(graph, topo)
+        default_mode = "spin"
+    else:
+        hamiltonian = parse_potts(text)
+        default_mode = "potts"
+    mode = args.droplet_mode if args.droplet_mode != "auto" else default_mode
 
-        params = ContractionParams(bond_dim=args.bond_dim,
-                                   num_sweeps=args.num_sweeps,
-                                   beta=args.beta)
-        search_params = SearchParams(max_states=args.max_states,
-                                     cut_off_prob=args.cut_off_prob)
-        droplet_params = DropletParams(energy_cutoff=args.energy_cutoff,
-                                       hamming_cutoff=args.hamming_cutoff,
-                                       mode=mode)
+    params = ContractionParams(bond_dim=args.bond_dim,
+                               num_sweeps=args.num_sweeps, beta=args.beta)
+    search_params = SearchParams(max_states=args.max_states,
+                                 cut_off_prob=args.cut_off_prob)
+    droplet_params = DropletParams(energy_cutoff=args.energy_cutoff,
+                                   hamming_cutoff=args.hamming_cutoff,
+                                   mode=mode)
 
-        solutions = []
-        for transform in _resolve_transforms(args.transforms):
-            sol = low_energy_spectrum(hamiltonian, transform, params,
-                                      search_params, droplet_params,
-                                      dtype=dtype)
-            logger.info("transform %-6s best energy % .12g",
-                        transform.name, sol.best_energy)
-            solutions.append(sol)
+    solutions = []
+    for transform in _resolve_transforms(args.transforms):
+        sol = low_energy_spectrum(hamiltonian, transform, params,
+                                  search_params, droplet_params, dtype=dtype)
+        logger.info("transform %-6s best energy % .12g",
+                    transform.name, sol.best_energy)
+        solutions.append(sol)
 
-        merged = merge_solutions(solutions)
-        if args.check_transforms:
-            _check_transforms(merged.parameters["transform_best_energies"])
-        merged.parameters = {"format": args.format, "topology": args.topology,
-                             **merged.parameters}
+    merged = merge_solutions(solutions)
+    if args.check_transforms:
+        _check_transforms(merged.parameters["transform_best_energies"])
+    merged.parameters = {"format": args.format, "topology": args.topology,
+                         **merged.parameters}
 
-        if args.output:
-            written = write_solution(merged, args.output)
-            print(f"Best energy found: {merged.best_energy!r}")
-        else:
-            written = write_solution(merged, sys.stdout)
-            print(f"Best energy found: {merged.best_energy!r}", file=sys.stderr)
-        if logger.isEnabledFor(logging.INFO):
-            _log_droplets(merged, written)
-        return 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except (SolverError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.output:
+        written = write_solution(merged, args.output)
+        print(f"Best energy found: {merged.best_energy!r}")
+    else:
+        written = write_solution(merged, sys.stdout)
+        print(f"Best energy found: {merged.best_energy!r}", file=sys.stderr)
+    if logger.isEnabledFor(logging.INFO):
+        _log_droplets(merged, written)
+    return 0
 
 
 def gen(args) -> int:
@@ -156,6 +145,15 @@ def gen(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _beta(text: str) -> float:
+    """``--beta``: a positive finite number, else a usage error."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite, "
+                                         f"got {text}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,7 +186,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("--format", choices=("ising", "potts"), default="ising")
     solve.add_argument("--topology", nargs=3, type=int, metavar=("M", "N", "T"),
                        help="cluster grid for Ising instances")
-    solve.add_argument("--beta", type=float, default=2.0,
+    solve.add_argument("--beta", type=_beta, default=2.0,
                        help="inverse temperature (default 2)")
     solve.add_argument("--bond-dim", type=int, default=16)
     solve.add_argument("--num-sweeps", type=int, default=1)
@@ -237,10 +235,14 @@ def main(argv=None) -> int:
             level=logging.DEBUG if args.verbose > 1 else logging.INFO,
             format="%(levelname)s %(name)s: %(message)s")
 
-    if args.command == "gen":
-        return gen(args)
-
-    return run(args)
+    try:
+        return (gen if args.command == "gen" else run)(args)
+    except NumericError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except (UsageError, SolverError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,11 +21,12 @@ Two input formats are supported:
 from __future__ import annotations
 
 import json
+import math
 from datetime import datetime, timezone
 from typing import IO
 
-from .errors import (DuplicateEntryError, GeometryError, InvalidIndexError,
-                     ParseError)
+from .errors import (DimensionError, DuplicateEntryError, GeometryError,
+                     InvalidIndexError, ParseError)
 from .ising import IsingGraph
 from .potts import PottsHamiltonian, king_adjacent
 
@@ -42,6 +43,14 @@ def _is_comment(stripped: str) -> bool:
     return not stripped or stripped.startswith("#") or stripped.startswith("c")
 
 
+def _value(token: str, stripped: str, lineno: int) -> float:
+    """The entry value ``token``, which must be a finite number."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite value in {stripped!r}", line=lineno)
+    return value
+
+
 def parse_ising(text) -> IsingGraph:
     """Parse Ising triples from a string or file-like object.
 
@@ -50,7 +59,8 @@ def parse_ising(text) -> IsingGraph:
         h from rows with equal indices, unmentioned fields zero.
 
     Raises:
-        ParseError: a line is not blank, comment, or an ``i j v`` triple.
+        ParseError: a line is not blank, comment, or an ``i j v`` triple
+            with a finite ``v``.
         DuplicateEntryError: the same edge or field appears twice.
         InvalidIndexError: a spin index is zero or negative.
     """
@@ -66,7 +76,7 @@ def parse_ising(text) -> IsingGraph:
             raise ParseError(f"expected 'i j v', got {stripped!r}", line=lineno)
         try:
             i, j = int(tokens[0]), int(tokens[1])
-            value = float(tokens[2])
+            value = _value(tokens[2], stripped, lineno)
         except ValueError:
             raise ParseError(f"non-numeric entry in {stripped!r}", line=lineno)
         if i <= 0 or j <= 0:
@@ -95,8 +105,11 @@ def generate_instance(rows: int, cols: int, spins_per_cluster: int,
     Couplings are drawn uniformly from [low, high] for every
     intra-cluster spin pair and every spin pair between king-adjacent
     clusters, in a fixed traversal order, so output is byte-identical
-    for a given seed.
+    for a given seed. Raises :class:`DimensionError` for a size below 1.
     """
+    if min(rows, cols, spins_per_cluster) < 1:
+        raise DimensionError(f"sizes must be >= 1, got {rows} x {cols} "
+                             f"with {spins_per_cluster} spins per cluster")
     rng = np.random.default_rng(seed)
     t = spins_per_cluster
 
@@ -134,7 +147,8 @@ def parse_potts(text) -> PottsHamiltonian:
     """Parse the grid Potts format described in the module docstring.
 
     Raises:
-        ParseError: missing/odd header or malformed record.
+        ParseError: missing/odd header, malformed record or non-finite
+            value.
         GeometryError: an edge record connects non-king-adjacent sites.
         InvalidIndexError: coordinates outside the declared grid, or a
             non-positive state index.
@@ -180,7 +194,7 @@ def parse_potts(text) -> PottsHamiltonian:
             if tag == "n" and len(tokens) == 5:
                 site = (int(tokens[1]), int(tokens[2]))
                 state = int(tokens[3])
-                value = float(tokens[4])
+                value = _value(tokens[4], stripped, lineno)
                 check_site(site, lineno)
                 bump(site, state, lineno)
                 key = (site, state)
@@ -192,7 +206,7 @@ def parse_potts(text) -> PottsHamiltonian:
                 a = (int(tokens[1]), int(tokens[2]))
                 b = (int(tokens[3]), int(tokens[4]))
                 sa, sb = int(tokens[5]), int(tokens[6])
-                value = float(tokens[7])
+                value = _value(tokens[7], stripped, lineno)
                 check_site(a, lineno)
                 check_site(b, lineno)
                 if a == b or not king_adjacent(a, b):

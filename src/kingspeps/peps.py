@@ -114,7 +114,6 @@ class PepsNetwork:
                  dtype=np.float64):
         if not beta > 0:
             raise NumericError(f"beta must be positive, got {beta}")
-        self.hamiltonian = hamiltonian
         self.transform = transform
         self.beta = float(beta)
         self.dtype = np.dtype(dtype)

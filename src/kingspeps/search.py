@@ -21,7 +21,7 @@ rank: a child's is its parent's times d plus s.
 
 Merging is batched as well. Branches are grouped by one integer key of
 their boundary values, and every distance a droplet candidate must be
-checked against is computed in one pass over flip arrays; Python only
+checked against is counted over whole configurations; Python only
 makes the sequential keep-or-evict decisions. The droplets a solve
 records go into one append-only :class:`DropletTable` of flat arrays,
 and each branch holds the tuple of its droplets' ids in an object array
@@ -48,8 +48,6 @@ from .potts import PottsHamiltonian, potts_energies
 
 logger = logging.getLogger(__name__)
 
-# set bits of each byte value, for spin-mode distances
-_SET_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
 _KEY_LIMIT = np.iinfo(np.int64).max
 
 
@@ -371,9 +369,7 @@ def _elementwise_distance(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray
     its index minus one)."""
     if mode == "potts":
         return (a != b).astype(np.intp)
-    diff = np.ascontiguousarray((a - 1) ^ (b - 1))
-    return _SET_BITS[diff.view(np.uint8)].reshape(
-        diff.shape + (diff.itemsize,)).sum(axis=-1)
+    return np.bitwise_count((a - 1) ^ (b - 1))
 
 
 def _spans(lengths: np.ndarray):
@@ -383,49 +379,34 @@ def _spans(lengths: np.ndarray):
     return run, np.arange(len(run)) - (np.cumsum(lengths) - lengths)[run]
 
 
-def _clashes(values, others, carriers, rows, cols, flipped, run, run_start,
-             counts, held, mode, cutoff):
+def _clashes(values, others, carriers, run, run_start, counts, held, mode,
+             cutoff):
     """Candidate-reference pairs closer than ``cutoff``, by candidate.
 
-    Candidate ``i`` is the branch ``others[i]``; its flips against its
-    carrier are the entries of ``rows``/``cols``/``flipped`` with
-    ``rows == i``. Candidates of one carrier form run ``run[i]``, which
+    Candidate ``i`` is the branch ``others[i]``, discarded onto
+    ``carriers[i]``. Candidates of one carrier form run ``run[i]``, which
     starts at ``run_start[run[i]]``. A candidate's references are the
     ``counts[run[i]]`` droplets already on its carrier, whose flips
     ``held`` holds run by run as :meth:`DropletTable.flips` returns
     them, numbered first, then the earlier candidates of its run,
-    numbered after them in candidate order. The distance to a reference
-    with flips F is d(other, carrier) + the sum over (p, v) in F of
-    e(other_p, v) - e(other_p, carrier_p); all pairs go in one batch.
+    numbered after them in candidate order. A held droplet's
+    configuration is its carrier's values with its flips written in.
     """
-    n = len(others)
     own, first = counts[run], run_start[run]
-    pair_cand, slot = _spans(own + np.arange(n) - first)
+    pair_cand, slot = _spans(own + np.arange(len(others)) - first)
     if not len(pair_cand):
         return pair_cand, pair_cand
-    own = own[pair_cand]
+    own, total = own[pair_cand], counts.sum()
     held_before = (np.cumsum(counts) - counts)[run]
     pair_ref = np.where(slot < own, held_before[pair_cand] + slot,
-                        counts.sum() + first[pair_cand] + slot - own)
+                        total + first[pair_cand] + slot - own)
 
-    held_positions, held_values, held_lengths = held
-    lengths = np.concatenate((held_lengths, np.bincount(rows, minlength=n)))
-    pair, offset = _spans(lengths[pair_ref])
-    at = (np.cumsum(lengths) - lengths)[pair_ref][pair] + offset
-    pos = np.concatenate((held_positions, cols))[at]
-    value = np.concatenate((held_values, flipped))[at]
-    cand = pair_cand[pair]
-    other = values[others[cand], pos]
-    # e(other_p, v) and e(other_p, carrier_p) per reference flip, then
-    # e(other_p, carrier_p) per flip of the candidate itself
-    e = _elementwise_distance(
-        np.concatenate([other, other, flipped]),
-        np.concatenate([value.astype(values.dtype), values[carriers[cand], pos],
-                        values[carriers[rows], cols]]), mode)
-    m = len(pair)
-    distance = (np.bincount(rows, weights=e[2 * m:], minlength=n)[pair_cand]
-                + np.bincount(pair, weights=e[:m] - e[m:2 * m],
-                              minlength=len(pair_cand)))
+    positions, flipped, lengths = held
+    configs = values[np.concatenate((np.repeat(carriers[run_start], counts),
+                                     others))]
+    configs[np.repeat(np.arange(total), lengths), positions] = flipped
+    distance = _elementwise_distance(configs[total + pair_cand],
+                                     configs[pair_ref], mode).sum(axis=1)
     hit = distance < cutoff
     return pair_cand[hit], pair_ref[hit]
 
@@ -444,12 +425,15 @@ def merge_and_collect(states: Branches, k: int, dims, dp: DropletParams,
     (energy, values) order.
 
     Survivors are pruned before any droplet work, since a droplet dies
-    with its carrier and merging changes no probability or rank. Flips
-    and every distance a candidate needs (to the droplets its survivor
-    carries, read from the table, and to its survivor's earlier
-    candidates) are computed in batches. Python runs only the sequential keep-or-evict decision,
-    over the candidates with a clash; the kept candidates are appended
-    to the table in one batch. Returns what :func:`prune` returns.
+    with its carrier and merging changes no probability or rank. One
+    boolean matrix, where each candidate differs from its survivor,
+    drops the copies and gives the kept candidates' flips. Every
+    distance a candidate needs (to the droplets its survivor carries and
+    to its survivor's earlier candidates) is computed in one batch, over
+    full configurations. Python runs only the sequential keep-or-evict
+    decision, over the candidates with a clash; the kept candidates are
+    appended to the table in one batch. Returns what :func:`prune`
+    returns.
     """
     table = states.table
     positions = [(r - 1) * dims[1] + c - 1 for r, c in boundary_sites(dims, k)]
@@ -473,12 +457,10 @@ def merge_and_collect(states: Branches, k: int, dims, dp: DropletParams,
         return states.take(survivors), largest_discarded
 
     others, carriers, gaps = order[pick], survivor[pick], gap[pick]
-    rows, cols = np.nonzero(states.values[others] != states.values[carriers])
-    moved = np.bincount(rows, minlength=len(pick)) > 0
-    if not moved.all():  # a copy of its survivor adds no droplet
-        others, carriers, gaps = others[moved], carriers[moved], gaps[moved]
-        rows = (np.cumsum(moved) - 1)[rows]
-    flipped = states.values[others[rows], cols]
+    differ = states.values[others] != states.values[carriers]
+    moved = differ.any(axis=1)  # a copy of its survivor adds no droplet
+    others, carriers, gaps, differ = (others[moved], carriers[moved],
+                                      gaps[moved], differ[moved])
     new_run = np.ones(len(others), dtype=bool)
     new_run[1:] = carriers[1:] != carriers[:-1]
     run, run_start = np.cumsum(new_run) - 1, np.flatnonzero(new_run)
@@ -494,9 +476,8 @@ def merge_and_collect(states: Branches, k: int, dims, dp: DropletParams,
         delta = table.gap[held].tolist() + gaps.tolist()
         clashing = {}
         for i, r in zip(*(a.tolist() for a in _clashes(
-                states.values, others, carriers, rows, cols, flipped, run,
-                run_start, counts, table.flips(held), dp.mode,
-                dp.hamming_cutoff))):
+                states.values, others, carriers, run, run_start, counts,
+                table.flips(held), dp.mode, dp.hamming_cutoff))):
             clashing.setdefault(len(held) + i, []).append(r)
         for me, refs in clashing.items():
             refs = [r for r in refs if kept[r]]
@@ -507,9 +488,11 @@ def merge_and_collect(states: Branches, k: int, dims, dp: DropletParams,
                     kept[r] = False
 
     new, start = np.array(kept[len(held):], dtype=bool), len(table.subs)
-    table.append(cols[new[rows]], flipped[new[rows]],
-                 np.bincount(rows, minlength=len(others))[new], gaps[new],
-                 states.droplets[others[new]].tolist())
+    added, flips = others[new], differ[new]
+    rows, cols = np.nonzero(flips)
+    table.append(cols, states.values[added[rows], cols],
+                 np.count_nonzero(flips, axis=1), gaps[new],
+                 states.droplets[added].tolist())
     # each run's kept candidates took the next ids, in candidate order
     stops = start + np.cumsum(np.bincount(run[new], minlength=len(attached)))
     droplets, keep = states.droplets.copy(), iter(kept)

@@ -14,7 +14,8 @@ import pytest
 from kingspeps import (ClusterTopology, cluster, exact_spectrum,
                        generate_instance, parse_ising)
 from kingspeps.cli import _build_parser, _check_transforms, main
-from kingspeps.errors import NumericError, TransformDisagreementError
+from kingspeps.errors import (DimensionError, NumericError,
+                              TransformDisagreementError)
 
 
 class TestGenerate:
@@ -46,6 +47,21 @@ class TestGenerate:
         graph = parse_ising(generate_instance(2, 2, 1, seed=3,
                                               with_fields=True))
         assert any(graph.fields != 0.0)
+
+    @pytest.mark.parametrize("sizes", [(0, 3, 1), (3, 0, 1), (2, 2, 0),
+                                       (-1, 2, 1)])
+    def test_size_below_one_rejected(self, sizes):
+        with pytest.raises(DimensionError, match="sizes must be >= 1"):
+            generate_instance(*sizes, seed=1)
+
+    @pytest.mark.parametrize("argv", [["0", "3"], ["2", "2", "--spins", "0"]])
+    def test_gen_size_below_one_exits_one(self, tmp_path, capsys, argv):
+        out = tmp_path / "inst.txt"
+        assert main(["gen", *argv, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "sizes must be >= 1" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_gen_subcommand_writes_file(self, tmp_path):
         out = tmp_path / "inst.txt"
@@ -195,6 +211,23 @@ class TestSolve:
 
     def test_usage_error_exits_one(self):
         assert main(["solve"]) == 1
+
+    @pytest.mark.parametrize("beta", ["0", "-1", "nan", "inf", "-inf"])
+    def test_invalid_beta_is_a_usage_error(self, tmp_path, capsys, beta):
+        path = _write_instance(tmp_path, rows=2, cols=2)
+        assert main(["solve", str(path), "--topology", "2", "2", "1",
+                     f"--beta={beta}"]) == 1
+        err = capsys.readouterr().err
+        assert "argument --beta: must be positive and finite" in err
+        assert "numerical failure" not in err
+
+    def test_non_finite_instance_value_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "nan.txt"
+        path.write_text("1 1 0.5\n1 2 nan\n")
+        assert main(["solve", str(path), "--topology", "1", "2", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "line 2: non-finite value in '1 2 nan'" in err
+        assert "numerical failure" not in err
 
     def test_overflowing_beta_exits_two(self, tmp_path):
         path = tmp_path / "big.txt"

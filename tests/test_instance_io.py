@@ -59,6 +59,13 @@ class TestParseIsing:
         with pytest.raises(ParseError):
             parse_ising("1.5 2 1.0")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", ["1 2", "2 2"])
+    def test_non_finite_value_reports_line_number(self, entry, value):
+        with pytest.raises(ParseError, match="non-finite value") as err:
+            parse_ising(f"1 1 0.5\n{entry} {value}\n")
+        assert err.value.line == 2
+
     def test_nonpositive_index(self):
         with pytest.raises(InvalidIndexError):
             parse_ising("0 2 1.0")
@@ -134,6 +141,13 @@ class TestParsePotts:
     def test_missing_header(self):
         with pytest.raises(ParseError):
             parse_potts("n 1 1 1 0.0")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("record", ["n 1 1 2", "e 1 1 1 2 1 2"])
+    def test_non_finite_value_reports_line_number(self, record, value):
+        with pytest.raises(ParseError, match="non-finite value") as err:
+            parse_potts(f"P 1 2\nn 1 1 1 0.0\n{record} {value}\n")
+        assert err.value.line == 3
 
     def test_duplicate_entry(self):
         with pytest.raises(DuplicateEntryError):
