@@ -24,8 +24,12 @@ A solve contracts the lower half once: :func:`bottom_environments`
 returns one boundary MPS per row, a plain list that every conditional
 of the search reads. The contraction parameters set its bond cap and
 sweeps; ``params.beta`` is unused there, because the network already
-holds the Boltzmann weights. :func:`contract_network` finishes the
-contraction with the product of row 1 under a one-state row 0.
+holds the Boltzmann weights. A row's product stores each column whose
+right bond carries the upper state as its diagonal blocks (a carried
+site of :class:`~kingspeps.tensor_core.BoundaryMps`), so it never holds
+the zero-padded tensor, and :func:`compress` works on those blocks.
+:func:`contract_network` finishes the contraction with the product of
+row 1 under a one-state row 0, which has no carried column.
 """
 
 from __future__ import annotations
@@ -112,8 +116,8 @@ class PepsNetwork:
     def __init__(self, hamiltonian: PottsHamiltonian,
                  transform: LatticeTransform, beta: float,
                  dtype=np.float64):
-        if not beta > 0:
-            raise NumericError(f"beta must be positive, got {beta}")
+        if not (beta > 0 and math.isfinite(beta)):
+            raise NumericError(f"beta must be positive and finite, got {beta}")
         self.transform = transform
         self.beta = float(beta)
         self.dtype = np.dtype(dtype)
@@ -205,9 +209,11 @@ def row_product(net: PepsNetwork, row: int, env: BoundaryMps) -> BoundaryMps:
     column c. A bond carries x_c and/or y_c only when a weight to its
     right depends on them (``xl``/``yl`` have extent 1 otherwise). The
     table is multiplied into env's tensor, y summed where the right bond
-    does not carry it and x put on the diagonal where it does. Site
-    tensor c has bonds ``(xl*yl*chi_l, x, xr*yr*chi_r)``, row-major,
-    with ``chi`` env's bonds, and the result is max-normalized per site.
+    does not carry it. Site tensor c's logical bonds are ``(xl*yl*chi_l,
+    x, xr*yr*chi_r)``, row-major, with ``chi`` env's bonds. Where the
+    right bond carries x the logical tensor is zero off ``x == xr``, so
+    the column is stored carried: ``(xl*yl*chi_l, x, yr*chi_r)``, block x
+    standing for ``xr == x``. Each site is max-normalized.
 
     Raises:
         InvalidIndexError: ``row`` is outside ``0 .. net.rows - 1``.
@@ -223,7 +229,7 @@ def row_product(net: PepsNetwork, row: int, env: BoundaryMps) -> BoundaryMps:
         raise DimensionError(
             f"state dims {env.phys_dims} do not match row {lower}'s {dims_y}")
 
-    tensors = []
+    tensors, carried = [], []
     log_scale = env.log_scale
     dxl = dyl = 1
     for c, e in enumerate(env.tensors, start=1):
@@ -259,10 +265,8 @@ def row_product(net: PepsNetwork, row: int, env: BoundaryMps) -> BoundaryMps:
         else:
             p = np.tensordot(a, e, axes=(3, 1)).transpose(0, 1, 3, 2, 4)
             p = p[:, :, :, :, None]
-        if carry_x:  # q[xl, yl, chi_l, x * xr, yr, chi_r], zero off x == xr
-            q = np.zeros(p.shape[:3] + (dx * dx,) + p.shape[4:], dtype=p.dtype)
-            q[:, :, :, ::dx + 1] = p
-            p = q
+        # where the bond carries x, block x of t stands for the logical
+        # right bond entries (xr, yr, chi_r) with xr == x
         t = p.reshape(dxl * dyl * e.shape[0], dx, -1)
         # t shares no memory with env, so it is max-normalized in place
         mx = max(t.max(), -t.min())
@@ -270,8 +274,9 @@ def row_product(net: PepsNetwork, row: int, env: BoundaryMps) -> BoundaryMps:
             t /= mx
             log_scale += math.log(mx)
         tensors.append(t)
+        carried.append(carry_x)
         dxl, dyl = (dx if carry_x else 1), (dy if carry_y else 1)
-    return BoundaryMps(tensors, log_scale)
+    return BoundaryMps(tensors, log_scale, carried)
 
 
 def bottom_environments(net: PepsNetwork,
@@ -282,13 +287,14 @@ def bottom_environments(net: PepsNetwork,
     couplings between rows ``row`` and ``row + 1``; its physical legs
     are the states of row ``row`` (all ones for the last row). Built
     bottom-up: :func:`row_product` applies row ``row + 1``'s weights to
-    the environment below, giving bonds ``(xl*yl*chi_l, x, xr*yr*chi_r)``
-    of extent up to ``chi * d**2``, which :func:`compress` cuts back to
-    ``params.bond_dim``. ``params.beta`` is unused, because the weights
-    come from ``net``.
+    the environment below, giving logical bonds ``(xl*yl*chi_l, x,
+    xr*yr*chi_r)`` of extent up to ``chi * d**2``, which :func:`compress`
+    cuts back to ``params.bond_dim``, canonicalizing, truncating and
+    sweeping carried columns block by block. ``params.beta`` is unused,
+    because the weights come from ``net``.
 
     Each row logs one DEBUG line, ``environment of row R: product bond
-    B, bonds (...), fidelity F``: the product's largest bond, the
+    B, bonds (...), fidelity F``: the product's largest logical bond, the
     compressed bonds and :func:`compress`'s fidelity. It follows
     compress's own DEBUG line, which says whether the sweeps ran.
     """

@@ -3,6 +3,13 @@
 Conventions:
 
 * an MPS site tensor has indices (left bond, physical, right bond);
+* a site may be *carried*: its right bond then carries the site's own
+  physical state x, the logical tensor ``(dl, d, d*r)`` is zero off
+  ``x == xr``, and only its d diagonal blocks are stored, as ``(dl, d,
+  r)``. A row product stores the columns whose upper state reaches the
+  next column that way; every kernel here works on the blocks and never
+  builds the zero-padded tensor. A state with no carried site is a
+  plain MPS, and :func:`compress` always returns one;
 * a :class:`BoundaryMps` represents ``(contraction of its tensors) *
   exp(log_scale)``. Keeping magnitudes in the log accumulator is what
   lets Boltzmann-weight chains with log-weights of several hundred pass
@@ -52,27 +59,42 @@ class ContractionParams:
             raise DimensionError(f"bond_dim must be >= 1, got {self.bond_dim}")
         if self.num_sweeps < 0:
             raise DimensionError(f"num_sweeps must be >= 0, got {self.num_sweeps}")
-        if not self.beta > 0:
-            raise NumericError(f"beta must be positive, got {self.beta}")
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise NumericError(
+                f"beta must be positive and finite, got {self.beta}")
 
 
 class BoundaryMps:
-    """Matrix-product state over one grid row, with a log scale factor."""
+    """Matrix-product state over one grid row, with a log scale factor.
 
-    def __init__(self, tensors, log_scale: float = 0.0):
+    ``carried[i]`` marks site i as carried (see the module docstring):
+    its tensor ``(dl, d, r)`` holds the diagonal blocks of a logical right
+    bond of extent ``d*r``, which is what the next site's left bond and
+    :attr:`bond_dims` see. By default no site is carried.
+    """
+
+    def __init__(self, tensors, log_scale: float = 0.0, carried=None):
         tensors = [np.asarray(t) for t in tensors]
         if not tensors:
             raise DimensionError("an MPS needs at least one site")
         for t in tensors:
             if t.ndim != 3:
                 raise DimensionError(f"site tensors must have 3 indices, got {t.shape}")
-        if tensors[0].shape[0] != 1 or tensors[-1].shape[2] != 1:
+        carried = (tuple(bool(c) for c in carried) if carried is not None
+                   else (False,) * len(tensors))
+        if len(carried) != len(tensors):
+            raise DimensionError(
+                f"{len(carried)} carried flags for {len(tensors)} sites")
+        bonds = [t.shape[2] * (t.shape[1] if c else 1)
+                 for t, c in zip(tensors, carried)]
+        if tensors[0].shape[0] != 1 or bonds[-1] != 1:
             raise DimensionError("outer bonds must have extent 1")
-        for left, right in zip(tensors, tensors[1:]):
-            if left.shape[2] != right.shape[0]:
+        for bond, left, right in zip(bonds, tensors, tensors[1:]):
+            if bond != right.shape[0]:
                 raise DimensionError(
                     f"bond mismatch: {left.shape} next to {right.shape}")
         self.tensors = tensors
+        self.carried = carried
         self.log_scale = float(log_scale)
 
     @classmethod
@@ -89,7 +111,9 @@ class BoundaryMps:
 
     @property
     def bond_dims(self) -> tuple[int, ...]:
-        return tuple(t.shape[2] for t in self.tensors[:-1])
+        """Logical bond extents, a carried site's counting its blocks."""
+        return tuple(t.shape[2] * (t.shape[1] if c else 1)
+                     for t, c in zip(self.tensors[:-1], self.carried))
 
     def __repr__(self):
         return (f"BoundaryMps(phys={self.phys_dims}, bonds={self.bond_dims}, "
@@ -123,27 +147,44 @@ def svd_truncate(matrix, bond_dim: int):
     return u[:, :keep], s[:keep], vt[:keep].T, discarded
 
 
+def _blocks(t, carried: bool):
+    """Site tensor ``t`` as a stack ``(nb, rows, r)`` of its diagonal
+    blocks: the d blocks ``t[:, x, :]`` of a carried site, or ``t`` as one
+    ``(dl*d, r)`` block. A view, never a copy."""
+    return t.transpose(1, 0, 2) if carried else t.reshape(1, -1, t.shape[2])
+
+
+def _unblocks(b, dl: int, d: int):
+    """Inverse of :func:`_blocks`: the ``(dl, d, r)`` site tensor (both
+    layouts agree when ``d`` is 1)."""
+    return b.transpose(1, 0, 2) if len(b) > 1 else b.reshape(dl, d, -1)
+
+
 def left_canonicalize(mps: BoundaryMps) -> BoundaryMps:
     """QR sweep making every tensor a left isometry.
 
-    The state's norm is folded into ``log_scale`` (a negative overall
-    sign stays in the last tensor), so the stored chain has norm 1.
+    A carried site is factored block by block (one batched QR over its
+    d blocks), so it stays carried and its carry ``R`` stays block
+    diagonal; the carry meets the next site's left bond as a batched
+    matmul. The state's norm is folded into ``log_scale`` (a negative
+    overall sign stays in the last tensor), so the stored chain has
+    norm 1.
     """
     tensors = []
     carry = None
-    for t in mps.tensors:
+    for t, carried in zip(mps.tensors, mps.carried):
         if carry is not None:
             t = _times_left(carry, t)
-        dl, d, dr = t.shape
-        q, r = np.linalg.qr(t.reshape(dl * d, dr))
-        tensors.append(q.reshape(dl, d, q.shape[1]))
-        carry = r
-    scale = float(carry[0, 0])
+        dl, d, _ = t.shape
+        q, carry = np.linalg.qr(_blocks(t, carried))
+        tensors.append(_unblocks(q, dl, d))
+    scale = float(carry[0, 0, 0])
     if scale == 0.0:
         raise DegenerateStateError("cannot canonicalize a zero-norm state")
     if scale < 0:
         tensors[-1] = -tensors[-1]
-    return BoundaryMps(tensors, mps.log_scale + math.log(abs(scale)))
+    return BoundaryMps(tensors, mps.log_scale + math.log(abs(scale)),
+                       mps.carried)
 
 
 def _fold_center(tensors, log_scale, index):
@@ -155,24 +196,32 @@ def _fold_center(tensors, log_scale, index):
 
 
 def _times_left(m, t):
-    """``m`` contracted into the left bond of site tensor ``t``."""
-    dl, d, dr = t.shape
-    return (m @ t.reshape(dl, d * dr)).reshape(m.shape[0], d, dr)
+    """``m`` contracted into the left bond of site tensor ``t``. A stack
+    ``(nb, k, r)`` acts block-diagonally: block x meets the left-bond
+    entries ``x*r .. (x+1)*r``."""
+    _, d, dr = t.shape
+    m = m.reshape((-1,) + m.shape[-2:])
+    return (m @ t.reshape(len(m), -1, d * dr)).reshape(-1, d, dr)
 
 
-def _times_right(t, m):
-    """Site tensor ``t``'s right bond contracted into ``m``."""
-    dl, d, dr = t.shape
-    return (t.reshape(dl * d, dr) @ m).reshape(dl, d, m.shape[1])
+def _times_right(t, m, carried: bool):
+    """Site tensor ``t``'s logical right bond contracted into ``m``; a
+    carried site's block x meets the rows ``x*r .. (x+1)*r`` of ``m``."""
+    dl, d, r = t.shape
+    b = _blocks(t, carried)
+    return _unblocks(b @ m.reshape(len(b), r, -1), dl, d)
 
 
 def _truncate_right_sweep(mps: BoundaryMps, bond_dim: int):
     """SVD-truncate a left-canonical state, sweeping right to left.
 
-    Returns a right-canonical state (orthogonality center at site 0),
-    the total discarded singular weight, and whether every bond kept
-    all its singular values (each SVD's rank equal to its matrix's
-    smaller side), in which case the state is the input up to rounding.
+    Each step multiplies ``u*s`` into the right bond of the site to its
+    left, block by block where that site is carried, so the result has
+    no carried site. Returns that right-canonical state (orthogonality
+    center at site 0), the total discarded singular weight, and whether
+    every bond kept all its singular values (each SVD's rank equal to
+    its matrix's smaller side), in which case the state is the input up
+    to rounding.
     """
     tensors = [t for t in mps.tensors]
     discarded = 0.0
@@ -183,7 +232,8 @@ def _truncate_right_sweep(mps: BoundaryMps, bond_dim: int):
         k = s.size
         exact = exact and k == min(dl, d * dr)
         tensors[i] = v.T.reshape(k, d, dr)
-        tensors[i - 1] = _times_right(tensors[i - 1], u * s)
+        tensors[i - 1] = _times_right(tensors[i - 1], u * s,
+                                      mps.carried[i - 1])
         discarded += dw
     log_scale = _fold_center(tensors, mps.log_scale, 0)
     return BoundaryMps(tensors, log_scale), discarded, exact
@@ -196,39 +246,43 @@ def _variational_sweep(state: BoundaryMps, target: BoundaryMps) -> BoundaryMps:
     again and represents the best local approximation of ``target`` on
     the current bond dimensions. Every local update maximizes the
     normalized overlap, so sweeps never decrease the fidelity. Chains meet
-    each (large) target tensor at an outer leg first, so it is never copied.
+    each (large) target tensor at an outer leg first, so it is never
+    copied, and a carried target site is contracted block by block.
     """
     length = len(state)
     cs = [t for t in state.tensors]
-    ts = target.tensors
+    ts, carried = target.tensors, target.carried
 
     # renv[i][p, a]: sites i.. of the state against the target's, by
     # their left bonds p and a
     renv = [None] * (length + 1)
     renv[length] = np.ones((1, 1), dtype=ts[0].dtype)
     for i in range(length - 1, 0, -1):
-        x = _times_right(ts[i], renv[i + 1].T)
+        x = _times_right(ts[i], renv[i + 1].T, carried[i])
         renv[i] = cs[i].reshape(len(cs[i]), -1) @ x.reshape(len(x), -1).T
 
     lenv = [None] * (length + 1)
     lenv[0] = np.ones((1, 1), dtype=ts[0].dtype)
     for i in range(length - 1):  # the backward pass starts at the last site
         y = _times_left(lenv[i], ts[i])
-        t = _times_right(y, renv[i + 1].T)
+        t = _times_right(y, renv[i + 1].T, carried[i])
         dl, d, dr = t.shape
         q, _ = np.linalg.qr(t.reshape(dl * d, dr))
         cs[i] = q.reshape(dl, d, q.shape[1])
-        lenv[i + 1] = q.T @ y.reshape(dl * d, -1)
+        # lenv[i + 1][k, (x, j)] sums q[p, x, k] y[p, x, j] over p, per block
+        qy = (_blocks(cs[i], carried[i]).transpose(0, 2, 1)
+              @ _blocks(y, carried[i]))
+        lenv[i + 1] = qy.transpose(1, 0, 2).reshape(q.shape[1], -1)
 
     right = np.ones((1, 1), dtype=ts[0].dtype)
     for i in range(length - 1, 0, -1):
-        x = _times_right(ts[i], right.T)
+        x = _times_right(ts[i], right.T, carried[i])
         t = _times_left(lenv[i], x)
         dl, d, dr = t.shape
         q, _ = np.linalg.qr(t.reshape(dl, d * dr).T)
         cs[i] = q.T.reshape(q.shape[1], d, dr)
         right = q.T @ x.reshape(len(x), -1).T
-    cs[0] = _times_right(ts[0], right.T)  # lenv[0] is [[1]]
+    cs[0] = _times_right(ts[0], right.T, carried[0])  # lenv[0] is [[1]]
 
     log_scale = _fold_center(cs, target.log_scale, 0)
     return BoundaryMps(cs, log_scale)
@@ -240,8 +294,10 @@ def compress(mps: BoundaryMps, params: ContractionParams):
     Pipeline: left-canonicalize, SVD-truncate every bond to
     ``params.bond_dim`` (right to left), then, only if some bond was
     cut, run ``params.num_sweeps`` rounds of single-site variational
-    refinement against the input. The norm is folded into ``log_scale``
-    so site tensors stay O(1).
+    refinement against the input. Carried sites of the input are
+    canonicalized and swept block by block, never expanded; the result
+    is a plain MPS. The norm is folded into ``log_scale`` so site
+    tensors stay O(1).
 
     The truncation and every sweep leave ``c = P t``, with ``P`` the
     orthogonal projector onto the right isometries at sites 1..n-1 and
@@ -253,7 +309,9 @@ def compress(mps: BoundaryMps, params: ContractionParams):
     to the smaller side of its matrix), ``P`` is the identity on the
     range of ``t``, so ``c = t`` already and a sweep could only add
     rounding. The sweeps are then skipped and a DEBUG line says so;
-    otherwise a DEBUG line reports the sweeps run.
+    otherwise a DEBUG line reports the sweeps run. A value dropped only
+    by the ``RANK_EPS`` floor counts as a cut: at high beta the sweep
+    after such a drop still moves log-probabilities by about 1e-10.
 
     Returns:
         ``(compressed, fidelity)`` where fidelity is the normalized

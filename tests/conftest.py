@@ -68,11 +68,27 @@ def normalize_scale(mps: BoundaryMps) -> BoundaryMps:
             log_scale += math.log(mx)
         else:
             out.append(t)
-    return BoundaryMps(out, log_scale)
+    return BoundaryMps(out, log_scale, mps.carried)
+
+
+def expanded(mps: BoundaryMps) -> BoundaryMps:
+    """The dense expansion of ``mps``: each carried site's diagonal blocks
+    written into its zero-padded ``(dl, d, d*r)`` tensor."""
+    tensors = []
+    for t, carried in zip(mps.tensors, mps.carried):
+        if carried:
+            dl, d, r = t.shape
+            full = np.zeros((dl, d, d, r), dtype=t.dtype)
+            for x in range(d):
+                full[:, x, x] = t[:, x]
+            t = full.reshape(dl, d, d * r)
+        tensors.append(t)
+    return BoundaryMps(tensors, mps.log_scale)
 
 
 def dense_mps_vector(mps: BoundaryMps) -> np.ndarray:
     """Full vector represented by an MPS, including its scale factor."""
+    mps = expanded(mps)
     acc = mps.tensors[0]
     for t in mps.tensors[1:]:
         acc = np.tensordot(acc, t, axes=(acc.ndim - 1, 0))

@@ -21,9 +21,10 @@ from kingspeps.peps import (LatticeTransform, bottom_environments,
                             conditionals, contract_network, right_tables,
                             row_product)
 from kingspeps.potts import PottsHamiltonian
-from kingspeps.tensor_core import BoundaryMps, overlap
-from conftest import (dense_mps_vector, normalize_scale, random_boundary_mps,
-                      random_potts, ragged_potts, random_clustered)
+from kingspeps.tensor_core import BoundaryMps, compress, overlap
+from conftest import (dense_mps_vector, expanded, normalize_scale,
+                      random_boundary_mps, random_potts, ragged_potts,
+                      random_clustered)
 
 
 def exact_params(net):
@@ -124,6 +125,14 @@ class TestBuildNetwork:
         with pytest.raises(NumericError):
             build_network(h, beta=0.0)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, -math.inf])
+    def test_non_finite_beta(self, beta):
+        h = PottsHamiltonian(1, 2)
+        h.set_node((1, 1), [0.0, 1.0])
+        h.set_node((1, 2), [0.0, 1.0])
+        with pytest.raises(NumericError, match="positive and finite"):
+            build_network(h, beta=beta)
+
 
 class TestRowTransferMpo:
     """:func:`row_product`, the transfer from one row to the one above."""
@@ -153,12 +162,26 @@ class TestRowTransferMpo:
         net = build_network(h, beta=1.3)
         env = row_product(net, 1, BoundaryMps.ones(net.row_dims(2)))
         # row 0 is a one-state row above row 1
-        top = row_product(net, 0, env)
+        top = row_product(net, 0, expanded(env))
         assert top.phys_dims == (1, 1)
         value, log_scale = overlap(BoundaryMps.ones([1, 1]), top)
         assert value * math.exp(log_scale) == pytest.approx(
             brute_z(h, 1.3), rel=1e-10)
         assert network_z(net) == pytest.approx(brute_z(h, 1.3), rel=1e-10)
+
+    def test_product_stores_only_diagonal_blocks(self):
+        # the zero-padded product of a carried column has dl*dx*dx*r entries
+        _, h = random_clustered(3, 4, 2, seed=3300)
+        net = build_network(h, beta=2.0)
+        envs = exact_envs(net)
+        for row in range(net.rows):
+            env = envs[row]
+            product = row_product(net, row, env)
+            dims_x = net.row_dims(row) if row else [1] * net.cols
+            for t, e, dx in zip(product.tensors, env.tensors, dims_x):
+                dl, dy, chi = t.shape[0], e.shape[1], e.shape[2]
+                assert t.size <= dl * dx * dy * chi
+            assert any(product.carried) == (row > 0)
 
     def test_row_out_of_range(self):
         h = random_potts(2, 2, 2, seed=6)
@@ -236,15 +259,16 @@ def reference_row_product(net, row, env):
 
 
 def assert_same_row_products(net, seed):
-    """Every row's product equals the reference, entry for entry, on a
-    random environment and on the solver's own environments."""
+    """Every row's product, expanded to its zero-padded tensors, equals
+    the reference entry for entry, on a random environment and on the
+    solver's own environments."""
     envs = exact_envs(net)
     for row in range(net.rows):
         own = envs[row]
         rand = random_boundary_mps(own.phys_dims, 3, seed=seed + row,
                                    dtype=net.dtype)
         for env in (own, rand):
-            got = row_product(net, row, env)
+            got = expanded(row_product(net, row, env))
             want = reference_row_product(net, row, env)
             assert got.log_scale == want.log_scale
             assert len(got.tensors) == len(want.tensors)
@@ -272,6 +296,60 @@ class TestRowProductReference:
         _, h = random_clustered(rows, cols, t, seed=seed)
         for tr in ALL_TRANSFORMS[:2] + ALL_TRANSFORMS[4:5]:
             assert_same_row_products(build_network(h, tr, beta=2.0), seed)
+
+
+def vector_fidelity(a, b):
+    """Normalized squared overlap of two states, from their dense vectors."""
+    va, vb = dense_mps_vector(a), dense_mps_vector(b)
+    return float(np.dot(va, vb)) ** 2 / (np.dot(va, va) * np.dot(vb, vb))
+
+
+def assert_matches_expansion(product, params, got, fid):
+    """``(got, fid)``, :func:`compress` of the block product, is the
+    state and fidelity that compressing its dense expansion gives."""
+    want, want_fid = compress(expanded(product), params)
+    assert got.bond_dims == want.bond_dims
+    assert not any(got.carried)
+    assert fid == pytest.approx(want_fid, rel=1e-10, abs=1e-12)
+    assert vector_fidelity(got, want) >= 1 - 1e-12
+
+
+class TestBlockCompression:
+    """:func:`compress` on row products, whose carried columns it
+    canonicalizes, truncates and sweeps block by block."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3), st.integers(1, 4), st.data(), st.integers(0, 7),
+           st.integers(1, 6), st.integers(0, 2))
+    def test_ragged_native_potts(self, rows, cols, data, code, bond_dim,
+                                 num_sweeps):
+        dims = data.draw(st.lists(st.integers(1, 4), min_size=rows * cols,
+                                  max_size=rows * cols))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        net = build_network(ragged_potts(rows, cols, dims, seed),
+                            LatticeTransform(code), beta=1.5)
+        params = ContractionParams(bond_dim=bond_dim, num_sweeps=num_sweeps)
+        envs = exact_envs(net)
+        for row in range(1, net.rows):
+            product = row_product(net, row, envs[row])
+            assert_matches_expansion(product, params,
+                                     *compress(product, params))
+
+    def test_d4_rows_cut_at_chi8(self, caplog):
+        _, h = random_clustered(4, 4, 2, seed=4200)
+        net = build_network(h, beta=2.0)
+        params = ContractionParams(bond_dim=8, num_sweeps=2, beta=2.0)
+        unswept = ContractionParams(bond_dim=8, num_sweeps=0, beta=2.0)
+        env = BoundaryMps.ones(net.row_dims(net.rows))
+        for row in range(net.rows - 1, 0, -1):
+            product = row_product(net, row, env)
+            assert any(product.carried) and max(product.bond_dims) > 8
+            with caplog.at_level(logging.DEBUG, logger="kingspeps"):
+                env, fid = compress(product, params)
+            assert_matches_expansion(product, params, env, fid)
+            assert fid >= compress(product, unswept)[1] - 1e-12
+        assert caplog.messages.count(
+            "compress: a bond was cut, 2 sweep(s) run") == net.rows - 1
 
 
 class TestBottomEnv:

@@ -14,7 +14,8 @@ from kingspeps.tensor_core import (BoundaryMps, compress, left_canonicalize,
                                    overlap, svd_truncate)
 from kingspeps.errors import (DegenerateStateError, DimensionError,
                               NumericError)
-from conftest import dense_mps_vector, normalize_scale, random_boundary_mps
+from conftest import (dense_mps_vector, expanded, normalize_scale,
+                      random_boundary_mps)
 
 
 class TestSvdTruncate:
@@ -248,6 +249,57 @@ class TestSweepSkip:
         assert max(out.bond_dims, default=1) <= bond_dim
 
 
+def random_carried_mps(phys_dims, carried, bond_dim, seed):
+    """Random state whose carried sites hold ``(dl, d, bond_dim)`` blocks
+    behind a logical right bond ``d * bond_dim``."""
+    rng = np.random.default_rng(seed)
+    tensors, dl = [], 1
+    for i, (d, c) in enumerate(zip(phys_dims, carried)):
+        r = 1 if i == len(phys_dims) - 1 else bond_dim
+        tensors.append(rng.standard_normal((dl, d, r)))
+        dl = r * (d if c else 1)
+    return BoundaryMps(tensors, 0.5, carried)
+
+
+class TestCarriedSites:
+    """States stored as diagonal blocks against their dense expansion."""
+
+    DIMS = [2, 3, 1, 4, 2]
+    CARRIED = [True, True, True, False, False]
+
+    def test_bond_dims_are_logical(self):
+        mps = random_carried_mps(self.DIMS, self.CARRIED, 3, seed=40)
+        assert mps.bond_dims == (6, 9, 3, 3)
+        assert expanded(mps).bond_dims == mps.bond_dims
+        with pytest.raises(DimensionError):
+            BoundaryMps(mps.tensors, carried=[False] * 5)
+        with pytest.raises(DimensionError):
+            BoundaryMps(mps.tensors, carried=self.CARRIED[:4])
+
+    def test_left_canonicalize_keeps_blocks(self):
+        mps = random_carried_mps(self.DIMS, self.CARRIED, 3, seed=41)
+        canon = left_canonicalize(mps)
+        assert canon.carried == mps.carried
+        for t in expanded(canon).tensors:
+            dl, d, dr = t.shape
+            m = t.reshape(dl * d, dr)
+            assert np.max(np.abs(m.T @ m - np.eye(dr))) <= 1e-10
+        assert np.allclose(dense_mps_vector(canon), dense_mps_vector(mps),
+                           rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("bond_dim,num_sweeps", [(100, 1), (4, 0), (4, 2),
+                                                     (1, 3)])
+    def test_compress_matches_expansion(self, bond_dim, num_sweeps):
+        mps = random_carried_mps(self.DIMS, self.CARRIED, 3, seed=42)
+        params = ContractionParams(bond_dim=bond_dim, num_sweeps=num_sweeps)
+        got, fid = compress(mps, params)
+        want, want_fid = compress(expanded(mps), params)
+        assert not any(got.carried) and got.bond_dims == want.bond_dims
+        assert fid == pytest.approx(want_fid, rel=1e-10)
+        a, b = dense_mps_vector(got), dense_mps_vector(want)
+        assert np.allclose(a, b, rtol=1e-9, atol=1e-9 * np.max(np.abs(b)))
+
+
 class TestOverlap:
     def test_normalized_product_state(self):
         t = np.array([0.6, 0.8]).reshape(1, 2, 1)
@@ -327,3 +379,8 @@ class TestParams:
             ContractionParams(num_sweeps=-1)
         with pytest.raises(NumericError):
             ContractionParams(beta=0.0)
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, -math.inf])
+    def test_non_finite_beta(self, beta):
+        with pytest.raises(NumericError, match="positive and finite"):
+            ContractionParams(beta=beta)
