@@ -110,7 +110,9 @@ class PepsNetwork:
 
     Carries both raw energy tables (used for exact incremental
     energies) and their Boltzmann weights ``exp(-beta * E)`` in the
-    requested dtype. Immutable once built; share freely.
+    requested dtype. All weights are exponentiated in one pass, over the
+    concatenation of every node and edge table, and each table's weights
+    are a view of that one buffer. Immutable once built; share freely.
     """
 
     def __init__(self, hamiltonian: PottsHamiltonian,
@@ -126,9 +128,7 @@ class PepsNetwork:
 
         self.site_dims: dict[tuple[int, int], int] = {}
         self.site_energy: dict[tuple[int, int], np.ndarray] = {}
-        self.site_weight: dict[tuple[int, int], np.ndarray] = {}
         self.back_energy: dict[tuple[tuple[int, int], str], np.ndarray] = {}
-        self.back_weight: dict[tuple[tuple[int, int], str], np.ndarray] = {}
 
         self._original: dict[int, int] = {}  # row-major, 1-based
         for site in hamiltonian.sites():
@@ -136,9 +136,7 @@ class PepsNetwork:
             self._original[self.position(*ts)] = (
                 (site[0] - 1) * hamiltonian.cols + site[1])
             self.site_dims[ts] = hamiltonian.dim(site)
-            energy = hamiltonian.node_table(site)
-            self.site_energy[ts] = energy
-            self.site_weight[ts] = self._boltzmann(energy)
+            self.site_energy[ts] = hamiltonian.node_table(site)
 
         for (a, b), table in hamiltonian.edge_tables():
             ta, tb = transform.apply(a, dims), transform.apply(b, dims)
@@ -149,15 +147,21 @@ class PepsNetwork:
             direction = next(d for d, off in _BACK_OFFSETS.items()
                              if off == (-delta[0], -delta[1]))
             self.back_energy[(tb, direction)] = table
-            self.back_weight[(tb, direction)] = self._boltzmann(table)
 
-    def _boltzmann(self, energy: np.ndarray) -> np.ndarray:
+        tables = [np.asarray(table, dtype=np.float64) for table in
+                  [*self.site_energy.values(), *self.back_energy.values()]]
         with np.errstate(over="ignore"):
-            weight = np.exp(-self.beta * np.asarray(energy, dtype=np.float64))
+            weight = np.exp(-self.beta * np.concatenate(
+                [table.reshape(-1) for table in tables]))
         if not np.all(np.isfinite(weight)):
             raise NumericError(
                 "Boltzmann weight overflowed; reduce beta or rescale energies")
-        return weight.astype(self.dtype)
+        weight = weight.astype(self.dtype)
+        ends = np.cumsum([table.size for table in tables]).tolist()
+        views = iter([weight[end - table.size:end].reshape(table.shape)
+                      for table, end in zip(tables, ends)])
+        self.site_weight = dict(zip(self.site_energy, views))
+        self.back_weight = dict(zip(self.back_energy, views))
 
     # -- transformed-frame helpers --------------------------------------
 
@@ -311,11 +315,16 @@ def bottom_environments(net: PepsNetwork,
     return envs[::-1]
 
 
-def _max_normalized(x: np.ndarray, axes) -> np.ndarray:
-    """``x`` divided by its largest magnitude over ``axes`` (where nonzero)."""
-    scale = np.max(np.abs(x), axis=axes, keepdims=True)
+def _max_normalized(x: np.ndarray) -> np.ndarray:
+    """Each ``x[i]`` divided by its largest magnitude (where nonzero).
+
+    The maxima are taken down the columns of a transposed copy, because
+    numpy reduces short rows one at a time, several times slower.
+    """
+    rows = x.reshape(len(x), math.prod(x.shape[1:]))
+    scale = np.abs(rows.T, order="C").max(axis=0)
     scale[scale == 0] = 1
-    return x / scale
+    return x / scale.reshape((len(x),) + (1,) * (x.ndim - 1))
 
 
 def right_tables(net: PepsNetwork, bottom: BoundaryMps, row: int,
@@ -344,7 +353,7 @@ def right_tables(net: PepsNetwork, bottom: BoundaryMps, row: int,
         for rows in back_rows(net, row, col, values, ("n", "nw", "ne"),
                               weight=True):
             v = v * rows[:, None, :]
-        env = _max_normalized(v @ h.transpose(1, 0, 2), (1, 2))
+        env = _max_normalized(v @ h.transpose(1, 0, 2))
         tables.append(env)
     return tables[::-1]
 
@@ -354,12 +363,16 @@ def back_rows(net: PepsNetwork, row: int, col: int, values: np.ndarray,
     """Rows of the backward tables of ``(row, col)`` picked by the
     branches' values of the neighbors, one ``(B, d)`` array per present
     direction in the order given. ``values`` is ``(B, >= position - 1)``.
+
+    Rows are gathered with ``take``: on these small tables it is several
+    times faster than fancy indexing, and it runs for every branch step.
     """
     for direction in directions:
         table = net.back(row, col, direction, weight=weight)
         if table is not None:
             dr, dc = _BACK_OFFSETS[direction]
-            yield table[values[:, net.position(row + dr, col + dc) - 1] - 1]
+            yield table.take(
+                values[:, net.position(row + dr, col + dc) - 1] - 1, axis=0)
 
 
 def conditionals(net: PepsNetwork, bottom: BoundaryMps, row: int, col: int,
@@ -367,21 +380,28 @@ def conditionals(net: PepsNetwork, bottom: BoundaryMps, row: int, col: int,
                  above: np.ndarray):
     """Conditional distributions of site ``(row, col)`` for B branches.
 
-    With ``t = left @ A`` for the column's bottom tensor A, branch b's
-    numerator is ``sum_c t[b, s, c] * right[above[b], s, c]`` times its
-    candidate weights. A branch whose every numerator is negative is
-    negated (truncation gave the environment the wrong sign for that
-    branch's configuration), then negative noise left on a branch with a
-    positive or zero numerator is clamped to zero; both are logged at
-    DEBUG level with their count and position.
+    With ``t = L @ A`` for the column's bottom tensor A and L the rows
+    of ``left`` max-normalized, branch b's numerator is
+    ``sum_c t[b, s, c] * right[above[b], s, c]`` times its candidate
+    weights. A branch whose every numerator is negative is negated
+    (truncation gave the environment the wrong sign for that branch's
+    configuration), then negative noise left on a branch with a positive
+    or zero numerator is clamped to zero; both are logged at DEBUG level
+    with their count and position.
+
     Returns the (B, d) float64 conditionals and the children's left
-    vectors, ``t`` max-normalized per (b, s). Raises
-    ContractionDegenerateError when every weight of a branch underflowed.
+    vectors, the raw ``t``. Left vectors are normalized here, where they
+    are read, so the children a caller prunes are never normalized; the
+    result is the same, since max-normalizing rows commutes with
+    gathering them and leaves a normalized row (largest magnitude
+    exactly 1) as it is. Raises ContractionDegenerateError when every
+    weight of a branch underflowed.
     """
     a = bottom.tensors[col - 1]
     chi, d, chi_right = a.shape
-    t = (left @ a.reshape(chi, d * chi_right)).reshape(-1, d, chi_right)
-    numerator = np.einsum("bsc,bsc->bs", t, right[above])
+    t = (_max_normalized(left) @ a.reshape(chi, d * chi_right)).reshape(
+        -1, d, chi_right)
+    numerator = np.einsum("bsc,bsc->bs", t, right.take(above, axis=0))
     weights = net.site_weight[(row, col)][None, :]
     for rows in back_rows(net, row, col, values, ("w", "n", "nw", "ne"),
                           weight=True):
@@ -390,23 +410,26 @@ def conditionals(net: PepsNetwork, bottom: BoundaryMps, row: int, col: int,
 
     negative = numerator < 0
     if negative.any():
+        debug = logger.isEnabledFor(logging.DEBUG)
         flip = negative.all(axis=1)
         if flip.any():
-            logger.debug("flipped the sign of %d of %d branches' conditional "
-                         "weights at (%d, %d)", int(flip.sum()), len(flip),
-                         row, col)
+            if debug:
+                logger.debug("flipped the sign of %d of %d branches' "
+                             "conditional weights at (%d, %d)",
+                             int(flip.sum()), len(flip), row, col)
             numerator = np.where(flip[:, None], -numerator, numerator)
             negative = negative & ~flip[:, None]
         if negative.any():
-            logger.debug("clamped %d negative conditional weights at (%d, %d)",
-                         int(negative.sum()), row, col)
+            if debug:
+                logger.debug("clamped %d negative conditional weights at "
+                             "(%d, %d)", int(negative.sum()), row, col)
             numerator = np.where(negative, 0.0, numerator)
     norm = numerator.sum(axis=1)
     if not np.all((norm > 0) & np.isfinite(norm)):
         raise ContractionDegenerateError(
             "conditional weights vanished", position=(row, col))
     probabilities = (numerator / norm[:, None]).astype(np.float64)
-    return probabilities, _max_normalized(t, 2)
+    return probabilities, t
 
 
 def conditional_distribution(net: PepsNetwork, envs: list[BoundaryMps],
@@ -445,7 +468,7 @@ def conditional_distribution(net: PepsNetwork, envs: list[BoundaryMps],
     start = (row - 1) * net.cols
     left = np.ones((1, 1), dtype=net.dtype)
     for c, value in enumerate(values[0, start:start + col - 1]):
-        left = _max_normalized(left @ bottom.tensors[c][:, value - 1, :], 1)
+        left = _max_normalized(left) @ bottom.tensors[c][:, value - 1, :]
     right = right_tables(net, bottom, row, values)[col - 1]
     probabilities, _ = conditionals(net, bottom, row, col, values, left,
                                     right, np.zeros(1, dtype=np.intp))

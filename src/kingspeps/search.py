@@ -16,11 +16,17 @@ The lower half is contracted once per solve, into one bottom
 environment per row. One contraction per step then gives all
 conditionals: each branch carries its left vector along the row, and a
 row's right tables are built once, at its first column, for the
-distinct rows above. Ties are broken by values through a lexicographic
-rank: a child's is its parent's times d plus s.
+distinct rows above.
+
+Every population is kept sorted lexicographically by its values, so a
+branch's index is its rank. Sorted parents give sorted children, since
+children come parent-major with their states ascending; prune and merge
+emit their survivors in index order, and the stable sorts they rank by
+break ties by index, that is, by values.
 
 Merging is batched as well. Branches are grouped by one integer key of
-their boundary values, and every distance a droplet candidate must be
+their boundary values, whose radices come from the site dimensions,
+planned once per solve, and every distance a droplet candidate must be
 checked against is counted over whole configurations; Python only
 makes the sequential keep-or-evict decisions. The droplets a solve
 records go into one append-only :class:`DropletTable` of flat arrays,
@@ -86,7 +92,7 @@ class DropletParams:
     mode: str = "potts"
 
     def __post_init__(self):
-        if self.energy_cutoff < 0:
+        if not self.energy_cutoff >= 0:
             raise DimensionError(
                 f"energy_cutoff must be >= 0, got {self.energy_cutoff}")
         if self.hamming_cutoff < 0:
@@ -191,49 +197,57 @@ class DropletTable:
 
 @dataclass
 class Branches:
-    """The branch population, one row per branch.
+    """The branch population, one row per branch, the rows distinct and
+    sorted lexicographically by ``values``, so that a branch's index is
+    its rank.
 
     ``values`` (B, k): assigned states in row-major transformed order;
     ``log_probability`` (B,): summed log conditionals; ``energy`` (B,):
-    exact energy of the terms determined so far; ``rank``: lexicographic
-    order of the values; ``left``: left vectors in the current row;
-    ``above``: each branch's row in ``right``, the current row's right
-    tables (None between rows); ``droplets`` (B,): an object array
-    holding each branch's tuple of droplet ids in ``table``, the solve's
-    :class:`DropletTable`, so that it is gathered by index like the
-    other columns.
+    exact energy of the terms determined so far; ``left``: left vectors
+    in the current row, as :func:`conditionals` returns them (it
+    normalizes them where it reads them); ``above``: each branch's row
+    in ``right``, the current row's right tables (None between rows);
+    ``droplets`` (B,): an object array holding each branch's tuple of
+    droplet ids in ``table``, the solve's :class:`DropletTable`, so that
+    it is gathered by index like the other columns; ``radix``: each
+    row-major position's group-key radix, its site dimension plus one.
     """
 
     values: np.ndarray
     log_probability: np.ndarray
     energy: np.ndarray
-    rank: np.ndarray
     left: np.ndarray
     above: np.ndarray
     droplets: np.ndarray
     right: list | None = None
     table: DropletTable | None = None
+    radix: tuple[int, ...] = ()
 
     @classmethod
     def root(cls, net: PepsNetwork) -> "Branches":
-        """The single empty branch every search starts from, and its table."""
+        """The single empty branch every search starts from, its table
+        and the key radices of every position."""
         value_dtype = np.min_scalar_type(max(net.site_dims.values()))
+        radix = tuple(net.dim_at(*net.site_of(p)) + 1
+                      for p in range(1, net.rows * net.cols + 1))
         return cls(np.zeros((1, 0), dtype=value_dtype), np.zeros(1),
-                   np.zeros(1), np.zeros(1, dtype=np.intp),
-                   np.ones((1, 1), dtype=net.dtype),
+                   np.zeros(1), np.ones((1, 1), dtype=net.dtype),
                    np.zeros(1, dtype=np.intp),
                    np.fromiter([()], dtype=object, count=1),
-                   table=DropletTable())
+                   table=DropletTable(), radix=radix)
 
     def __len__(self):
         return len(self.values)
 
     def take(self, index: np.ndarray) -> "Branches":
-        """The branches at ``index``, in that order."""
-        return Branches(self.values[index], self.log_probability[index],
-                        self.energy[index], self.rank[index], self.left[index],
-                        self.above[index], self.droplets[index], self.right,
-                        self.table)
+        """The branches at ``index``, in that order. The 2-D columns are
+        gathered with ``take``, several times faster than fancy indexing
+        on them; fancy indexing is the faster on the 1-D ones."""
+        return Branches(self.values.take(index, axis=0),
+                        self.log_probability[index], self.energy[index],
+                        self.left.take(index, axis=0), self.above[index],
+                        self.droplets[index], self.right, self.table,
+                        self.radix)
 
 
 @dataclass
@@ -276,15 +290,15 @@ def boundary_sites(dims, k: int) -> list[tuple[int, int]]:
     return out
 
 
-def _row_keys(block: np.ndarray) -> np.ndarray:
+def _row_keys(block: np.ndarray, radix: Sequence[int]) -> np.ndarray:
     """One ``int64`` key per row of ``block``: equal for equal rows and
     ordered as the rows are, lexicographically.
 
-    The key is mixed-radix, a column's radix being its largest value
-    plus one. Before it could overflow, it is re-ranked to its place
-    among the distinct keys so far, which keeps the order.
+    The key is mixed-radix, column j's radix being ``radix[j]``, which
+    must exceed every value in the column. Before it could overflow, it
+    is re-ranked to its place among the distinct keys so far, which
+    keeps the order.
     """
-    radix = (np.max(block, axis=0, initial=0).astype(np.int64) + 1).tolist()
     key, bound, start = 0, 1, 0
     for col, r in enumerate(radix):
         if bound * r > _KEY_LIMIT:
@@ -296,16 +310,21 @@ def _row_keys(block: np.ndarray) -> np.ndarray:
 
 
 def _fold(key, block, radix, start, stop):
-    """``key`` followed by the digits of columns ``start..stop-1``."""
+    """``key`` followed by the digits of columns ``start..stop-1``.
+
+    The digits are summed down the columns of the transposed block,
+    because numpy reduces short rows one at a time, several times slower.
+    """
     place = [math.prod(radix[j + 1:stop]) for j in range(start, stop)]
     return (key * math.prod(radix[start:stop])
-            + block[:, start:stop] @ np.array(place, dtype=np.int64))
+            + np.array(place, dtype=np.int64) @ block[:, start:stop].T)
 
 
-def _distinct_rows(block: np.ndarray):
+def _distinct_rows(block: np.ndarray, radix: Sequence[int]):
     """The first index of each distinct row of ``block`` and every row's
-    group, groups numbered in the rows' lexicographic order."""
-    _, first, group = np.unique(_row_keys(block), return_index=True,
+    group, groups numbered in the rows' lexicographic order; ``radix``
+    as for :func:`_row_keys`."""
+    _, first, group = np.unique(_row_keys(block, radix), return_index=True,
                                 return_inverse=True)
     return first, group
 
@@ -315,8 +334,9 @@ def branch(states: Branches, k: int, net: PepsNetwork,
     """Extend every branch by all states of site ``k``.
 
     ``envs`` holds the solve's bottom environments, one per row, from
-    :func:`bottom_environments`. Children come parent-major and pick up
-    the log conditional and the exact energy of the newly determined
+    :func:`bottom_environments`. Children come parent-major with their
+    states ascending, so sorted parents give sorted children, and pick
+    up the log conditional and the exact energy of the newly determined
     terms (the site's own table plus its edges to already-assigned
     neighbors).
     """
@@ -330,7 +350,9 @@ def branch(states: Branches, k: int, net: PepsNetwork,
             f"got {states.values.shape[1]}")
     bottom = envs[row - 1]
     if col == 1:
-        first, index = _distinct_rows(states.values[:, max(k - 1 - net.cols, 0):])
+        start = max(k - 1 - net.cols, 0)
+        first, index = _distinct_rows(states.values[:, start:],
+                                      states.radix[start:k - 1])
         states = replace(states, left=np.ones((len(states), 1), dtype=net.dtype),
                          above=index,
                          right=right_tables(net, bottom, row, states.values[first]))
@@ -350,16 +372,12 @@ def branch(states: Branches, k: int, net: PepsNetwork,
     values = np.empty((n, d, k), dtype=states.values.dtype)
     values[:, :, :-1] = states.values[:, None, :]
     values[:, :, -1] = np.arange(1, d + 1)
-    # ranks are distinct, so their dense ranks are the inverse of a sort
-    dense = np.empty(n, dtype=np.intp)
-    dense[np.argsort(states.rank)] = np.arange(n)
-    rank = dense[:, None] * d + np.arange(d)
     parents = np.repeat(np.arange(n), d)
     return Branches(values.reshape(n * d, k), log_p.reshape(-1),
-                    energy.reshape(-1), rank.reshape(-1),
-                    lefts.reshape(n * d, -1), states.above[parents],
-                    states.droplets[parents],
-                    None if col == net.cols else states.right, states.table)
+                    energy.reshape(-1), lefts.reshape(n * d, -1),
+                    states.above[parents], states.droplets[parents],
+                    None if col == net.cols else states.right, states.table,
+                    states.radix)
 
 
 def _elementwise_distance(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
@@ -402,11 +420,12 @@ def _clashes(values, others, carriers, run, run_start, counts, held, mode,
                         total + first[pair_cand] + slot - own)
 
     positions, flipped, lengths = held
-    configs = values[np.concatenate((np.repeat(carriers[run_start], counts),
-                                     others))]
+    configs = values.take(np.concatenate(
+        (np.repeat(carriers[run_start], counts), others)), axis=0)
     configs[np.repeat(np.arange(total), lengths), positions] = flipped
-    distance = _elementwise_distance(configs[total + pair_cand],
-                                     configs[pair_ref], mode).sum(axis=1)
+    distance = _elementwise_distance(configs.take(total + pair_cand, axis=0),
+                                     configs.take(pair_ref, axis=0),
+                                     mode).sum(axis=1)
     hit = distance < cutoff
     return pair_cand[hit], pair_ref[hit]
 
@@ -416,16 +435,16 @@ def merge_and_collect(states: Branches, k: int, dims, dp: DropletParams,
     """Merge branches with identical boundary values, prune the
     survivors as :func:`prune` does, and collect droplets on those kept.
 
-    Within a group the lowest-energy branch survives (ties broken
-    lexicographically). A discarded branch within ``energy_cutoff``
-    becomes a droplet on the survivor, carrying its own droplets as
-    sub-droplets, unless it comes closer than ``hamming_cutoff`` to an
-    already-attached droplet; of such a clashing pair only the lower
-    excitation energy is kept. Candidates are taken per survivor in
-    (energy, values) order.
+    Within a group the lowest-energy branch survives (ties broken by
+    index, which is lexicographic). A discarded branch within
+    ``energy_cutoff`` becomes a droplet on the survivor, carrying its own
+    droplets as sub-droplets, unless it comes closer than
+    ``hamming_cutoff`` to an already-attached droplet; of such a clashing
+    pair only the lower excitation energy is kept. Candidates are taken
+    per survivor in (energy, values) order.
 
     Survivors are pruned before any droplet work, since a droplet dies
-    with its carrier and merging changes no probability or rank. One
+    with its carrier and merging changes no probability or value. One
     boolean matrix, where each candidate differs from its survivor,
     drops the copies and gives the kept candidates' flips. Every
     distance a candidate needs (to the droplets its survivor carries and
@@ -433,22 +452,23 @@ def merge_and_collect(states: Branches, k: int, dims, dp: DropletParams,
     full configurations. Python runs only the sequential keep-or-evict
     decision, over the candidates with a clash; the kept candidates are
     appended to the table in one batch. Returns what :func:`prune`
-    returns.
+    returns, the survivors in index order.
     """
     table = states.table
     positions = [(r - 1) * dims[1] + c - 1 for r, c in boundary_sites(dims, k)]
-    group = _row_keys(states.values[:, positions])
-    order = np.lexsort((states.rank, states.energy, group))
+    group = _row_keys(states.values[:, positions],
+                      [states.radix[p] for p in positions])
+    # stable: ties in (group, energy) stay in index order
+    order = np.lexsort((states.energy, group))
     grouped = group[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = grouped[1:] != grouped[:-1]
     survivor = order[np.maximum.accumulate(
         np.where(first, np.arange(len(order)), 0))]
-    survivors = order[first]
-    kept_rank, largest_discarded = _prune_order(
-        states.log_probability[survivors], states.rank[survivors], sp,
-        largest_discarded)
-    survivors = survivors[kept_rank]
+    survivors = np.sort(order[first])
+    kept, largest_discarded = _prune_order(
+        states.log_probability[survivors], sp, largest_discarded)
+    survivors = survivors[kept]
     alive = np.zeros(len(states), dtype=bool)
     alive[survivors] = True
     gap = states.energy[order] - states.energy[survivor]
@@ -457,7 +477,8 @@ def merge_and_collect(states: Branches, k: int, dims, dp: DropletParams,
         return states.take(survivors), largest_discarded
 
     others, carriers, gaps = order[pick], survivor[pick], gap[pick]
-    differ = states.values[others] != states.values[carriers]
+    differ = (states.values.take(others, axis=0)
+              != states.values.take(carriers, axis=0))
     moved = differ.any(axis=1)  # a copy of its survivor adds no droplet
     others, carriers, gaps, differ = (others[moved], carriers[moved],
                                       gaps[moved], differ[moved])
@@ -504,12 +525,14 @@ def merge_and_collect(states: Branches, k: int, dims, dp: DropletParams,
     return replace(states, droplets=droplets).take(survivors), largest_discarded
 
 
-def _prune_order(log_probability: np.ndarray, rank: np.ndarray,
-                 sp: SearchParams, largest_discarded: float):
-    """Indices of the branches :func:`prune` keeps, most probable first
-    (ties broken by ``rank``), and the updated running maximum of the
-    discarded log probabilities."""
-    order = np.lexsort((rank, -log_probability))
+def _prune_order(log_probability: np.ndarray, sp: SearchParams,
+                 largest_discarded: float):
+    """Indices of the branches :func:`prune` keeps, in index order, and
+    the updated running maximum of the discarded log probabilities.
+
+    The most probable are kept, ties broken by index: a stable sort.
+    """
+    order = np.argsort(-log_probability, kind="stable")
     ranked = log_probability[order]
     keep = len(order)
     if sp.cut_off_prob > 0.0 and keep:
@@ -518,20 +541,20 @@ def _prune_order(log_probability: np.ndarray, rank: np.ndarray,
     keep = min(keep, sp.max_states)
     if keep < len(order):
         largest_discarded = max(largest_discarded, float(ranked[keep]))
-    return order[:keep], largest_discarded
+    return np.sort(order[:keep]), largest_discarded
 
 
 def prune(states: Branches, sp: SearchParams,
           largest_discarded: float = -math.inf):
     """Keep the ``max_states`` most probable branches above the threshold.
 
-    Returns the kept branches, most probable first (ties broken
-    lexicographically), and the updated running maximum of the
-    discarded log probabilities. A merge step prunes by the same rule
-    inside :func:`merge_and_collect`.
+    Of equally probable branches the lexicographically first are kept.
+    Returns the kept branches in index order, so still sorted, and the
+    updated running maximum of the discarded log probabilities. A merge
+    step prunes by the same rule inside :func:`merge_and_collect`.
     """
     kept, largest_discarded = _prune_order(
-        states.log_probability, states.rank, sp, largest_discarded)
+        states.log_probability, sp, largest_discarded)
     return states.take(kept), largest_discarded
 
 
@@ -594,11 +617,13 @@ def low_energy_spectrum(h: PottsHamiltonian,
                                               largest_discarded)
         if k % net.cols == 0:
             if logger.isEnabledFor(logging.DEBUG):
-                above = states.values[:, max(k - 2 * net.cols, 0):k - net.cols]
+                start = max(k - 2 * net.cols, 0)
+                above = _distinct_rows(states.values[:, start:k - net.cols],
+                                       states.radix[start:k - net.cols])[0]
                 logger.debug("row %d/%d: %d branches, %d distinct rows above, "
                              "merged at %d of %d steps", k // net.cols,
-                             net.rows, len(states),
-                             len(_distinct_rows(above)[0]), merges, net.cols)
+                             net.rows, len(states), len(above), merges,
+                             net.cols)
             merges = 0
 
     # 0-based transformed position -> 1-based original position

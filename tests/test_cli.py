@@ -229,6 +229,16 @@ class TestSolve:
         assert "line 2: non-finite value in '1 2 nan'" in err
         assert "numerical failure" not in err
 
+    @pytest.mark.parametrize("cutoff", ["nan", "-1"])
+    def test_invalid_energy_cutoff_exits_one(self, tmp_path, capsys, cutoff):
+        path = _write_instance(tmp_path, rows=2, cols=2)
+        out = tmp_path / "sol.json"
+        assert main(["solve", str(path), "--topology", "2", "2", "1",
+                     f"--energy-cutoff={cutoff}", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "energy_cutoff must be >= 0" in err
+        assert not out.exists()
+
     def test_overflowing_beta_exits_two(self, tmp_path):
         path = tmp_path / "big.txt"
         path.write_text("1 1 -1000.0\n2 2 0.0\n")

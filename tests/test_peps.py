@@ -125,6 +125,41 @@ class TestBuildNetwork:
         with pytest.raises(NumericError):
             build_network(h, beta=0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("model", [
+        lambda: random_clustered(3, 3, 2, seed=3300)[1],
+        lambda: ragged_potts(3, 4, [1, 2, 3, 4, 4, 3, 2, 1, 2, 4, 1, 3], 8),
+    ], ids=["clustered3x3x2", "ragged3x4"])
+    def test_weights_equal_per_table_exp(self, model, dtype):
+        # the one-pass build exponentiates the concatenation of every
+        # table; each table's weights must match its own exp bit for bit
+        h = model()
+        for tr in ALL_TRANSFORMS:
+            for beta in (0.5, 2.0, 7.3):
+                net = build_network(h, tr, beta=beta, dtype=dtype)
+                for energy, weight in ((net.site_energy, net.site_weight),
+                                       (net.back_energy, net.back_weight)):
+                    assert weight.keys() == energy.keys()
+                    for key, table in energy.items():
+                        expected = np.exp(-beta * np.asarray(
+                            table, dtype=np.float64)).astype(dtype)
+                        got = weight[key]
+                        assert got.shape == expected.shape
+                        assert got.dtype == expected.dtype
+                        assert np.all(got == expected), (tr.name, key)
+
+    def test_overflowing_edge_table_raises(self):
+        # one edge entry overflows, every node table is fine
+        h = PottsHamiltonian(2, 2)
+        for site in h.sites():
+            h.set_node(site, [0.0, 1.0])
+        h.set_edge((1, 2), (2, 1), [[0.0, -1000.0], [0.0, 0.0]])
+        for tr in ALL_TRANSFORMS:
+            with pytest.raises(NumericError, match=r"^Boltzmann weight "
+                               r"overflowed; reduce beta or rescale "
+                               r"energies$"):
+                build_network(h, tr, beta=1.0)
+
     @pytest.mark.parametrize("beta", [math.inf, math.nan, -math.inf])
     def test_non_finite_beta(self, beta):
         h = PottsHamiltonian(1, 2)

@@ -21,9 +21,21 @@ from kingspeps.potts import PottsHamiltonian
 from kingspeps.search import (Branches, Droplet, DropletTable, boundary_sites,
                               branch, merge_and_collect, prune)
 from kingspeps import search as search_module
-from kingspeps.errors import InvalidIndexError, UnsupportedError
+from kingspeps.errors import (DimensionError, InvalidIndexError,
+                              UnsupportedError)
 from conftest import droplet_distance, random_clustered, random_potts
 from test_golden_search import _ragged_potts
+
+
+class TestParams:
+    @pytest.mark.parametrize("cutoff", [math.nan, -1.0, -math.inf])
+    def test_invalid_energy_cutoff_rejected(self, cutoff):
+        with pytest.raises(DimensionError, match="energy_cutoff must be >= 0"):
+            DropletParams(energy_cutoff=cutoff)
+
+    @pytest.mark.parametrize("cutoff", [0.0, 2.5, math.inf])
+    def test_energy_cutoff_accepted(self, cutoff):
+        assert DropletParams(energy_cutoff=cutoff).energy_cutoff == cutoff
 
 
 class TestBoundarySites:
@@ -87,21 +99,25 @@ def _load(table, droplet, ids):
     return ids[id(droplet)]
 
 
-def _population(rows):
+def _population(rows, dims=None):
     """A population of the given branches (no environment attached),
-    their droplets loaded into a new table."""
+    sorted by values as the search keeps it (equal rows in the given
+    order), their droplets loaded into a new table. ``dims`` are the
+    site dimensions, by default the largest value for every site."""
+    rows = sorted(rows, key=lambda r: r.values)
     values = np.array([r.values for r in rows], dtype=np.int64)
     values = values.reshape(len(rows), -1)
-    _, rank = np.unique(values, axis=0, return_inverse=True)
+    if dims is None:
+        dims = [int(values.max(initial=1))] * values.shape[1]
     table = DropletTable()
     ids = {}
     return Branches(values, np.array([r.log_probability for r in rows], float),
                     np.array([r.energy for r in rows], float),
-                    rank.reshape(-1), np.ones((len(rows), 1)),
+                    np.ones((len(rows), 1)),
                     np.zeros(len(rows), dtype=np.intp),
                     np.fromiter((tuple(_load(table, d, ids) for d in r.droplets)
                                  for r in rows), dtype=object, count=len(rows)),
-                    table=table)
+                    table=table, radix=tuple(d + 1 for d in dims))
 
 
 def _materialized(branches):
@@ -127,7 +143,7 @@ def _grown(net, envs, row):
                    energy=np.array([row.energy]))
 
 
-# prunes nothing, so a merge's survivors all come back, most probable first
+# prunes nothing, so a merge's survivors all come back, in value order
 _KEEP_ALL = SearchParams(max_states=10**6, cut_off_prob=0.0)
 
 
@@ -186,24 +202,37 @@ class TestBranch:
         with pytest.raises(InvalidIndexError):
             branch(states, 5, net, envs)
 
-    def test_dense_ranks_match_unique_along_a_solve(self, monkeypatch):
-        steps, real = [], search_module.branch
+    @pytest.mark.parametrize("model, mode", [
+        (lambda: random_clustered(4, 4, 2, seed=4200)[1], "spin"),
+        (lambda: _ragged_potts(3, 4, seed=34), "potts"),
+    ], ids=["clustered4x4x2", "ragged3x4"])
+    def test_populations_distinct_and_sorted_along_a_solve(self, model, mode,
+                                                           monkeypatch):
+        # a branch's index is its rank: every population the search makes
+        # holds distinct rows in lexicographic order of their values
+        seen = {"branch": 0, "prune": 0, "merge_and_collect": 0}
 
-        def checked(states, k, net, envs):
-            children = real(states, k, net, envs)
-            d = len(children) // len(states)
-            distinct, dense = np.unique(states.rank, return_inverse=True)
-            assert len(distinct) == len(states)
-            assert children.rank.tolist() == \
-                (dense[:, None] * d + np.arange(d)).reshape(-1).tolist()
-            steps.append(k)
-            return children
+        def checked(name):
+            real = getattr(search_module, name)
 
-        monkeypatch.setattr(search_module, "branch", checked)
-        _, h = random_clustered(4, 4, 2, seed=4200)
-        _solve(h, max_states=64, dp=DropletParams(
-            energy_cutoff=10.0, hamming_cutoff=5, mode="spin"))
-        assert steps == list(range(1, 17))
+            def step(*args, **kwargs):
+                out = real(*args, **kwargs)
+                rows = (out if name == "branch" else out[0]).values.tolist()
+                assert all(a < b for a, b in zip(rows, rows[1:])), name
+                seen[name] += 1
+                return out
+            return step
+
+        for name in seen:
+            monkeypatch.setattr(search_module, name, checked(name))
+        h = model()
+        sol = _solve(h, max_states=64, dp=DropletParams(
+            energy_cutoff=10.0, hamming_cutoff=5, mode=mode))
+        total = h.rows * h.cols
+        assert seen["branch"] == total
+        assert seen["prune"] + seen["merge_and_collect"] == total
+        assert seen["prune"] and seen["merge_and_collect"]
+        assert any(sol.droplets)
 
     def test_incremental_energy_matches_oracle(self):
         h = random_potts(3, 3, 2, seed=2)
@@ -339,9 +368,10 @@ class TestMergeAndCollect:
 
 def _reference_merge(states, k, dims, dp):
     """The per-candidate merge loop the batched one replaced: groups
-    sorted by boundary values, every clash tested on full carrier
-    configurations through ``droplet_distance``. Returns the survivors'
-    indices and their droplets."""
+    sorted by boundary values, ties by energy, then values, then input
+    order; every clash tested on full carrier configurations through
+    ``droplet_distance``. Returns the survivors' indices and their
+    droplets."""
     positions = [(r - 1) * dims[1] + c - 1 for r, c in boundary_sites(dims, k)]
     values = states.values.tolist()
 
@@ -349,7 +379,7 @@ def _reference_merge(states, k, dims, dp):
         return [values[i][p] for p in positions]
 
     order = sorted(range(len(values)), key=lambda i: (
-        boundary(i), states.energy[i], states.rank[i]))
+        boundary(i), states.energy[i], values[i]))
     droplets = list(states.droplets)
     survivors = []
     for _, members in itertools.groupby(order, key=boundary):
@@ -379,10 +409,10 @@ def _reference_merge(states, k, dims, dp):
 
 def _reference_prune(states, survivors, sp):
     """Python form of the prune rule over ``survivors``: the kept ones,
-    most probable first with ties by rank then by input order, and the
+    most probable first with ties by values then by input order, and the
     largest log probability among the rest."""
-    log_p, rank = states.log_probability.tolist(), states.rank.tolist()
-    ranked = sorted(survivors, key=lambda i: (-log_p[i], rank[i]))
+    log_p, values = states.log_probability.tolist(), states.values.tolist()
+    ranked = sorted(survivors, key=lambda i: (-log_p[i], values[i]))
     keep = len(ranked)
     if sp.cut_off_prob > 0.0:
         threshold = log_p[ranked[0]] + math.log(sp.cut_off_prob)
@@ -433,7 +463,7 @@ def _merge_cases(draw):
                              draw(energies),
                              tuple(droplet(0) for _ in range(
                                  draw(st.integers(0, 3))))))
-    states = _population(branches)
+    states = _population(branches, dims)
     states = replace(states, values=states.values.astype(dtype))
     dp = DropletParams(
         energy_cutoff=draw(st.sampled_from([0.0, 0.5, 1.0, math.inf])),
@@ -446,9 +476,9 @@ class TestMergeEquivalence:
     @staticmethod
     def _check(states, k, dims, dp, sp, largest_discarded=-math.inf):
         """``merge_and_collect`` equals the per-candidate merge loop
-        followed by the prune rule. The loop runs on the input's droplets
-        as the table builds them, and the droplets of both are compared
-        as the table builds them."""
+        followed by the prune rule, the survivors in index order. The
+        loop runs on the input's droplets as the table builds them, and
+        the droplets of both are compared as the table builds them."""
         inputs = np.fromiter(_materialized(states), dtype=object,
                              count=len(states))
         merged, discarded = merge_and_collect(states, k, dims, dp, sp,
@@ -456,11 +486,11 @@ class TestMergeEquivalence:
         survivors, droplets = _reference_merge(
             replace(states, droplets=inputs), k, dims, dp)
         kept, reference_discarded = _reference_prune(states, survivors, sp)
+        kept = sorted(kept)
         droplets_of = dict(zip(survivors, droplets))
         assert merged.values.dtype == states.values.dtype
         assert merged.values.tolist() == states.values[kept].tolist()
         assert merged.energy.tolist() == states.energy[kept].tolist()
-        assert merged.rank.tolist() == states.rank[kept].tolist()
         assert merged.log_probability.tolist() == \
             states.log_probability[kept].tolist()
         assert repr(_materialized(merged)) == \
@@ -491,7 +521,8 @@ class TestMergeEquivalence:
 
         monkeypatch.setattr(search_module, "_clashes", counted_clashes)
         built = _count_droplets(monkeypatch)
-        # 3x3 at k=5: site 1 is bulk, so each pair below forms one group
+        # 3x3 at k=5: site 1 is bulk, so each pair below forms one group;
+        # sorted, the candidate (2, 1, 1, 1, 1) is branch 2
         states = _population([
             _mk((1, 1, 1, 1, 1), -2.0, log_p=-0.1),  # kept carrier
             _mk((2, 1, 1, 1, 1), -1.5, log_p=-0.2),  # its candidate
@@ -504,7 +535,7 @@ class TestMergeEquivalence:
             SearchParams(max_states=1, cut_off_prob=0.0))
         assert merged.values.tolist() == [[1, 1, 1, 1, 1]]
         assert discarded == -3.0
-        assert batches == [[1]]
+        assert batches == [[2]]
         # one row appended to the table, no object built
         assert len(states.table.subs) == 1
         assert merged.droplets.tolist() == [(0,)]
@@ -575,14 +606,25 @@ class TestDistances:
                 axis=1).tolist() == expected
 
 
+def _assert_keys_match_unique(block, dims):
+    """Planned keys of ``block`` (states 1..dims[j] in column j) group
+    and order its rows as ``np.unique(block, axis=0)`` does."""
+    from kingspeps.search import _distinct_rows
+    first, group = _distinct_rows(block, [d + 1 for d in dims])
+    _, unique_first, unique_group = np.unique(
+        block, axis=0, return_index=True, return_inverse=True)
+    assert first.tolist() == unique_first.tolist()
+    assert group.tolist() == unique_group.reshape(-1).tolist()
+
+
 class TestDistinctRows:
     def test_key_overflowing_int64_matches_row_tuples(self):
         from kingspeps.search import _distinct_rows
         rng = np.random.default_rng(5)
-        # 70 binary columns: 2**70 keys, so the key is re-ranked mid-row
-        block = rng.integers(0, 2, size=(120, 70))
+        # 70 binary columns: 3**70 keys, so the key is re-ranked mid-row
+        block = rng.integers(1, 3, size=(120, 70))
         block[60:] = block[rng.integers(0, 60, size=60)]
-        first, group = _distinct_rows(block.astype(np.uint8))
+        first, group = _distinct_rows(block.astype(np.uint8), [3] * 70)
         rows = [tuple(r) for r in block.tolist()]
         first_seen = {}
         for i, row in enumerate(rows):
@@ -590,6 +632,28 @@ class TestDistinctRows:
         ordered = sorted(first_seen)
         assert first.tolist() == [first_seen[r] for r in ordered]
         assert group.tolist() == [ordered.index(r) for r in rows]
+        _assert_keys_match_unique(block.astype(np.uint8), [2] * 70)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_planned_keys_match_unique(self, data):
+        # ragged site dimensions, some past uint8, and wide rows whose
+        # key overflows int64 and is re-ranked
+        dims = data.draw(st.lists(st.integers(1, 9) | st.integers(256, 70000),
+                                  min_size=1, max_size=60))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        rng = np.random.default_rng(seed)
+        n = data.draw(st.integers(1, 80))
+        block = np.stack([rng.integers(1, d + 1, size=n) for d in dims],
+                         axis=1)
+        # repeat some rows and vary others in a few columns, so that
+        # groups have several members and differ late in the row
+        block[n // 2:] = block[rng.integers(0, n // 2 + 1, size=n - n // 2)]
+        column = data.draw(st.integers(0, len(dims) - 1))
+        block[::3, column] = rng.integers(1, dims[column] + 1,
+                                          size=len(block[::3]))
+        _assert_keys_match_unique(
+            block.astype(np.min_scalar_type(max(dims))), dims)
 
 
 class TestPrune:
@@ -613,10 +677,19 @@ class TestPrune:
         assert len(kept) == 1
         assert math.exp(ldp) == pytest.approx(1e-5)
 
-    def test_ordered_most_probable_first(self):
-        states = [_mk((v,), 0.0, log_p=-float(v)) for v in (3, 1, 2)]
+    def test_keeps_most_probable_in_value_order(self):
+        states = [_mk((v,), 0.0, log_p=lp)
+                  for v, lp in ((3, -1.0), (1, -3.0), (2, -2.0))]
         kept, _ = _prune(states, SearchParams(max_states=2, cut_off_prob=0.0))
-        assert [s.log_probability for s in kept] == [-1.0, -2.0]
+        assert [s.values for s in kept] == [(2,), (3,)]
+        assert [s.log_probability for s in kept] == [-2.0, -1.0]
+
+    def test_equal_probabilities_keep_lexicographically_first(self):
+        states = [_mk((v,), 0.0, log_p=-1.0) for v in (3, 1, 4, 2)]
+        kept, ldp = _prune(states,
+                           SearchParams(max_states=2, cut_off_prob=0.0))
+        assert [s.values for s in kept] == [(1,), (2,)]
+        assert ldp == -1.0
 
     def test_running_maximum_carried(self):
         states = [_mk((1,), 0.0, log_p=0.0)]
