@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, TooLargeError
-from .potts import PottsHamiltonian
+from .potts import PottsHamiltonian, _checked_states
 
 ENUMERATION_GUARD = 2 ** 24
 
@@ -22,15 +22,13 @@ def config_energies(h: PottsHamiltonian, configs: np.ndarray) -> np.ndarray:
         h: the model.
         configs: integer array (n_configs, n_sites) of 1-based states in
             row-major site order.
+
+    Raises as :func:`~kingspeps.potts.potts_energies` does.
     """
-    configs = np.asarray(configs)
-    sites = list(h.sites())
-    if configs.ndim != 2 or configs.shape[1] != len(sites):
-        raise DimensionError(
-            f"configs must be (n, {len(sites)}), got {configs.shape}")
-    index_of = {site: i for i, site in enumerate(sites)}
+    configs = _checked_states(h, configs)
+    index_of = {site: i for i, site in enumerate(h.sites())}
     energies = np.zeros(configs.shape[0], dtype=np.float64)
-    for i, site in enumerate(sites):
+    for site, i in index_of.items():
         table = h.node_table(site)
         energies += table[configs[:, i] - 1]
     for (a, b), table in h.edge_tables():

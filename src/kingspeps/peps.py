@@ -15,10 +15,10 @@ direction that points back to the earlier endpoint:
     "n"  : (r-1, c)   -- directly above
     "ne" : (r-1, c+1) -- upper right diagonal
 
-With that layout a row's product with the environment below it
-(:func:`row_product`, built from one weight table per column), the
-summed boundary of the lower half, and the conditional weights of a
-single site all read off the same four tables.
+With that layout the environment kernels, :func:`row_product` (built
+from one weight table per column) and :func:`right_tables`, read the
+four weight tables; a search step reads the energy tables once, in
+:func:`step_energies`, for its energy increments and local factors.
 
 A solve contracts the lower half once: :func:`bottom_environments`
 returns one boundary MPS per row, a plain list that every conditional
@@ -108,11 +108,12 @@ _BACK_OFFSETS = {"w": (0, -1), "nw": (-1, -1), "n": (-1, 0), "ne": (-1, 1)}
 class PepsNetwork:
     """Boltzmann tables of a model in a transformed frame.
 
-    Carries both raw energy tables (used for exact incremental
-    energies) and their Boltzmann weights ``exp(-beta * E)`` in the
-    requested dtype. All weights are exponentiated in one pass, over the
-    concatenation of every node and edge table, and each table's weights
-    are a view of that one buffer. Immutable once built; share freely.
+    Carries both raw energy tables (read by :func:`step_energies`) and
+    their Boltzmann weights ``exp(-beta * E)`` in the requested dtype
+    (read by the environment kernels). All weights are exponentiated in
+    one pass, over the concatenation of every node and edge table, and
+    each table's weights are a view of that one buffer. Immutable once
+    built; share freely.
     """
 
     def __init__(self, hamiltonian: PottsHamiltonian,
@@ -171,9 +172,8 @@ class PepsNetwork:
     def row_dims(self, row: int) -> list[int]:
         return [self.site_dims[(row, c)] for c in range(1, self.cols + 1)]
 
-    def back(self, row: int, col: int, direction: str, *, weight: bool):
-        store = self.back_weight if weight else self.back_energy
-        return store.get(((row, col), direction))
+    def back(self, row: int, col: int, direction: str):
+        return self.back_weight.get(((row, col), direction))
 
     def position(self, row: int, col: int) -> int:
         """Row-major 1-based linear position in the transformed frame."""
@@ -239,22 +239,22 @@ def row_product(net: PepsNetwork, row: int, env: BoundaryMps) -> BoundaryMps:
     for c, e in enumerate(env.tensors, start=1):
         dx, dy = dims_x[c - 1], dims_y[c - 1]
         # does the bond to column c+1 carry the upper / lower state?
-        carry_x = net.back(lower, c + 1, "nw", weight=True) is not None
-        carry_y = (net.back(lower, c + 1, "w", weight=True) is not None
-                   or net.back(lower, c, "ne", weight=True) is not None)
+        carry_x = net.back(lower, c + 1, "nw") is not None
+        carry_y = (net.back(lower, c + 1, "w") is not None
+                   or net.back(lower, c, "ne") is not None)
         with np.errstate(over="ignore", invalid="ignore"):
             a = (np.ones((dxl, dyl, dx, dy), dtype=net.dtype)
                  * net.site_weight[(lower, c)])
-            w = net.back(lower, c, "n", weight=True)
+            w = net.back(lower, c, "n")
             if w is not None:
                 a = a * w
-            w = net.back(lower, c, "w", weight=True)
+            w = net.back(lower, c, "w")
             if w is not None:
                 a = a * w[None, :, None, :]
-            w = net.back(lower, c, "nw", weight=True)
+            w = net.back(lower, c, "nw")
             if w is not None:
                 a = a * w[:, None, None, :]
-            w = net.back(lower, c - 1, "ne", weight=True)
+            w = net.back(lower, c - 1, "ne")
             if w is not None:
                 # couples x_c with y_{c-1}; table is (d_x, d_{y,c-1})
                 a = a * w.T[None, :, :, None]
@@ -347,44 +347,49 @@ def right_tables(net: PepsNetwork, bottom: BoundaryMps, row: int,
         # v[u, x_{col-1}, x_col]: the weights of free column col
         v = (np.ones((net.dim_at(row, col - 1), 1), dtype=net.dtype)
              * net.site_weight[(row, col)][None, :])
-        w_horiz = net.back(row, col, "w", weight=True)
+        w_horiz = net.back(row, col, "w")
         if w_horiz is not None:
             v = v * w_horiz
-        for rows in back_rows(net, row, col, values, ("n", "nw", "ne"),
-                              weight=True):
-            v = v * rows[:, None, :]
+        for direction in ("n", "nw", "ne"):
+            w = net.back(row, col, direction)
+            if w is not None:
+                dr, dc = _BACK_OFFSETS[direction]
+                v = v * w.take(values[:, net.position(row + dr, col + dc) - 1]
+                               - 1, axis=0)[:, None, :]
         env = _max_normalized(v @ h.transpose(1, 0, 2))
         tables.append(env)
     return tables[::-1]
 
 
-def back_rows(net: PepsNetwork, row: int, col: int, values: np.ndarray,
-              directions, *, weight: bool):
-    """Rows of the backward tables of ``(row, col)`` picked by the
-    branches' values of the neighbors, one ``(B, d)`` array per present
-    direction in the order given. ``values`` is ``(B, >= position - 1)``.
-
-    Rows are gathered with ``take``: on these small tables it is several
-    times faster than fancy indexing, and it runs for every branch step.
-    """
-    for direction in directions:
-        table = net.back(row, col, direction, weight=weight)
+def step_energies(net: PepsNetwork, row: int, col: int,
+                  values: np.ndarray) -> np.ndarray:
+    """Energy increments ``(B, d)`` of each state of site ``(row, col)``
+    for B branches whose ``values`` cover its predecessors (``(1, d)``
+    if it has no backward edge): its own energy plus its ``"w"``,
+    ``"nw"``, ``"n"`` and ``"ne"`` edges, summed in that order. Rows are
+    gathered with ``take``, here several times faster than indexing."""
+    terms = net.site_energy[(row, col)][None, :]
+    for direction, (dr, dc) in _BACK_OFFSETS.items():
+        table = net.back_energy.get(((row, col), direction))
         if table is not None:
-            dr, dc = _BACK_OFFSETS[direction]
-            yield table.take(
+            terms = terms + table.take(
                 values[:, net.position(row + dr, col + dc) - 1] - 1, axis=0)
+    return terms
 
 
 def conditionals(net: PepsNetwork, bottom: BoundaryMps, row: int, col: int,
-                 values: np.ndarray, left: np.ndarray, right: np.ndarray,
-                 above: np.ndarray):
+                 left: np.ndarray, right: np.ndarray, above: np.ndarray,
+                 energy: np.ndarray):
     """Conditional distributions of site ``(row, col)`` for B branches.
 
     With ``t = L @ A`` for the column's bottom tensor A and L the rows
     of ``left`` max-normalized, branch b's numerator is
-    ``sum_c t[b, s, c] * right[above[b], s, c]`` times its candidate
-    weights. A branch whose every numerator is negative is negated
-    (truncation gave the environment the wrong sign for that branch's
+    ``sum_c t[b, s, c] * right[above[b], s, c]`` times
+    ``exp(-beta * (energy[b, s] - min_s energy[b, s]))``, formed in
+    float64 from the increments :func:`step_energies` returns; the shift
+    cancels in the normalization and keeps the largest factor exactly 1.
+    A branch whose every numerator is negative is negated (truncation
+    gave the environment the wrong sign for that branch's
     configuration), then negative noise left on a branch with a positive
     or zero numerator is clamped to zero; both are logged at DEBUG level
     with their count and position.
@@ -402,11 +407,9 @@ def conditionals(net: PepsNetwork, bottom: BoundaryMps, row: int, col: int,
     t = (_max_normalized(left) @ a.reshape(chi, d * chi_right)).reshape(
         -1, d, chi_right)
     numerator = np.einsum("bsc,bsc->bs", t, right.take(above, axis=0))
-    weights = net.site_weight[(row, col)][None, :]
-    for rows in back_rows(net, row, col, values, ("w", "n", "nw", "ne"),
-                          weight=True):
-        weights = weights * rows
-    numerator = numerator * weights
+    # branch minima down a transposed copy, as in _max_normalized
+    shift = np.array(energy.T, order="C").min(axis=0)
+    numerator = numerator * np.exp(-net.beta * (energy - shift[:, None]))
 
     negative = numerator < 0
     if negative.any():
@@ -428,8 +431,7 @@ def conditionals(net: PepsNetwork, bottom: BoundaryMps, row: int, col: int,
     if not np.all((norm > 0) & np.isfinite(norm)):
         raise ContractionDegenerateError(
             "conditional weights vanished", position=(row, col))
-    probabilities = (numerator / norm[:, None]).astype(np.float64)
-    return probabilities, t
+    return numerator / norm[:, None], t
 
 
 def conditional_distribution(net: PepsNetwork, envs: list[BoundaryMps],
@@ -442,7 +444,7 @@ def conditional_distribution(net: PepsNetwork, envs: list[BoundaryMps],
     predecessors of the site being queried, in the transformed frame,
     each value within its own site's dimension. This is the
     single-branch case of :func:`conditionals`, the search's batched
-    kernel.
+    kernel, weighed by the increments of :func:`step_energies`.
 
     Raises:
         DimensionError: ``envs`` does not hold one entry per row.
@@ -470,8 +472,9 @@ def conditional_distribution(net: PepsNetwork, envs: list[BoundaryMps],
     for c, value in enumerate(values[0, start:start + col - 1]):
         left = _max_normalized(left) @ bottom.tensors[c][:, value - 1, :]
     right = right_tables(net, bottom, row, values)[col - 1]
-    probabilities, _ = conditionals(net, bottom, row, col, values, left,
-                                    right, np.zeros(1, dtype=np.intp))
+    probabilities, _ = conditionals(net, bottom, row, col, left, right,
+                                    np.zeros(1, dtype=np.intp),
+                                    step_energies(net, row, col, values))
     return probabilities[0]
 
 

@@ -20,7 +20,7 @@ from typing import Iterator, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import (DimensionError, GeometryError, InvalidIndexError,
-                     UnsupportedError)
+                     NumericError, UnsupportedError)
 from .ising import IsingGraph
 
 Site = Tuple[int, int]
@@ -97,6 +97,8 @@ class PottsHamiltonian:
         arr = np.asarray(table, dtype=np.float64).copy()
         if arr.ndim != 1 or arr.size < 1:
             raise DimensionError(f"node table at {site} must be a non-empty vector")
+        if np.isnan(arr).any():
+            raise NumericError(f"node table at {site} contains NaN")
         old = self._dims.get(site)
         if old is not None and old != arr.size:
             raise DimensionError(
@@ -116,6 +118,8 @@ class PottsHamiltonian:
         arr = np.asarray(table, dtype=np.float64).copy()
         if arr.ndim != 2:
             raise DimensionError(f"edge table for {a}-{b} must be a matrix")
+        if np.isnan(arr).any():
+            raise NumericError(f"edge table for {a}-{b} contains NaN")
         if b < a:
             a, b = b, a
             arr = arr.T
@@ -257,22 +261,34 @@ def cluster(graph: IsingGraph, topology: ClusterTopology) -> PottsHamiltonian:
     return h
 
 
-def _as_site_values(h: PottsHamiltonian, assignment) -> dict[Site, int]:
+def _as_states(h: PottsHamiltonian, assignment) -> np.ndarray:
+    """A mapping site -> state or a row-major sequence of states as a
+    checked ``(1, rows * cols)`` array."""
     if isinstance(assignment, Mapping):
-        values = dict(assignment)
-    else:
-        flat = list(assignment)
-        if len(flat) != h.rows * h.cols:
-            raise DimensionError(
-                f"assignment has {len(flat)} values, grid has {h.rows * h.cols} sites")
-        values = {site: flat[idx] for idx, site in enumerate(h.sites())}
-    for site in h.sites():
-        if site not in values:
-            raise InvalidIndexError(f"assignment missing site {site}")
-        state = values[site]
-        if not 1 <= state <= h.dim(site):
-            raise InvalidIndexError(
-                f"state {state} at site {site} outside 1..{h.dim(site)}")
+        missing = [site for site in h.sites() if site not in assignment]
+        if missing:
+            raise InvalidIndexError(f"assignment missing site {missing[0]}")
+        assignment = [assignment[site] for site in h.sites()]
+    return _checked_states(h, [list(assignment)])
+
+
+def _checked_states(h: PottsHamiltonian, values) -> np.ndarray:
+    """``values`` as an array of row-major assignments, one per row,
+    after the checks :func:`potts_energies` documents."""
+    dims = h._energy_terms()[-1]
+    values = np.asarray(values)
+    if values.ndim != 2 or values.shape[1] != len(dims):
+        raise DimensionError(
+            f"assignments must be (B, {len(dims)}), got shape {values.shape}")
+    if values.size and values.dtype.kind not in "iu":
+        raise InvalidIndexError(f"states must be integers, got {values.dtype}")
+    # column extremes find a fault without a mask the size of values
+    if ((values.min(axis=0, initial=1) < 1).any()
+            or (values.max(axis=0, initial=1) > dims).any()):
+        row, col = np.argwhere((values < 1) | (values > dims))[0]
+        site = (int(col) // h.cols + 1, int(col) % h.cols + 1)
+        raise InvalidIndexError(
+            f"state {values[row, col]} at site {site} outside 1..{dims[col]}")
     return values
 
 
@@ -292,20 +308,8 @@ def potts_energies(h: PottsHamiltonian, values) -> np.ndarray:
         InvalidIndexError: a state is not an integer or lies outside its
             site's ``1..dim``; the first offending entry is named.
     """
-    flat, offset, first, second, stride, dims = h._energy_terms()
-    values = np.asarray(values)
-    if values.ndim != 2 or values.shape[1] != len(dims):
-        raise DimensionError(
-            f"assignments must be (B, {len(dims)}), got shape {values.shape}")
-    if values.size and values.dtype.kind not in "iu":
-        raise InvalidIndexError(f"states must be integers, got {values.dtype}")
-    bad = (values < 1) | (values > dims)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        site = (int(col) // h.cols + 1, int(col) % h.cols + 1)
-        raise InvalidIndexError(
-            f"state {values[row, col]} at site {site} outside 1..{dims[col]}")
-    x = values.astype(np.intp) - 1
+    flat, offset, first, second, stride, _ = h._energy_terms()
+    x = _checked_states(h, values).astype(np.intp) - 1
     at = np.zeros((len(x), len(offset) + 1), dtype=np.intp)
     at[:, 1:] = offset + x[:, first] * stride + x[:, second]
     # add.accumulate adds left to right, from flat[0] = 0.0
@@ -321,10 +325,7 @@ def potts_energy(h: PottsHamiltonian, assignment) -> float:
         assignment: either a mapping site -> state or a row-major
             sequence of 1-based states.
     """
-    if isinstance(assignment, Mapping):
-        values = _as_site_values(h, assignment)
-        assignment = [values[site] for site in h.sites()]
-    return float(potts_energies(h, [list(assignment)])[0])
+    return float(potts_energies(h, _as_states(h, assignment))[0])
 
 
 def decode(h: PottsHamiltonian, assignment) -> np.ndarray:
@@ -336,11 +337,11 @@ def decode(h: PottsHamiltonian, assignment) -> np.ndarray:
     """
     if h.cluster_map is None:
         raise UnsupportedError("model carries no cluster map; decode needs one")
-    values = _as_site_values(h, assignment)
+    states = _as_states(h, assignment)[0].tolist()
     n_spins = sum(len(group) for group in h.cluster_map.values())
     spins = np.zeros(n_spins, dtype=np.int8)
-    for site, group in h.cluster_map.items():
-        b = values[site] - 1
+    for (r, c), group in h.cluster_map.items():
+        b = states[(r - 1) * h.cols + c - 1] - 1
         for q, spin_index in enumerate(group):
             spins[spin_index - 1] = 1 - 2 * ((b >> q) & 1)
     return spins

@@ -46,9 +46,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, InvalidIndexError, UnsupportedError
-from .peps import (ALL_TRANSFORMS, LatticeTransform, PepsNetwork, back_rows,
+from .peps import (ALL_TRANSFORMS, LatticeTransform, PepsNetwork,
                    bottom_environments, build_network, conditionals,
-                   right_tables)
+                   right_tables, step_energies)
 from .tensor_core import BoundaryMps, ContractionParams
 from .potts import PottsHamiltonian, potts_energies
 
@@ -337,8 +337,8 @@ def branch(states: Branches, k: int, net: PepsNetwork,
     :func:`bottom_environments`. Children come parent-major with their
     states ascending, so sorted parents give sorted children, and pick
     up the log conditional and the exact energy of the newly determined
-    terms (the site's own table plus its edges to already-assigned
-    neighbors).
+    terms (:func:`step_energies`: the site's own table plus its edges to
+    already-assigned neighbors, which also weigh the conditionals).
     """
     total = net.rows * net.cols
     if not 1 <= k <= total:
@@ -356,17 +356,14 @@ def branch(states: Branches, k: int, net: PepsNetwork,
         states = replace(states, left=np.ones((len(states), 1), dtype=net.dtype),
                          above=index,
                          right=right_tables(net, bottom, row, states.values[first]))
+    terms = step_energies(net, row, col, states.values)
     probabilities, lefts = conditionals(
-        net, bottom, row, col, states.values, states.left, states.right[col - 1],
-        states.above)
+        net, bottom, row, col, states.left, states.right[col - 1],
+        states.above, terms)
     n, d = probabilities.shape
 
     with np.errstate(divide="ignore"):
         log_p = states.log_probability[:, None] + np.log(probabilities)
-    terms = net.site_energy[(row, col)][None, :]
-    for rows in back_rows(net, row, col, states.values, ("w", "nw", "n", "ne"),
-                          weight=False):
-        terms = terms + rows
     energy = states.energy[:, None] + terms
 
     values = np.empty((n, d, k), dtype=states.values.dtype)

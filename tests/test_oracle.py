@@ -10,7 +10,7 @@ from kingspeps import (ALL_TRANSFORMS, ClusterTopology, cluster,
 from kingspeps.ising import IsingGraph
 from kingspeps.oracle import config_energies, exact_conditional
 from kingspeps.potts import PottsHamiltonian
-from kingspeps.errors import DimensionError, TooLargeError
+from kingspeps.errors import DimensionError, InvalidIndexError, TooLargeError
 from kingspeps.oracle import _enumerate_configs
 from conftest import random_clustered, random_potts
 
@@ -118,6 +118,12 @@ class TestExactConditional:
         with pytest.raises(DimensionError):
             exact_conditional(h, 1.0, (1,), k=3)
 
+    @pytest.mark.parametrize("partial", [(0,), (1, 3), (2, 1, 4)])
+    def test_out_of_range_partial_rejected(self, partial):
+        h = random_potts(2, 3, 2, seed=31)
+        with pytest.raises(InvalidIndexError):
+            exact_conditional(h, 1.0, partial)
+
     def test_sums_to_one(self):
         h = random_potts(2, 3, 2, seed=31)
         for k_minus_1 in range(6):
@@ -134,3 +140,15 @@ def test_config_energies_matches_scalar():
     for row, energy in zip(configs, energies):
         assert potts_energy(h, tuple(int(v) for v in row)) == pytest.approx(
             energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+@pytest.mark.parametrize("bad", [0, 4])
+def test_config_energies_rejects_out_of_range_states(dtype, bad):
+    # state 0 must not wrap round to state d, nor d + 1 (or a uint8 0)
+    # escape as a bare IndexError
+    h = random_potts(2, 2, 3, seed=4)
+    configs = np.ones((3, 4), dtype=dtype)
+    configs[1, 2] = bad
+    with pytest.raises(InvalidIndexError, match=rf"state {bad} at site \(2, 1\)"):
+        config_energies(h, configs)

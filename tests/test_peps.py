@@ -19,7 +19,7 @@ from kingspeps.oracle import exact_conditional
 from kingspeps.peps import (LatticeTransform, bottom_environments,
                             build_network, conditional_distribution,
                             conditionals, contract_network, right_tables,
-                            row_product)
+                            row_product, step_energies)
 from kingspeps.potts import PottsHamiltonian
 from kingspeps.tensor_core import BoundaryMps, compress, overlap
 from conftest import (dense_mps_vector, expanded, normalize_scale,
@@ -263,21 +263,21 @@ def reference_row_product(net, row, env):
     dxl = dyl = 1
     for c, e in enumerate(env.tensors, start=1):
         dx, dy = dims_x[c - 1], dims_y[c - 1]
-        carry_x = net.back(lower, c + 1, "nw", weight=True) is not None
-        carry_y = (net.back(lower, c + 1, "w", weight=True) is not None
-                   or net.back(lower, c, "ne", weight=True) is not None)
+        carry_x = net.back(lower, c + 1, "nw") is not None
+        carry_y = (net.back(lower, c + 1, "w") is not None
+                   or net.back(lower, c, "ne") is not None)
         a = (np.ones((dxl, dyl, dx, dy), dtype=net.dtype)
              * net.site_weight[(lower, c)])
-        w = net.back(lower, c, "n", weight=True)
+        w = net.back(lower, c, "n")
         if w is not None:
             a = a * w
-        w = net.back(lower, c, "w", weight=True)
+        w = net.back(lower, c, "w")
         if w is not None:
             a = a * w[None, :, None, :]
-        w = net.back(lower, c, "nw", weight=True)
+        w = net.back(lower, c, "nw")
         if w is not None:
             a = a * w[:, None, None, :]
-        w = net.back(lower, c - 1, "ne", weight=True)
+        w = net.back(lower, c - 1, "ne")
         if w is not None:
             a = a * w.T[None, :, :, None]
         if carry_y:
@@ -587,8 +587,8 @@ class TestConditionalDistribution:
         right = right_tables(net, bottom, 1, values[:1])[0]
         right = np.concatenate([right, doctor(right)])
         left = np.ones((2, 1), dtype=net.dtype)
-        return conditionals(net, bottom, 1, 1, values, left, right,
-                            np.arange(2))
+        return conditionals(net, bottom, 1, 1, left, right, np.arange(2),
+                            step_energies(net, 1, 1, values))
 
     def test_branch_flipped_among_positive_siblings(self, caplog):
         # truncation can give the environment the wrong sign for some
@@ -647,6 +647,79 @@ class TestConditionalDistribution:
         for partial in ((3,), (2, 4, 4), (1, 5)):
             with pytest.raises(InvalidIndexError):
                 conditional_distribution(net, envs, partial)
+
+
+def _weights_as_gathered(net, row, col, values):
+    """The local factor as a product of weights, ``(B, d)``: the site's
+    weights times the rows of its back weight tables that the
+    neighbours' values pick."""
+    weights = np.broadcast_to(net.site_weight[(row, col)],
+                              (len(values), net.dim_at(row, col)))
+    for direction, (dr, dc) in (("w", (0, -1)), ("n", (-1, 0)),
+                                ("nw", (-1, -1)), ("ne", (-1, 1))):
+        table = net.back(row, col, direction)
+        if table is not None:
+            neighbour = values[:, net.position(row + dr, col + dc) - 1]
+            weights = weights * table[neighbour - 1]
+    return weights
+
+
+class TestConditionalsContract:
+    """:func:`conditionals` weighs each numerator by
+    ``exp(-beta * (energy - min energy))`` formed in float64; it must
+    give the distributions of the gathered weight product."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("model", [
+        lambda: random_clustered(3, 3, 2, seed=3300)[1],
+        lambda: ragged_potts(3, 4, [1, 2, 3, 4, 4, 3, 2, 1, 2, 4, 1, 3], 8),
+    ], ids=["clustered3x3x2", "ragged3x4"])
+    def test_matches_gathered_weight_product(self, model, dtype):
+        h = model()
+        rng = np.random.default_rng(15)
+        for tr in ALL_TRANSFORMS:
+            net = build_network(h, tr, beta=2.0, dtype=dtype)
+            # the reference weights are exact to float64, whatever dtype
+            # the environments are contracted in
+            net64 = build_network(h, tr, beta=2.0)
+            envs = exact_envs(net)
+            n = net.rows * net.cols
+            # 16 branches, each with its own row of the right tables
+            values = np.stack([rng.integers(1, net.dim_at(*net.site_of(k)) + 1,
+                                            size=16) for k in range(1, n + 1)],
+                              axis=1)
+            above = np.arange(len(values))
+            shift = rng.uniform(-4.0, 4.0, size=(len(values), 1))
+            for k in range(1, n + 1):
+                row, col = net.site_of(k)
+                bottom = envs[row - 1]
+                if col == 1:
+                    left = np.ones((len(values), 1), dtype=net.dtype)
+                    rights = right_tables(net, bottom, row, values)
+                right, prefix = rights[col - 1], values[:, :k - 1]
+                energy = step_energies(net, row, col, prefix)
+                p, t = conditionals(net, bottom, row, col, left, right, above,
+                                    energy)
+                numerator = (np.einsum("bsc,bsc->bs", t, right[above])
+                             .astype(np.float64)
+                             * _weights_as_gathered(net64, row, col, prefix))
+                reference = numerator / numerator.sum(axis=1, keepdims=True)
+                assert p.dtype == np.float64
+                assert np.all(np.abs(p - reference) <= 1e-14 * reference), (
+                    tr.name, row, col)
+                # a per-branch constant cancels in the normalization
+                shifted, _ = conditionals(net, bottom, row, col, left, right,
+                                          above, energy + shift)
+                assert np.all(np.abs(shifted - p) <= 1e-14 * p), (
+                    tr.name, row, col)
+                # and so does one whose exp(-beta * energy) underflows:
+                # each branch's largest factor is 1; the tolerance is the
+                # rounding of energies near 1000
+                far, _ = conditionals(net, bottom, row, col, left, right,
+                                      above, energy + 1000.0)
+                assert np.all(np.abs(far - p) <= 1e-11 * p), (
+                    tr.name, row, col)
+                left = t[above, values[:, k - 1] - 1]
 
 
 class TestClusteredNetworks:

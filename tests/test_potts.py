@@ -13,7 +13,8 @@ from kingspeps.ising import IsingGraph
 from kingspeps.potts import (PottsHamiltonian, cluster_spin_values, decode,
                              encode)
 from kingspeps.errors import (DimensionError, GeometryError,
-                              InvalidIndexError, UnsupportedError)
+                              InvalidIndexError, NumericError,
+                              UnsupportedError)
 from kingspeps.potts import potts_energies
 from conftest import ising_energy, ragged_potts, random_clustered
 
@@ -77,6 +78,18 @@ class TestPottsEnergy:
         h.set_node((1, 1), [1.0, 0.0])
         h.set_edge((1, 1), (1, 2), [[0.0, 2.0], [0.0, 0.0]])
         assert potts_energy(h, {(1, 1): 1, (1, 2): 2}) == 3.0
+
+    def test_bad_mapping_or_sequence_rejected(self):
+        h = PottsHamiltonian(1, 2)
+        h.set_edge((1, 1), (1, 2), np.zeros((2, 3)))
+        with pytest.raises(InvalidIndexError, match=r"missing site \(1, 2\)"):
+            potts_energy(h, {(1, 1): 1})
+        with pytest.raises(InvalidIndexError, match=r"state 3 at site \(1, 1\)"):
+            potts_energy(h, {(1, 1): 3, (1, 2): 3})
+        with pytest.raises(DimensionError):
+            potts_energy(h, (1, 2, 3))
+        with pytest.raises(InvalidIndexError):
+            potts_energy(h, (1.0, 2.0))
 
 
 def _scalar_energy(h, assignment):
@@ -168,6 +181,12 @@ class TestDecode:
         for x in itertools.product(range(1, 5), repeat=4):
             assert encode(h, decode(h, x)) == x
 
+    def test_state_checked(self):
+        h = cluster(IsingGraph(4), ClusterTopology(1, 2, 2))
+        for bad in ((1, 5), (0, 1), {(1, 1): 1}, (1,)):
+            with pytest.raises((InvalidIndexError, DimensionError)):
+                decode(h, bad)
+
     def test_requires_cluster_map(self):
         h = PottsHamiltonian(1, 1)
         h.set_node((1, 1), [0.0])
@@ -225,3 +244,23 @@ class TestEdgeValidation:
         h.set_edge((1, 2), (1, 1), table)
         assert np.array_equal(h.edge_table((1, 1), (1, 2)), table.T)
         assert np.array_equal(h.edge_table((1, 2), (1, 1)), table)
+
+
+class TestNanTables:
+    def test_nan_node_rejected_naming_site(self):
+        h = PottsHamiltonian(2, 2)
+        with pytest.raises(NumericError, match=r"\(1, 2\)"):
+            h.set_node((1, 2), [0.0, np.nan])
+        assert h.dim((1, 2)) == 1  # nothing was stored
+
+    def test_nan_edge_rejected_naming_edge(self):
+        h = PottsHamiltonian(2, 2)
+        with pytest.raises(NumericError, match=r"\(2, 1\)-\(1, 2\)"):
+            h.set_edge((2, 1), (1, 2), [[0.0, 1.0], [np.nan, 2.0]])
+        assert h.edge_table((1, 2), (2, 1)) is None
+
+    def test_infinite_entries_still_stored(self):
+        h = PottsHamiltonian(1, 2)
+        h.set_node((1, 1), [0.0, np.inf])
+        h.set_edge((1, 1), (1, 2), [[0.0, -np.inf], [1.0, 2.0]])
+        assert potts_energy(h, (1, 1)) == 0.0
