@@ -156,6 +156,14 @@ def _beta(text: str) -> float:
     return value
 
 
+def _finite(text: str) -> float:
+    """``--low``/``--high``: a finite number, else a usage error."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage problems; the contract here is 1
     def error(self, message):
@@ -212,8 +220,8 @@ def _build_parser() -> _Parser:
     genp.add_argument("--spins", type=int, default=1,
                       help="spins per cluster (default 1)")
     genp.add_argument("--seed", type=int, default=None)
-    genp.add_argument("--low", type=float, default=-1.0)
-    genp.add_argument("--high", type=float, default=1.0)
+    genp.add_argument("--low", type=_finite, default=-1.0)
+    genp.add_argument("--high", type=_finite, default=1.0)
     genp.add_argument("--fields", action="store_true",
                       help="also draw local fields")
     genp.add_argument("-o", "--output")

@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 from typing import IO
 
 from .errors import (DimensionError, DuplicateEntryError, GeometryError,
-                     InvalidIndexError, ParseError)
+                     InvalidIndexError, NumericError, ParseError)
 from .ising import IsingGraph
 from .potts import PottsHamiltonian, king_adjacent
 
@@ -105,11 +105,15 @@ def generate_instance(rows: int, cols: int, spins_per_cluster: int,
     Couplings are drawn uniformly from [low, high] for every
     intra-cluster spin pair and every spin pair between king-adjacent
     clusters, in a fixed traversal order, so output is byte-identical
-    for a given seed. Raises :class:`DimensionError` for a size below 1.
+    for a given seed. Raises :class:`DimensionError` for a size below 1
+    and :class:`NumericError` for a non-finite bound.
     """
     if min(rows, cols, spins_per_cluster) < 1:
         raise DimensionError(f"sizes must be >= 1, got {rows} x {cols} "
                              f"with {spins_per_cluster} spins per cluster")
+    for name, bound in (("low", low), ("high", high)):
+        if not math.isfinite(bound):
+            raise NumericError(f"{name} must be finite, got {bound}")
     rng = np.random.default_rng(seed)
     t = spins_per_cluster
 

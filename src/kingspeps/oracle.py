@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, TooLargeError
-from .potts import PottsHamiltonian, _checked_states
+from .potts import PottsHamiltonian, _checked_states, _integer_states
 
 ENUMERATION_GUARD = 2 ** 24
 
@@ -109,23 +109,19 @@ def exact_spectrum(h: PottsHamiltonian) -> ExactSpectrum:
     return ExactSpectrum(h)
 
 
-def exact_conditional(h: PottsHamiltonian, beta: float, partial,
-                      k: int | None = None) -> np.ndarray:
-    """Exact Boltzmann conditional of site ``k`` given its row-major
-    predecessors, by summation over all completions."""
-    partial = tuple(int(v) for v in partial)
+def exact_conditional(h: PottsHamiltonian, beta: float, partial) -> np.ndarray:
+    """Exact Boltzmann conditional of the site after its row-major
+    predecessors ``partial``, by summation over all completions. A value
+    that is not an integer in its site's 1..d raises InvalidIndexError."""
+    partial = _integer_states(tuple(partial)).astype(np.int64)
     sites = list(h.sites())
-    if k is None:
-        k = len(partial) + 1
-    elif k != len(partial) + 1:
-        raise DimensionError(
-            f"partial has {len(partial)} values but k={k}; expected k={len(partial) + 1}")
-    if not 1 <= k <= len(sites):
+    k = len(partial) + 1
+    if k > len(sites):
         raise DimensionError(f"site position {k} outside 1..{len(sites)}")
 
     free_dims = [h.dim(site) for site in sites[k - 1:]]
     completions = _enumerate_configs(free_dims)
-    prefix = np.tile(np.asarray(partial, dtype=np.int64), (completions.shape[0], 1))
+    prefix = np.tile(partial, (completions.shape[0], 1))
     configs = np.concatenate([prefix, completions], axis=1)
     log_weights = -beta * config_energies(h, configs)
 

@@ -2,9 +2,10 @@
 
 The network works in a *transformed frame*: one of the eight dihedral
 symmetries of the grid is applied up front, and all sweeping happens
-top-to-bottom, left-to-right in the transformed coordinates. Running
-the same search under several transforms probes different contraction
-orders of the same model.
+top-to-bottom, left-to-right in the transformed coordinates, one
+permutation of the grid's positions (:meth:`LatticeTransform.grid`).
+Running the same search under several transforms probes different
+contraction orders of the same model.
 
 Interaction bookkeeping uses the backward star of each site: every
 king edge is stored once, on its row-major-later endpoint, under the
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import (ContractionDegenerateError, DimensionError,
                      InvalidIndexError, NumericError)
-from .potts import PottsHamiltonian
+from .potts import PottsHamiltonian, _integer_states
 from .tensor_core import BoundaryMps, ContractionParams, compress
 from .tensor_core import overlap as mps_overlap
 
@@ -55,9 +56,10 @@ _TRANSFORM_NAMES = ("r0", "r90", "r180", "r270", "r0f", "r90f", "r180f", "r270f"
 class LatticeTransform:
     """One of the eight dihedral symmetries of the grid.
 
-    ``code % 4`` counts quarter turns; codes 4..7 additionally flip the
-    columns (the flip is applied before the rotation). Together the
-    eight transforms form the symmetry group of the square.
+    Codes 4..7 reverse the columns; then ``code % 4`` counts clockwise
+    quarter turns. Code 1 sends site ``(r, c)`` of an ``m x n`` grid to
+    ``(c, m + 1 - r)``, code 4 sends it to ``(r, n + 1 - c)``. Together
+    the eight transforms form the symmetry group of the square.
     """
 
     code: int = 0
@@ -67,42 +69,26 @@ class LatticeTransform:
             raise InvalidIndexError(f"transform code must be 0..7, got {self.code}")
 
     @property
-    def rotations(self) -> int:
-        return self.code % 4
-
-    @property
-    def reflected(self) -> bool:
-        return self.code >= 4
-
-    @property
     def name(self) -> str:
         return _TRANSFORM_NAMES[self.code]
 
-    def transformed_dims(self, dims):
+    def grid(self, dims) -> np.ndarray:
+        """The transformed grid of an ``m x n`` grid: entry ``(r-1, c-1)``
+        holds the 0-based row-major position, in the original grid, of
+        the site that lands at ``(r, c)``. Its shape is ``(n, m)`` after
+        an odd number of turns. The grids of r0f, r90f, r180f and r270f
+        are those of r0, r270, r180 and r90 with their columns reversed."""
         m, n = dims
-        return (n, m) if self.rotations % 2 else (m, n)
-
-    def apply(self, site, dims):
-        """Map original 1-based coordinates to the transformed frame."""
-        m, n = dims
-        r, c = site
-        if not (1 <= r <= m and 1 <= c <= n):
-            raise InvalidIndexError(f"site {site} outside {m}x{n} grid")
-        if self.reflected:
-            c = n + 1 - c
-        k = self.rotations
-        if k == 0:
-            return (r, c)
-        if k == 1:
-            return (c, m + 1 - r)
-        if k == 2:
-            return (m + 1 - r, n + 1 - c)
-        return (n + 1 - c, r)
+        g = np.arange(m * n, dtype=np.intp).reshape(m, n)
+        if self.code >= 4:
+            g = g[:, ::-1]
+        return np.rot90(g, -(self.code % 4))
 
 
 ALL_TRANSFORMS = tuple(LatticeTransform(code) for code in range(8))
 
 _BACK_OFFSETS = {"w": (0, -1), "nw": (-1, -1), "n": (-1, 0), "ne": (-1, 1)}
+_DIRECTIONS = {offset: name for name, offset in _BACK_OFFSETS.items()}
 
 
 class PepsNetwork:
@@ -114,6 +100,10 @@ class PepsNetwork:
     one pass, over the concatenation of every node and edge table, and
     each table's weights are a view of that one buffer. Immutable once
     built; share freely.
+
+    Every per-site fact comes from the transform's grid: the flattened
+    grid ``position_map`` maps each 0-based row-major position to the
+    original one, and ``dim_grid`` holds the site dimensions.
     """
 
     def __init__(self, hamiltonian: PottsHamiltonian,
@@ -124,29 +114,24 @@ class PepsNetwork:
         self.transform = transform
         self.beta = float(beta)
         self.dtype = np.dtype(dtype)
-        dims = (hamiltonian.rows, hamiltonian.cols)
-        self.rows, self.cols = transform.transformed_dims(dims)
+        grid = transform.grid((hamiltonian.rows, hamiltonian.cols))
+        self.rows, self.cols = grid.shape
+        self.position_map = grid.ravel()
+        # the transformed site of each original one, row-major
+        landing = dict(zip(hamiltonian.sites(), map(
+            self.site_of, (np.argsort(self.position_map) + 1).tolist())))
 
-        self.site_dims: dict[tuple[int, int], int] = {}
-        self.site_energy: dict[tuple[int, int], np.ndarray] = {}
+        self.site_energy: dict[tuple[int, int], np.ndarray] = {
+            ts: hamiltonian.node_table(site) for site, ts in landing.items()}
         self.back_energy: dict[tuple[tuple[int, int], str], np.ndarray] = {}
-
-        self._original: dict[int, int] = {}  # row-major, 1-based
-        for site in hamiltonian.sites():
-            ts = transform.apply(site, dims)
-            self._original[self.position(*ts)] = (
-                (site[0] - 1) * hamiltonian.cols + site[1])
-            self.site_dims[ts] = hamiltonian.dim(site)
-            self.site_energy[ts] = hamiltonian.node_table(site)
+        self.dim_grid = np.array([table.size for table in
+                                  self.site_energy.values()])[grid]
 
         for (a, b), table in hamiltonian.edge_tables():
-            ta, tb = transform.apply(a, dims), transform.apply(b, dims)
+            ta, tb = landing[a], landing[b]
             if tb < ta:
-                ta, tb = tb, ta
-                table = table.T
-            delta = (tb[0] - ta[0], tb[1] - ta[1])
-            direction = next(d for d, off in _BACK_OFFSETS.items()
-                             if off == (-delta[0], -delta[1]))
+                ta, tb, table = tb, ta, table.T
+            direction = _DIRECTIONS[(ta[0] - tb[0], ta[1] - tb[1])]
             self.back_energy[(tb, direction)] = table
 
         tables = [np.asarray(table, dtype=np.float64) for table in
@@ -167,10 +152,10 @@ class PepsNetwork:
     # -- transformed-frame helpers --------------------------------------
 
     def dim_at(self, row: int, col: int) -> int:
-        return self.site_dims[(row, col)]
+        return int(self.dim_grid[row - 1, col - 1])
 
     def row_dims(self, row: int) -> list[int]:
-        return [self.site_dims[(row, c)] for c in range(1, self.cols + 1)]
+        return self.dim_grid[row - 1].tolist()
 
     def back(self, row: int, col: int, direction: str):
         return self.back_weight.get(((row, col), direction))
@@ -181,10 +166,6 @@ class PepsNetwork:
 
     def site_of(self, position: int) -> tuple[int, int]:
         return ((position - 1) // self.cols + 1, (position - 1) % self.cols + 1)
-
-    def original_position(self, position: int) -> int:
-        """Map a transformed linear position to the original frame."""
-        return self._original[position]
 
     def __repr__(self):
         return (f"PepsNetwork({self.rows}x{self.cols}, beta={self.beta}, "
@@ -448,20 +429,19 @@ def conditional_distribution(net: PepsNetwork, envs: list[BoundaryMps],
 
     Raises:
         DimensionError: ``envs`` does not hold one entry per row.
-        InvalidIndexError: a value lies outside 1..d of its site.
+        InvalidIndexError: a value is not an integer or lies outside
+            1..d of its site.
         ContractionDegenerateError: every weight underflowed to zero.
     """
     if len(envs) != net.rows:
         raise DimensionError(
             f"expected {net.rows} bottom environments, got {len(envs)}")
-    values = np.array(tuple(partial), dtype=np.int64).reshape(1, -1)
+    values = _integer_states(tuple(partial)).astype(np.int64).reshape(1, -1)
     k = values.shape[1] + 1
-    total = net.rows * net.cols
-    if k > total:
+    if k > net.dim_grid.size:
         raise InvalidIndexError(
-            f"partial assignment already covers all {total} sites")
-    dims = [net.dim_at(*net.site_of(p)) for p in range(1, k)]
-    if np.any(values < 1) or np.any(values > np.array(dims, dtype=np.int64)):
+            f"partial assignment already covers all {net.dim_grid.size} sites")
+    if np.any(values < 1) or np.any(values > net.dim_grid.reshape(-1)[:k - 1]):
         raise InvalidIndexError(
             "partial assignment contains a state outside its site dimension")
     row, col = net.site_of(k)

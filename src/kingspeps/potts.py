@@ -272,6 +272,14 @@ def _as_states(h: PottsHamiltonian, assignment) -> np.ndarray:
     return _checked_states(h, [list(assignment)])
 
 
+def _integer_states(values) -> np.ndarray:
+    """``values`` as an array; InvalidIndexError unless it holds integers."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise InvalidIndexError(f"states must be integers, got {values.dtype}")
+    return values
+
+
 def _checked_states(h: PottsHamiltonian, values) -> np.ndarray:
     """``values`` as an array of row-major assignments, one per row,
     after the checks :func:`potts_energies` documents."""
@@ -280,8 +288,7 @@ def _checked_states(h: PottsHamiltonian, values) -> np.ndarray:
     if values.ndim != 2 or values.shape[1] != len(dims):
         raise DimensionError(
             f"assignments must be (B, {len(dims)}), got shape {values.shape}")
-    if values.size and values.dtype.kind not in "iu":
-        raise InvalidIndexError(f"states must be integers, got {values.dtype}")
+    values = _integer_states(values)
     # column extremes find a fault without a mask the size of values
     if ((values.min(axis=0, initial=1) < 1).any()
             or (values.max(axis=0, initial=1) > dims).any()):

@@ -169,7 +169,8 @@ class DropletTable:
     def materialize(self, per_branch: list, position_map: np.ndarray) -> list:
         """Each tuple of ids in ``per_branch`` as a tuple of
         :class:`Droplet`, with every position p moved to the 1-based
-        ``position_map[p]`` and the flips sorted by it.
+        original position ``position_map[p] + 1`` and the flips sorted
+        by it.
 
         One object is built per id reachable from ``per_branch``,
         children first, so a shared sub-droplet stays one shared object.
@@ -182,7 +183,7 @@ class DropletTable:
                 stack.extend(self.subs[i])
         ids = np.array(sorted(reached), dtype=np.intp)
         positions, values, lengths = self.flips(ids)
-        positions = position_map[positions]
+        positions = position_map[positions] + 1
         order = np.lexsort((positions, np.repeat(np.arange(len(ids)), lengths)))
         flips = list(zip(positions[order].tolist(), values[order].tolist()))
         built, start = {}, 0
@@ -227,9 +228,8 @@ class Branches:
     def root(cls, net: PepsNetwork) -> "Branches":
         """The single empty branch every search starts from, its table
         and the key radices of every position."""
-        value_dtype = np.min_scalar_type(max(net.site_dims.values()))
-        radix = tuple(net.dim_at(*net.site_of(p)) + 1
-                      for p in range(1, net.rows * net.cols + 1))
+        value_dtype = np.min_scalar_type(int(net.dim_grid.max()))
+        radix = tuple((net.dim_grid.reshape(-1) + 1).tolist())
         return cls(np.zeros((1, 0), dtype=value_dtype), np.zeros(1),
                    np.zeros(1), np.ones((1, 1), dtype=net.dtype),
                    np.zeros(1, dtype=np.intp),
@@ -623,11 +623,8 @@ def low_energy_spectrum(h: PottsHamiltonian,
                              net.cols)
             merges = 0
 
-    # 0-based transformed position -> 1-based original position
-    position_map = np.array([net.original_position(p)
-                             for p in range(1, total + 1)], dtype=np.intp)
     original = np.empty_like(states.values)
-    original[:, position_map - 1] = states.values
+    original[:, net.position_map] = states.values
     energies = potts_energies(h, original)
     # by energy, then values: the last lexsort key is the primary one
     order = np.lexsort(tuple(original.T[::-1]) + (energies,))
@@ -637,7 +634,7 @@ def low_energy_spectrum(h: PottsHamiltonian,
         energies=energies[order].tolist(),
         log_probabilities=states.log_probability[order].tolist(),
         droplets=states.table.materialize(states.droplets[order].tolist(),
-                                          position_map),
+                                          net.position_map),
         largest_discarded_probability=math.exp(largest_discarded)
         if largest_discarded > -math.inf else 0.0,
         beta=params.beta,

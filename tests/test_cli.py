@@ -54,6 +54,25 @@ class TestGenerate:
         with pytest.raises(DimensionError, match="sizes must be >= 1"):
             generate_instance(*sizes, seed=1)
 
+    @pytest.mark.parametrize("bounds,name", [
+        ({"low": float("nan")}, "low"), ({"high": float("-inf")}, "high"),
+        ({"low": float("inf"), "high": float("inf")}, "low")])
+    def test_non_finite_bound_rejected(self, bounds, name):
+        with pytest.raises(NumericError, match=f"{name} must be finite"):
+            generate_instance(1, 2, 1, seed=1, **bounds)
+
+    @pytest.mark.parametrize("argv,name", [
+        (["--low", "nan"], "low"), (["--low", "inf", "--high", "inf"], "low"),
+        (["--high=-inf"], "high")])
+    def test_gen_non_finite_bound_is_a_usage_error(self, tmp_path, capsys,
+                                                   argv, name):
+        out = tmp_path / "inst.txt"
+        assert main(["gen", "1", "2", *argv, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"argument --{name}: must be finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["0", "3"], ["2", "2", "--spins", "0"]])
     def test_gen_size_below_one_exits_one(self, tmp_path, capsys, argv):
         out = tmp_path / "inst.txt"

@@ -83,11 +83,19 @@ def test_spectrum_invariant_under_transforms():
     reference = exact_spectrum(h).energies
     dims = (h.rows, h.cols)
     for tr in ALL_TRANSFORMS:
-        moved = PottsHamiltonian(*tr.transformed_dims(dims))
+        grid = tr.grid(dims)
+        moved = PottsHamiltonian(*grid.shape)
+        # original site -> the 1-based site it lands at
+        landing = {divmod(int(q), h.cols): (r + 1, c + 1)
+                   for (r, c), q in np.ndenumerate(grid)}
+
+        def land(site):
+            return landing[(site[0] - 1, site[1] - 1)]
+
         for site in h.sites():
-            moved.set_node(tr.apply(site, dims), h.node_table(site))
+            moved.set_node(land(site), h.node_table(site))
         for (a, b), table in h.edge_tables():
-            moved.set_edge(tr.apply(a, dims), tr.apply(b, dims), table)
+            moved.set_edge(land(a), land(b), table)
         energies = exact_spectrum(moved).energies
         assert np.allclose(np.sort(energies), np.sort(reference), atol=1e-12)
 
@@ -108,15 +116,21 @@ class TestExactConditional:
     def test_ferromagnetic_chain_frozen_value(self):
         g = IsingGraph(2, {(1, 2): -1.0})
         h = cluster(g, ClusterTopology(1, 2, 1))
-        p = exact_conditional(h, 1.0, (1,), k=2)
+        p = exact_conditional(h, 1.0, (1,))
         expected = math.e / (math.e + 1 / math.e)
         assert p[0] == pytest.approx(expected, abs=1e-12)
         assert p[0] == pytest.approx(0.8807970779778823, abs=1e-10)
 
-    def test_k_mismatch(self):
+    @pytest.mark.parametrize("partial", [(1.7,), (1.0,), (1, 2.5)])
+    def test_fractional_state_rejected(self, partial):
+        h = random_potts(2, 2, 2, seed=4)
+        with pytest.raises(InvalidIndexError, match="must be integers"):
+            exact_conditional(h, 1.0, partial)
+
+    def test_partial_covering_every_site_rejected(self):
         h = random_potts(1, 2, 2, seed=2)
         with pytest.raises(DimensionError):
-            exact_conditional(h, 1.0, (1,), k=3)
+            exact_conditional(h, 1.0, (1, 2))
 
     @pytest.mark.parametrize("partial", [(0,), (1, 3), (2, 1, 4)])
     def test_out_of_range_partial_rejected(self, partial):

@@ -41,45 +41,63 @@ def bottom_env(net, row, params):
 
 class TestLatticeTransform:
     def test_identity(self):
-        assert ALL_TRANSFORMS[0].apply((2, 3), (4, 5)) == (2, 3)
+        assert np.array_equal(ALL_TRANSFORMS[0].grid((4, 5)),
+                              np.arange(20).reshape(4, 5))
 
     def test_rotation_90(self):
-        tr = LatticeTransform(1)
         m, n = 4, 5
-        assert tr.transformed_dims((m, n)) == (n, m)
+        grid = LatticeTransform(1).grid((m, n))
+        assert grid.shape == (n, m)
         for r in range(1, m + 1):
             for c in range(1, n + 1):
-                assert tr.apply((r, c), (m, n)) == (c, m + 1 - r)
+                # (r, c) lands at (c, m + 1 - r)
+                assert grid[c - 1, m - r] == (r - 1) * n + c - 1
 
     def test_horizontal_reflection(self):
-        tr = LatticeTransform(4)
         m, n = 3, 4
+        grid = LatticeTransform(4).grid((m, n))
         for r in range(1, m + 1):
             for c in range(1, n + 1):
-                assert tr.apply((r, c), (m, n)) == (r, n + 1 - c)
-
-    def test_out_of_grid(self):
-        with pytest.raises(InvalidIndexError):
-            ALL_TRANSFORMS[0].apply((0, 1), (2, 2))
+                # (r, c) lands at (r, n + 1 - c)
+                assert grid[r - 1, n - c] == (r - 1) * n + c - 1
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 6))
     def test_inverse_round_trip(self, m, n):
         h = PottsHamiltonian(m, n)
+        for q, site in enumerate(h.sites()):
+            h.set_node(site, [float(q)] * (1 + q % 3))  # ragged dims
         for tr in ALL_TRANSFORMS:
             net = build_network(h, tr)
-            for r, c in h.sites():
-                position = net.position(*tr.apply((r, c), (m, n)))
-                assert net.original_position(position) == (r - 1) * n + c
+            position_map = net.position_map
+            assert position_map.dtype == np.intp
+            assert position_map.flags.c_contiguous
+            assert np.array_equal(position_map, tr.grid((m, n)).reshape(-1))
+            # every node table and dimension lands where the grid says
+            for p, q in enumerate(position_map.tolist(), start=1):
+                site = net.site_of(p)
+                assert net.site_energy[site].tolist() == [q] * (1 + q % 3)
+                assert net.dim_at(*site) == 1 + q % 3
+                assert net.row_dims(site[0])[site[1] - 1] == 1 + q % 3
 
     def test_all_eight_are_bijections(self):
         m, n = 3, 4
-        sites = [(r, c) for r in range(1, m + 1) for c in range(1, n + 1)]
         for tr in ALL_TRANSFORMS:
-            images = {tr.apply(site, (m, n)) for site in sites}
-            assert len(images) == len(sites)
-            tm, tn = tr.transformed_dims((m, n))
-            assert all(1 <= r <= tm and 1 <= c <= tn for r, c in images)
+            grid = tr.grid((m, n))
+            assert grid.shape == ((n, m) if tr.code % 2 else (m, n))
+            assert sorted(grid.reshape(-1).tolist()) == list(range(m * n))
+
+    @pytest.mark.parametrize("dims", [(2, 4), (3, 5)])
+    def test_mirror_partners_reverse_columns(self, dims):
+        by_name = {tr.name: tr.grid(dims) for tr in ALL_TRANSFORMS}
+        m, n = dims
+        for name, grid in by_name.items():
+            assert sorted(grid.reshape(-1).tolist()) == list(range(m * n))
+        assert by_name["r90"].shape == (n, m)
+        for mirrored, partner in (("r0f", "r0"), ("r180f", "r180"),
+                                  ("r270f", "r90"), ("r90f", "r270")):
+            assert np.array_equal(by_name[mirrored],
+                                  by_name[partner][:, ::-1])
 
 
 def network_z(net):
@@ -525,8 +543,8 @@ class TestConditionalDistribution:
                     p = conditional_distribution(net, envs, x[:k])
                     log_p += math.log(p[x[k] - 1])
                 original = [0] * 6
-                for pos, value in enumerate(x, start=1):
-                    original[net.original_position(pos) - 1] = value
+                for pos, value in enumerate(x):
+                    original[net.position_map[pos]] = value
                 dist[tuple(original)] = math.exp(log_p)
             if reference is None:
                 reference = dist
@@ -633,6 +651,13 @@ class TestConditionalDistribution:
             conditional_distribution(net, exact_envs(net), (0,))
         with pytest.raises(InvalidIndexError):
             conditional_distribution(net, exact_envs(net), (5,))
+
+    @pytest.mark.parametrize("partial", [(1.7,), (1.0,), (1, 2.5)])
+    def test_fractional_state_rejected(self, partial):
+        h = random_potts(2, 2, 2, seed=16)
+        net = build_network(h, beta=1.0)
+        with pytest.raises(InvalidIndexError, match="must be integers"):
+            conditional_distribution(net, exact_envs(net), partial)
 
     def test_value_beyond_own_site_dimension_rejected(self):
         # ragged dims 2, 4 / 3, 2: value 3 or 4 is valid at site 2 only

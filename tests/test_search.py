@@ -123,7 +123,7 @@ def _population(rows, dims=None):
 def _materialized(branches):
     """Each branch's droplets built from its table, positions as stored."""
     return branches.table.materialize(branches.droplets.tolist(),
-                                   np.arange(1, branches.values.shape[1] + 1))
+                                   np.arange(branches.values.shape[1]))
 
 
 def _rows(branches):
