@@ -395,7 +395,8 @@ def conditionals(net: PepsNetwork, bottom: BoundaryMps, row: int, col: int,
     negative = numerator < 0
     if negative.any():
         debug = logger.isEnabledFor(logging.DEBUG)
-        flip = negative.all(axis=1)
+        # down a transposed copy, as in _max_normalized
+        flip = np.array(negative.T, order="C").all(axis=0)
         if flip.any():
             if debug:
                 logger.debug("flipped the sign of %d of %d branches' "
@@ -408,6 +409,8 @@ def conditionals(net: PepsNetwork, bottom: BoundaryMps, row: int, col: int,
                 logger.debug("clamped %d negative conditional weights at "
                              "(%d, %d)", int(negative.sum()), row, col)
             numerator = np.where(negative, 0.0, numerator)
+    # summed along the rows, not down a transposed copy: numpy sums a
+    # row of 8 or more pairwise, so the other order would round apart
     norm = numerator.sum(axis=1)
     if not np.all((norm > 0) & np.isfinite(norm)):
         raise ContractionDegenerateError(

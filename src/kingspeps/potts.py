@@ -218,46 +218,59 @@ def cluster(graph: IsingGraph, topology: ClusterTopology) -> PottsHamiltonian:
             f"needs {topology.n_spins}")
 
     d = 2 ** t
-    spins = cluster_spin_values(t).astype(np.float64)
+    spins = cluster_spin_values(t).astype(np.float64).T
+    spin = np.array(list(graph.couplings), dtype=np.intp).reshape(-1, 2) - 1
+    coupling = np.fromiter(graph.couplings.values(), dtype=np.float64,
+                           count=len(spin))
+    # each coupling's clusters and spins within them, the earlier
+    # cluster first
+    k, q = np.divmod(np.sort(spin, axis=1), t)
+    intra = k[:, 0] == k[:, 1]
+    inter = np.flatnonzero(~intra)
+    row, col = np.divmod(k[inter], n)
+    far = np.flatnonzero((np.abs(row[:, 0] - row[:, 1]) > 1)
+                         | (np.abs(col[:, 0] - col[:, 1]) > 1))
+    sites = [(r + 1, c + 1) for r in range(m) for c in range(n)]
+    if len(far):
+        i, j = spin[inter[far[0]]] + 1
+        raise GeometryError(
+            f"coupling between spins {i} and {j} connects clusters at "
+            f"{sites[(i - 1) // t]} and {sites[(j - 1) // t]}, "
+            f"which are not king-adjacent")
 
-    def cluster_of(spin: int) -> int:
-        return (spin - 1) // t
+    # every table sums its terms in the order the couplings come,
+    # fields first for the node tables; add.at adds repeats in order
+    node = np.zeros((m * n, d))
+    for bit, field in enumerate(graph.fields.reshape(m * n, t).T):
+        node += field[:, None] * spins[bit]
+    np.add.at(node, k[intra, 0], coupling[intra, None]
+              * spins[q[intra, 0]] * spins[q[intra, 1]])
+    pairs, first, slot = np.unique(k[inter] @ [m * n, 1], return_index=True,
+                                   return_inverse=True)
+    order = np.argsort(first)  # the edges in order of their first coupling
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    edge = np.zeros((len(pairs), d, d))
+    np.add.at(edge, rank[slot], coupling[inter, None, None]
+              * (spins[q[inter, 0]][:, :, None] * spins[q[inter, 1]][:, None, :]))
 
-    def site_of(k: int) -> Site:
-        return (k // n + 1, k % n + 1)
-
-    node = [np.zeros(d) for _ in range(m * n)]
-    inter: dict[tuple[int, int], np.ndarray] = {}
-
-    for k in range(m * n):
-        base = k * t
-        for q in range(t):
-            node[k] += graph.fields[base + q] * spins[:, q]
-
-    for (i, j), coupling in graph.couplings.items():
-        ki, kj = cluster_of(i), cluster_of(j)
-        qi, qj = (i - 1) % t, (j - 1) % t
-        if ki == kj:
-            node[ki] += coupling * spins[:, qi] * spins[:, qj]
-            continue
-        if ki > kj:
-            ki, kj = kj, ki
-            qi, qj = qj, qi
-        if not king_adjacent(site_of(ki), site_of(kj)):
-            raise GeometryError(
-                f"coupling between spins {i} and {j} connects clusters at "
-                f"{site_of(cluster_of(i))} and {site_of(cluster_of(j))}, "
-                f"which are not king-adjacent")
-        table = inter.setdefault((ki, kj), np.zeros((d, d)))
-        table += coupling * np.outer(spins[:, qi], spins[:, qj])
+    ends = [(sites[a], sites[b]) for a, b in zip(
+        *(c.tolist() for c in np.divmod(pairs[order], m * n)))]
+    bad = np.isnan(node).any(axis=1)
+    if bad.any():
+        raise NumericError(f"node table at {sites[np.argmax(bad)]} contains NaN")
+    bad = np.isnan(edge).any(axis=(1, 2))
+    if bad.any():
+        a, b = ends[np.argmax(bad)]
+        raise NumericError(f"edge table for {a}-{b} contains NaN")
 
     h = PottsHamiltonian(m, n)
-    for k in range(m * n):
-        h.set_node(site_of(k), node[k])
-    for (ki, kj), table in inter.items():
-        h.set_edge(site_of(ki), site_of(kj), table)
-    h.cluster_map = {site_of(k): tuple(range(k * t + 1, (k + 1) * t + 1))
-                     for k in range(m * n)}
+    node.flags.writeable = edge.flags.writeable = False
+    h._dims = dict.fromkeys(sites, d)
+    h._node = dict(zip(sites, node))
+    h._edge = dict(zip(ends, edge))
+    h.cluster_map = {site: tuple(range(c * t + 1, (c + 1) * t + 1))
+                     for c, site in enumerate(sites)}
     return h
 
 

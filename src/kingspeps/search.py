@@ -40,7 +40,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, compress
 from typing import Sequence
 
 import numpy as np
@@ -121,50 +121,41 @@ class Droplet:
 
 
 def _put(buffer: np.ndarray, at: int, new) -> np.ndarray:
-    """``buffer`` with ``new`` written from ``at`` on, first grown to
-    twice its size when it is too short."""
-    if at + len(new) > len(buffer):
-        buffer = np.resize(buffer, max(at + len(new), 2 * len(buffer)))
-    buffer[at:at + len(new)] = new
+    """``buffer`` with ``new`` written into its rows from ``at`` on, and
+    into their leading columns when ``new`` is narrower; first grown
+    with zeros, to twice its size, when it is too short."""
+    stop = at + len(new)
+    if stop > len(buffer):
+        grown = np.zeros((max(stop, 2 * len(buffer)),) + buffer.shape[1:],
+                         dtype=buffer.dtype)
+        grown[:at] = buffer[:at]
+        buffer = grown
+    buffer[(slice(at, stop),) + tuple(map(slice, np.shape(new)[1:]))] = new
     return buffer
 
 
 class DropletTable:
     """A solve's droplets, append-only, each named by its row, its id.
 
-    Droplet ``i``'s flips are ``position[offset[i]:offset[i + 1]]``,
-    0-based row-major positions in the transformed frame, with the
-    alternative states ``value[...]`` at them; ``gap[i]`` is its energy
-    above its carrier and ``subs[i]`` its sub-droplets' ids, all smaller
-    than ``i``.
+    Row ``i`` of ``flip`` holds droplet ``i``'s alternative states at
+    the 0-based row-major positions, in the transformed frame, where it
+    differs from its carrier, and 0 at every other position; ``gap[i]``
+    is its energy above its carrier and ``subs[i]`` its sub-droplets'
+    ids, all smaller than ``i``.
     """
 
-    def __init__(self):
-        self.position = np.empty(0, dtype=np.intp)
-        self.value = np.empty(0, dtype=np.intp)
-        self.offset = np.zeros(1, dtype=np.intp)
+    def __init__(self, sites: int, dtype):
+        self.flip = np.zeros((0, sites), dtype=dtype)
         self.gap = np.empty(0)
         self.subs: list[tuple[int, ...]] = []
 
-    def append(self, positions, values, lengths, gaps, subs):
-        """Add droplets, numbered on from ``len(self.subs)``, whose flips
-        lie end to end in ``positions`` and ``values``, ``lengths[j]`` of
-        them for the j-th."""
-        n, m = len(self.subs), self.offset[len(self.subs)]
-        self.position = _put(self.position, m, positions)
-        self.value = _put(self.value, m, values)
-        self.offset = _put(self.offset, n + 1, m + np.cumsum(lengths))
+    def append(self, flip, gaps, subs):
+        """Add droplets, numbered on from ``len(self.subs)``, the j-th
+        flipping as ``flip[j]`` says for the leading positions."""
+        n = len(self.subs)
+        self.flip = _put(self.flip, n, flip)
         self.gap = _put(self.gap, n, gaps)
         self.subs.extend(subs)
-
-    def flips(self, ids: np.ndarray):
-        """The flips of droplets ``ids`` end to end: positions, values,
-        and each droplet's count of them."""
-        start = self.offset[ids]
-        lengths = self.offset[ids + 1] - start
-        run, at = _spans(lengths)
-        index = start[run] + at
-        return self.position[index], self.value[index], lengths
 
     def materialize(self, per_branch: list, position_map: np.ndarray) -> list:
         """Each tuple of ids in ``per_branch`` as a tuple of
@@ -175,25 +166,28 @@ class DropletTable:
         One object is built per id reachable from ``per_branch``,
         children first, so a shared sub-droplet stays one shared object.
         """
-        reached, stack = set(), list(chain.from_iterable(per_branch))
+        reached, subs = set(chain.from_iterable(per_branch)), self.subs
+        stack = list(reached)
         while stack:
-            i = stack.pop()
-            if i not in reached:
-                reached.add(i)
-                stack.extend(self.subs[i])
+            for i in subs[stack.pop()]:
+                if i not in reached:
+                    reached.add(i)
+                    stack.append(i)
         ids = np.array(sorted(reached), dtype=np.intp)
-        positions, values, lengths = self.flips(ids)
-        positions = position_map[positions] + 1
-        order = np.lexsort((positions, np.repeat(np.arange(len(ids)), lengths)))
-        flips = list(zip(positions[order].tolist(), values[order].tolist()))
+        rows = self.flip[ids]
+        run, at = np.nonzero(rows)
+        positions = position_map[at] + 1
+        order = np.lexsort((positions, run))
+        flips = list(zip(positions[order].tolist(),
+                         rows[run, at][order].tolist()))
         built, start = {}, 0
         # gaps stay numpy floats, as the energies they come from
-        for i, end, gap in zip(ids.tolist(), np.cumsum(lengths).tolist(),
-                               self.gap[ids]):
-            built[i] = Droplet(tuple(flips[start:end]), gap,
-                               tuple([built[s] for s in self.subs[i]]))
-            start = end
-        return [tuple([built[i] for i in t]) for t in per_branch]
+        for i, stop, gap in zip(ids.tolist(), np.cumsum(np.bincount(
+                run, minlength=len(ids))).tolist(), self.gap[ids]):
+            built[i] = Droplet(tuple(flips[start:stop]), gap,
+                               tuple(map(built.__getitem__, subs[i])))
+            start = stop
+        return [tuple(map(built.__getitem__, t)) for t in per_branch]
 
 
 @dataclass
@@ -211,7 +205,8 @@ class Branches:
     ``droplets`` (B,): an object array holding each branch's tuple of
     droplet ids in ``table``, the solve's :class:`DropletTable`, so that
     it is gathered by index like the other columns; ``radix``: each
-    row-major position's group-key radix, its site dimension plus one.
+    row-major position's group-key radix, its site dimension plus one;
+    ``keys``: the merge plan, :func:`_key_plan`'s.
     """
 
     values: np.ndarray
@@ -223,18 +218,21 @@ class Branches:
     right: list | None = None
     table: DropletTable | None = None
     radix: tuple[int, ...] = ()
+    keys: tuple = ()
 
     @classmethod
     def root(cls, net: PepsNetwork) -> "Branches":
-        """The single empty branch every search starts from, its table
-        and the key radices of every position."""
+        """The single empty branch every search starts from, its table,
+        the key radices of every position and the merge plan."""
         value_dtype = np.min_scalar_type(int(net.dim_grid.max()))
         radix = tuple((net.dim_grid.reshape(-1) + 1).tolist())
         return cls(np.zeros((1, 0), dtype=value_dtype), np.zeros(1),
                    np.zeros(1), np.ones((1, 1), dtype=net.dtype),
                    np.zeros(1, dtype=np.intp),
                    np.fromiter([()], dtype=object, count=1),
-                   table=DropletTable(), radix=radix)
+                   table=DropletTable(net.dim_grid.size, value_dtype),
+                   radix=radix,
+                   keys=_key_plan((net.rows, net.cols), radix))
 
     def __len__(self):
         return len(self.values)
@@ -247,7 +245,7 @@ class Branches:
                         self.log_probability[index], self.energy[index],
                         self.left.take(index, axis=0), self.above[index],
                         self.droplets[index], self.right, self.table,
-                        self.radix)
+                        self.radix, self.keys)
 
 
 @dataclass
@@ -288,6 +286,35 @@ def boundary_sites(dims, k: int) -> list[tuple[int, int]]:
         # last row, mid-row: only the current site touches the frontier
         out.append((i, j))
     return out
+
+
+def _sheds_boundary(dims, k: int) -> bool:
+    """Whether placing site ``k`` = (i, j) removes a site from the
+    boundary, as it removes (i-1, j-1) when that exists, (1, j-1) on a
+    one-row grid and (i-1, 1) on a one-column grid."""
+    m, n = dims
+    i, j = (k - 1) // n + 1, (k - 1) % n + 1
+    return (j > 1 and (i > 1 or m == 1)) or (n == 1 and i > 1)
+
+
+def _key_plan(dims, radix: Sequence[int]) -> tuple:
+    """The merge keys of a solve, planned once: entry ``k - 1``, for
+    every site ``k`` but the last, holds the boundary's 0-based
+    positions after site ``k`` and the ``int64`` place values that key
+    columns ``positions[0]:k`` by their boundary values, 0 off the
+    boundary; the place values are None where the key could overflow
+    ``int64``, and :func:`_row_keys` re-ranks those."""
+    m, n = dims
+    plan = []
+    for k in range(1, m * n):
+        positions = [(r - 1) * n + c - 1 for r, c in boundary_sites(dims, k)]
+        place, scale = [0] * (k - positions[0]), 1
+        for p in reversed(positions):
+            place[p - positions[0]] = scale
+            scale *= radix[p]
+        plan.append((positions, np.array(place, dtype=np.int64)
+                     if scale <= _KEY_LIMIT else None))
+    return tuple(plan)
 
 
 def _row_keys(block: np.ndarray, radix: Sequence[int]) -> np.ndarray:
@@ -374,7 +401,7 @@ def branch(states: Branches, k: int, net: PepsNetwork,
                     energy.reshape(-1), lefts.reshape(n * d, -1),
                     states.above[parents], states.droplets[parents],
                     None if col == net.cols else states.right, states.table,
-                    states.radix)
+                    states.radix, states.keys)
 
 
 def _elementwise_distance(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
@@ -396,16 +423,17 @@ def _spans(lengths: np.ndarray):
 
 def _clashes(values, others, carriers, run, run_start, counts, held, mode,
              cutoff):
-    """Candidate-reference pairs closer than ``cutoff``, by candidate.
+    """Candidate-reference pairs closer than ``cutoff``, by candidate,
+    each candidate's references ascending.
 
     Candidate ``i`` is the branch ``others[i]``, discarded onto
     ``carriers[i]``. Candidates of one carrier form run ``run[i]``, which
     starts at ``run_start[run[i]]``. A candidate's references are the
-    ``counts[run[i]]`` droplets already on its carrier, whose flips
-    ``held`` holds run by run as :meth:`DropletTable.flips` returns
-    them, numbered first, then the earlier candidates of its run,
-    numbered after them in candidate order. A held droplet's
-    configuration is its carrier's values with its flips written in.
+    ``counts[run[i]]`` droplets already on its carrier, whose rows of
+    :attr:`DropletTable.flip` ``held`` holds run by run, numbered first,
+    then the earlier candidates of its run, numbered after them in
+    candidate order. A held droplet's configuration is its carrier's
+    values with its flips written in.
     """
     own, first = counts[run], run_start[run]
     pair_cand, slot = _spans(own + np.arange(len(others)) - first)
@@ -416,18 +444,18 @@ def _clashes(values, others, carriers, run, run_start, counts, held, mode,
     pair_ref = np.where(slot < own, held_before[pair_cand] + slot,
                         total + first[pair_cand] + slot - own)
 
-    positions, flipped, lengths = held
-    configs = values.take(np.concatenate(
-        (np.repeat(carriers[run_start], counts), others)), axis=0)
-    configs[np.repeat(np.arange(total), lengths), positions] = flipped
+    carried = values.take(np.repeat(carriers[run_start], counts), axis=0)
+    configs = np.concatenate((np.where(held != 0, held, carried),
+                              values.take(others, axis=0)))
+    # row sums as a product: numpy reduces short rows one at a time
     distance = _elementwise_distance(configs.take(total + pair_cand, axis=0),
                                      configs.take(pair_ref, axis=0),
-                                     mode).sum(axis=1)
+                                     mode) @ np.ones(configs.shape[1])
     hit = distance < cutoff
     return pair_cand[hit], pair_ref[hit]
 
 
-def merge_and_collect(states: Branches, k: int, dims, dp: DropletParams,
+def merge_and_collect(states: Branches, k: int, dp: DropletParams,
                       sp: SearchParams, largest_discarded: float = -math.inf):
     """Merge branches with identical boundary values, prune the
     survivors as :func:`prune` does, and collect droplets on those kept.
@@ -440,86 +468,108 @@ def merge_and_collect(states: Branches, k: int, dims, dp: DropletParams,
     pair only the lower excitation energy is kept. Candidates are taken
     per survivor in (energy, values) order.
 
-    Survivors are pruned before any droplet work, since a droplet dies
-    with its carrier and merging changes no probability or value. One
-    boolean matrix, where each candidate differs from its survivor,
-    drops the copies and gives the kept candidates' flips. Every
-    distance a candidate needs (to the droplets its survivor carries and
-    to its survivor's earlier candidates) is computed in one batch, over
-    full configurations. Python runs only the sequential keep-or-evict
-    decision, over the candidates with a clash; the kept candidates are
-    appended to the table in one batch. Returns what :func:`prune`
-    returns, the survivors in index order.
+    Groups are keyed by the plan in ``states.keys``: one product of the
+    boundary columns with their planned place values, or
+    :func:`_row_keys` where the key could overflow. Survivors are pruned
+    before any droplet work, since a droplet dies with its carrier and
+    merging changes no probability or value. One boolean matrix, where
+    each candidate differs from its survivor, drops the copies and gives
+    the kept candidates' flips. Every distance a candidate needs (to the
+    droplets its survivor carries and to its survivor's earlier
+    candidates) is computed in one batch, over full configurations.
+
+    Python runs only the sequential keep-or-evict decision, over the
+    candidates with a clash. A clashing reference whose gap is no larger
+    than the candidate's rejects it while it stands; gaps never decrease
+    within a survivor's candidates, so every earlier candidate does. A
+    candidate none rejects is kept and evicts the rest. The kept
+    candidates are appended to the table in one batch, and only the
+    survivors whose droplets changed get a new tuple. Returns what
+    :func:`prune` returns, the survivors in index order.
     """
-    table = states.table
-    positions = [(r - 1) * dims[1] + c - 1 for r, c in boundary_sites(dims, k)]
-    group = _row_keys(states.values[:, positions],
-                      [states.radix[p] for p in positions])
+    table, values = states.table, states.values
+    positions, place = states.keys[k - 1]
+    if place is None:
+        group = _row_keys(values[:, positions],
+                          [states.radix[p] for p in positions])
+    else:
+        group = place @ values[:, positions[0]:].T
     # stable: ties in (group, energy) stay in index order
     order = np.lexsort((states.energy, group))
     grouped = group[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = grouped[1:] != grouped[:-1]
-    survivor = order[np.maximum.accumulate(
-        np.where(first, np.arange(len(order)), 0))]
-    survivors = np.sort(order[first])
+    heads = order[first]
+    survivor = heads[np.cumsum(first) - 1]
+    survivors = np.sort(heads)
     kept, largest_discarded = _prune_order(
         states.log_probability[survivors], sp, largest_discarded)
     survivors = survivors[kept]
+    merged = states.take(survivors)
     alive = np.zeros(len(states), dtype=bool)
     alive[survivors] = True
     gap = states.energy[order] - states.energy[survivor]
     pick = np.flatnonzero(~first & (gap <= dp.energy_cutoff) & alive[survivor])
     if not len(pick):
-        return states.take(survivors), largest_discarded
+        return merged, largest_discarded
 
     others, carriers, gaps = order[pick], survivor[pick], gap[pick]
-    differ = (states.values.take(others, axis=0)
-              != states.values.take(carriers, axis=0))
-    moved = differ.any(axis=1)  # a copy of its survivor adds no droplet
-    others, carriers, gaps, differ = (others[moved], carriers[moved],
-                                      gaps[moved], differ[moved])
+    mine = values.take(others, axis=0)
+    flip = np.where(mine != values.take(carriers, axis=0), mine, 0)
+    moved = flip.any(axis=1)
+    if not moved.all():  # a copy of its survivor adds no droplet
+        others, carriers, gaps, flip = (others[moved], carriers[moved],
+                                        gaps[moved], flip[moved])
     new_run = np.ones(len(others), dtype=bool)
     new_run[1:] = carriers[1:] != carriers[:-1]
     run, run_start = np.cumsum(new_run) - 1, np.flatnonzero(new_run)
-    attached = states.droplets[carriers[run_start]].tolist()
+    owners = carriers[run_start]
+    attached = states.droplets[owners].tolist()
     counts = np.fromiter(map(len, attached), dtype=np.intp, count=len(attached))
     held = np.fromiter(chain.from_iterable(attached), dtype=np.intp,
                        count=counts.sum())
 
     # kept[r]: whether reference r still stands; references are the
     # attached droplets, run by run, then the candidates
-    kept = [True] * (len(held) + len(others))
+    n_held = len(held)
+    kept = bytearray(b"\x01") * (n_held + len(others))
     if dp.hamming_cutoff > 0:
-        delta = table.gap[held].tolist() + gaps.tolist()
-        clashing = {}
-        for i, r in zip(*(a.tolist() for a in _clashes(
-                states.values, others, carriers, run, run_start, counts,
-                table.flips(held), dp.mode, dp.hamming_cutoff))):
-            clashing.setdefault(len(held) + i, []).append(r)
-        for me, refs in clashing.items():
-            refs = [r for r in refs if kept[r]]
-            if any(delta[r] <= delta[me] for r in refs):
-                kept[me] = False
+        cand, ref = _clashes(values, others, carriers, run, run_start, counts,
+                             table.flip[held, :k], dp.mode, dp.hamming_cutoff)
+        # a reference stands in a candidate's way if its gap is no
+        # larger; an earlier candidate of the run always does, since gaps
+        # never decrease within a run
+        strong = np.concatenate((table.gap[held], gaps))[ref] <= gaps[cand]
+        every = np.arange(len(others) + 1)
+        at_strong = np.searchsorted(cand[strong], every).tolist()
+        at_weak = np.searchsorted(cand[~strong], every).tolist()
+        rejecting, evicted = ref[strong].tolist(), ref[~strong].tolist()
+        for me, s0, s1, w0, w1 in zip(range(n_held, len(kept)),
+                                      at_strong, at_strong[1:],
+                                      at_weak, at_weak[1:]):
+            if any(map(kept.__getitem__, rejecting[s0:s1])):
+                kept[me] = 0
             else:
-                for r in refs:
-                    kept[r] = False
+                for r in evicted[w0:w1]:
+                    kept[r] = 0
 
-    new, start = np.array(kept[len(held):], dtype=bool), len(table.subs)
-    added, flips = others[new], differ[new]
-    rows, cols = np.nonzero(flips)
-    table.append(cols, states.values[added[rows], cols],
-                 np.count_nonzero(flips, axis=1), gaps[new],
-                 states.droplets[added].tolist())
-    # each run's kept candidates took the next ids, in candidate order
-    stops = start + np.cumsum(np.bincount(run[new], minlength=len(attached)))
-    droplets, keep = states.droplets.copy(), iter(kept)
-    for carrier, old, stop in zip(carriers[run_start].tolist(), attached,
-                                  stops.tolist()):
-        droplets[carrier] = (tuple([d for d in old if next(keep)])
-                             + tuple(range(start, stop)))
-        start = stop
-    return replace(states, droplets=droplets).take(survivors), largest_discarded
+    new = np.frombuffer(kept, dtype=bool)[n_held:]
+    start = len(table.subs)
+    added = others[new]
+    table.append(flip[new], gaps[new], states.droplets[added].tolist())
+    # each run's kept candidates took the next ids, in candidate order;
+    # a survivor whose run kept and lost nothing keeps its tuple
+    at = 0
+    for slot, old, gained in zip(
+            np.searchsorted(survivors, owners).tolist(), attached,
+            np.bincount(run[new], minlength=len(attached)).tolist()):
+        stays = kept[at:at + len(old)]
+        at += len(old)
+        if gained or not all(stays):
+            merged.droplets[slot] = (tuple(compress(old, stays))
+                                     + tuple(range(start, start + gained)))
+            start += gained
+    return merged, largest_discarded
 
 
 def _prune_order(log_probability: np.ndarray, sp: SearchParams,
@@ -553,15 +603,6 @@ def prune(states: Branches, sp: SearchParams,
     kept, largest_discarded = _prune_order(
         states.log_probability, sp, largest_discarded)
     return states.take(kept), largest_discarded
-
-
-def _sheds_boundary(dims, k: int) -> bool:
-    """Whether placing site ``k`` = (i, j) removes a site from the
-    boundary, as it removes (i-1, j-1) when that exists, (1, j-1) on a
-    one-row grid and (i-1, 1) on a one-column grid."""
-    m, n = dims
-    i, j = (k - 1) // n + 1, (k - 1) % n + 1
-    return (j > 1 and (i > 1 or m == 1)) or (n == 1 and i > 1)
 
 
 def low_energy_spectrum(h: PottsHamiltonian,
@@ -606,8 +647,7 @@ def low_energy_spectrum(h: PottsHamiltonian,
         if (droplet_params is not None and k < total
                 and _sheds_boundary(dims, k)):
             states, largest_discarded = merge_and_collect(
-                states, k, dims, droplet_params, search_params,
-                largest_discarded)
+                states, k, droplet_params, search_params, largest_discarded)
             merges += 1
         else:
             states, largest_discarded = prune(states, search_params,
@@ -690,9 +730,10 @@ def unpack_droplets(solution: Solution, max_depth: int | None = 2) -> Solution:
             solution.states, solution.energies, solution.log_probabilities,
             solution.droplets):
         entries.append((energy, values, log_p, tuple(droplets)))
-        for droplet in droplets:
-            _expand(entries, (energy, values, log_p), droplet, levels,
-                    solution.beta)
+        if levels >= 1:
+            for droplet in droplets:
+                _expand(entries, (energy, values, log_p), droplet, levels,
+                        solution.beta)
 
     return _sorted_unique(entries, solution.largest_discarded_probability,
                           solution.beta, solution.parameters)
@@ -700,17 +741,17 @@ def unpack_droplets(solution: Solution, max_depth: int | None = 2) -> Solution:
 
 def _expand(entries: list, carrier, droplet: Droplet, levels, beta: float):
     """Append ``droplet`` applied to ``carrier`` (energy, values, log_p),
-    then its sub-droplets, ``levels`` deep. Not a closure: a recursive
-    closure's cycle would keep ``entries`` alive after the call."""
-    if levels < 1:
-        return
+    then its sub-droplets, ``levels`` deep (at least 1). Not a closure: a
+    recursive closure's cycle would keep ``entries`` alive after the
+    call."""
     energy, values, log_p = carrier
     flipped = (energy + droplet.delta_energy,
                _apply_flips(values, droplet.flips),
                log_p - beta * droplet.delta_energy)
     entries.append(flipped + (tuple(droplet.sub_droplets),))
-    for sub in droplet.sub_droplets:
-        _expand(entries, flipped, sub, levels - 1, beta)
+    if levels > 1:
+        for sub in droplet.sub_droplets:
+            _expand(entries, flipped, sub, levels - 1, beta)
 
 
 def merge_solutions(solutions: Sequence[Solution]) -> Solution:

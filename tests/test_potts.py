@@ -54,6 +54,96 @@ class TestClusterMapping:
         assert h.edge_table((1, 1), (2, 2)) is not None
 
 
+def _reference_cluster(graph, topology):
+    """The per-coupling clustering loop the array form replaced: every
+    table summed term by term, fields first, couplings in the order the
+    graph holds them, and stored through ``set_node``/``set_edge``."""
+    m, n, t = topology.rows, topology.cols, topology.spins_per_cluster
+    d = 2 ** t
+    spins = cluster_spin_values(t).astype(np.float64)
+
+    def site_of(k):
+        return (k // n + 1, k % n + 1)
+
+    node = [np.zeros(d) for _ in range(m * n)]
+    inter = {}
+    for k in range(m * n):
+        for q in range(t):
+            node[k] += graph.fields[k * t + q] * spins[:, q]
+    for (i, j), coupling in graph.couplings.items():
+        ki, kj = (i - 1) // t, (j - 1) // t
+        qi, qj = (i - 1) % t, (j - 1) % t
+        if ki == kj:
+            node[ki] += coupling * spins[:, qi] * spins[:, qj]
+            continue
+        if ki > kj:
+            ki, kj, qi, qj = kj, ki, qj, qi
+        if max(abs(ki // n - kj // n), abs(ki % n - kj % n)) > 1:
+            raise GeometryError(
+                f"coupling between spins {i} and {j} connects clusters at "
+                f"{site_of((i - 1) // t)} and {site_of((j - 1) // t)}, "
+                f"which are not king-adjacent")
+        table = inter.setdefault((ki, kj), np.zeros((d, d)))
+        table += coupling * np.outer(spins[:, qi], spins[:, qj])
+    h = PottsHamiltonian(m, n)
+    for k in range(m * n):
+        h.set_node(site_of(k), node[k])
+    for (ki, kj), table in inter.items():
+        h.set_edge(site_of(ki), site_of(kj), table)
+    return h
+
+
+def _error(call):
+    """The type and message of the error ``call()`` raises; infinite
+    terms of opposite signs may warn on their way to a NaN."""
+    with pytest.raises(Exception) as err, np.errstate(invalid="ignore"):
+        call()
+    return type(err.value), str(err.value)
+
+
+class TestClusterMatchesLoop:
+    @pytest.mark.parametrize("rows, cols, t, seed, fields", [
+        (16, 16, 1, 1600, False), (4, 4, 2, 4200, False),
+        (3, 3, 2, 3300, False), (3, 4, 3, 5, True)],
+        ids=["16x16x1", "4x4x2", "3x3x2", "3x4x3-fields"])
+    def test_tables_bitwise_equal(self, rows, cols, t, seed, fields):
+        graph = parse_ising(generate_instance(rows, cols, t, seed=seed,
+                                              with_fields=fields))
+        assert graph.fields.any() == fields
+        topology = ClusterTopology(rows, cols, t)
+        h, expected = cluster(graph, topology), _reference_cluster(graph,
+                                                                   topology)
+        for site in expected.sites():
+            assert h.dim(site) == expected.dim(site)
+            assert h.node_table(site).tobytes() == \
+                expected.node_table(site).tobytes()
+        # the same edges, set in the same order: energies sum alike
+        assert list(h._edge) == list(expected._edge)
+        for (pair, table), (_, reference) in zip(h.edge_tables(),
+                                                expected.edge_tables()):
+            assert table.tobytes() == reference.tobytes(), pair
+        assert not h.node_table((1, 1)).flags.writeable
+
+    def test_first_far_coupling_named(self):
+        g = IsingGraph(9, {(1, 2): 1.0, (4, 9): 0.5, (1, 3): 2.0})
+        topology = ClusterTopology(3, 3, 1)
+        error = _error(lambda: cluster(g, topology))
+        assert error == _error(lambda: _reference_cluster(g, topology))
+        assert error[0] is GeometryError and "spins 4 and 9" in error[1]
+
+    @pytest.mark.parametrize("couplings, fields, where", [
+        ({(1, 2): np.inf}, [0, 0, np.inf, 0], "node table at (1, 2)"),
+        ({(1, 3): np.inf, (2, 3): -np.inf}, [0, 0, 0, 0],
+         "edge table for (1, 1)-(1, 2)"),
+    ])
+    def test_first_nan_table_named(self, couplings, fields, where):
+        g = IsingGraph(4, {(3, 4): np.inf, **couplings}, fields)
+        topology = ClusterTopology(1, 2, 2)
+        error = _error(lambda: cluster(g, topology))
+        assert error == _error(lambda: _reference_cluster(g, topology))
+        assert error == (NumericError, f"{where} contains NaN")
+
+
 class TestPottsEnergy:
     def test_zero_tables(self):
         h = PottsHamiltonian(2, 2)

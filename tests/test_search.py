@@ -18,8 +18,9 @@ from kingspeps import (ALL_TRANSFORMS, ContractionParams, DropletParams,
                        merge_solutions, potts_energy, unpack_droplets)
 from kingspeps.peps import bottom_environments, build_network
 from kingspeps.potts import PottsHamiltonian
-from kingspeps.search import (Branches, Droplet, DropletTable, boundary_sites,
-                              branch, merge_and_collect, prune)
+from kingspeps.search import (Branches, Droplet, DropletTable, _key_plan,
+                              _sheds_boundary, boundary_sites, branch,
+                              merge_and_collect, prune)
 from kingspeps import search as search_module
 from kingspeps.errors import (DimensionError, InvalidIndexError,
                               UnsupportedError)
@@ -82,6 +83,35 @@ class TestShedsBoundary:
                 assert _sheds_boundary((m, n), k) == bool(left), (m, n, k)
 
 
+class TestKeyPlan:
+    @pytest.mark.parametrize("dims", [(1, 5), (5, 1), (2, 2), (3, 4), (4, 3)])
+    def test_matches_boundary_at_every_position(self, dims):
+        m, n = dims
+        radix = [3 + p % 4 for p in range(m * n)]
+        plan = _key_plan(dims, radix)
+        assert len(plan) == m * n - 1
+        for k, (positions, place) in enumerate(plan, start=1):
+            boundary = [(r - 1) * n + c - 1
+                        for r, c in boundary_sites(dims, k)]
+            assert positions == boundary
+            # the mixed-radix place of each boundary column, 0 elsewhere
+            expected = [math.prod(radix[q] for q in boundary if q > p)
+                        if p in boundary else 0
+                        for p in range(boundary[0], k)]
+            assert place.dtype == np.int64
+            assert place.tolist() == expected
+            # a merge sheds a site the previous step's boundary held
+            before = set(plan[k - 2][0]) if k > 1 else set()
+            assert _sheds_boundary(dims, k) == bool(before - set(positions))
+
+    def test_key_that_could_overflow_is_not_planned(self):
+        # 2**21 + 1 per site: two boundary sites fit, three do not
+        plan = _key_plan((2, 3), [2**21 + 1] * 6)
+        assert [len(positions) for positions, _ in plan] == [1, 2, 3, 4, 3]
+        assert [place is None for _, place in plan] == \
+            [False, False, True, True, True]
+
+
 # One branch as the tests state it; populations are built from and read
 # back into lists of these.
 _Row = namedtuple("_Row", "values log_probability energy droplets")
@@ -94,30 +124,35 @@ def _load(table, droplet, ids):
         subs = tuple(_load(table, sub, ids) for sub in droplet.sub_droplets)
         positions, values = zip(*droplet.flips)
         ids[id(droplet)] = len(table.subs)
-        table.append(np.array(positions) - 1, values, [len(positions)],
-                     [droplet.delta_energy], [subs])
+        flip = np.zeros((1, max(positions)), dtype=table.flip.dtype)
+        flip[0, np.array(positions) - 1] = values
+        table.append(flip, [droplet.delta_energy], [subs])
     return ids[id(droplet)]
 
 
-def _population(rows, dims=None):
+def _population(rows, dims=None, grid=(3, 3)):
     """A population of the given branches (no environment attached),
     sorted by values as the search keeps it (equal rows in the given
-    order), their droplets loaded into a new table. ``dims`` are the
-    site dimensions, by default the largest value for every site."""
+    order), their droplets loaded into a new table, with the merge keys
+    of a ``grid``. ``dims`` are the site dimensions, by default the
+    largest value for every site; later sites get dimension 1."""
     rows = sorted(rows, key=lambda r: r.values)
     values = np.array([r.values for r in rows], dtype=np.int64)
     values = values.reshape(len(rows), -1)
     if dims is None:
         dims = [int(values.max(initial=1))] * values.shape[1]
-    table = DropletTable()
+    table = DropletTable(max(math.prod(grid), values.shape[1]), values.dtype)
     ids = {}
+    radix = tuple(d + 1 for d in dims)
     return Branches(values, np.array([r.log_probability for r in rows], float),
                     np.array([r.energy for r in rows], float),
                     np.ones((len(rows), 1)),
                     np.zeros(len(rows), dtype=np.intp),
                     np.fromiter((tuple(_load(table, d, ids) for d in r.droplets)
                                  for r in rows), dtype=object, count=len(rows)),
-                    table=table, radix=tuple(d + 1 for d in dims))
+                    table=table, radix=radix,
+                    keys=_key_plan(grid, radix + (2,) * (math.prod(grid)
+                                                         - len(radix))))
 
 
 def _materialized(branches):
@@ -147,8 +182,8 @@ def _grown(net, envs, row):
 _KEEP_ALL = SearchParams(max_states=10**6, cut_off_prob=0.0)
 
 
-def _merge(rows, k, dims, dp):
-    return _rows(merge_and_collect(_population(rows), k, dims, dp,
+def _merge(rows, k, grid, dp):
+    return _rows(merge_and_collect(_population(rows, grid=grid), k, dp,
                                    _KEEP_ALL)[0])
 
 
@@ -463,7 +498,7 @@ def _merge_cases(draw):
                              draw(energies),
                              tuple(droplet(0) for _ in range(
                                  draw(st.integers(0, 3))))))
-    states = _population(branches, dims)
+    states = _population(branches, dims, (rows, cols))
     states = replace(states, values=states.values.astype(dtype))
     dp = DropletParams(
         energy_cutoff=draw(st.sampled_from([0.0, 0.5, 1.0, math.inf])),
@@ -481,7 +516,7 @@ class TestMergeEquivalence:
         the droplets of both are compared as the table builds them."""
         inputs = np.fromiter(_materialized(states), dtype=object,
                              count=len(states))
-        merged, discarded = merge_and_collect(states, k, dims, dp, sp,
+        merged, discarded = merge_and_collect(states, k, dp, sp,
                                               largest_discarded)
         survivors, droplets = _reference_merge(
             replace(states, droplets=inputs), k, dims, dp)
@@ -511,6 +546,21 @@ class TestMergeEquivalence:
             cut_off_prob=data.draw(st.sampled_from([0.0, 1e-4, 0.5])))
         self._check(*case, sp, data.draw(st.sampled_from([-math.inf, -3.0])))
 
+    def test_tied_gaps_and_a_clash_chain(self):
+        # 3x3 at k=7: row 1 is bulk. The carrier holds H (site 1 set to
+        # 2, gap 1.0); X and Y tie at gap 0.5, X first by values. X is 1
+        # from H and evicts it, Y is 1 from X and 2 from H, so X, kept
+        # with the same gap, rejects Y
+        held = Droplet(((1, 2),), 1.0)
+        carrier = _mk((1,) * 7, -2.0, droplets=(held,))
+        x = _mk((2, 2) + (1,) * 5, -1.5)
+        y = _mk((3, 2) + (1,) * 5, -1.5)
+        states = _population([carrier, x, y], [3] * 7)
+        dp = DropletParams(energy_cutoff=5.0, hamming_cutoff=2)
+        self._check(states, 7, (3, 3), dp, _KEEP_ALL)
+        (survivor,) = _rows(merge_and_collect(states, 7, dp, _KEEP_ALL)[0])
+        assert survivor.droplets == (Droplet(((1, 2), (2, 2)), 0.5),)
+
     def test_pruned_carrier_collects_nothing(self, monkeypatch):
         batches = []
         clashes = search_module._clashes
@@ -530,8 +580,7 @@ class TestMergeEquivalence:
             _mk((2, 2, 1, 1, 1), -1.0, log_p=-0.3),  # its candidate
         ])
         merged, discarded = merge_and_collect(
-            states, 5, (3, 3), DropletParams(energy_cutoff=5.0,
-                                             hamming_cutoff=2),
+            states, 5, DropletParams(energy_cutoff=5.0, hamming_cutoff=2),
             SearchParams(max_states=1, cut_off_prob=0.0))
         assert merged.values.tolist() == [[1, 1, 1, 1, 1]]
         assert discarded == -3.0
@@ -550,7 +599,7 @@ class TestMergeEquivalence:
             _mk((1, 2, 1, 1, 1), -2.0, log_p=-3.0),
             _mk((2, 2, 1, 1, 1), -1.0, log_p=-0.3),
         ])
-        merged, _ = merge_and_collect(states, 5, (3, 3),
+        merged, _ = merge_and_collect(states, 5,
                                       DropletParams(energy_cutoff=5.0),
                                       _KEEP_ALL)
         assert len(states.table.subs) == 2
