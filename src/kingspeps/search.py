@@ -24,15 +24,22 @@ children come parent-major with their states ascending; prune and merge
 emit their survivors in index order, and the stable sorts they rank by
 break ties by index, that is, by values.
 
-Merging is batched as well. Branches are grouped by one integer key of
-their boundary values, whose radices come from the site dimensions,
-planned once per solve, and every distance a droplet candidate must be
-checked against is counted over whole configurations; Python only
-makes the sequential keep-or-evict decisions. The droplets a solve
-records go into one append-only :class:`DropletTable` of flat arrays,
-and each branch holds the tuple of its droplets' ids in an object array
-gathered by index like the other columns. :class:`Droplet` objects are
-built once, at the end, for the droplets the final branches carry.
+Merging is batched as well. :meth:`Branches.root` plans each step's
+merge key once per solve: the boundary's positions and the int64 place
+values that make one matrix product of the boundary columns a key equal
+for equal boundaries and ordered as they are (a key that could overflow
+int64 is re-ranked column by column instead). Every distance a droplet
+candidate must be checked against is counted over whole
+configurations; Python only makes the sequential keep-or-evict
+decisions. A survivor's candidates come in ascending gap, so a clashing
+candidate kept earlier always rejects a later one, and a droplet the
+survivor already held does if its gap is no larger; which references
+can reject is settled for all pairs at once. The droplets a solve
+records go into one append-only :class:`DropletTable`, one dense row of
+flipped states each, and each branch holds the tuple of its droplets'
+ids in an object array gathered by index like the other columns.
+:class:`Droplet` objects are built once, at the end, for the droplets
+the final branches carry.
 """
 
 from __future__ import annotations
@@ -472,17 +479,20 @@ def merge_and_collect(states: Branches, k: int, dp: DropletParams,
     boundary columns with their planned place values, or
     :func:`_row_keys` where the key could overflow. Survivors are pruned
     before any droplet work, since a droplet dies with its carrier and
-    merging changes no probability or value. One boolean matrix, where
-    each candidate differs from its survivor, drops the copies and gives
-    the kept candidates' flips. Every distance a candidate needs (to the
-    droplets its survivor carries and to its survivor's earlier
-    candidates) is computed in one batch, over full configurations.
+    merging changes no probability or value. Each candidate's row of
+    states where it differs from its survivor (0 elsewhere) drops the
+    copies and is what the table records. Every distance a candidate
+    needs (to the droplets its survivor carries and to its survivor's
+    earlier candidates) is computed in one batch, over full
+    configurations.
 
-    Python runs only the sequential keep-or-evict decision, over the
-    candidates with a clash. A clashing reference whose gap is no larger
-    than the candidate's rejects it while it stands; gaps never decrease
-    within a survivor's candidates, so every earlier candidate does. A
-    candidate none rejects is kept and evicts the rest. The kept
+    Python runs only the keep-or-evict decisions, walking each
+    candidate's slice of the clashing pairs in candidate order. A
+    clashing reference whose gap is no larger than the candidate's
+    rejects it while it stands; gaps never decrease within a survivor's
+    candidates, so an earlier candidate kept always does. Which
+    references can reject is settled for all pairs at once, before the
+    walk. A candidate none rejects is kept and evicts the rest. The kept
     candidates are appended to the table in one batch, and only the
     survivors whose droplets changed get a new tuple. Returns what
     :func:`prune` returns, the survivors in index order.
@@ -536,9 +546,9 @@ def merge_and_collect(states: Branches, k: int, dp: DropletParams,
     if dp.hamming_cutoff > 0:
         cand, ref = _clashes(values, others, carriers, run, run_start, counts,
                              table.flip[held, :k], dp.mode, dp.hamming_cutoff)
-        # a reference stands in a candidate's way if its gap is no
-        # larger; an earlier candidate of the run always does, since gaps
-        # never decrease within a run
+        # a reference rejects a candidate if its gap is no larger: every
+        # earlier candidate of the run, whose gaps never decrease, and
+        # the held droplets that are no higher
         strong = np.concatenate((table.gap[held], gaps))[ref] <= gaps[cand]
         every = np.arange(len(others) + 1)
         at_strong = np.searchsorted(cand[strong], every).tolist()
