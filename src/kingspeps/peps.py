@@ -395,8 +395,7 @@ def conditionals(net: PepsNetwork, bottom: BoundaryMps, row: int, col: int,
     negative = numerator < 0
     if negative.any():
         debug = logger.isEnabledFor(logging.DEBUG)
-        # down a transposed copy, as in _max_normalized
-        flip = np.array(negative.T, order="C").all(axis=0)
+        flip = np.array(negative.T, order="C").all(axis=0)  # as in the shift
         if flip.any():
             if debug:
                 logger.debug("flipped the sign of %d of %d branches' "

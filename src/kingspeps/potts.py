@@ -219,27 +219,24 @@ def cluster(graph: IsingGraph, topology: ClusterTopology) -> PottsHamiltonian:
 
     d = 2 ** t
     spins = cluster_spin_values(t).astype(np.float64).T
+    sites = [(r + 1, c + 1) for r in range(m) for c in range(n)]
     spin = np.array(list(graph.couplings), dtype=np.intp).reshape(-1, 2) - 1
-    coupling = np.fromiter(graph.couplings.values(), dtype=np.float64,
-                           count=len(spin))
-    # each coupling's clusters and spins within them, the earlier
-    # cluster first
+    coupling = np.fromiter(graph.couplings.values(), np.float64, len(spin))
+    # each coupling's clusters and its spins in them, earlier cluster first
     k, q = np.divmod(np.sort(spin, axis=1), t)
     intra = k[:, 0] == k[:, 1]
     inter = np.flatnonzero(~intra)
     row, col = np.divmod(k[inter], n)
-    far = np.flatnonzero((np.abs(row[:, 0] - row[:, 1]) > 1)
-                         | (np.abs(col[:, 0] - col[:, 1]) > 1))
-    sites = [(r + 1, c + 1) for r in range(m) for c in range(n)]
-    if len(far):
-        i, j = spin[inter[far[0]]] + 1
+    far = (abs(row[:, 0] - row[:, 1]) > 1) | (abs(col[:, 0] - col[:, 1]) > 1)
+    if far.any():
+        i, j = spin[inter[np.argmax(far)]] + 1
         raise GeometryError(
             f"coupling between spins {i} and {j} connects clusters at "
             f"{sites[(i - 1) // t]} and {sites[(j - 1) // t]}, "
             f"which are not king-adjacent")
 
-    # every table sums its terms in the order the couplings come,
-    # fields first for the node tables; add.at adds repeats in order
+    # each table adds its terms in the order of the couplings, after the
+    # fields for a node table; add.at adds at a repeated index in order
     node = np.zeros((m * n, d))
     for bit, field in enumerate(graph.fields.reshape(m * n, t).T):
         node += field[:, None] * spins[bit]
@@ -248,12 +245,9 @@ def cluster(graph: IsingGraph, topology: ClusterTopology) -> PottsHamiltonian:
     pairs, first, slot = np.unique(k[inter] @ [m * n, 1], return_index=True,
                                    return_inverse=True)
     order = np.argsort(first)  # the edges in order of their first coupling
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
     edge = np.zeros((len(pairs), d, d))
-    np.add.at(edge, rank[slot], coupling[inter, None, None]
+    np.add.at(edge, np.argsort(order)[slot], coupling[inter, None, None]
               * (spins[q[inter, 0]][:, :, None] * spins[q[inter, 1]][:, None, :]))
-
     ends = [(sites[a], sites[b]) for a, b in zip(
         *(c.tolist() for c in np.divmod(pairs[order], m * n)))]
     bad = np.isnan(node).any(axis=1)

@@ -24,22 +24,15 @@ children come parent-major with their states ascending; prune and merge
 emit their survivors in index order, and the stable sorts they rank by
 break ties by index, that is, by values.
 
-Merging is batched as well. :meth:`Branches.root` plans each step's
-merge key once per solve: the boundary's positions and the int64 place
-values that make one matrix product of the boundary columns a key equal
-for equal boundaries and ordered as they are (a key that could overflow
-int64 is re-ranked column by column instead). Every distance a droplet
-candidate must be checked against is counted over whole
-configurations; Python only makes the sequential keep-or-evict
-decisions. A survivor's candidates come in ascending gap, so a clashing
-candidate kept earlier always rejects a later one, and a droplet the
-survivor already held does if its gap is no larger; which references
-can reject is settled for all pairs at once. The droplets a solve
-records go into one append-only :class:`DropletTable`, one dense row of
-flipped states each, and each branch holds the tuple of its droplets'
-ids in an object array gathered by index like the other columns.
-:class:`Droplet` objects are built once, at the end, for the droplets
-the final branches carry.
+Merging is batched as well. Each step's merge key is planned once per
+solve: one product of the boundary columns with int64 place values. Every
+distance a droplet candidate must be checked against is counted over
+whole configurations; Python only makes the sequential keep-or-evict
+decisions. The droplets a solve records go into one append-only
+:class:`DropletTable`, a dense row of flipped states each, and each
+branch holds the tuple of its droplets' ids in an object array gathered
+by index like the other columns. :class:`Droplet` objects are built
+once, at the end, for the droplets the final branches carry.
 """
 
 from __future__ import annotations
@@ -129,15 +122,10 @@ class Droplet:
 
 def _put(buffer: np.ndarray, at: int, new) -> np.ndarray:
     """``buffer`` with ``new`` written into its rows from ``at`` on, and
-    into their leading columns when ``new`` is narrower; first grown
-    with zeros, to twice its size, when it is too short."""
-    stop = at + len(new)
-    if stop > len(buffer):
-        grown = np.zeros((max(stop, 2 * len(buffer)),) + buffer.shape[1:],
-                         dtype=buffer.dtype)
-        grown[:at] = buffer[:at]
-        buffer = grown
-    buffer[(slice(at, stop),) + tuple(map(slice, np.shape(new)[1:]))] = new
+    into their leading columns; doubled, with zeros, until it fits."""
+    while at + len(new) > len(buffer):
+        buffer = np.concatenate((buffer, np.zeros_like(buffer)))
+    buffer[(slice(at, at + len(new)),) + tuple(map(slice, np.shape(new)[1:]))] = new
     return buffer
 
 
@@ -152,8 +140,8 @@ class DropletTable:
     """
 
     def __init__(self, sites: int, dtype):
-        self.flip = np.zeros((0, sites), dtype=dtype)
-        self.gap = np.empty(0)
+        self.flip = np.zeros((1, sites), dtype=dtype)
+        self.gap = np.zeros(1)
         self.subs: list[tuple[int, ...]] = []
 
     def append(self, flip, gaps, subs):
@@ -173,13 +161,12 @@ class DropletTable:
         One object is built per id reachable from ``per_branch``,
         children first, so a shared sub-droplet stays one shared object.
         """
-        reached, subs = set(chain.from_iterable(per_branch)), self.subs
-        stack = list(reached)
+        reached, stack = set(), list(chain.from_iterable(per_branch))
         while stack:
-            for i in subs[stack.pop()]:
-                if i not in reached:
-                    reached.add(i)
-                    stack.append(i)
+            i = stack.pop()
+            if i not in reached:
+                reached.add(i)
+                stack.extend(self.subs[i])
         ids = np.array(sorted(reached), dtype=np.intp)
         rows = self.flip[ids]
         run, at = np.nonzero(rows)
@@ -192,7 +179,7 @@ class DropletTable:
         for i, stop, gap in zip(ids.tolist(), np.cumsum(np.bincount(
                 run, minlength=len(ids))).tolist(), self.gap[ids]):
             built[i] = Droplet(tuple(flips[start:stop]), gap,
-                               tuple(map(built.__getitem__, subs[i])))
+                               tuple(map(built.__getitem__, self.subs[i])))
             start = stop
         return [tuple(map(built.__getitem__, t)) for t in per_branch]
 
@@ -213,7 +200,7 @@ class Branches:
     droplet ids in ``table``, the solve's :class:`DropletTable`, so that
     it is gathered by index like the other columns; ``radix``: each
     row-major position's group-key radix, its site dimension plus one;
-    ``keys``: the merge plan, :func:`_key_plan`'s.
+    ``keys``: every step's merge key, as :func:`_key_plan` plans it.
     """
 
     values: np.ndarray
@@ -230,7 +217,7 @@ class Branches:
     @classmethod
     def root(cls, net: PepsNetwork) -> "Branches":
         """The single empty branch every search starts from, its table,
-        the key radices of every position and the merge plan."""
+        the key radices of every position and the merge keys."""
         value_dtype = np.min_scalar_type(int(net.dim_grid.max()))
         radix = tuple((net.dim_grid.reshape(-1) + 1).tolist())
         return cls(np.zeros((1, 0), dtype=value_dtype), np.zeros(1),
@@ -238,8 +225,7 @@ class Branches:
                    np.zeros(1, dtype=np.intp),
                    np.fromiter([()], dtype=object, count=1),
                    table=DropletTable(net.dim_grid.size, value_dtype),
-                   radix=radix,
-                   keys=_key_plan((net.rows, net.cols), radix))
+                   radix=radix, keys=_key_plan((net.rows, net.cols), radix))
 
     def __len__(self):
         return len(self.values)
@@ -295,22 +281,11 @@ def boundary_sites(dims, k: int) -> list[tuple[int, int]]:
     return out
 
 
-def _sheds_boundary(dims, k: int) -> bool:
-    """Whether placing site ``k`` = (i, j) removes a site from the
-    boundary, as it removes (i-1, j-1) when that exists, (1, j-1) on a
-    one-row grid and (i-1, 1) on a one-column grid."""
-    m, n = dims
-    i, j = (k - 1) // n + 1, (k - 1) % n + 1
-    return (j > 1 and (i > 1 or m == 1)) or (n == 1 and i > 1)
-
-
 def _key_plan(dims, radix: Sequence[int]) -> tuple:
-    """The merge keys of a solve, planned once: entry ``k - 1``, for
-    every site ``k`` but the last, holds the boundary's 0-based
-    positions after site ``k`` and the ``int64`` place values that key
-    columns ``positions[0]:k`` by their boundary values, 0 off the
-    boundary; the place values are None where the key could overflow
-    ``int64``, and :func:`_row_keys` re-ranks those."""
+    """Entry ``k - 1`` for every site ``k`` but the last: the 0-based
+    boundary positions after site ``k`` and the int64 place values that
+    key columns ``positions[0]:k`` by them (0 off the boundary), or None
+    where the key could overflow and :func:`_row_keys` must re-rank."""
     m, n = dims
     plan = []
     for k in range(1, m * n):
@@ -421,29 +396,23 @@ def _elementwise_distance(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray
     return np.bitwise_count((a - 1) ^ (b - 1))
 
 
-def _spans(lengths: np.ndarray):
-    """Runs of the given lengths laid end to end: each element's run and
-    its offset within the run."""
-    run = np.repeat(np.arange(len(lengths)), lengths)
-    return run, np.arange(len(run)) - (np.cumsum(lengths) - lengths)[run]
-
-
 def _clashes(values, others, carriers, run, run_start, counts, held, mode,
              cutoff):
-    """Candidate-reference pairs closer than ``cutoff``, by candidate,
-    each candidate's references ascending.
+    """Candidate-reference pairs closer than ``cutoff``, by candidate.
 
     Candidate ``i`` is the branch ``others[i]``, discarded onto
     ``carriers[i]``. Candidates of one carrier form run ``run[i]``, which
     starts at ``run_start[run[i]]``. A candidate's references are the
-    ``counts[run[i]]`` droplets already on its carrier, whose rows of
-    :attr:`DropletTable.flip` ``held`` holds run by run, numbered first,
-    then the earlier candidates of its run, numbered after them in
-    candidate order. A held droplet's configuration is its carrier's
-    values with its flips written in.
+    ``counts[run[i]]`` droplets already on its carrier, whose table rows
+    ``held`` holds run by run, numbered first, then the earlier
+    candidates of its run, numbered after them in candidate order, each
+    candidate's ascending. A held droplet's configuration is its
+    carrier's values with its flips written in.
     """
     own, first = counts[run], run_start[run]
-    pair_cand, slot = _spans(own + np.arange(len(others)) - first)
+    spans = own + np.arange(len(others)) - first
+    pair_cand = np.repeat(np.arange(len(others)), spans)
+    slot = np.arange(len(pair_cand)) - (np.cumsum(spans) - spans)[pair_cand]
     if not len(pair_cand):
         return pair_cand, pair_cand
     own, total = own[pair_cand], counts.sum()
@@ -475,27 +444,17 @@ def merge_and_collect(states: Branches, k: int, dp: DropletParams,
     pair only the lower excitation energy is kept. Candidates are taken
     per survivor in (energy, values) order.
 
-    Groups are keyed by the plan in ``states.keys``: one product of the
-    boundary columns with their planned place values, or
-    :func:`_row_keys` where the key could overflow. Survivors are pruned
-    before any droplet work, since a droplet dies with its carrier and
-    merging changes no probability or value. Each candidate's row of
-    states where it differs from its survivor (0 elsewhere) drops the
-    copies and is what the table records. Every distance a candidate
-    needs (to the droplets its survivor carries and to its survivor's
-    earlier candidates) is computed in one batch, over full
-    configurations.
-
-    Python runs only the keep-or-evict decisions, walking each
-    candidate's slice of the clashing pairs in candidate order. A
-    clashing reference whose gap is no larger than the candidate's
-    rejects it while it stands; gaps never decrease within a survivor's
-    candidates, so an earlier candidate kept always does. Which
-    references can reject is settled for all pairs at once, before the
-    walk. A candidate none rejects is kept and evicts the rest. The kept
-    candidates are appended to the table in one batch, and only the
-    survivors whose droplets changed get a new tuple. Returns what
-    :func:`prune` returns, the survivors in index order.
+    Groups are keyed as ``states.keys`` plans (see :func:`_key_plan`).
+    Survivors are pruned before any droplet work, since a droplet dies
+    with its carrier and merging changes no probability or value. The
+    states where each candidate differs from its survivor drop the
+    copies and make its table row. Every distance a candidate needs (to
+    the droplets its survivor carries and to its survivor's earlier
+    candidates) is computed in one batch, over full configurations.
+    Python walks each candidate's slice of the clashing pairs: one still
+    standing with a gap no larger rejects it, as every earlier candidate
+    kept does (gaps ascend within a survivor); else it evicts the rest.
+    Returns what :func:`prune` returns, the survivors in index order.
     """
     table, values = states.table, states.values
     positions, place = states.keys[k - 1]
@@ -526,10 +485,9 @@ def merge_and_collect(states: Branches, k: int, dp: DropletParams,
     others, carriers, gaps = order[pick], survivor[pick], gap[pick]
     mine = values.take(others, axis=0)
     flip = np.where(mine != values.take(carriers, axis=0), mine, 0)
-    moved = flip.any(axis=1)
-    if not moved.all():  # a copy of its survivor adds no droplet
-        others, carriers, gaps, flip = (others[moved], carriers[moved],
-                                        gaps[moved], flip[moved])
+    moved = flip.any(axis=1)  # a copy of its survivor adds no droplet
+    others, carriers, gaps, flip = (others[moved], carriers[moved],
+                                    gaps[moved], flip[moved])
     new_run = np.ones(len(others), dtype=bool)
     new_run[1:] = carriers[1:] != carriers[:-1]
     run, run_start = np.cumsum(new_run) - 1, np.flatnonzero(new_run)
@@ -541,41 +499,32 @@ def merge_and_collect(states: Branches, k: int, dp: DropletParams,
 
     # kept[r]: whether reference r still stands; references are the
     # attached droplets, run by run, then the candidates
-    n_held = len(held)
-    kept = bytearray(b"\x01") * (n_held + len(others))
+    kept = bytearray(b"\x01") * (len(held) + len(others))
     if dp.hamming_cutoff > 0:
         cand, ref = _clashes(values, others, carriers, run, run_start, counts,
                              table.flip[held, :k], dp.mode, dp.hamming_cutoff)
-        # a reference rejects a candidate if its gap is no larger: every
-        # earlier candidate of the run, whose gaps never decrease, and
-        # the held droplets that are no higher
         strong = np.concatenate((table.gap[held], gaps))[ref] <= gaps[cand]
         every = np.arange(len(others) + 1)
         at_strong = np.searchsorted(cand[strong], every).tolist()
         at_weak = np.searchsorted(cand[~strong], every).tolist()
         rejecting, evicted = ref[strong].tolist(), ref[~strong].tolist()
-        for me, s0, s1, w0, w1 in zip(range(n_held, len(kept)),
-                                      at_strong, at_strong[1:],
-                                      at_weak, at_weak[1:]):
+        for me, s0, s1, w0, w1 in zip(range(len(held), len(kept)), at_strong,
+                                      at_strong[1:], at_weak, at_weak[1:]):
             if any(map(kept.__getitem__, rejecting[s0:s1])):
                 kept[me] = 0
             else:
                 for r in evicted[w0:w1]:
                     kept[r] = 0
 
-    new = np.frombuffer(kept, dtype=bool)[n_held:]
-    start = len(table.subs)
-    added = others[new]
-    table.append(flip[new], gaps[new], states.droplets[added].tolist())
-    # each run's kept candidates took the next ids, in candidate order;
-    # a survivor whose run kept and lost nothing keeps its tuple
-    at = 0
-    for slot, old, gained in zip(
+    new, start = np.frombuffer(kept, dtype=bool)[len(held):], len(table.subs)
+    table.append(flip[new], gaps[new], states.droplets[others[new]].tolist())
+    # each run's kept candidates took the next ids, in candidate order
+    for slot, old, at, gained in zip(
             np.searchsorted(survivors, owners).tolist(), attached,
+            (np.cumsum(counts) - counts).tolist(),
             np.bincount(run[new], minlength=len(attached)).tolist()):
         stays = kept[at:at + len(old)]
-        at += len(old)
-        if gained or not all(stays):
+        if gained or not all(stays):  # else its tuple stays as it is
             merged.droplets[slot] = (tuple(compress(old, stays))
                                      + tuple(range(start, start + gained)))
             start += gained
@@ -613,6 +562,15 @@ def prune(states: Branches, sp: SearchParams,
     kept, largest_discarded = _prune_order(
         states.log_probability, sp, largest_discarded)
     return states.take(kept), largest_discarded
+
+
+def _sheds_boundary(dims, k: int) -> bool:
+    """Whether placing site ``k`` = (i, j) removes a site from the
+    boundary, as it removes (i-1, j-1) when that exists, (1, j-1) on a
+    one-row grid and (i-1, 1) on a one-column grid."""
+    m, n = dims
+    i, j = (k - 1) // n + 1, (k - 1) % n + 1
+    return (j > 1 and (i > 1 or m == 1)) or (n == 1 and i > 1)
 
 
 def low_energy_spectrum(h: PottsHamiltonian,
@@ -740,10 +698,9 @@ def unpack_droplets(solution: Solution, max_depth: int | None = 2) -> Solution:
             solution.states, solution.energies, solution.log_probabilities,
             solution.droplets):
         entries.append((energy, values, log_p, tuple(droplets)))
-        if levels >= 1:
-            for droplet in droplets:
-                _expand(entries, (energy, values, log_p), droplet, levels,
-                        solution.beta)
+        for droplet in droplets:
+            _expand(entries, (energy, values, log_p), droplet, levels,
+                    solution.beta)
 
     return _sorted_unique(entries, solution.largest_discarded_probability,
                           solution.beta, solution.parameters)
@@ -751,9 +708,10 @@ def unpack_droplets(solution: Solution, max_depth: int | None = 2) -> Solution:
 
 def _expand(entries: list, carrier, droplet: Droplet, levels, beta: float):
     """Append ``droplet`` applied to ``carrier`` (energy, values, log_p),
-    then its sub-droplets, ``levels`` deep (at least 1). Not a closure: a
-    recursive closure's cycle would keep ``entries`` alive after the
-    call."""
+    then its sub-droplets, ``levels`` deep. Not a closure: a recursive
+    closure's cycle would keep ``entries`` alive after the call."""
+    if levels < 1:
+        return
     energy, values, log_p = carrier
     flipped = (energy + droplet.delta_energy,
                _apply_flips(values, droplet.flips),
