@@ -485,9 +485,10 @@ def merge_and_collect(states: Branches, k: int, dp: DropletParams,
     others, carriers, gaps = order[pick], survivor[pick], gap[pick]
     mine = values.take(others, axis=0)
     flip = np.where(mine != values.take(carriers, axis=0), mine, 0)
-    moved = flip.any(axis=1)  # a copy of its survivor adds no droplet
-    others, carriers, gaps, flip = (others[moved], carriers[moved],
-                                    gaps[moved], flip[moved])
+    moved = flip.any(axis=1)
+    if not moved.all():  # a copy of its survivor adds no droplet
+        others, carriers, gaps, flip = (others[moved], carriers[moved],
+                                        gaps[moved], flip[moved])
     new_run = np.ones(len(others), dtype=bool)
     new_run[1:] = carriers[1:] != carriers[:-1]
     run, run_start = np.cumsum(new_run) - 1, np.flatnonzero(new_run)
