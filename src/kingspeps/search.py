@@ -405,9 +405,9 @@ def _clashes(values, others, carriers, run, run_start, counts, held, mode,
     starts at ``run_start[run[i]]``. A candidate's references are the
     ``counts[run[i]]`` droplets already on its carrier, whose table rows
     ``held`` holds run by run, numbered first, then the earlier
-    candidates of its run, numbered after them in candidate order, each
-    candidate's ascending. A held droplet's configuration is its
-    carrier's values with its flips written in.
+    candidates of its run, numbered after them in candidate order; a
+    candidate's pairs come with their references ascending. A held
+    droplet's configuration is its carrier's values with its flips in.
     """
     own, first = counts[run], run_start[run]
     spans = own + np.arange(len(others)) - first
