@@ -169,15 +169,15 @@ class DropletTable:
                 stack.extend(self.subs[i])
         ids = np.array(sorted(reached), dtype=np.intp)
         rows = self.flip[ids]
-        run, at = np.nonzero(rows)
+        run, at = rows.nonzero()
         positions = position_map[at] + 1
         order = np.lexsort((positions, run))
         flips = list(zip(positions[order].tolist(),
                          rows[run, at][order].tolist()))
         built, start = {}, 0
         # gaps stay numpy floats, as the energies they come from
-        for i, stop, gap in zip(ids.tolist(), np.cumsum(np.bincount(
-                run, minlength=len(ids))).tolist(), self.gap[ids]):
+        for i, stop, gap in zip(ids.tolist(), np.bincount(
+                run, minlength=len(ids)).cumsum().tolist(), self.gap[ids]):
             built[i] = Droplet(tuple(flips[start:stop]), gap,
                                tuple(map(built.__getitem__, self.subs[i])))
             start = stop
@@ -411,16 +411,16 @@ def _clashes(values, others, carriers, run, run_start, counts, held, mode,
     """
     own, first = counts[run], run_start[run]
     spans = own + np.arange(len(others)) - first
-    pair_cand = np.repeat(np.arange(len(others)), spans)
-    slot = np.arange(len(pair_cand)) - (np.cumsum(spans) - spans)[pair_cand]
+    pair_cand = np.arange(len(others)).repeat(spans)
+    slot = np.arange(len(pair_cand)) - (spans.cumsum() - spans)[pair_cand]
     if not len(pair_cand):
         return pair_cand, pair_cand
     own, total = own[pair_cand], counts.sum()
-    held_before = (np.cumsum(counts) - counts)[run]
+    held_before = (counts.cumsum() - counts)[run]
     pair_ref = np.where(slot < own, held_before[pair_cand] + slot,
                         total + first[pair_cand] + slot - own)
 
-    carried = values.take(np.repeat(carriers[run_start], counts), axis=0)
+    carried = values.take(carriers[run_start].repeat(counts), axis=0)
     configs = np.concatenate((np.where(held != 0, held, carried),
                               values.take(others, axis=0)))
     # row sums as a product: numpy reduces short rows one at a time
@@ -466,11 +466,10 @@ def merge_and_collect(states: Branches, k: int, dp: DropletParams,
     # stable: ties in (group, energy) stay in index order
     order = np.lexsort((states.energy, group))
     grouped = group[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = grouped[1:] != grouped[:-1]
-    heads = order[first]
-    survivor = heads[np.cumsum(first) - 1]
-    survivors = np.sort(heads)
+    first = np.concatenate(([True], grouped[1:] != grouped[:-1]))
+    survivors = order[first]
+    survivor = survivors[first.cumsum() - 1]
+    survivors.sort()
     kept, largest_discarded = _prune_order(
         states.log_probability[survivors], sp, largest_discarded)
     survivors = survivors[kept]
@@ -478,7 +477,7 @@ def merge_and_collect(states: Branches, k: int, dp: DropletParams,
     alive = np.zeros(len(states), dtype=bool)
     alive[survivors] = True
     gap = states.energy[order] - states.energy[survivor]
-    pick = np.flatnonzero(~first & (gap <= dp.energy_cutoff) & alive[survivor])
+    pick = (~first & (gap <= dp.energy_cutoff) & alive[survivor]).nonzero()[0]
     if not len(pick):
         return merged, largest_discarded
 
@@ -489,9 +488,8 @@ def merge_and_collect(states: Branches, k: int, dp: DropletParams,
     if not moved.all():  # a copy of its survivor adds no droplet
         others, carriers, gaps, flip = (others[moved], carriers[moved],
                                         gaps[moved], flip[moved])
-    new_run = np.ones(len(others), dtype=bool)
-    new_run[1:] = carriers[1:] != carriers[:-1]
-    run, run_start = np.cumsum(new_run) - 1, np.flatnonzero(new_run)
+    new_run = carriers != np.concatenate(([-1], carriers[:-1]))
+    run, run_start = new_run.cumsum() - 1, new_run.nonzero()[0]
     owners = carriers[run_start]
     attached = states.droplets[owners].tolist()
     counts = np.fromiter(map(len, attached), dtype=np.intp, count=len(attached))
@@ -506,8 +504,8 @@ def merge_and_collect(states: Branches, k: int, dp: DropletParams,
                              table.flip[held, :k], dp.mode, dp.hamming_cutoff)
         strong = np.concatenate((table.gap[held], gaps))[ref] <= gaps[cand]
         every = np.arange(len(others) + 1)
-        at_strong = np.searchsorted(cand[strong], every).tolist()
-        at_weak = np.searchsorted(cand[~strong], every).tolist()
+        at_strong = cand[strong].searchsorted(every).tolist()
+        at_weak = cand[~strong].searchsorted(every).tolist()
         rejecting, evicted = ref[strong].tolist(), ref[~strong].tolist()
         for me, s0, s1, w0, w1 in zip(range(len(held), len(kept)), at_strong,
                                       at_strong[1:], at_weak, at_weak[1:]):
@@ -521,8 +519,8 @@ def merge_and_collect(states: Branches, k: int, dp: DropletParams,
     table.append(flip[new], gaps[new], states.droplets[others[new]].tolist())
     # each run's kept candidates took the next ids, in candidate order
     for slot, old, at, gained in zip(
-            np.searchsorted(survivors, owners).tolist(), attached,
-            (np.cumsum(counts) - counts).tolist(),
+            survivors.searchsorted(owners).tolist(), attached,
+            (counts.cumsum() - counts).tolist(),
             np.bincount(run[new], minlength=len(attached)).tolist()):
         stays = kept[at:at + len(old)]
         if gained or not all(stays):  # else its tuple stays as it is
@@ -539,7 +537,7 @@ def _prune_order(log_probability: np.ndarray, sp: SearchParams,
 
     The most probable are kept, ties broken by index: a stable sort.
     """
-    order = np.argsort(-log_probability, kind="stable")
+    order = (-log_probability).argsort(kind="stable")
     ranked = log_probability[order]
     keep = len(order)
     if sp.cut_off_prob > 0.0 and keep:
@@ -548,7 +546,8 @@ def _prune_order(log_probability: np.ndarray, sp: SearchParams,
     keep = min(keep, sp.max_states)
     if keep < len(order):
         largest_discarded = max(largest_discarded, float(ranked[keep]))
-    return np.sort(order[:keep]), largest_discarded
+    order[:keep].sort()
+    return order[:keep], largest_discarded
 
 
 def prune(states: Branches, sp: SearchParams,
