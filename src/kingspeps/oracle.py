@@ -3,9 +3,20 @@
 Everything here is brute force on purpose: exact spectra, partition
 functions, and conditional distributions computed by summation over all
 completions. Guarded at 2^24 configurations.
+
+Enumeration is lexicographic: position ``i`` of the enumeration is the
+assignment whose row-major states, less one, are the mixed-radix digits
+of ``i``. A spectrum walks it in blocks of ``BLOCK_ROWS`` positions. The
+memory a block takes while it is evaluated does not grow with the
+number of configurations: its assignments (one byte per site and row up
+to 255 states per site) and a handful of 8-byte arrays of
+``BLOCK_ROWS`` entries: a few MiB.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -13,10 +24,17 @@ from .errors import DimensionError, TooLargeError
 from .potts import PottsHamiltonian, _checked_states, _integer_states
 
 ENUMERATION_GUARD = 2 ** 24
+BLOCK_ROWS = 2 ** 16
 
 
 def config_energies(h: PottsHamiltonian, configs: np.ndarray) -> np.ndarray:
     """Energies of many assignments at once.
+
+    The terms are added one at a time, in the order
+    :func:`~kingspeps.potts.potts_energies` adds them (node tables in
+    site order, then edge tables in the order they were set), so the
+    energies are bit-identical to that function's and memory stays
+    linear in rows.
 
     Args:
         h: the model.
@@ -26,34 +44,44 @@ def config_energies(h: PottsHamiltonian, configs: np.ndarray) -> np.ndarray:
     Raises as :func:`~kingspeps.potts.potts_energies` does.
     """
     configs = _checked_states(h, configs)
-    index_of = {site: i for i, site in enumerate(h.sites())}
+    flat, offset, first, second, stride, _ = h._energy_terms()
     energies = np.zeros(configs.shape[0], dtype=np.float64)
-    for site, i in index_of.items():
-        table = h.node_table(site)
-        energies += table[configs[:, i] - 1]
-    for (a, b), table in h.edge_tables():
-        energies += table[configs[:, index_of[a]] - 1,
-                          configs[:, index_of[b]] - 1]
+    for at, a, b, step in zip(offset, first, second, stride):
+        # flat[at + x_a * step + x_b] for the 0-based states x
+        index = (configs[:, a].astype(np.intp) - 1) * step + at - 1
+        index += configs[:, b].astype(np.intp)
+        energies += flat[index]
     return energies
 
 
-def _enumerate_configs(dims: list[int]) -> np.ndarray:
-    total = 1
-    for d in dims:
-        total *= d
+def _enumeration_size(dims: list[int]) -> int:
+    """Number of assignments of sites with dimensions ``dims``.
+
+    Raises:
+        TooLargeError: it exceeds ``ENUMERATION_GUARD``.
+    """
+    total = math.prod(dims)
     if total > ENUMERATION_GUARD:
         raise TooLargeError(
             f"{total} configurations exceed the enumeration guard "
             f"({ENUMERATION_GUARD})")
-    # column by column, in row-major order, in the smallest unsigned
-    # dtype that holds the largest state (as Branches.root stores them)
-    configs = np.empty((total, len(dims)),
-                       dtype=np.min_scalar_type(max(dims, default=1)))
-    inner = total
-    for i, d in enumerate(dims):
-        inner //= d
-        configs.reshape(total // (d * inner), d, inner, len(dims))[..., i] = (
-            np.arange(1, d + 1, dtype=configs.dtype)[:, None])
+    return total
+
+
+def _state_dtype(dims: list[int]) -> np.dtype:
+    return np.min_scalar_type(max(dims, default=1))
+
+
+def _assignments(dims: list[int], index: np.ndarray) -> np.ndarray:
+    """The assignments at enumeration positions ``index``, one per row.
+
+    Row-major 1-based states, in the smallest unsigned dtype that holds
+    the largest state (as ``Branches.root`` stores them).
+    """
+    configs = np.empty((len(index), len(dims)), dtype=_state_dtype(dims))
+    for i in range(len(dims) - 1, -1, -1):
+        configs[:, i] = index % dims[i] + 1
+        index = index // dims[i]
     return configs
 
 
@@ -65,8 +93,20 @@ def _log_sum_exp(values: np.ndarray) -> float:
 class ExactSpectrum:
     """Complete enumeration of a model, sorted ascending by energy.
 
-    Ties are broken lexicographically by assignment, so the ordering is
-    reproducible. The partition function is available on demand.
+    Construction walks the enumeration in blocks of ``BLOCK_ROWS``
+    positions and keeps only the float64 energy of each assignment, in
+    enumeration order: 8 bytes per configuration. ``min_energy`` and
+    ``len()`` are answered from those.
+
+    The first read of ``states`` or ``energies`` (and so of the partition
+    function, which reads the sorted energies) sorts them by one stable
+    ``argsort`` by energy. The enumeration is lexicographic, so ties are
+    broken lexicographically by assignment and the ordering is
+    reproducible. The unsorted energies are then dropped and the states
+    rebuilt block by block from their enumeration positions. That read
+    holds the sort order and the sorted energies (8 bytes per
+    configuration each) besides the states (one byte per site and
+    configuration up to 255 states per site).
 
     Attributes:
         states: ``(n_configs, n_sites)`` 1-based states in row-major
@@ -74,24 +114,43 @@ class ExactSpectrum:
             largest site dimension (``np.min_scalar_type``; uint8 up to
             255 states per site).
         energies: float64 energies, ascending.
+        min_energy: the lowest energy.
     """
 
     def __init__(self, h: PottsHamiltonian):
-        dims = [h.dim(site) for site in h.sites()]
-        configs = _enumerate_configs(dims)
-        energies = config_energies(h, configs)
-        # energy primary, assignment columns as tie breakers
-        keys = tuple(configs[:, i] for i in range(configs.shape[1] - 1, -1, -1))
-        order = np.lexsort(keys + (energies,))
-        self.states = configs[order]
-        self.energies = energies[order]
+        self._dims = [h.dim(site) for site in h.sites()]
+        total = _enumeration_size(self._dims)
+        unsorted = np.empty(total, dtype=np.float64)
+        for start in range(0, total, BLOCK_ROWS):
+            index = np.arange(start, min(start + BLOCK_ROWS, total))
+            unsorted[start:start + len(index)] = config_energies(
+                h, _assignments(self._dims, index))
+        # fmin skips NaN as the sort does, which puts NaN last
+        self.min_energy = float(np.fmin.reduce(unsorted))
+        self._unsorted = unsorted
+
+    @functools.cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self._unsorted, kind="stable")
+        energies = self._unsorted[order]
+        self._unsorted = None
+        states = np.empty((len(order), len(self._dims)),
+                          dtype=_state_dtype(self._dims))
+        for start in range(0, len(order), BLOCK_ROWS):
+            block = order[start:start + BLOCK_ROWS]
+            states[start:start + len(block)] = _assignments(self._dims, block)
+        return states, energies
 
     @property
-    def min_energy(self) -> float:
-        return float(self.energies[0])
+    def states(self) -> np.ndarray:
+        return self._sorted[0]
+
+    @property
+    def energies(self) -> np.ndarray:
+        return self._sorted[1]
 
     def __len__(self):
-        return len(self.states)
+        return math.prod(self._dims)
 
     def log_partition(self, beta: float) -> float:
         return _log_sum_exp(-beta * self.energies)
@@ -120,7 +179,8 @@ def exact_conditional(h: PottsHamiltonian, beta: float, partial) -> np.ndarray:
         raise DimensionError(f"site position {k} outside 1..{len(sites)}")
 
     free_dims = [h.dim(site) for site in sites[k - 1:]]
-    completions = _enumerate_configs(free_dims)
+    completions = _assignments(free_dims,
+                               np.arange(_enumeration_size(free_dims)))
     prefix = np.tile(partial, (completions.shape[0], 1))
     configs = np.concatenate([prefix, completions], axis=1)
     log_weights = -beta * config_energies(h, configs)

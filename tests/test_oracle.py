@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from kingspeps import (ALL_TRANSFORMS, ClusterTopology, cluster,
-                       exact_spectrum, potts_energy)
+from kingspeps import (ALL_TRANSFORMS, ClusterTopology, ContractionParams,
+                       SearchParams, cluster, exact_spectrum,
+                       low_energy_spectrum, potts_energy)
+from kingspeps.instance_io import parse_potts
 from kingspeps.ising import IsingGraph
-from kingspeps.oracle import config_energies, exact_conditional
-from kingspeps.potts import PottsHamiltonian
+from kingspeps.oracle import (BLOCK_ROWS, config_energies, exact_conditional,
+                              _assignments, _enumeration_size)
+from kingspeps.potts import PottsHamiltonian, potts_energies
 from kingspeps.errors import DimensionError, InvalidIndexError, TooLargeError
-from kingspeps.oracle import _enumerate_configs
-from conftest import random_clustered, random_potts
+from conftest import ragged_potts, random_clustered, random_potts
 
 
 def test_single_site_spectrum():
@@ -64,7 +66,7 @@ def test_guard():
 def test_enumeration_matches_unravel_index(dims, dtype):
     reference = np.stack(np.unravel_index(np.arange(math.prod(dims)), dims),
                          axis=1) + 1
-    configs = _enumerate_configs(dims)
+    configs = _assignments(dims, np.arange(_enumeration_size(dims)))
     assert configs.dtype == dtype
     assert np.array_equal(configs, reference)
 
@@ -98,6 +100,92 @@ def test_spectrum_invariant_under_transforms():
             moved.set_edge(land(a), land(b), table)
         energies = exact_spectrum(moved).energies
         assert np.allclose(np.sort(energies), np.sort(reference), atol=1e-12)
+
+
+def lexsort_spectrum(h):
+    """(states, energies) as the spectrum was once built: the whole
+    enumeration at once, sorted by ``np.lexsort`` on the energy and then
+    every assignment column; the reference for the deferred sort."""
+    dims = [h.dim(site) for site in h.sites()]
+    configs = (np.stack(np.unravel_index(np.arange(math.prod(dims)), dims),
+                        axis=1) + 1).astype(np.min_scalar_type(max(dims)))
+    energies = config_energies(h, configs)
+    keys = tuple(configs[:, i] for i in range(configs.shape[1] - 1, -1, -1))
+    order = np.lexsort(keys + (energies,))
+    return configs[order], energies[order]
+
+
+def integer_valued(h):
+    """``h`` with every table entry doubled and rounded: energies that
+    tie often and sum exactly."""
+    out = PottsHamiltonian(h.rows, h.cols)
+    for site in h.sites():
+        out.set_node(site, np.round(2 * h.node_table(site)))
+    for (a, b), table in h.edge_tables():
+        out.set_edge(a, b, np.round(2 * table))
+    return out
+
+
+SPECTRUM_MODELS = {
+    "random": lambda: random_potts(2, 3, 2, seed=9),
+    "clustered": lambda: random_clustered(2, 2, 2, seed=5)[1],
+    "ragged-ties": lambda: integer_valued(
+        ragged_potts(3, 4, [1, 2, 3, 4, 4, 3, 2, 1, 2, 4, 1, 3], 8)),
+    "ragged-ties-2": lambda: integer_valued(
+        ragged_potts(2, 3, [3, 1, 2, 2, 3, 3], 21)),
+    # 73728 states: one full block and a partial one
+    "two-blocks": lambda: integer_valued(
+        ragged_potts(3, 3, [4, 4, 4, 4, 4, 4, 3, 3, 2], 5)),
+}
+
+
+@pytest.mark.parametrize("name", SPECTRUM_MODELS)
+def test_min_energy_and_len_read_before_the_sort(name):
+    spec = exact_spectrum(SPECTRUM_MODELS[name]())
+    min_energy, size = spec.min_energy, len(spec)
+    energies = spec.energies
+    assert min_energy.hex() == float(energies[0]).hex()
+    assert size == len(spec) == len(energies) == len(spec.states)
+
+
+@pytest.mark.parametrize("name", SPECTRUM_MODELS)
+def test_sorted_arrays_match_lexsort_reference(name):
+    h = SPECTRUM_MODELS[name]()
+    states, energies = lexsort_spectrum(h)
+    spec = exact_spectrum(h)
+    assert spec.states.dtype == states.dtype
+    assert np.array_equal(spec.states, states)
+    assert np.array_equal(spec.energies, energies)
+    if name.startswith("ragged-ties"):
+        assert len(np.unique(energies)) < len(energies) // 4
+    if name == "two-blocks":
+        assert BLOCK_ROWS < len(spec) < 2 * BLOCK_ROWS
+
+
+# the edges come in reverse sorted order; summed in that order the
+# ground state, all states 1, lies at (-0.3 + -0.2) + -0.1 == -0.6, and
+# in sorted order at (-0.1 + -0.2) + -0.3 == -0.6000000000000001
+OUT_OF_ORDER_EDGES = """P 2 2
+e 2 1 2 2 1 1 -0.3
+e 1 1 2 1 1 1 -0.2
+e 1 1 1 2 1 1 -0.1
+n 1 1 2 0.5
+n 1 2 2 0.5
+n 2 1 2 0.5
+n 2 2 2 0.5
+"""
+
+
+def test_spectrum_sums_out_of_order_edges_as_the_solver_does():
+    h = parse_potts(OUT_OF_ORDER_EDGES)
+    spec = exact_spectrum(h)
+    assert np.array_equal(spec.energies, potts_energies(h, spec.states))
+    assert spec.min_energy == -0.6
+    sol = low_energy_spectrum(
+        h, ALL_TRANSFORMS[0],
+        ContractionParams(bond_dim=64, num_sweeps=0, beta=1.0),
+        SearchParams(max_states=16))
+    assert sol.best_energy == spec.min_energy
 
 
 class TestExactConditional:
