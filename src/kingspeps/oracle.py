@@ -170,26 +170,31 @@ def exact_spectrum(h: PottsHamiltonian) -> ExactSpectrum:
 
 def exact_conditional(h: PottsHamiltonian, beta: float, partial) -> np.ndarray:
     """Exact Boltzmann conditional of the site after its row-major
-    predecessors ``partial``, by summation over all completions. A value
-    that is not an integer in its site's 1..d raises InvalidIndexError."""
+    predecessors ``partial``, by summation over all completions, walked
+    in blocks of ``BLOCK_ROWS`` behind the prefix; only their float64
+    weights are kept. A value that is not an integer in its site's 1..d
+    raises InvalidIndexError."""
     partial = _integer_states(tuple(partial)).astype(np.int64)
     sites = list(h.sites())
     k = len(partial) + 1
     if k > len(sites):
         raise DimensionError(f"site position {k} outside 1..{len(sites)}")
+    # checked first: the blocks' small dtype would wrap a bad state round
+    _checked_states(h, [partial.tolist() + [1] * (len(sites) - k + 1)])
 
-    free_dims = [h.dim(site) for site in sites[k - 1:]]
-    completions = _assignments(free_dims,
-                               np.arange(_enumeration_size(free_dims)))
-    prefix = np.tile(partial, (completions.shape[0], 1))
-    configs = np.concatenate([prefix, completions], axis=1)
-    log_weights = -beta * config_energies(h, configs)
-
-    d = h.dim(sites[k - 1])
-    log_mass = np.empty(d)
-    for state in range(1, d + 1):
-        mask = completions[:, 0] == state
-        log_mass[state - 1] = (_log_sum_exp(log_weights[mask])
-                               if mask.any() else -np.inf)
-    total = _log_sum_exp(log_mass)
-    return np.exp(log_mass - total)
+    dims = [h.dim(site) for site in sites]
+    total = _enumeration_size(dims[k - 1:])
+    log_weights = np.empty(total)
+    configs = np.empty((min(total, BLOCK_ROWS), len(dims)),
+                       dtype=_state_dtype(dims))
+    configs[:, :k - 1] = partial
+    for start in range(0, total, BLOCK_ROWS):
+        block = configs[:min(BLOCK_ROWS, total - start)]
+        block[:, k - 1:] = _assignments(
+            dims[k - 1:], np.arange(start, start + len(block)))
+        log_weights[start:start + len(block)] = config_energies(h, block)
+    log_weights *= -beta
+    # completions come ordered by the site's state first
+    log_mass = np.array([_log_sum_exp(weights) for weights
+                         in log_weights.reshape(dims[k - 1], -1)])
+    return np.exp(log_mass - _log_sum_exp(log_mass))

@@ -24,15 +24,16 @@ children come parent-major with their states ascending; prune and merge
 emit their survivors in index order, and the stable sorts they rank by
 break ties by index, that is, by values.
 
-Merging is batched as well. Each step's merge key is planned once per
-solve: one product of the boundary columns with int64 place values. Every
-distance a droplet candidate must be checked against is counted over
-whole configurations; Python only makes the sequential keep-or-evict
-decisions. The droplets a solve records go into one append-only
-:class:`DropletTable`, a dense row of flipped states each, and each
-branch holds the tuple of its droplets' ids in an object array gathered
-by index like the other columns. :class:`Droplet` objects are built
-once, at the end, for the droplets the final branches carry.
+Merging is batched as well. A merge keys each branch by its boundary
+values with :func:`_row_keys`, as a row start keys the rows above: one
+mixed-radix integer per branch. Every distance a droplet candidate must
+be checked against is counted over whole configurations; Python only
+makes the sequential keep-or-evict decisions. The droplets a solve
+records go into one append-only :class:`DropletTable`, a dense row of
+flipped states each, and each branch holds the tuple of its droplets'
+ids in an object array gathered by index like the other columns.
+:class:`Droplet` objects are built once, at the end, for the droplets
+the final branches carry.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ class Branches:
     droplet ids in ``table``, the solve's :class:`DropletTable`, so that
     it is gathered by index like the other columns; ``radix``: each
     row-major position's group-key radix, its site dimension plus one;
-    ``keys``: every step's merge key, as :func:`_key_plan` plans it.
+    ``grid``: the grid's ``(rows, cols)``, whose boundary a merge keys by.
     """
 
     values: np.ndarray
@@ -212,20 +213,20 @@ class Branches:
     right: list | None = None
     table: DropletTable | None = None
     radix: tuple[int, ...] = ()
-    keys: tuple = ()
+    grid: tuple[int, int] = (0, 0)
 
     @classmethod
     def root(cls, net: PepsNetwork) -> "Branches":
         """The single empty branch every search starts from, its table,
-        the key radices of every position and the merge keys."""
+        the key radices of every position and the grid shape."""
         value_dtype = np.min_scalar_type(int(net.dim_grid.max()))
-        radix = tuple((net.dim_grid.reshape(-1) + 1).tolist())
         return cls(np.zeros((1, 0), dtype=value_dtype), np.zeros(1),
                    np.zeros(1), np.ones((1, 1), dtype=net.dtype),
                    np.zeros(1, dtype=np.intp),
                    np.fromiter([()], dtype=object, count=1),
                    table=DropletTable(net.dim_grid.size, value_dtype),
-                   radix=radix, keys=_key_plan((net.rows, net.cols), radix))
+                   radix=tuple((net.dim_grid.reshape(-1) + 1).tolist()),
+                   grid=(net.rows, net.cols))
 
     def __len__(self):
         return len(self.values)
@@ -238,7 +239,7 @@ class Branches:
                         self.log_probability[index], self.energy[index],
                         self.left.take(index, axis=0), self.above[index],
                         self.droplets[index], self.right, self.table,
-                        self.radix, self.keys)
+                        self.radix, self.grid)
 
 
 @dataclass
@@ -281,24 +282,6 @@ def boundary_sites(dims, k: int) -> list[tuple[int, int]]:
     return out
 
 
-def _key_plan(dims, radix: Sequence[int]) -> tuple:
-    """Entry ``k - 1`` for every site ``k`` but the last: the 0-based
-    boundary positions after site ``k`` and the int64 place values that
-    key columns ``positions[0]:k`` by them (0 off the boundary), or None
-    where the key could overflow and :func:`_row_keys` must re-rank."""
-    m, n = dims
-    plan = []
-    for k in range(1, m * n):
-        positions = [(r - 1) * n + c - 1 for r, c in boundary_sites(dims, k)]
-        place, scale = [0] * (k - positions[0]), 1
-        for p in reversed(positions):
-            place[p - positions[0]] = scale
-            scale *= radix[p]
-        plan.append((positions, np.array(place, dtype=np.int64)
-                     if scale <= _KEY_LIMIT else None))
-    return tuple(plan)
-
-
 def _row_keys(block: np.ndarray, radix: Sequence[int]) -> np.ndarray:
     """One ``int64`` key per row of ``block``: equal for equal rows and
     ordered as the rows are, lexicographically.
@@ -324,9 +307,12 @@ def _fold(key, block, radix, start, stop):
     The digits are summed down the columns of the transposed block,
     because numpy reduces short rows one at a time, several times slower.
     """
-    place = [math.prod(radix[j + 1:stop]) for j in range(start, stop)]
-    return (key * math.prod(radix[start:stop])
-            + np.array(place, dtype=np.int64) @ block[:, start:stop].T)
+    place, scale = [], 1
+    for r in reversed(radix[start:stop]):
+        place.append(scale)
+        scale *= r
+    return (key * scale
+            + np.array(place[::-1], dtype=np.int64) @ block[:, start:stop].T)
 
 
 def _distinct_rows(block: np.ndarray, radix: Sequence[int]):
@@ -383,7 +369,7 @@ def branch(states: Branches, k: int, net: PepsNetwork,
                     energy.reshape(-1), lefts.reshape(n * d, -1),
                     states.above[parents], states.droplets[parents],
                     None if col == net.cols else states.right, states.table,
-                    states.radix, states.keys)
+                    states.radix, states.grid)
 
 
 def _elementwise_distance(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
@@ -444,25 +430,26 @@ def merge_and_collect(states: Branches, k: int, dp: DropletParams,
     pair only the lower excitation energy is kept. Candidates are taken
     per survivor in (energy, values) order.
 
-    Groups are keyed as ``states.keys`` plans (see :func:`_key_plan`).
-    Survivors are pruned before any droplet work, since a droplet dies
-    with its carrier and merging changes no probability or value. The
-    states where each candidate differs from its survivor drop the
-    copies and make its table row. Every distance a candidate needs (to
-    the droplets its survivor carries and to its survivor's earlier
-    candidates) is computed in one batch, over full configurations.
-    Python walks each candidate's slice of the clashing pairs: one still
-    standing with a gap no larger rejects it, as every earlier candidate
-    kept does (gaps ascend within a survivor); else it evicts the rest.
+    A branch's group key is :func:`_row_keys` of its values at the
+    boundary after site ``k`` (:func:`boundary_sites` of ``states.grid``),
+    the key a row start gives the rows above. Survivors are pruned before
+    any droplet work, since a droplet dies with its carrier and merging
+    changes no probability or value. The states where each candidate
+    differs from its survivor drop the copies and make its table row.
+    Every distance a candidate needs (to the droplets its survivor
+    carries and to its survivor's earlier candidates) is computed in one
+    batch, over full configurations. Python walks each candidate's slice
+    of the clashing pairs: one still standing with a gap no larger
+    rejects it, as every earlier candidate kept does (gaps ascend within
+    a survivor); else it evicts the rest.
     Returns what :func:`prune` returns, the survivors in index order.
     """
     table, values = states.table, states.values
-    positions, place = states.keys[k - 1]
-    if place is None:
-        group = _row_keys(values[:, positions],
-                          [states.radix[p] for p in positions])
-    else:
-        group = place @ values[:, positions[0]:].T
+    cols = states.grid[1]
+    positions = [(r - 1) * cols + c - 1
+                 for r, c in boundary_sites(states.grid, k)]
+    group = _row_keys(values[:, positions],
+                      [states.radix[p] for p in positions])
     # stable: ties in (group, energy) stay in index order
     order = np.lexsort((states.energy, group))
     grouped = group[order]
@@ -689,8 +676,14 @@ def unpack_droplets(solution: Solution, max_depth: int | None = 2) -> Solution:
 
     Each droplet applied to its carrier yields an extra state at
     ``carrier energy + delta_energy``; sub-droplets recurse within their
-    parent's context, down to ``max_depth`` levels (None for unlimited).
-    The result is re-sorted ascending and deduplicated by assignment.
+    parent's context, down to ``max_depth`` levels. The result is
+    re-sorted ascending and deduplicated by assignment.
+
+    ``max_depth=None`` expands every path of the droplet DAG, once per
+    path: a sub-droplet shared by several droplets is expanded under each
+    of them, so the work can grow exponentially with the DAG's depth (a
+    16x16 solve's 652 droplet objects can span tens of millions of
+    paths).
     """
     entries = []
     levels = math.inf if max_depth is None else max_depth

@@ -1,6 +1,7 @@
 """Enumeration reference: spectra, partition functions, conditionals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from kingspeps import (ALL_TRANSFORMS, ClusterTopology, ContractionParams,
 from kingspeps.instance_io import parse_potts
 from kingspeps.ising import IsingGraph
 from kingspeps.oracle import (BLOCK_ROWS, config_energies, exact_conditional,
-                              _assignments, _enumeration_size)
+                              _assignments, _enumeration_size, _log_sum_exp)
 from kingspeps.potts import PottsHamiltonian, potts_energies
 from kingspeps.errors import DimensionError, InvalidIndexError, TooLargeError
 from conftest import ragged_potts, random_clustered, random_potts
@@ -232,6 +233,41 @@ class TestExactConditional:
             partial = tuple(1 + (i % 2) for i in range(k_minus_1))
             p = exact_conditional(h, 0.7, partial)
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_blocks_match_whole_table_in_bounded_memory(self):
+        # 3**11 completions: two full blocks and a partial one
+        h = random_potts(3, 4, 3, seed=8)
+        partial = (2,)
+        total = 3 ** 11
+        assert total > 2 * BLOCK_ROWS and total % BLOCK_ROWS
+        expected = _whole_table_conditional(h, 0.8, partial)
+        tracemalloc.start()
+        try:
+            p = exact_conditional(h, 0.8, partial)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.tobytes() == expected.tobytes()
+        # the weights, 8 bytes a completion, and a few block-sized arrays;
+        # the whole table alone takes 8 bytes a site and completion
+        assert peak < 8 * total + 4 * 2**20, peak
+
+
+def _whole_table_conditional(h, beta, partial):
+    """The conditional from every completion at once, prefixed by an
+    int64 tile of ``partial`` and split by boolean masks."""
+    sites = list(h.sites())
+    free_dims = [h.dim(site) for site in sites[len(partial):]]
+    completions = _assignments(free_dims, np.arange(math.prod(free_dims)))
+    prefix = np.tile(np.array(partial, dtype=np.int64),
+                     (completions.shape[0], 1))
+    log_weights = -beta * config_energies(
+        h, np.concatenate([prefix, completions], axis=1))
+    log_mass = np.empty(free_dims[0])
+    for state in range(1, free_dims[0] + 1):
+        log_mass[state - 1] = _log_sum_exp(
+            log_weights[completions[:, 0] == state])
+    return np.exp(log_mass - _log_sum_exp(log_mass))
 
 
 def test_config_energies_matches_scalar():

@@ -18,7 +18,7 @@ from kingspeps import (ALL_TRANSFORMS, ContractionParams, DropletParams,
                        merge_solutions, potts_energy, unpack_droplets)
 from kingspeps.peps import bottom_environments, build_network
 from kingspeps.potts import PottsHamiltonian
-from kingspeps.search import (Branches, Droplet, DropletTable, _key_plan,
+from kingspeps.search import (Branches, Droplet, DropletTable,
                               _sheds_boundary, boundary_sites, branch,
                               merge_and_collect, prune)
 from kingspeps import search as search_module
@@ -83,35 +83,6 @@ class TestShedsBoundary:
                 assert _sheds_boundary((m, n), k) == bool(left), (m, n, k)
 
 
-class TestKeyPlan:
-    @pytest.mark.parametrize("dims", [(1, 5), (5, 1), (2, 2), (3, 4), (4, 3)])
-    def test_matches_boundary_at_every_position(self, dims):
-        m, n = dims
-        radix = [3 + p % 4 for p in range(m * n)]
-        plan = _key_plan(dims, radix)
-        assert len(plan) == m * n - 1
-        for k, (positions, place) in enumerate(plan, start=1):
-            boundary = [(r - 1) * n + c - 1
-                        for r, c in boundary_sites(dims, k)]
-            assert positions == boundary
-            # the mixed-radix place of each boundary column, 0 elsewhere
-            expected = [math.prod(radix[q] for q in boundary if q > p)
-                        if p in boundary else 0
-                        for p in range(boundary[0], k)]
-            assert place.dtype == np.int64
-            assert place.tolist() == expected
-            # a merge sheds a site the previous step's boundary held
-            before = set(plan[k - 2][0]) if k > 1 else set()
-            assert _sheds_boundary(dims, k) == bool(before - set(positions))
-
-    def test_key_that_could_overflow_is_not_planned(self):
-        # 2**21 + 1 per site: two boundary sites fit, three do not
-        plan = _key_plan((2, 3), [2**21 + 1] * 6)
-        assert [len(positions) for positions, _ in plan] == [1, 2, 3, 4, 3]
-        assert [place is None for _, place in plan] == \
-            [False, False, True, True, True]
-
-
 # One branch as the tests state it; populations are built from and read
 # back into lists of these.
 _Row = namedtuple("_Row", "values log_probability energy droplets")
@@ -133,9 +104,9 @@ def _load(table, droplet, ids):
 def _population(rows, dims=None, grid=(3, 3)):
     """A population of the given branches (no environment attached),
     sorted by values as the search keeps it (equal rows in the given
-    order), their droplets loaded into a new table, with the merge keys
-    of a ``grid``. ``dims`` are the site dimensions, by default the
-    largest value for every site; later sites get dimension 1."""
+    order), their droplets loaded into a new table, on a ``grid`` of
+    that shape. ``dims`` are the site dimensions of the assigned sites,
+    by default the largest value for every one."""
     rows = sorted(rows, key=lambda r: r.values)
     values = np.array([r.values for r in rows], dtype=np.int64)
     values = values.reshape(len(rows), -1)
@@ -143,16 +114,13 @@ def _population(rows, dims=None, grid=(3, 3)):
         dims = [int(values.max(initial=1))] * values.shape[1]
     table = DropletTable(max(math.prod(grid), values.shape[1]), values.dtype)
     ids = {}
-    radix = tuple(d + 1 for d in dims)
     return Branches(values, np.array([r.log_probability for r in rows], float),
                     np.array([r.energy for r in rows], float),
                     np.ones((len(rows), 1)),
                     np.zeros(len(rows), dtype=np.intp),
                     np.fromiter((tuple(_load(table, d, ids) for d in r.droplets)
                                  for r in rows), dtype=object, count=len(rows)),
-                    table=table, radix=radix,
-                    keys=_key_plan(grid, radix + (2,) * (math.prod(grid)
-                                                         - len(radix))))
+                    table=table, radix=tuple(d + 1 for d in dims), grid=grid)
 
 
 def _materialized(branches):
@@ -190,6 +158,54 @@ def _merge(rows, k, grid, dp):
 def _prune(rows, sp, **kwargs):
     kept, largest_discarded = prune(_population(rows), sp, **kwargs)
     return _rows(kept), largest_discarded
+
+
+class TestMergeKeys:
+    """A merge groups the branches by their values at the boundary and
+    keeps the lowest-energy branch of each group, ties by index."""
+
+    @staticmethod
+    def _check(grid, k, dims, seed):
+        """A population of distinct rows on few boundary patterns, with
+        tied energies, merged at ``k`` against a brute-force grouping."""
+        rng = np.random.default_rng(seed)
+        n = grid[1]
+        positions = [(r - 1) * n + c - 1 for r, c in boundary_sites(grid, k)]
+        high = np.array(dims) + 1
+        patterns = rng.integers(1, high, size=(3, k))
+        values = rng.integers(1, high, size=(30, k))
+        values[:, positions] = patterns[rng.integers(3, size=30)][:, positions]
+        values = np.unique(values, axis=0)
+        energies = rng.choice([-1.0, -0.5, 0.0], size=len(values))
+        states = _population([_Row(tuple(v), 0.0, e, ()) for v, e in
+                              zip(values.tolist(), energies.tolist())],
+                             dims, grid)
+
+        best = {}
+        for i, (v, e) in enumerate(zip(states.values.tolist(),
+                                       states.energy.tolist())):
+            key = tuple(v[p] for p in positions)
+            if key not in best or e < best[key][0]:
+                best[key] = (e, i)
+        kept = sorted(i for _, i in best.values())
+        merged, _ = merge_and_collect(states, k, DropletParams(), _KEEP_ALL)
+        assert merged.values.tolist() == states.values[kept].tolist(), k
+        assert merged.energy.tolist() == states.energy[kept].tolist(), k
+        return positions
+
+    @pytest.mark.parametrize("grid", [(1, 5), (5, 1), (2, 2), (3, 4), (4, 3)])
+    def test_keeps_lowest_energy_per_boundary_at_every_position(self, grid):
+        # every k, whether or not site k sheds a boundary site
+        m, n = grid
+        for k in range(1, m * n):
+            self._check(grid, k, [2 + p % 3 for p in range(k)], seed=k)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_key_past_int64_groups_by_values(self, k):
+        # 2**21 + 1 per site: three or four boundary sites overflow an
+        # int64 key, so the key is re-ranked on the way
+        positions = self._check((2, 3), k, [2**21] * k, seed=k)
+        assert (2**21 + 1) ** len(positions) > 2**63 - 1
 
 
 def _run_branch_chain(h, beta=1.0, bond_dim=64):
@@ -656,8 +672,8 @@ class TestDistances:
 
 
 def _assert_keys_match_unique(block, dims):
-    """Planned keys of ``block`` (states 1..dims[j] in column j) group
-    and order its rows as ``np.unique(block, axis=0)`` does."""
+    """The ``_row_keys`` keys of ``block`` (states 1..dims[j] in column
+    j) group and order its rows as ``np.unique(block, axis=0)`` does."""
     from kingspeps.search import _distinct_rows
     first, group = _distinct_rows(block, [d + 1 for d in dims])
     _, unique_first, unique_group = np.unique(
