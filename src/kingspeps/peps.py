@@ -369,11 +369,11 @@ def conditionals(net: PepsNetwork, bottom: BoundaryMps, row: int, col: int,
     ``exp(-beta * (energy[b, s] - min_s energy[b, s]))``, formed in
     float64 from the increments :func:`step_energies` returns; the shift
     cancels in the normalization and keeps the largest factor exactly 1.
-    A branch whose every numerator is negative is negated (truncation
-    gave the environment the wrong sign for that branch's
-    configuration), then negative noise left on a branch with a positive
-    or zero numerator is clamped to zero; both are logged at DEBUG level
-    with their count and position.
+    Truncation can make a numerator negative, for a whole branch (the
+    environment came out with the wrong sign for that configuration) or
+    for single states; every negative numerator keeps its magnitude, so
+    no state a truncated environment weighs wrongly gets probability 0.
+    A DEBUG line gives the count and position.
 
     Returns the (B, d) float64 conditionals and the children's left
     vectors, the raw ``t``. Left vectors are normalized here, where they
@@ -394,20 +394,12 @@ def conditionals(net: PepsNetwork, bottom: BoundaryMps, row: int, col: int,
 
     negative = numerator < 0
     if negative.any():
-        debug = logger.isEnabledFor(logging.DEBUG)
-        flip = np.array(negative.T, order="C").all(axis=0)  # as in the shift
-        if flip.any():
-            if debug:
-                logger.debug("flipped the sign of %d of %d branches' "
-                             "conditional weights at (%d, %d)",
-                             int(flip.sum()), len(flip), row, col)
-            numerator = np.where(flip[:, None], -numerator, numerator)
-            negative = negative & ~flip[:, None]
-        if negative.any():
-            if debug:
-                logger.debug("clamped %d negative conditional weights at "
-                             "(%d, %d)", int(negative.sum()), row, col)
-            numerator = np.where(negative, 0.0, numerator)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("took the magnitude of %d negative conditional "
+                         "weights on %d of %d branches at (%d, %d)",
+                         int(negative.sum()), int(negative.any(axis=1).sum()),
+                         len(negative), row, col)
+        np.abs(numerator, out=numerator)
     # summed along the rows, not down a transposed copy: numpy sums a
     # row of 8 or more pairwise, so the other order would round apart
     norm = numerator.sum(axis=1)

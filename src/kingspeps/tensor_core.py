@@ -218,25 +218,22 @@ def _truncate_right_sweep(mps: BoundaryMps, bond_dim: int):
     Each step multiplies ``u*s`` into the right bond of the site to its
     left, block by block where that site is carried, so the result has
     no carried site. Returns that right-canonical state (orthogonality
-    center at site 0), the total discarded singular weight, and whether
-    every bond kept all its singular values (each SVD's rank equal to
-    its matrix's smaller side), in which case the state is the input up
-    to rounding.
+    center at site 0) and whether every bond kept all its singular
+    values (each SVD's rank equal to its matrix's smaller side), in
+    which case the state is the input up to rounding.
     """
     tensors = [t for t in mps.tensors]
-    discarded = 0.0
     exact = True
     for i in range(len(tensors) - 1, 0, -1):
         dl, d, dr = tensors[i].shape
-        u, s, v, dw = svd_truncate(tensors[i].reshape(dl, d * dr), bond_dim)
+        u, s, v, _ = svd_truncate(tensors[i].reshape(dl, d * dr), bond_dim)
         k = s.size
         exact = exact and k == min(dl, d * dr)
         tensors[i] = v.T.reshape(k, d, dr)
         tensors[i - 1] = _times_right(tensors[i - 1], u * s,
                                       mps.carried[i - 1])
-        discarded += dw
     log_scale = _fold_center(tensors, mps.log_scale, 0)
-    return BoundaryMps(tensors, log_scale), discarded, exact
+    return BoundaryMps(tensors, log_scale), exact
 
 
 def _variational_sweep(state: BoundaryMps, target: BoundaryMps) -> BoundaryMps:
@@ -321,7 +318,7 @@ def compress(mps: BoundaryMps, params: ContractionParams):
         DegenerateStateError: the input represents the zero vector.
     """
     canonical = left_canonicalize(mps)
-    state, _, exact = _truncate_right_sweep(canonical, params.bond_dim)
+    state, exact = _truncate_right_sweep(canonical, params.bond_dim)
     if exact:
         logger.debug("compress: every bond kept whole, %d sweep(s) skipped",
                      params.num_sweeps)

@@ -267,19 +267,21 @@ class TestSolve:
     def test_sign_flipped_environment_solves_every_transform(self, tmp_path,
                                                              caplog):
         # at chi=16, r0, r90 and r270f compress row 1's environment of this
-        # instance to about -f: every weight of site (1, 1) is negative
+        # instance to about -f: every weight of site (1, 1) is negative.
+        # Other sites get single negative weights; zeroing them would lose
+        # the ground state on five transforms
         path = _write_instance(tmp_path, rows=4, cols=4, t=3, seed=9)
         out = tmp_path / "sol.json"
         with caplog.at_level(logging.DEBUG, logger="kingspeps"):
             assert main(["-vv", "solve", str(path), "--topology", "4", "4",
                          "3", "--beta", "2", "--bond-dim", "16",
-                         "-o", str(out)]) == 0
+                         "--check-transforms", "-o", str(out)]) == 0
         energies = json.loads(out.read_text())["parameters"][
             "transform_best_energies"]
-        assert len(energies) == 8
-        flips = [r.getMessage() for r in caplog.records
-                 if r.getMessage().startswith("flipped the sign of ")]
-        assert any(m.endswith(" at (1, 1)") for m in flips), flips
+        assert list(energies.values()) == [-71.42870436925122] * 8
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("took the magnitude of ")]
+        assert any(m.endswith(" at (1, 1)") for m in lines), lines
 
     def test_deterministic_output_modulo_timestamp(self, tmp_path):
         path = _write_instance(tmp_path, seed=13)

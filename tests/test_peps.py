@@ -564,19 +564,26 @@ class TestConditionalDistribution:
             conditional_distribution(net, envs, ())
         assert err.value.position == (1, 1)
 
-    def test_negative_weight_clamped_and_logged(self, caplog):
+    @staticmethod
+    def _magnitude_lines(caplog):
+        return [r.getMessage() for r in caplog.records
+                if r.levelno == logging.DEBUG
+                and r.getMessage().startswith("took the magnitude of ")]
+
+    def test_negative_weight_keeps_magnitude_and_logged(self, caplog):
         h = random_potts(2, 2, 2, seed=17)
         net = build_network(h, beta=1.0)
+        envs = exact_envs(net)
+        expected = conditional_distribution(net, envs, (1, 2))
         # doctor row 2's environment so that state 1 of site (2, 1) has a
         # negative numerator, as truncation noise can give it
-        envs = exact_envs(net)
         envs[1].tensors[0][:, 0, :] *= -1.0
         with caplog.at_level(logging.DEBUG, logger="kingspeps.peps"):
             p = conditional_distribution(net, envs, (1, 2))
-        assert p.tolist() == [0.0, 1.0]
-        clamps = [r.getMessage() for r in caplog.records
-                  if r.levelno == logging.DEBUG and "clamped" in r.getMessage()]
-        assert clamps == ["clamped 1 negative conditional weights at (2, 1)"]
+        assert p.tolist() == expected.tolist()
+        assert self._magnitude_lines(caplog) == [
+            "took the magnitude of 1 negative conditional weights on 1 of 1 "
+            "branches at (2, 1)"]
 
     def test_sign_flipped_environment_flipped_back_and_logged(self, caplog):
         h = random_potts(2, 2, 2, seed=17)
@@ -589,10 +596,9 @@ class TestConditionalDistribution:
         with caplog.at_level(logging.DEBUG, logger="kingspeps.peps"):
             p = conditional_distribution(net, envs, (1, 2))
         assert p.tolist() == expected.tolist()
-        lines = [r.getMessage() for r in caplog.records
-                 if r.levelno == logging.DEBUG]
-        assert lines == [
-            "flipped the sign of 1 of 1 branches' conditional weights at (2, 1)"]
+        assert self._magnitude_lines(caplog) == [
+            "took the magnitude of 2 negative conditional weights on 1 of 1 "
+            "branches at (2, 1)"]
 
     @staticmethod
     def _two_branches_at_first_site(doctor):
@@ -614,27 +620,25 @@ class TestConditionalDistribution:
         with caplog.at_level(logging.DEBUG, logger="kingspeps.peps"):
             p, _ = self._two_branches_at_first_site(lambda r: -r)
         assert p[1].tolist() == p[0].tolist()
-        lines = [r.getMessage() for r in caplog.records
-                 if "conditional weights" in r.getMessage()]
-        assert lines == [
-            "flipped the sign of 1 of 2 branches' conditional weights at (1, 1)"]
+        assert self._magnitude_lines(caplog) == [
+            "took the magnitude of 2 negative conditional weights on 1 of 2 "
+            "branches at (1, 1)"]
 
-    def test_zeros_and_negative_noise_not_flipped(self, caplog):
+    def test_zeros_and_negative_noise_keep_magnitude(self, caplog):
         # branch 1's weights underflowed to zero but for one slightly
-        # negative entry: that is noise, not a sign, so it is clamped and
-        # the branch has no weight left
+        # negative entry: it keeps its magnitude, so the branch keeps
+        # its one state rather than losing all its weight
         def doctor(right):
             noisy = np.zeros_like(right)
             noisy[:, 1, :] = -1e-12 * right[:, 1, :]
             return noisy
 
         with caplog.at_level(logging.DEBUG, logger="kingspeps.peps"):
-            with pytest.raises(ContractionDegenerateError) as err:
-                self._two_branches_at_first_site(doctor)
-        assert err.value.position == (1, 1)
-        lines = [r.getMessage() for r in caplog.records
-                 if "conditional weights" in r.getMessage()]
-        assert lines == ["clamped 1 negative conditional weights at (1, 1)"]
+            p, _ = self._two_branches_at_first_site(doctor)
+        assert p[1].tolist() == [0.0, 1.0]
+        assert self._magnitude_lines(caplog) == [
+            "took the magnitude of 1 negative conditional weights on 1 of 2 "
+            "branches at (1, 1)"]
 
     def test_wrong_number_of_environments_rejected(self):
         h = random_potts(3, 2, 2, seed=18)
