@@ -392,14 +392,14 @@ def conditionals(net: PepsNetwork, bottom: BoundaryMps, row: int, col: int,
     shift = np.array(energy.T, order="C").min(axis=0)
     numerator = numerator * np.exp(-net.beta * (energy - shift[:, None]))
 
-    negative = numerator < 0
-    if negative.any():
-        if logger.isEnabledFor(logging.DEBUG):
+    if logger.isEnabledFor(logging.DEBUG):
+        negative = numerator < 0
+        if negative.any():
             logger.debug("took the magnitude of %d negative conditional "
                          "weights on %d of %d branches at (%d, %d)",
                          int(negative.sum()), int(negative.any(axis=1).sum()),
                          len(negative), row, col)
-        np.abs(numerator, out=numerator)
+    np.abs(numerator, out=numerator)
     # summed along the rows, not down a transposed copy: numpy sums a
     # row of 8 or more pairwise, so the other order would round apart
     norm = numerator.sum(axis=1)
