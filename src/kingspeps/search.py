@@ -26,14 +26,14 @@ break ties by index, that is, by values.
 
 Merging is batched as well. A merge keys each branch by its boundary
 values with :func:`_row_keys`, as a row start keys the rows above: one
-mixed-radix integer per branch. Every distance a droplet candidate must
-be checked against is counted over whole configurations; Python only
-makes the sequential keep-or-evict decisions. The droplets a solve
-records go into one append-only :class:`DropletTable`, a dense row of
-flipped states each, and each branch holds the tuple of its droplets'
-ids in an object array gathered by index like the other columns.
-:class:`Droplet` objects are built once, at the end, for the droplets
-the final branches carry.
+integer per branch, its digits the values in a base one above the
+largest. Every distance a droplet candidate must be checked against is
+counted over whole configurations; Python only makes the sequential
+keep-or-evict decisions. The droplets a solve records go into one
+append-only :class:`DropletTable`, a dense row of flipped states each,
+and each branch holds the tuple of its droplets' ids in an object array
+gathered by index like the other columns. :class:`Droplet` objects are
+built once, at the end, for the droplets the final branches carry.
 """
 
 from __future__ import annotations
@@ -111,9 +111,12 @@ class Droplet:
     ``sub_droplets`` are the excitations that were attached to the
     discarded branch when it merged, valid within this droplet's
     context. Droplets form a DAG, not a tree: a sub-droplet is one
-    object shared by every droplet and state that carries it, so work
-    over a solve's droplets should visit each object once (memoized by
-    ``id``, as the JSON table does) rather than every path.
+    object shared by every droplet and state that carries it. The
+    dataclass ``==``, ``hash()`` and ``repr()`` walk every path of the
+    DAG, not every object: a 16x16 solve's 652 droplet objects can span
+    28.8 million tree nodes. Work that should visit each object once can
+    memoize by ``id``, as :func:`kingspeps.instance_io.droplet_table`
+    does.
     """
 
     flips: tuple[tuple[int, int], ...]
@@ -199,9 +202,7 @@ class Branches:
     in ``right``, the current row's right tables (None between rows);
     ``droplets`` (B,): an object array holding each branch's tuple of
     droplet ids in ``table``, the solve's :class:`DropletTable`, so that
-    it is gathered by index like the other columns; ``radix``: each
-    row-major position's group-key radix, its site dimension plus one;
-    ``grid``: the grid's ``(rows, cols)``, whose boundary a merge keys by.
+    it is gathered by index like the other columns.
     """
 
     values: np.ndarray
@@ -212,21 +213,16 @@ class Branches:
     droplets: np.ndarray
     right: list | None = None
     table: DropletTable | None = None
-    radix: tuple[int, ...] = ()
-    grid: tuple[int, int] = (0, 0)
 
     @classmethod
     def root(cls, net: PepsNetwork) -> "Branches":
-        """The single empty branch every search starts from, its table,
-        the key radices of every position and the grid shape."""
+        """The empty branch every search starts from, and its table."""
         value_dtype = np.min_scalar_type(int(net.dim_grid.max()))
         return cls(np.zeros((1, 0), dtype=value_dtype), np.zeros(1),
                    np.zeros(1), np.ones((1, 1), dtype=net.dtype),
                    np.zeros(1, dtype=np.intp),
                    np.fromiter([()], dtype=object, count=1),
-                   table=DropletTable(net.dim_grid.size, value_dtype),
-                   radix=tuple((net.dim_grid.reshape(-1) + 1).tolist()),
-                   grid=(net.rows, net.cols))
+                   table=DropletTable(net.dim_grid.size, value_dtype))
 
     def __len__(self):
         return len(self.values)
@@ -238,8 +234,7 @@ class Branches:
         return Branches(self.values.take(index, axis=0),
                         self.log_probability[index], self.energy[index],
                         self.left.take(index, axis=0), self.above[index],
-                        self.droplets[index], self.right, self.table,
-                        self.radix, self.grid)
+                        self.droplets[index], self.right, self.table)
 
 
 @dataclass
@@ -282,44 +277,40 @@ def boundary_sites(dims, k: int) -> list[tuple[int, int]]:
     return out
 
 
-def _row_keys(block: np.ndarray, radix: Sequence[int]) -> np.ndarray:
-    """One ``int64`` key per row of ``block``: equal for equal rows and
-    ordered as the rows are, lexicographically.
+def _row_keys(block: np.ndarray) -> np.ndarray:
+    """One ``int64`` key per row of ``block`` of non-negative integers:
+    equal for equal rows and ordered as the rows are, lexicographically.
 
-    The key is mixed-radix, column j's radix being ``radix[j]``, which
-    must exceed every value in the column. Before it could overflow, it
-    is re-ranked to its place among the distinct keys so far, which
-    keeps the order.
+    The key's digits are the row's values, in a base one above the
+    block's largest value. Before it could overflow, it is re-ranked to
+    its place among the distinct keys so far, which keeps the order.
     """
+    base = int(block.max(initial=0)) + 1
     key, bound, start = 0, 1, 0
-    for col, r in enumerate(radix):
-        if bound * r > _KEY_LIMIT:
-            distinct, key = np.unique(_fold(key, block, radix, start, col),
+    for col in range(block.shape[1]):
+        if bound * base > _KEY_LIMIT:
+            distinct, key = np.unique(_fold(key, block, base, start, col),
                                       return_inverse=True)
             bound, start = len(distinct), col
-        bound *= r
-    return _fold(key, block, radix, start, len(radix))
+        bound *= base
+    return _fold(key, block, base, start, block.shape[1])
 
 
-def _fold(key, block, radix, start, stop):
+def _fold(key, block, base, start, stop):
     """``key`` followed by the digits of columns ``start..stop-1``.
 
     The digits are summed down the columns of the transposed block,
     because numpy reduces short rows one at a time, several times slower.
     """
-    place, scale = [], 1
-    for r in reversed(radix[start:stop]):
-        place.append(scale)
-        scale *= r
-    return (key * scale
-            + np.array(place[::-1], dtype=np.int64) @ block[:, start:stop].T)
+    place = [base ** e for e in range(stop - start - 1, -1, -1)]
+    return (key * base ** (stop - start)
+            + np.array(place, dtype=np.int64) @ block[:, start:stop].T)
 
 
-def _distinct_rows(block: np.ndarray, radix: Sequence[int]):
+def _distinct_rows(block: np.ndarray):
     """The first index of each distinct row of ``block`` and every row's
-    group, groups numbered in the rows' lexicographic order; ``radix``
-    as for :func:`_row_keys`."""
-    _, first, group = np.unique(_row_keys(block, radix), return_index=True,
+    group, groups numbered in the rows' lexicographic order."""
+    _, first, group = np.unique(_row_keys(block), return_index=True,
                                 return_inverse=True)
     return first, group
 
@@ -346,8 +337,7 @@ def branch(states: Branches, k: int, net: PepsNetwork,
     bottom = envs[row - 1]
     if col == 1:
         start = max(k - 1 - net.cols, 0)
-        first, index = _distinct_rows(states.values[:, start:],
-                                      states.radix[start:k - 1])
+        first, index = _distinct_rows(states.values[:, start:])
         states = replace(states, left=np.ones((len(states), 1), dtype=net.dtype),
                          above=index,
                          right=right_tables(net, bottom, row, states.values[first]))
@@ -368,8 +358,7 @@ def branch(states: Branches, k: int, net: PepsNetwork,
     return Branches(values.reshape(n * d, k), log_p.reshape(-1),
                     energy.reshape(-1), lefts.reshape(n * d, -1),
                     states.above[parents], states.droplets[parents],
-                    None if col == net.cols else states.right, states.table,
-                    states.radix, states.grid)
+                    None if col == net.cols else states.right, states.table)
 
 
 def _elementwise_distance(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
@@ -417,8 +406,9 @@ def _clashes(values, others, carriers, run, run_start, counts, held, mode,
     return pair_cand[hit], pair_ref[hit]
 
 
-def merge_and_collect(states: Branches, k: int, dp: DropletParams,
-                      sp: SearchParams, largest_discarded: float = -math.inf):
+def merge_and_collect(states: Branches, positions: list[int],
+                      dp: DropletParams, sp: SearchParams,
+                      largest_discarded: float = -math.inf):
     """Merge branches with identical boundary values, prune the
     survivors as :func:`prune` does, and collect droplets on those kept.
 
@@ -430,26 +420,24 @@ def merge_and_collect(states: Branches, k: int, dp: DropletParams,
     pair only the lower excitation energy is kept. Candidates are taken
     per survivor in (energy, values) order.
 
-    A branch's group key is :func:`_row_keys` of its values at the
-    boundary after site ``k`` (:func:`boundary_sites` of ``states.grid``),
-    the key a row start gives the rows above. Survivors are pruned before
-    any droplet work, since a droplet dies with its carrier and merging
+    A branch's group key is :func:`_row_keys` of its values at
+    ``positions``, the 0-based row-major positions of the boundary
+    (:func:`boundary_sites`, which :func:`low_energy_spectrum` passes),
+    as a row start keys the rows above. Survivors are pruned before any
+    droplet work, since a droplet dies with its carrier and merging
     changes no probability or value. The states where each candidate
-    differs from its survivor drop the copies and make its table row.
-    Every distance a candidate needs (to the droplets its survivor
-    carries and to its survivor's earlier candidates) is computed in one
-    batch, over full configurations. Python walks each candidate's slice
-    of the clashing pairs: one still standing with a gap no larger
-    rejects it, as every earlier candidate kept does (gaps ascend within
-    a survivor); else it evicts the rest.
-    Returns what :func:`prune` returns, the survivors in index order.
+    differs from its survivor make its table row. Every distance a
+    candidate needs (to the droplets its survivor carries and to its
+    survivor's earlier candidates) is computed in one batch, over full
+    configurations. Python walks each candidate's slice of the clashing
+    pairs: one still standing with a gap no larger rejects it, as every
+    earlier candidate kept does (gaps ascend within a survivor); else it
+    evicts the rest. Returns what :func:`prune` returns, the survivors
+    in index order.
     """
     table, values = states.table, states.values
-    cols = states.grid[1]
-    positions = [(r - 1) * cols + c - 1
-                 for r, c in boundary_sites(states.grid, k)]
-    group = _row_keys(values[:, positions],
-                      [states.radix[p] for p in positions])
+    k = values.shape[1]
+    group = _row_keys(values[:, positions])
     # stable: ties in (group, energy) stay in index order
     order = np.lexsort((states.energy, group))
     grouped = group[order]
@@ -471,10 +459,6 @@ def merge_and_collect(states: Branches, k: int, dp: DropletParams,
     others, carriers, gaps = order[pick], survivor[pick], gap[pick]
     mine = values.take(others, axis=0)
     flip = np.where(mine != values.take(carriers, axis=0), mine, 0)
-    moved = flip.any(axis=1)
-    if not moved.all():  # a copy of its survivor adds no droplet
-        others, carriers, gaps, flip = (others[moved], carriers[moved],
-                                        gaps[moved], flip[moved])
     new_run = carriers != np.concatenate(([-1], carriers[:-1]))
     run, run_start = new_run.cumsum() - 1, new_run.nonzero()[0]
     owners = carriers[run_start]
@@ -601,8 +585,11 @@ def low_energy_spectrum(h: PottsHamiltonian,
         states = branch(states, k, net, envs)
         if (droplet_params is not None and k < total
                 and _sheds_boundary(dims, k)):
+            positions = [(r - 1) * net.cols + c - 1
+                         for r, c in boundary_sites(dims, k)]
             states, largest_discarded = merge_and_collect(
-                states, k, droplet_params, search_params, largest_discarded)
+                states, positions, droplet_params, search_params,
+                largest_discarded)
             merges += 1
         else:
             states, largest_discarded = prune(states, search_params,
@@ -610,8 +597,7 @@ def low_energy_spectrum(h: PottsHamiltonian,
         if k % net.cols == 0:
             if logger.isEnabledFor(logging.DEBUG):
                 start = max(k - 2 * net.cols, 0)
-                above = _distinct_rows(states.values[:, start:k - net.cols],
-                                       states.radix[start:k - net.cols])[0]
+                above = _distinct_rows(states.values[:, start:k - net.cols])[0]
                 logger.debug("row %d/%d: %d branches, %d distinct rows above, "
                              "merged at %d of %d steps", k // net.cols,
                              net.rows, len(states), len(above), merges,

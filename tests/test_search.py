@@ -101,18 +101,14 @@ def _load(table, droplet, ids):
     return ids[id(droplet)]
 
 
-def _population(rows, dims=None, grid=(3, 3)):
+def _population(rows):
     """A population of the given branches (no environment attached),
-    sorted by values as the search keeps it (equal rows in the given
-    order), their droplets loaded into a new table, on a ``grid`` of
-    that shape. ``dims`` are the site dimensions of the assigned sites,
-    by default the largest value for every one."""
+    sorted by values as the search keeps it, their droplets loaded into
+    a new table."""
     rows = sorted(rows, key=lambda r: r.values)
     values = np.array([r.values for r in rows], dtype=np.int64)
     values = values.reshape(len(rows), -1)
-    if dims is None:
-        dims = [int(values.max(initial=1))] * values.shape[1]
-    table = DropletTable(max(math.prod(grid), values.shape[1]), values.dtype)
+    table = DropletTable(values.shape[1], values.dtype)
     ids = {}
     return Branches(values, np.array([r.log_probability for r in rows], float),
                     np.array([r.energy for r in rows], float),
@@ -120,7 +116,14 @@ def _population(rows, dims=None, grid=(3, 3)):
                     np.zeros(len(rows), dtype=np.intp),
                     np.fromiter((tuple(_load(table, d, ids) for d in r.droplets)
                                  for r in rows), dtype=object, count=len(rows)),
-                    table=table, radix=tuple(d + 1 for d in dims), grid=grid)
+                    table=table)
+
+
+def _boundary(grid, k):
+    """The 0-based row-major positions of the boundary after site ``k``
+    of a ``grid``, as a merge takes them."""
+    n = grid[1]
+    return [(r - 1) * n + c - 1 for r, c in boundary_sites(grid, k)]
 
 
 def _materialized(branches):
@@ -151,7 +154,7 @@ _KEEP_ALL = SearchParams(max_states=10**6, cut_off_prob=0.0)
 
 
 def _merge(rows, k, grid, dp):
-    return _rows(merge_and_collect(_population(rows, grid=grid), k, dp,
+    return _rows(merge_and_collect(_population(rows), _boundary(grid, k), dp,
                                    _KEEP_ALL)[0])
 
 
@@ -165,21 +168,23 @@ class TestMergeKeys:
     keeps the lowest-energy branch of each group, ties by index."""
 
     @staticmethod
-    def _check(grid, k, dims, seed):
+    def _check(grid, k, dims, seed, top=False):
         """A population of distinct rows on few boundary patterns, with
-        tied energies, merged at ``k`` against a brute-force grouping."""
+        tied energies, merged at ``k`` against a brute-force grouping;
+        with ``top``, one pattern sets its first boundary site to its
+        largest state. Returns the boundary positions and values."""
         rng = np.random.default_rng(seed)
-        n = grid[1]
-        positions = [(r - 1) * n + c - 1 for r, c in boundary_sites(grid, k)]
+        positions = _boundary(grid, k)
         high = np.array(dims) + 1
         patterns = rng.integers(1, high, size=(3, k))
+        if top:
+            patterns[0, positions[0]] = dims[positions[0]]
         values = rng.integers(1, high, size=(30, k))
         values[:, positions] = patterns[rng.integers(3, size=30)][:, positions]
         values = np.unique(values, axis=0)
         energies = rng.choice([-1.0, -0.5, 0.0], size=len(values))
         states = _population([_Row(tuple(v), 0.0, e, ()) for v, e in
-                              zip(values.tolist(), energies.tolist())],
-                             dims, grid)
+                              zip(values.tolist(), energies.tolist())])
 
         best = {}
         for i, (v, e) in enumerate(zip(states.values.tolist(),
@@ -188,10 +193,11 @@ class TestMergeKeys:
             if key not in best or e < best[key][0]:
                 best[key] = (e, i)
         kept = sorted(i for _, i in best.values())
-        merged, _ = merge_and_collect(states, k, DropletParams(), _KEEP_ALL)
+        merged, _ = merge_and_collect(states, positions, DropletParams(),
+                                      _KEEP_ALL)
         assert merged.values.tolist() == states.values[kept].tolist(), k
         assert merged.energy.tolist() == states.energy[kept].tolist(), k
-        return positions
+        return positions, states.values[:, positions]
 
     @pytest.mark.parametrize("grid", [(1, 5), (5, 1), (2, 2), (3, 4), (4, 3)])
     def test_keeps_lowest_energy_per_boundary_at_every_position(self, grid):
@@ -202,10 +208,12 @@ class TestMergeKeys:
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_key_past_int64_groups_by_values(self, k):
-        # 2**21 + 1 per site: three or four boundary sites overflow an
-        # int64 key, so the key is re-ranked on the way
-        positions = self._check((2, 3), k, [2**21] * k, seed=k)
-        assert (2**21 + 1) ** len(positions) > 2**63 - 1
+        # states up to 2**21, the key's base one above the largest: three
+        # or four boundary sites overflow an int64 key, so the key is
+        # re-ranked on the way
+        positions, values = self._check((2, 3), k, [2**21] * k, seed=k,
+                                        top=True)
+        assert (int(values.max()) + 1) ** len(positions) > 2**63 - 1
 
 
 def _run_branch_chain(h, beta=1.0, bond_dim=64):
@@ -313,14 +321,6 @@ def _mk(values, energy, log_p=0.0, droplets=()):
 
 
 class TestMergeAndCollect:
-    def test_identical_states_single_survivor_no_droplet(self):
-        a = _mk((1, 2, 1), -1.0)
-        b = _mk((1, 2, 1), -1.0)
-        merged = _merge([a, b], 3, (3, 3),
-                        DropletParams(energy_cutoff=5.0))
-        assert len(merged) == 1
-        assert merged[0].droplets == ()
-
     def test_bulk_difference_recorded(self):
         # 3x3 grid at k=5: boundary is {(1,2),(1,3),(2,1),(2,2)} -> bulk = (1,1)
         dp = DropletParams(energy_cutoff=5.0, hamming_cutoff=0)
@@ -423,7 +423,7 @@ def _reference_merge(states, k, dims, dp):
     order; every clash tested on full carrier configurations through
     ``droplet_distance``. Returns the survivors' indices and their
     droplets."""
-    positions = [(r - 1) * dims[1] + c - 1 for r, c in boundary_sites(dims, k)]
+    positions = _boundary(dims, k)
     values = states.values.tolist()
 
     def boundary(i):
@@ -443,8 +443,6 @@ def _reference_merge(states, k, dims, dp):
                 continue
             flips = tuple((p + 1, v) for p, (v, c) in enumerate(
                 zip(values[other], carrier_values)) if v != c)
-            if not flips:
-                continue
             candidate = Droplet(flips, delta, states.droplets[other])
             attached = droplets[carrier]
             if dp.hamming_cutoff > 0 and attached:
@@ -477,7 +475,8 @@ def _reference_prune(states, survivors, sp):
 def _merge_cases(draw):
     """A population at step ``k`` of a small grid: few boundary patterns
     (several candidates per survivor), bulk values near a shared base
-    (small distances), tied energies, droplets with sub-droplets."""
+    (small distances), tied energies, droplets with sub-droplets. Its
+    rows are distinct, as in every population a search makes."""
     mode = draw(st.sampled_from(["potts", "spin"]))
     rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     k = draw(st.integers(cols + 1, rows * cols - 1))
@@ -505,16 +504,15 @@ def _merge_cases(draw):
         return Droplet(tuple((p, draw(st.integers(1, dims[p - 1])))
                              for p in positions), draw(energies) + 1.0, subs)
 
-    branches = []
+    branches = {}
     for _ in range(draw(st.integers(2, 16))):
         pattern = draw(st.sampled_from(patterns))
-        values = [pattern[p] if p in boundary else value(p, base)
-                  for p in range(k)]
-        branches.append(_Row(tuple(values), draw(st.floats(-5, 0)),
-                             draw(energies),
-                             tuple(droplet(0) for _ in range(
-                                 draw(st.integers(0, 3))))))
-    states = _population(branches, dims, (rows, cols))
+        values = tuple(pattern[p] if p in boundary else value(p, base)
+                       for p in range(k))
+        branches.setdefault(values, _Row(
+            values, draw(st.floats(-5, 0)), draw(energies),
+            tuple(droplet(0) for _ in range(draw(st.integers(0, 3))))))
+    states = _population(branches.values())
     states = replace(states, values=states.values.astype(dtype))
     dp = DropletParams(
         energy_cutoff=draw(st.sampled_from([0.0, 0.5, 1.0, math.inf])),
@@ -532,8 +530,8 @@ class TestMergeEquivalence:
         the droplets of both are compared as the table builds them."""
         inputs = np.fromiter(_materialized(states), dtype=object,
                              count=len(states))
-        merged, discarded = merge_and_collect(states, k, dp, sp,
-                                              largest_discarded)
+        merged, discarded = merge_and_collect(states, _boundary(dims, k), dp,
+                                              sp, largest_discarded)
         survivors, droplets = _reference_merge(
             replace(states, droplets=inputs), k, dims, dp)
         kept, reference_discarded = _reference_prune(states, survivors, sp)
@@ -571,10 +569,11 @@ class TestMergeEquivalence:
         carrier = _mk((1,) * 7, -2.0, droplets=(held,))
         x = _mk((2, 2) + (1,) * 5, -1.5)
         y = _mk((3, 2) + (1,) * 5, -1.5)
-        states = _population([carrier, x, y], [3] * 7)
+        states = _population([carrier, x, y])
         dp = DropletParams(energy_cutoff=5.0, hamming_cutoff=2)
         self._check(states, 7, (3, 3), dp, _KEEP_ALL)
-        (survivor,) = _rows(merge_and_collect(states, 7, dp, _KEEP_ALL)[0])
+        (survivor,) = _rows(merge_and_collect(states, _boundary((3, 3), 7),
+                                              dp, _KEEP_ALL)[0])
         assert survivor.droplets == (Droplet(((1, 2), (2, 2)), 0.5),)
 
     def test_pruned_carrier_collects_nothing(self, monkeypatch):
@@ -596,7 +595,8 @@ class TestMergeEquivalence:
             _mk((2, 2, 1, 1, 1), -1.0, log_p=-0.3),  # its candidate
         ])
         merged, discarded = merge_and_collect(
-            states, 5, DropletParams(energy_cutoff=5.0, hamming_cutoff=2),
+            states, _boundary((3, 3), 5),
+            DropletParams(energy_cutoff=5.0, hamming_cutoff=2),
             SearchParams(max_states=1, cut_off_prob=0.0))
         assert merged.values.tolist() == [[1, 1, 1, 1, 1]]
         assert discarded == -3.0
@@ -615,7 +615,7 @@ class TestMergeEquivalence:
             _mk((1, 2, 1, 1, 1), -2.0, log_p=-3.0),
             _mk((2, 2, 1, 1, 1), -1.0, log_p=-0.3),
         ])
-        merged, _ = merge_and_collect(states, 5,
+        merged, _ = merge_and_collect(states, _boundary((3, 3), 5),
                                       DropletParams(energy_cutoff=5.0),
                                       _KEEP_ALL)
         assert len(states.table.subs) == 2
@@ -671,11 +671,11 @@ class TestDistances:
                 axis=1).tolist() == expected
 
 
-def _assert_keys_match_unique(block, dims):
-    """The ``_row_keys`` keys of ``block`` (states 1..dims[j] in column
-    j) group and order its rows as ``np.unique(block, axis=0)`` does."""
+def _assert_keys_match_unique(block):
+    """The ``_row_keys`` keys of ``block`` group and order its rows as
+    ``np.unique(block, axis=0)`` does."""
     from kingspeps.search import _distinct_rows
-    first, group = _distinct_rows(block, [d + 1 for d in dims])
+    first, group = _distinct_rows(block)
     _, unique_first, unique_group = np.unique(
         block, axis=0, return_index=True, return_inverse=True)
     assert first.tolist() == unique_first.tolist()
@@ -689,7 +689,7 @@ class TestDistinctRows:
         # 70 binary columns: 3**70 keys, so the key is re-ranked mid-row
         block = rng.integers(1, 3, size=(120, 70))
         block[60:] = block[rng.integers(0, 60, size=60)]
-        first, group = _distinct_rows(block.astype(np.uint8), [3] * 70)
+        first, group = _distinct_rows(block.astype(np.uint8))
         rows = [tuple(r) for r in block.tolist()]
         first_seen = {}
         for i, row in enumerate(rows):
@@ -697,7 +697,7 @@ class TestDistinctRows:
         ordered = sorted(first_seen)
         assert first.tolist() == [first_seen[r] for r in ordered]
         assert group.tolist() == [ordered.index(r) for r in rows]
-        _assert_keys_match_unique(block.astype(np.uint8), [2] * 70)
+        _assert_keys_match_unique(block.astype(np.uint8))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -717,8 +717,7 @@ class TestDistinctRows:
         column = data.draw(st.integers(0, len(dims) - 1))
         block[::3, column] = rng.integers(1, dims[column] + 1,
                                           size=len(block[::3]))
-        _assert_keys_match_unique(
-            block.astype(np.min_scalar_type(max(dims))), dims)
+        _assert_keys_match_unique(block.astype(np.min_scalar_type(max(dims))))
 
 
 class TestPrune:
@@ -791,6 +790,27 @@ class TestLowEnergySpectrum:
         sol = _solve(h, dp=DropletParams(energy_cutoff=10.0, hamming_cutoff=5,
                                          mode="spin"))
         assert sol.best_energy == pytest.approx(spec.min_energy, rel=1e-9)
+
+    def test_site_dimensions_past_uint8_reach_exact_ground(self):
+        # states of 300 and 260 are stored as uint16; exact environments
+        # make every transform's best energy the exact minimum
+        rng = np.random.default_rng(3)
+        h = PottsHamiltonian(2, 3)
+        for site, dim in zip(h.sites(), (300, 2, 3, 2, 260, 2)):
+            h.set_node(site, rng.uniform(-1, 1, size=dim))
+        for r, c in h.sites():
+            for other in ((r, c + 1), (r + 1, c - 1), (r + 1, c),
+                          (r + 1, c + 1)):
+                if 1 <= other[0] <= 2 and 1 <= other[1] <= 3:
+                    h.set_edge((r, c), other, rng.uniform(
+                        -1, 1, size=(h.dim((r, c)), h.dim(other))))
+        exact = exact_spectrum(h).min_energy
+        for tr in ALL_TRANSFORMS:
+            sol = low_energy_spectrum(
+                h, tr, ContractionParams(bond_dim=2**20, beta=1.0),
+                SearchParams(), DropletParams(2.0, 2, "potts"))
+            assert sol.best_energy == exact, tr.name
+            assert any(sol.droplets), tr.name
 
     def test_best_energy_identical_across_transforms(self):
         _, h = random_clustered(3, 3, 2, seed=8)
