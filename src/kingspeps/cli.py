@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, SolverError, TransformDisagreementError
+from .errors import (NumericError, ParseError, SolverError,
+                     TransformDisagreementError)
 from .instance_io import (droplet_table, generate_instance, parse_ising,
                           parse_potts, write_solution)
 from .peps import ALL_TRANSFORMS, LatticeTransform
@@ -92,7 +93,11 @@ def run(args: argparse.Namespace) -> int:
         raise UsageError("--topology only applies to Ising instances")
     dtype = np.float32 if args.precision == "float32" else np.float64
 
-    text = Path(args.instance).read_text(encoding="utf-8")
+    try:
+        text = Path(args.instance).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.instance}: byte {exc.start} is not "
+                         f"UTF-8 text ({exc.reason})") from exc
     if args.format == "ising":
         graph = parse_ising(text)
         topo = ClusterTopology(*args.topology)

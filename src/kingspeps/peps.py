@@ -87,6 +87,17 @@ class LatticeTransform:
 
 ALL_TRANSFORMS = tuple(LatticeTransform(code) for code in range(8))
 
+
+def _reach(shape) -> np.ndarray:
+    """For each 0-based row-major position p of an ``m x n`` grid, the
+    largest position among its later king neighbours, -1 if it has none:
+    p, plus n where a row follows, plus 1 where a column follows."""
+    m, n = shape
+    p = np.arange(m * n, dtype=np.intp)
+    later = n * (p < (m - 1) * n) + (p % n < n - 1)
+    return np.where(later > 0, p + later, -1)
+
+
 _BACK_OFFSETS = {"w": (0, -1), "nw": (-1, -1), "n": (-1, 0), "ne": (-1, 1)}
 _DIRECTIONS = {offset: name for name, offset in _BACK_OFFSETS.items()}
 
@@ -103,7 +114,8 @@ class PepsNetwork:
 
     Every per-site fact comes from the transform's grid: the flattened
     grid ``position_map`` maps each 0-based row-major position to the
-    original one, and ``dim_grid`` holds the site dimensions.
+    original one, ``dim_grid`` holds the site dimensions and ``reach``
+    (:func:`_reach`) each one's largest later king neighbour.
     """
 
     def __init__(self, hamiltonian: PottsHamiltonian,
@@ -117,6 +129,7 @@ class PepsNetwork:
         grid = transform.grid((hamiltonian.rows, hamiltonian.cols))
         self.rows, self.cols = grid.shape
         self.position_map = grid.ravel()
+        self.reach = _reach(grid.shape)
         # the transformed site of each original one, row-major
         landing = dict(zip(hamiltonian.sites(), map(
             self.site_of, (np.argsort(self.position_map) + 1).tolist())))

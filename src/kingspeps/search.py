@@ -10,7 +10,9 @@ the lowest-energy one; the survivors are pruned to the most probable
 droplet records a discarded branch on its survivor: the bulk sites
 where the two differed, plus the energy gap. Unpacking droplets
 afterwards reconstructs the low-energy configurations the merges
-absorbed. Steps where no site leaves the boundary only prune.
+absorbed. Steps where no site leaves the boundary only prune. After k
+placements the boundary is the positions p < k whose ``reach``, the
+network's largest later king neighbour of p, is at least k.
 
 The lower half is contracted once per solve, into one bottom
 environment per row. One contraction per step then gives all
@@ -254,27 +256,9 @@ class Solution:
         return self.energies[0]
 
 
-def boundary_sites(dims, k: int) -> list[tuple[int, int]]:
-    """Assigned sites sharing a king edge with an unassigned one.
-
-    ``k`` is the row-major position of the last assigned site. Sites
-    come back sorted row-major. Empty once everything is assigned.
-    """
-    m, n = dims
-    if not 1 <= k <= m * n:
-        raise InvalidIndexError(f"position {k} outside 1..{m * n}")
-    if k == m * n:
-        return []
-    i, j = (k - 1) // n + 1, (k - 1) % n + 1
-    out = []
-    if i > 1 and j < n:
-        out.extend((i - 1, c) for c in range(j, n + 1))
-    if j == n or i < m:
-        out.extend((i, c) for c in range(1, j + 1))
-    else:
-        # last row, mid-row: only the current site touches the frontier
-        out.append((i, j))
-    return out
+def _boundary(reach: np.ndarray, k: int) -> np.ndarray:
+    """The 0-based boundary positions after ``k`` placements, ascending."""
+    return np.flatnonzero(reach[:k] >= k)
 
 
 def _row_keys(block: np.ndarray) -> np.ndarray:
@@ -335,9 +319,9 @@ def branch(states: Branches, k: int, net: PepsNetwork,
             f"branch at position {k} requires {k - 1} assigned values, "
             f"got {states.values.shape[1]}")
     bottom = envs[row - 1]
-    if col == 1:
-        start = max(k - 1 - net.cols, 0)
-        first, index = _distinct_rows(states.values[:, start:])
+    if col == 1:  # the boundary is the row above
+        first, index = _distinct_rows(
+            states.values[:, _boundary(net.reach, k - 1)])
         states = replace(states, left=np.ones((len(states), 1), dtype=net.dtype),
                          above=index,
                          right=right_tables(net, bottom, row, states.values[first]))
@@ -406,7 +390,7 @@ def _clashes(values, others, carriers, run, run_start, counts, held, mode,
     return pair_cand[hit], pair_ref[hit]
 
 
-def merge_and_collect(states: Branches, positions: list[int],
+def merge_and_collect(states: Branches, positions: np.ndarray,
                       dp: DropletParams, sp: SearchParams,
                       largest_discarded: float = -math.inf):
     """Merge branches with identical boundary values, prune the
@@ -422,18 +406,18 @@ def merge_and_collect(states: Branches, positions: list[int],
 
     A branch's group key is :func:`_row_keys` of its values at
     ``positions``, the 0-based row-major positions of the boundary
-    (:func:`boundary_sites`, which :func:`low_energy_spectrum` passes),
-    as a row start keys the rows above. Survivors are pruned before any
-    droplet work, since a droplet dies with its carrier and merging
-    changes no probability or value. The states where each candidate
-    differs from its survivor make its table row. Every distance a
-    candidate needs (to the droplets its survivor carries and to its
-    survivor's earlier candidates) is computed in one batch, over full
-    configurations. Python walks each candidate's slice of the clashing
-    pairs: one still standing with a gap no larger rejects it, as every
-    earlier candidate kept does (gaps ascend within a survivor); else it
-    evicts the rest. Returns what :func:`prune` returns, the survivors
-    in index order.
+    (:func:`_boundary` of the network's ``reach``, which
+    :func:`low_energy_spectrum` passes), as a row start keys the row
+    above. Survivors are pruned before any droplet work, since a droplet
+    dies with its carrier and merging changes no probability or value.
+    The states where each candidate differs from its survivor make its
+    table row. Every distance a candidate needs (to the droplets its
+    survivor carries and to its survivor's earlier candidates) is
+    computed in one batch, over full configurations. Python walks each
+    candidate's slice of the clashing pairs: one still standing with a
+    gap no larger rejects it, as every earlier candidate kept does (gaps
+    ascend within a survivor); else it evicts the rest. Returns what
+    :func:`prune` returns, the survivors in index order.
     """
     table, values = states.table, states.values
     k = values.shape[1]
@@ -535,13 +519,10 @@ def prune(states: Branches, sp: SearchParams,
     return states.take(kept), largest_discarded
 
 
-def _sheds_boundary(dims, k: int) -> bool:
-    """Whether placing site ``k`` = (i, j) removes a site from the
-    boundary, as it removes (i-1, j-1) when that exists, (1, j-1) on a
-    one-row grid and (i-1, 1) on a one-column grid."""
-    m, n = dims
-    i, j = (k - 1) // n + 1, (k - 1) % n + 1
-    return (j > 1 and (i > 1 or m == 1)) or (n == 1 and i > 1)
+def _sheds_boundary(reach: np.ndarray, k: int) -> bool:
+    """Whether placing site ``k`` removes a site from the boundary: one
+    whose reach is ``k - 1``, the 0-based position just placed."""
+    return bool((reach == k - 1).any())
 
 
 def low_energy_spectrum(h: PottsHamiltonian,
@@ -575,7 +556,6 @@ def low_energy_spectrum(h: PottsHamiltonian,
 
     net = build_network(h, transform, params.beta, dtype)
     envs = bottom_environments(net, params)
-    dims = (net.rows, net.cols)
     total = net.rows * net.cols
 
     states = Branches.root(net)
@@ -584,20 +564,18 @@ def low_energy_spectrum(h: PottsHamiltonian,
     for k in range(1, total + 1):
         states = branch(states, k, net, envs)
         if (droplet_params is not None and k < total
-                and _sheds_boundary(dims, k)):
-            positions = [(r - 1) * net.cols + c - 1
-                         for r, c in boundary_sites(dims, k)]
+                and _sheds_boundary(net.reach, k)):
             states, largest_discarded = merge_and_collect(
-                states, positions, droplet_params, search_params,
-                largest_discarded)
+                states, _boundary(net.reach, k), droplet_params,
+                search_params, largest_discarded)
             merges += 1
         else:
             states, largest_discarded = prune(states, search_params,
                                               largest_discarded)
         if k % net.cols == 0:
             if logger.isEnabledFor(logging.DEBUG):
-                start = max(k - 2 * net.cols, 0)
-                above = _distinct_rows(states.values[:, start:k - net.cols])[0]
+                above = _distinct_rows(
+                    states.values[:, _boundary(net.reach, k - net.cols)])[0]
                 logger.debug("row %d/%d: %d branches, %d distinct rows above, "
                              "merged at %d of %d steps", k // net.cols,
                              net.rows, len(states), len(above), merges,

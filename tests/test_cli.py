@@ -201,6 +201,14 @@ class TestSolve:
         path.write_text("1 2\n")
         assert main(["solve", str(path), "--topology", "1", "2", "1"]) == 1
 
+    def test_undecodable_instance_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        assert main(["solve", str(path), "--topology", "1", "1", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: byte 0 is not UTF-8 text" in err
+        assert "Traceback" not in err
+
     def test_wrong_topology_exits_one(self, tmp_path):
         path = _write_instance(tmp_path, rows=3, cols=3, t=1)
         assert main(["solve", str(path), "--topology", "2", "2", "1"]) == 1

@@ -13,14 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kingspeps import (ALL_TRANSFORMS, ContractionParams, DropletParams,
-                       SearchParams, exact_spectrum, low_energy_spectrum,
-                       merge_solutions, potts_energy, unpack_droplets)
-from kingspeps.peps import bottom_environments, build_network
-from kingspeps.potts import PottsHamiltonian
+from kingspeps import (ALL_TRANSFORMS, ClusterTopology, ContractionParams,
+                       DropletParams, SearchParams, cluster, exact_spectrum,
+                       generate_instance, low_energy_spectrum,
+                       merge_solutions, parse_ising, potts_energy,
+                       unpack_droplets)
+from kingspeps.instance_io import parse_potts
+from kingspeps.ising import IsingGraph
+from kingspeps.peps import _reach, bottom_environments, build_network
+from kingspeps.potts import PottsHamiltonian, decode, encode
 from kingspeps.search import (Branches, Droplet, DropletTable,
-                              _sheds_boundary, boundary_sites, branch,
-                              merge_and_collect, prune)
+                              _sheds_boundary, branch, merge_and_collect,
+                              prune)
 from kingspeps import search as search_module
 from kingspeps.errors import (DimensionError, InvalidIndexError,
                               UnsupportedError)
@@ -39,48 +43,41 @@ class TestParams:
         assert DropletParams(energy_cutoff=cutoff).energy_cutoff == cutoff
 
 
+def _adjacent_unassigned(m, n, k):
+    """Brute force: the 0-based positions p < k of an ``m x n`` grid with
+    a king neighbour at a position of at least ``k``."""
+    return {p for p in range(k)
+            if any(0 <= p // n + dr < m and 0 <= p % n + dc < n
+                   and (p // n + dr) * n + p % n + dc >= k
+                   for dr, dc in itertools.product((-1, 0, 1), repeat=2))}
+
+
 class TestBoundarySites:
     def test_first_row_mid(self):
-        assert boundary_sites((3, 3), 2) == [(1, 1), (1, 2)]
+        assert _boundary((3, 3), 2) == [0, 1]
 
     def test_second_row_mid(self):
-        assert set(boundary_sites((3, 3), 5)) == {(2, 1), (2, 2), (1, 2), (1, 3)}
+        assert _boundary((3, 3), 5) == [1, 2, 3, 4]
 
     def test_everything_assigned(self):
-        assert boundary_sites((3, 3), 9) == []
+        assert _boundary((3, 3), 9) == []
 
-    def test_out_of_range(self):
-        with pytest.raises(InvalidIndexError):
-            boundary_sites((3, 3), 10)
-
-    @settings(max_examples=120, deadline=None)
-    @given(st.integers(1, 5), st.integers(1, 5), st.data())
-    def test_matches_adjacency_definition(self, m, n, data):
-        k = data.draw(st.integers(1, m * n))
-        expected = set()
-        assigned = set()
-        for p in range(1, k + 1):
-            assigned.add(((p - 1) // n + 1, (p - 1) % n + 1))
-        for (r, c) in assigned:
-            for dr, dc in itertools.product((-1, 0, 1), repeat=2):
-                if (dr, dc) == (0, 0):
-                    continue
-                nb = (r + dr, c + dc)
-                if 1 <= nb[0] <= m and 1 <= nb[1] <= n and nb not in assigned:
-                    expected.add((r, c))
-                    break
-        assert set(boundary_sites((m, n), k)) == expected
-        assert boundary_sites((m, n), k) == sorted(boundary_sites((m, n), k))
+    def test_matches_adjacency_definition(self):
+        for m, n in itertools.product(range(1, 9), repeat=2):
+            reach = _reach((m, n))
+            for k in range(1, m * n + 1):
+                assert search_module._boundary(reach, k).tolist() == \
+                    sorted(_adjacent_unassigned(m, n, k)), (m, n, k)
 
 
 class TestShedsBoundary:
     def test_matches_boundary_difference(self):
-        from kingspeps.search import _sheds_boundary
-        for m, n in itertools.product(range(1, 7), repeat=2):
+        for m, n in itertools.product(range(1, 9), repeat=2):
+            reach = _reach((m, n))
             for k in range(1, m * n + 1):
-                before = set(boundary_sites((m, n), k - 1)) if k > 1 else set()
-                left = before - set(boundary_sites((m, n), k))
-                assert _sheds_boundary((m, n), k) == bool(left), (m, n, k)
+                left = (_adjacent_unassigned(m, n, k - 1)
+                        - _adjacent_unassigned(m, n, k))
+                assert _sheds_boundary(reach, k) == bool(left), (m, n, k)
 
 
 # One branch as the tests state it; populations are built from and read
@@ -122,8 +119,7 @@ def _population(rows):
 def _boundary(grid, k):
     """The 0-based row-major positions of the boundary after site ``k``
     of a ``grid``, as a merge takes them."""
-    n = grid[1]
-    return [(r - 1) * n + c - 1 for r, c in boundary_sites(grid, k)]
+    return search_module._boundary(_reach(grid), k).tolist()
 
 
 def _materialized(branches):
@@ -484,8 +480,7 @@ def _merge_cases(draw):
     dims = [draw(st.integers(256, 3000) if wide and draw(st.booleans())
                  else st.integers(2, 9)) for _ in range(k)]
     dtype = draw(st.sampled_from([np.min_scalar_type(max(dims)), np.int64]))
-    boundary = {(r - 1) * cols + c - 1
-                for r, c in boundary_sites((rows, cols), k)}
+    boundary = set(_boundary((rows, cols), k))
 
     def value(p, base):
         return draw(st.just(base[p]) | st.integers(1, dims[p]))
@@ -954,7 +949,7 @@ class TestMergeSkip:
 
         skipping = solve()
         monkeypatch.setattr(search_module, "_sheds_boundary",
-                            lambda dims, k: True)
+                            lambda reach, k: True)
         every = solve()
         assert skipping.states == every.states
         assert skipping.energies == every.energies
@@ -976,6 +971,59 @@ class TestMergeSkip:
         # column 2, its last step never merges
         assert [m.groups() for m in counts] == [("1", "0"), ("2", "2"),
                                                 ("3", "1")]
+
+
+class TestGaugeFlip:
+    """A spin gauge s_i -> sigma_i s_i maps J_ij to J_ij sigma_i sigma_j
+    and h_i to h_i sigma_i and leaves every energy as it was, so the
+    gauged model's best energy is the original's, at 128 and 256 spins."""
+
+    @pytest.mark.parametrize("transform", ALL_TRANSFORMS[:2],
+                             ids=lambda t: t.name)
+    @pytest.mark.parametrize("rows, cols, spins, beta, seed", [
+        (8, 8, 2, 2.0, 0), (8, 8, 2, 2.0, 1), (16, 16, 1, 4.0, 0)],
+        ids=["8x8x2-s0", "8x8x2-s1", "16x16x1-s0"])
+    def test_best_energy_is_gauge_invariant(self, rows, cols, spins, beta,
+                                            seed, transform):
+        graph = parse_ising(generate_instance(rows, cols, spins, seed=seed,
+                                              with_fields=True))
+        flip = np.where(np.random.default_rng(seed).random(graph.n_spins)
+                        < 0.5, -1, 1)
+        gauged = IsingGraph(graph.n_spins, {
+            (i, j): value * flip[i - 1] * flip[j - 1]
+            for (i, j), value in graph.edges()}, graph.fields * flip)
+        topology = ClusterTopology(rows, cols, spins)
+        h, h_gauged = cluster(graph, topology), cluster(gauged, topology)
+        dp = DropletParams(energy_cutoff=10, hamming_cutoff=5, mode="spin")
+        best, best_gauged = (_solve(model, transform, beta=beta, dp=dp)
+                             for model in (h, h_gauged))
+        assert best_gauged.best_energy == best.best_energy
+        state = encode(h, decode(h_gauged, best_gauged.states[0]) * flip)
+        assert potts_energy(h, state) == best_gauged.best_energy
+
+
+class TestDegenerateGrids:
+    """Grids whose boundary is empty or whose sites have one state are
+    solved exactly under every transform."""
+
+    @pytest.mark.parametrize("case", [
+        ("1x1 field", lambda: cluster(parse_ising("1 1 0.5\n"),
+                                      ClusterTopology(1, 1, 1)), "spin"),
+        ("1x1x3", lambda: cluster(parse_ising(generate_instance(
+            1, 1, 3, seed=2, with_fields=True)), ClusterTopology(1, 1, 3)),
+         "spin"),
+        ("2x3 of d=1", lambda: parse_potts("P 2 3\n"), "potts"),
+        ("1x4 ragged", lambda: parse_potts(
+            "P 1 4\nn 1 2 3 -1.0\ne 1 3 1 4 2 2 -0.5\n"), "potts"),
+    ], ids=lambda case: case[0])
+    def test_every_transform_finds_the_ground_energy(self, case):
+        _, model, mode = case
+        h = model()
+        exact = exact_spectrum(h).min_energy
+        for transform in ALL_TRANSFORMS:
+            sol = _solve(h, transform, dp=DropletParams(
+                energy_cutoff=10.0, hamming_cutoff=1, mode=mode))
+            assert sol.best_energy == exact, transform.name
 
 
 def _reachable(table, per_branch) -> set:
