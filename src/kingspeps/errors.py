@@ -6,6 +6,8 @@ contraction (:class:`NumericError` and subclasses). The CLI maps the
 former to exit code 1 and the latter to exit code 2.
 """
 
+import operator
+
 
 class SolverError(Exception):
     """Base class for all errors raised by this package."""
@@ -65,3 +67,16 @@ class ContractionDegenerateError(NumericError):
             message = f"{message} (at site {position})"
         super().__init__(message)
         self.position = position
+
+
+def check_count(name: str, value, low: int):
+    """Raise :class:`DimensionError` naming ``name`` unless ``value`` is
+    an integer, a numpy one too (:func:`operator.index`), of at least
+    ``low``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DimensionError(
+            f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise DimensionError(f"{name} must be >= {low}, got {value}")

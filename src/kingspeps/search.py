@@ -26,10 +26,10 @@ children come parent-major with their states ascending; prune and merge
 emit their survivors in index order, and the stable sorts they rank by
 break ties by index, that is, by values.
 
-Merging is batched as well. A merge keys each branch by its boundary
-values with :func:`_row_keys`, as a row start keys the rows above: one
-integer per branch, its digits the values in a base one above the
-largest. Every distance a droplet candidate must be checked against is
+Merging is batched as well. A merge ranks the branches by one stable
+lexsort of their boundary values, then energy (:func:`_ranked`), as a
+row start ranks the rows above; each run of equal boundary values is a
+group. Every distance a droplet candidate must be checked against is
 counted over whole configurations; Python only makes the sequential
 keep-or-evict decisions. The droplets a solve records go into one
 append-only :class:`DropletTable`, a dense row of flipped states each,
@@ -48,7 +48,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, InvalidIndexError, UnsupportedError
+from .errors import (DimensionError, InvalidIndexError, UnsupportedError,
+                     check_count)
 from .peps import (ALL_TRANSFORMS, LatticeTransform, PepsNetwork,
                    bottom_environments, build_network, conditionals,
                    right_tables, step_energies)
@@ -56,8 +57,6 @@ from .tensor_core import BoundaryMps, ContractionParams
 from .potts import PottsHamiltonian, potts_energies
 
 logger = logging.getLogger(__name__)
-
-_KEY_LIMIT = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,7 @@ class SearchParams:
     cut_off_prob: float = 1e-4
 
     def __post_init__(self):
-        if self.max_states < 1:
-            raise DimensionError(f"max_states must be >= 1, got {self.max_states}")
+        check_count("max_states", self.max_states, 1)
         if not 0.0 <= self.cut_off_prob <= 1.0:
             raise DimensionError(
                 f"cut_off_prob must lie in [0, 1], got {self.cut_off_prob}")
@@ -98,9 +96,7 @@ class DropletParams:
         if not self.energy_cutoff >= 0:
             raise DimensionError(
                 f"energy_cutoff must be >= 0, got {self.energy_cutoff}")
-        if self.hamming_cutoff < 0:
-            raise DimensionError(
-                f"hamming_cutoff must be >= 0, got {self.hamming_cutoff}")
+        check_count("hamming_cutoff", self.hamming_cutoff, 0)
         if self.mode not in ("spin", "potts"):
             raise UnsupportedError(f"unknown droplet mode {self.mode!r}")
 
@@ -261,42 +257,26 @@ def _boundary(reach: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(reach[:k] >= k)
 
 
-def _row_keys(block: np.ndarray) -> np.ndarray:
-    """One ``int64`` key per row of ``block`` of non-negative integers:
-    equal for equal rows and ordered as the rows are, lexicographically.
-
-    The key's digits are the row's values, in a base one above the
-    block's largest value. Before it could overflow, it is re-ranked to
-    its place among the distinct keys so far, which keeps the order.
-    """
-    base = int(block.max(initial=0)) + 1
-    key, bound, start = 0, 1, 0
-    for col in range(block.shape[1]):
-        if bound * base > _KEY_LIMIT:
-            distinct, key = np.unique(_fold(key, block, base, start, col),
-                                      return_inverse=True)
-            bound, start = len(distinct), col
-        bound *= base
-    return _fold(key, block, base, start, block.shape[1])
-
-
-def _fold(key, block, base, start, stop):
-    """``key`` followed by the digits of columns ``start..stop-1``.
-
-    The digits are summed down the columns of the transposed block,
-    because numpy reduces short rows one at a time, several times slower.
-    """
-    place = [base ** e for e in range(stop - start - 1, -1, -1)]
-    return (key * base ** (stop - start)
-            + np.array(place, dtype=np.int64) @ block[:, start:stop].T)
+def _ranked(block: np.ndarray, *ties: np.ndarray):
+    """The order that ranks the rows of ``block`` lexicographically, ties
+    broken by ``ties`` (the last first), then by index; and, for each
+    ranked row, whether its ``block`` values differ from the row before."""
+    keys = ties + tuple(block.T[::-1])  # the last lexsort key is the primary
+    order = np.lexsort(keys) if keys else np.arange(len(block))
+    ranked = block.take(order, axis=0)
+    new = np.ones(len(block), dtype=bool)
+    # row sums as a product: numpy reduces short rows one at a time
+    new[1:] = (ranked[1:] != ranked[:-1]) @ np.ones(block.shape[1]) > 0
+    return order, new
 
 
 def _distinct_rows(block: np.ndarray):
     """The first index of each distinct row of ``block`` and every row's
     group, groups numbered in the rows' lexicographic order."""
-    _, first, group = np.unique(_row_keys(block), return_index=True,
-                                return_inverse=True)
-    return first, group
+    order, new = _ranked(block)
+    group = np.empty(len(block), dtype=np.intp)
+    group[order] = new.cumsum() - 1
+    return order[new], group
 
 
 def branch(states: Branches, k: int, net: PepsNetwork,
@@ -404,28 +384,25 @@ def merge_and_collect(states: Branches, positions: np.ndarray,
     pair only the lower excitation energy is kept. Candidates are taken
     per survivor in (energy, values) order.
 
-    A branch's group key is :func:`_row_keys` of its values at
-    ``positions``, the 0-based row-major positions of the boundary
-    (:func:`_boundary` of the network's ``reach``, which
-    :func:`low_energy_spectrum` passes), as a row start keys the row
-    above. Survivors are pruned before any droplet work, since a droplet
-    dies with its carrier and merging changes no probability or value.
-    The states where each candidate differs from its survivor make its
-    table row. Every distance a candidate needs (to the droplets its
-    survivor carries and to its survivor's earlier candidates) is
-    computed in one batch, over full configurations. Python walks each
-    candidate's slice of the clashing pairs: one still standing with a
-    gap no larger rejects it, as every earlier candidate kept does (gaps
-    ascend within a survivor); else it evicts the rest. Returns what
-    :func:`prune` returns, the survivors in index order.
+    A branch's group is its values at ``positions``, the 0-based
+    row-major positions of the boundary (:func:`_boundary` of the
+    network's ``reach``, which :func:`low_energy_spectrum` passes).
+    :func:`_ranked` sorts the branches by those values, then energy, then
+    index, so each group's first branch survives. Survivors are pruned
+    before any droplet work, since a droplet dies with its carrier and
+    merging changes no probability or value. The states where each
+    candidate differs from its survivor make its table row. Every
+    distance a candidate needs (to the droplets its survivor carries and
+    to its survivor's earlier candidates) is computed in one batch, over
+    full configurations. Python walks each candidate's slice of the
+    clashing pairs: one still standing with a gap no larger rejects it,
+    as every earlier candidate kept does (gaps ascend within a
+    survivor); else it evicts the rest. Returns what :func:`prune`
+    returns, the survivors in index order.
     """
     table, values = states.table, states.values
     k = values.shape[1]
-    group = _row_keys(values[:, positions])
-    # stable: ties in (group, energy) stay in index order
-    order = np.lexsort((states.energy, group))
-    grouped = group[order]
-    first = np.concatenate(([True], grouped[1:] != grouped[:-1]))
+    order, first = _ranked(values[:, positions], states.energy)
     survivors = order[first]
     survivor = survivors[first.cumsum() - 1]
     survivors.sort()

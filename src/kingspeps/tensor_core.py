@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateStateError, DimensionError, NumericError)
+from .errors import (DegenerateStateError, DimensionError, NumericError,
+                     check_count)
 
 logger = logging.getLogger(__name__)
 
@@ -55,10 +56,8 @@ class ContractionParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.bond_dim < 1:
-            raise DimensionError(f"bond_dim must be >= 1, got {self.bond_dim}")
-        if self.num_sweeps < 0:
-            raise DimensionError(f"num_sweeps must be >= 0, got {self.num_sweeps}")
+        check_count("bond_dim", self.bond_dim, 1)
+        check_count("num_sweeps", self.num_sweeps, 0)
         if not (self.beta > 0 and math.isfinite(self.beta)):
             raise NumericError(
                 f"beta must be positive and finite, got {self.beta}")

@@ -42,6 +42,20 @@ class TestParams:
     def test_energy_cutoff_accepted(self, cutoff):
         assert DropletParams(energy_cutoff=cutoff).energy_cutoff == cutoff
 
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, "256"])
+    def test_non_integral_max_states_rejected(self, value):
+        with pytest.raises(DimensionError,
+                           match="max_states must be an integer"):
+            SearchParams(max_states=value)
+        assert SearchParams(max_states=np.uint8(3)).max_states == 3
+
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, "5"])
+    def test_non_integral_hamming_cutoff_rejected(self, value):
+        with pytest.raises(DimensionError,
+                           match="hamming_cutoff must be an integer"):
+            DropletParams(hamming_cutoff=value)
+        assert DropletParams(hamming_cutoff=np.int64(5)).hamming_cutoff == 5
+
 
 def _adjacent_unassigned(m, n, k):
     """Brute force: the 0-based positions p < k of an ``m x n`` grid with
@@ -168,7 +182,7 @@ class TestMergeKeys:
         """A population of distinct rows on few boundary patterns, with
         tied energies, merged at ``k`` against a brute-force grouping;
         with ``top``, one pattern sets its first boundary site to its
-        largest state. Returns the boundary positions and values."""
+        largest state."""
         rng = np.random.default_rng(seed)
         positions = _boundary(grid, k)
         high = np.array(dims) + 1
@@ -193,7 +207,6 @@ class TestMergeKeys:
                                       _KEEP_ALL)
         assert merged.values.tolist() == states.values[kept].tolist(), k
         assert merged.energy.tolist() == states.energy[kept].tolist(), k
-        return positions, states.values[:, positions]
 
     @pytest.mark.parametrize("grid", [(1, 5), (5, 1), (2, 2), (3, 4), (4, 3)])
     def test_keeps_lowest_energy_per_boundary_at_every_position(self, grid):
@@ -203,13 +216,10 @@ class TestMergeKeys:
             self._check(grid, k, [2 + p % 3 for p in range(k)], seed=k)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
-    def test_key_past_int64_groups_by_values(self, k):
-        # states up to 2**21, the key's base one above the largest: three
-        # or four boundary sites overflow an int64 key, so the key is
-        # re-ranked on the way
-        positions, values = self._check((2, 3), k, [2**21] * k, seed=k,
-                                        top=True)
-        assert (int(values.max()) + 1) ** len(positions) > 2**63 - 1
+    def test_large_states_group_by_values(self, k):
+        # states up to 2**21, one boundary site at the largest, on a
+        # boundary of three or four sites
+        self._check((2, 3), k, [2**21] * k, seed=k, top=True)
 
 
 def _run_branch_chain(h, beta=1.0, bond_dim=64):
@@ -666,8 +676,8 @@ class TestDistances:
                 axis=1).tolist() == expected
 
 
-def _assert_keys_match_unique(block):
-    """The ``_row_keys`` keys of ``block`` group and order its rows as
+def _assert_ranks_match_unique(block):
+    """:func:`_distinct_rows` of ``block`` groups and orders its rows as
     ``np.unique(block, axis=0)`` does."""
     from kingspeps.search import _distinct_rows
     first, group = _distinct_rows(block)
@@ -678,10 +688,10 @@ def _assert_keys_match_unique(block):
 
 
 class TestDistinctRows:
-    def test_key_overflowing_int64_matches_row_tuples(self):
+    def test_wide_rows_match_row_tuples(self):
         from kingspeps.search import _distinct_rows
         rng = np.random.default_rng(5)
-        # 70 binary columns: 3**70 keys, so the key is re-ranked mid-row
+        # 70 binary columns, half the rows repeats of the other half
         block = rng.integers(1, 3, size=(120, 70))
         block[60:] = block[rng.integers(0, 60, size=60)]
         first, group = _distinct_rows(block.astype(np.uint8))
@@ -692,27 +702,30 @@ class TestDistinctRows:
         ordered = sorted(first_seen)
         assert first.tolist() == [first_seen[r] for r in ordered]
         assert group.tolist() == [ordered.index(r) for r in rows]
-        _assert_keys_match_unique(block.astype(np.uint8))
+        _assert_ranks_match_unique(block.astype(np.uint8))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_planned_keys_match_unique(self, data):
-        # ragged site dimensions, some past uint8, and wide rows whose
-        # key overflows int64 and is re-ranked
+    def test_ragged_rows_match_unique(self, data):
+        # ragged site dimensions, some past uint8, rows up to 60 wide, and
+        # rows of no columns, which all fall in one group
         dims = data.draw(st.lists(st.integers(1, 9) | st.integers(256, 70000),
-                                  min_size=1, max_size=60))
+                                  max_size=60))
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
         rng = np.random.default_rng(seed)
         n = data.draw(st.integers(1, 80))
-        block = np.stack([rng.integers(1, d + 1, size=n) for d in dims],
-                         axis=1)
+        block = np.zeros((n, len(dims)),
+                         dtype=np.min_scalar_type(max(dims, default=1)))
+        for column, d in enumerate(dims):
+            block[:, column] = rng.integers(1, d + 1, size=n)
         # repeat some rows and vary others in a few columns, so that
         # groups have several members and differ late in the row
         block[n // 2:] = block[rng.integers(0, n // 2 + 1, size=n - n // 2)]
-        column = data.draw(st.integers(0, len(dims) - 1))
-        block[::3, column] = rng.integers(1, dims[column] + 1,
-                                          size=len(block[::3]))
-        _assert_keys_match_unique(block.astype(np.min_scalar_type(max(dims))))
+        if dims:
+            column = data.draw(st.integers(0, len(dims) - 1))
+            block[::3, column] = rng.integers(1, dims[column] + 1,
+                                              size=len(block[::3]))
+        _assert_ranks_match_unique(block)
 
 
 class TestPrune:
@@ -1000,6 +1013,46 @@ class TestGaugeFlip:
         assert best_gauged.best_energy == best.best_energy
         state = encode(h, decode(h_gauged, best_gauged.states[0]) * flip)
         assert potts_energy(h, state) == best_gauged.best_energy
+
+
+def _relabelled(h, rng):
+    """``h`` with every site's states relabelled by a random permutation,
+    and the permutations by site: 0-based state j of a relabelled site is
+    state ``perm[site][j]`` of the original."""
+    perm = {site: rng.permutation(h.dim(site)) for site in h.sites()}
+    out = PottsHamiltonian(h.rows, h.cols)
+    for site in h.sites():
+        out.set_node(site, h.node_table(site)[perm[site]])
+    for (a, b), table in h.edge_tables():
+        out.set_edge(a, b, table[np.ix_(perm[a], perm[b])])
+    return out, perm
+
+
+class TestStatePermutation:
+    """Relabelling each site's states, its node table and both axes of
+    its edge tables to match, leaves every energy as it was, so the
+    relabelled model's best energy is the original's, at 128 spins of
+    d=4 clusters and on a ragged 10x10 grid with d from 2 to 4. The
+    relabelled model has no cluster map, so distances count in "potts"
+    mode."""
+
+    @pytest.mark.parametrize("transform", ALL_TRANSFORMS[:2],
+                             ids=lambda t: t.name)
+    @pytest.mark.parametrize("model", [
+        lambda: cluster(parse_ising(generate_instance(
+            8, 8, 2, seed=0, with_fields=True)), ClusterTopology(8, 8, 2)),
+        lambda: _ragged_potts(10, 10, seed=0)],
+        ids=["8x8x2-s0", "ragged10x10"])
+    def test_best_energy_is_label_invariant(self, model, transform):
+        h = model()
+        relabelled, perm = _relabelled(h, np.random.default_rng(1))
+        dp = DropletParams(energy_cutoff=10, hamming_cutoff=5, mode="potts")
+        best, best_relabelled = (_solve(m, transform, beta=2.0, dp=dp)
+                                 for m in (h, relabelled))
+        assert best_relabelled.best_energy == best.best_energy
+        state = tuple(int(perm[site][s - 1]) + 1 for site, s in
+                      zip(h.sites(), best_relabelled.states[0]))
+        assert potts_energy(h, state) == best_relabelled.best_energy
 
 
 class TestDegenerateGrids:

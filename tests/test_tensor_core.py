@@ -372,6 +372,14 @@ class TestLogScaleRobustness:
 
 
 class TestParams:
+    @pytest.mark.parametrize("field, value", [
+        ("bond_dim", 2.5), ("bond_dim", math.nan), ("bond_dim", "16"),
+        ("num_sweeps", 1.5), ("num_sweeps", math.inf)])
+    def test_non_integral_count_rejected(self, field, value):
+        with pytest.raises(DimensionError, match=f"{field} must be an integer"):
+            ContractionParams(**{field: value})
+        assert getattr(ContractionParams(**{field: np.int64(3)}), field) == 3
+
     def test_validation(self):
         with pytest.raises(DimensionError):
             ContractionParams(bond_dim=0)
