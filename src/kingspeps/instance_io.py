@@ -105,7 +105,9 @@ def generate_instance(rows: int, cols: int, spins_per_cluster: int,
     Couplings are drawn uniformly from [low, high] for every
     intra-cluster spin pair and every spin pair between king-adjacent
     clusters, in a fixed traversal order, so output is byte-identical
-    for a given seed. Raises :class:`DimensionError` for a size below 1
+    for a given seed. A lone spin without fields gets the line ``1 1 0.0``,
+    since the format takes the spin count from the largest index seen.
+    Raises :class:`DimensionError` for a size below 1
     and :class:`NumericError` for a non-finite bound.
     """
     if min(rows, cols, spins_per_cluster) < 1:
@@ -144,6 +146,8 @@ def generate_instance(rows: int, cols: int, spins_per_cluster: int,
         for i in range(1, n_clusters * t + 1):
             value = rng.uniform(low, high)
             rows_out.append(f"{i} {i} {value!r}")
+    if not rows_out:  # a lone spin: its zero field gives the spin count
+        rows_out.append("1 1 0.0")
     return "\n".join(rows_out) + "\n"
 
 

@@ -173,7 +173,8 @@ def exact_conditional(h: PottsHamiltonian, beta: float, partial) -> np.ndarray:
     predecessors ``partial``, by summation over all completions, walked
     in blocks of ``BLOCK_ROWS`` behind the prefix; only their float64
     weights are kept. A value that is not an integer in its site's 1..d
-    raises InvalidIndexError."""
+    raises InvalidIndexError; a prefix that assigns every site,
+    DimensionError, as in :func:`kingspeps.peps.conditional_distribution`."""
     partial = _integer_states(tuple(partial)).astype(np.int64)
     sites = list(h.sites())
     k = len(partial) + 1

@@ -435,7 +435,8 @@ def conditional_distribution(net: PepsNetwork, envs: list[BoundaryMps],
     kernel, weighed by the increments of :func:`step_energies`.
 
     Raises:
-        DimensionError: ``envs`` does not hold one entry per row.
+        DimensionError: ``envs`` does not hold one entry per row, or
+            ``partial`` already assigns every site.
         InvalidIndexError: a value is not an integer or lies outside
             1..d of its site.
         ContractionDegenerateError: every weight underflowed to zero.
@@ -446,7 +447,7 @@ def conditional_distribution(net: PepsNetwork, envs: list[BoundaryMps],
     values = _integer_states(tuple(partial)).astype(np.int64).reshape(1, -1)
     k = values.shape[1] + 1
     if k > net.dim_grid.size:
-        raise InvalidIndexError(
+        raise DimensionError(
             f"partial assignment already covers all {net.dim_grid.size} sites")
     if np.any(values < 1) or np.any(values > net.dim_grid.reshape(-1)[:k - 1]):
         raise InvalidIndexError(

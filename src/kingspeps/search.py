@@ -237,12 +237,16 @@ class Branches:
 
 @dataclass
 class Solution:
-    """Ranked full configurations in original coordinates."""
+    """Ranked full configurations in original coordinates.
+
+    ``repr()`` leaves out ``droplets``: a droplet's ``repr()`` walks
+    every path of the droplet DAG, which can run to gigabytes.
+    """
 
     states: list[tuple[int, ...]]
     energies: list[float]
     log_probabilities: list[float]
-    droplets: list[tuple[Droplet, ...]]
+    droplets: list[tuple[Droplet, ...]] = field(repr=False)
     largest_discarded_probability: float
     beta: float
     parameters: dict = field(default_factory=dict)
@@ -571,8 +575,7 @@ def low_energy_spectrum(h: PottsHamiltonian,
         log_probabilities=states.log_probability[order].tolist(),
         droplets=states.table.materialize(states.droplets[order].tolist(),
                                           net.position_map),
-        largest_discarded_probability=math.exp(largest_discarded)
-        if largest_discarded > -math.inf else 0.0,
+        largest_discarded_probability=math.exp(largest_discarded),
         beta=params.beta,
         parameters={
             "beta": params.beta,
@@ -600,14 +603,11 @@ def _sorted_unique(entries, largest_discarded: float, beta: float,
                    parameters: dict) -> Solution:
     """Solution of ``(energy, values, log_p, droplets)`` entries, sorted
     by (energy, values) and keeping the first entry of each values."""
-    seen = set()
-    kept = []
+    kept = {}
     for entry in sorted(entries, key=lambda item: (item[0], item[1])):
-        if entry[1] not in seen:
-            seen.add(entry[1])
-            kept.append(entry)
+        kept.setdefault(entry[1], entry)
     energies, states, log_ps, droplets = (
-        [list(column) for column in zip(*kept)] or [[], [], [], []])
+        [list(column) for column in zip(*kept.values())] or [[], [], [], []])
     return Solution(states, energies, log_ps, droplets, largest_discarded,
                     beta, dict(parameters))
 
@@ -616,9 +616,13 @@ def unpack_droplets(solution: Solution, max_depth: int | None = 2) -> Solution:
     """Expand droplets into explicit configurations.
 
     Each droplet applied to its carrier yields an extra state at
-    ``carrier energy + delta_energy``; sub-droplets recurse within their
-    parent's context, down to ``max_depth`` levels. The result is
-    re-sorted ascending and deduplicated by assignment.
+    ``carrier energy + delta_energy``; sub-droplets apply within their
+    parent's context, down to ``max_depth`` levels. The walk is depth
+    first: a state, then each of its droplets followed by that droplet's
+    sub-droplets, before the next sibling. The result is re-sorted
+    ascending and deduplicated by assignment, so of equal states the
+    first walked at the lowest energy keeps its log-probability and
+    droplets.
 
     ``max_depth=None`` expands every path of the droplet DAG, once per
     path: a sub-droplet shared by several droplets is expanded under each
@@ -626,34 +630,29 @@ def unpack_droplets(solution: Solution, max_depth: int | None = 2) -> Solution:
     16x16 solve's 652 droplet objects can span tens of millions of
     paths).
     """
-    entries = []
+    if max_depth is not None:
+        check_count("max_depth", max_depth, 0)
     levels = math.inf if max_depth is None else max_depth
-    for values, energy, log_p, droplets in zip(
-            solution.states, solution.energies, solution.log_probabilities,
-            solution.droplets):
-        entries.append((energy, values, log_p, tuple(droplets)))
-        for droplet in droplets:
-            _expand(entries, (energy, values, log_p), droplet, levels,
-                    solution.beta)
-
+    beta, entries = solution.beta, []
+    for entry in zip(solution.energies, solution.states,
+                     solution.log_probabilities, map(tuple, solution.droplets)):
+        entries.append(entry)
+        # one (carrier, its droplets still to walk) per level open
+        stack = [(entry, iter(entry[3]))] if levels else []
+        while stack:
+            (energy, values, log_p, _), rest = stack[-1]
+            for droplet in rest:
+                entries.append((energy + droplet.delta_energy,
+                                _apply_flips(values, droplet.flips),
+                                log_p - beta * droplet.delta_energy,
+                                tuple(droplet.sub_droplets)))
+                if len(stack) < levels:  # descend before the next sibling
+                    stack.append((entries[-1], iter(droplet.sub_droplets)))
+                    break
+            else:
+                stack.pop()
     return _sorted_unique(entries, solution.largest_discarded_probability,
-                          solution.beta, solution.parameters)
-
-
-def _expand(entries: list, carrier, droplet: Droplet, levels, beta: float):
-    """Append ``droplet`` applied to ``carrier`` (energy, values, log_p),
-    then its sub-droplets, ``levels`` deep. Not a closure: a recursive
-    closure's cycle would keep ``entries`` alive after the call."""
-    if levels < 1:
-        return
-    energy, values, log_p = carrier
-    flipped = (energy + droplet.delta_energy,
-               _apply_flips(values, droplet.flips),
-               log_p - beta * droplet.delta_energy)
-    entries.append(flipped + (tuple(droplet.sub_droplets),))
-    if levels > 1:
-        for sub in droplet.sub_droplets:
-            _expand(entries, flipped, sub, levels - 1, beta)
+                          beta, solution.parameters)
 
 
 def merge_solutions(solutions: Sequence[Solution]) -> Solution:

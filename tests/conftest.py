@@ -168,3 +168,12 @@ def chain_pair():
     """1x2 ferromagnetic spin pair (J = -1) as a clustered model."""
     graph = IsingGraph(2, {(1, 2): -1.0})
     return graph, cluster(graph, ClusterTopology(1, 2, 1))
+
+
+def assert_raises_exactly(call, error, message: str):
+    """``call()`` raises ``error`` itself, not a subclass, whose text is
+    ``message``."""
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

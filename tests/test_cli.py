@@ -89,6 +89,15 @@ class TestGenerate:
         assert code == 0
         assert parse_ising(out.read_text()).n_spins == 9
 
+    def test_generated_lone_spin_solves(self, tmp_path):
+        # the triple format takes the spin count from the largest index
+        # seen, so a lone spin's file must still name it
+        instance, out = tmp_path / "inst.txt", tmp_path / "sol.json"
+        assert main(["gen", "1", "1", "-o", str(instance)]) == 0
+        assert main(["solve", str(instance), "--topology", "1", "1", "1",
+                     "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["best_energy"] == 0.0
+
     def test_module_entry_point_warns_nothing(self):
         # importing the package must not import the CLI module, or
         # ``python -m kingspeps.cli`` warns that it is already loaded

@@ -17,7 +17,7 @@ from kingspeps.ising import IsingGraph
 from kingspeps.errors import (DuplicateEntryError, GeometryError,
                               InvalidIndexError, ParseError)
 from kingspeps.search import Droplet, Solution
-from conftest import random_clustered, serialize_ising
+from conftest import assert_raises_exactly, random_clustered, serialize_ising
 from test_golden_search import CASES, _case_solutions
 
 
@@ -168,6 +168,20 @@ class TestParsePotts:
         from kingspeps.potts import king_adjacent
         for (a, b), _ in h.edge_tables():
             assert king_adjacent(a, b)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("P 1 1\nn 1 1 0 0.0", InvalidIndexError,
+         "line 2: state indices are 1-based, got 0"),
+        ("P 1 x", ParseError, "line 1: non-integer grid size in 'P 1 x'"),
+        ("P 0 2", ParseError, "line 1: grid size must be positive, got (0, 2)"),
+        ("P 1 1\nq 1 1 1 0.0", ParseError,
+         "line 2: unrecognized record 'q 1 1 1 0.0'"),
+        ("P 1 1\nn 1 1 x 0.0", ParseError,
+         "line 2: non-numeric entry in 'n 1 1 x 0.0'"),
+        ("# only a comment\n", ParseError, "missing 'P m n' header"),
+    ])
+    def test_rejection_class_and_message(self, text, error, message):
+        assert_raises_exactly(lambda: parse_potts(text), error, message)
 
 
 def _tiny_solution(droplets):

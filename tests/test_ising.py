@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from kingspeps.ising import IsingGraph
 from kingspeps.errors import (DimensionError, DuplicateEntryError,
                               InvalidIndexError)
-from conftest import ising_energy
+from conftest import assert_raises_exactly, ising_energy
 
 
 def test_field_only():
@@ -53,6 +53,19 @@ def test_constructor_rejects_duplicates_after_normalization():
 def test_constructor_rejects_self_edge():
     with pytest.raises(InvalidIndexError):
         IsingGraph(2, {(1, 1): 1.0})
+
+
+@pytest.mark.parametrize("args, kwargs, error, message", [
+    ((-1,), {}, InvalidIndexError, "spin count must be non-negative, got -1"),
+    ((2, {(0, 1): 1.0}), {}, InvalidIndexError,
+     "spin indices are 1-based, got (0, 1)"),
+    ((2, {(1, 3): 1.0}), {}, InvalidIndexError, "edge (1, 3) exceeds spin count 2"),
+    ((2,), {"fields": {3: 1.0}}, InvalidIndexError, "field index 3 outside 1..2"),
+    ((2,), {"fields": [1.0]}, DimensionError,
+     "fields must have length 2, got (1,)"),
+])
+def test_constructor_rejection_class_and_message(args, kwargs, error, message):
+    assert_raises_exactly(lambda: IsingGraph(*args, **kwargs), error, message)
 
 
 @settings(max_examples=50, deadline=None)

@@ -22,9 +22,9 @@ from kingspeps.peps import (LatticeTransform, bottom_environments,
                             row_product, step_energies)
 from kingspeps.potts import PottsHamiltonian
 from kingspeps.tensor_core import BoundaryMps, compress, overlap
-from conftest import (dense_mps_vector, expanded, normalize_scale,
-                      random_boundary_mps, random_potts, ragged_potts,
-                      random_clustered)
+from conftest import (assert_raises_exactly, dense_mps_vector, expanded,
+                      normalize_scale, random_boundary_mps, random_potts,
+                      ragged_potts, random_clustered)
 
 
 def exact_params(net):
@@ -210,7 +210,7 @@ class TestRowTransferMpo:
         # summing the free lower row contributes a factor d per column
         assert np.allclose(vec, 9.0)
 
-    def test_mpo_chain_reproduces_partition_function(self):
+    def test_row_products_reproduce_partition_function(self):
         h = random_potts(2, 2, 2, seed=5)
         net = build_network(h, beta=1.3)
         env = row_product(net, 1, BoundaryMps.ones(net.row_dims(2)))
@@ -676,6 +676,26 @@ class TestConditionalDistribution:
         for partial in ((3,), (2, 4, 4), (1, 5)):
             with pytest.raises(InvalidIndexError):
                 conditional_distribution(net, envs, partial)
+
+
+def _conditional_after_every_site():
+    net = build_network(random_potts(2, 2, 2, seed=16), beta=1.0)
+    return conditional_distribution(net, exact_envs(net), (1, 2, 1, 2))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LatticeTransform(8), InvalidIndexError,
+     "transform code must be 0..7, got 8"),
+    # a prefix that assigns every site is one condition with one class,
+    # in the network's conditional and in the exact one
+    (_conditional_after_every_site, DimensionError,
+     "partial assignment already covers all 4 sites"),
+    (lambda: exact_conditional(random_potts(2, 2, 2, seed=16), 1.0,
+                               (1, 2, 1, 2)),
+     DimensionError, "site position 5 outside 1..4"),
+])
+def test_rejection_class_and_message(call, error, message):
+    assert_raises_exactly(call, error, message)
 
 
 def _weights_as_gathered(net, row, col, values):

@@ -16,7 +16,8 @@ from kingspeps.errors import (DimensionError, GeometryError,
                               InvalidIndexError, NumericError,
                               UnsupportedError)
 from kingspeps.potts import potts_energies
-from conftest import ising_energy, ragged_potts, random_clustered
+from conftest import (assert_raises_exactly, ising_energy, ragged_potts,
+                      random_clustered)
 
 
 class TestClusterMapping:
@@ -334,6 +335,37 @@ class TestEdgeValidation:
         h.set_edge((1, 2), (1, 1), table)
         assert np.array_equal(h.edge_table((1, 1), (1, 2)), table.T)
         assert np.array_equal(h.edge_table((1, 2), (1, 1)), table)
+
+
+def _two_by_two():
+    """A 2x2 grid whose site (1, 1) has dimension 2."""
+    h = PottsHamiltonian(2, 2)
+    h.set_node((1, 1), [0.0, 0.0])
+    return h
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ClusterTopology(0, 1, 1), DimensionError,
+     "topology entries must be positive, got "
+     "ClusterTopology(rows=0, cols=1, spins_per_cluster=1)"),
+    (lambda: PottsHamiltonian(0, 2), DimensionError,
+     "grid must be at least 1x1, got 0x2"),
+    (lambda: _two_by_two().set_node((3, 1), [0.0]), InvalidIndexError,
+     "site (3, 1) outside 2x2 grid"),
+    (lambda: _two_by_two().set_node((1, 2), []), DimensionError,
+     "node table at (1, 2) must be a non-empty vector"),
+    (lambda: _two_by_two().set_node((1, 1), [0.0] * 3), DimensionError,
+     "site (1, 1) dimension changed from 2 to 3"),
+    (lambda: _two_by_two().set_edge((1, 1), (1, 1), np.zeros((2, 2))),
+     GeometryError, "edge endpoints coincide at (1, 1)"),
+    (lambda: _two_by_two().set_edge((1, 1), (1, 2), [0.0, 1.0]),
+     DimensionError, "edge table for (1, 1)-(1, 2) must be a matrix"),
+    (lambda: _two_by_two().set_edge((1, 1), (1, 2), np.zeros((3, 2))),
+     DimensionError,
+     "edge table for (1, 1)-(1, 2) disagrees with dimension 2 at (1, 1)"),
+])
+def test_construction_rejection_class_and_message(call, error, message):
+    assert_raises_exactly(call, error, message)
 
 
 class TestNanTables:

@@ -28,7 +28,8 @@ from kingspeps.search import (Branches, Droplet, DropletTable,
 from kingspeps import search as search_module
 from kingspeps.errors import (DimensionError, InvalidIndexError,
                               UnsupportedError)
-from conftest import droplet_distance, random_clustered, random_potts
+from conftest import (assert_raises_exactly, droplet_distance,
+                      random_clustered, random_potts)
 from test_golden_search import _ragged_potts
 
 
@@ -57,6 +58,44 @@ class TestParams:
         assert DropletParams(hamming_cutoff=np.int64(5)).hamming_cutoff == 5
 
 
+def _one_droplet_solution():
+    """A one-state solution carrying one droplet."""
+    return search_module.Solution(
+        states=[(1, 1)], energies=[0.0], log_probabilities=[-1.0],
+        droplets=[(Droplet(flips=((2, 2),), delta_energy=0.5),)],
+        largest_discarded_probability=0.0, beta=1.0)
+
+
+def _branch_too_far():
+    net = build_network(random_potts(2, 2, 2, seed=16), beta=1.0)
+    envs = bottom_environments(net, ContractionParams(beta=1.0))
+    return branch(Branches.root(net), 2, net, envs)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SearchParams(cut_off_prob=1.5), DimensionError,
+     "cut_off_prob must lie in [0, 1], got 1.5"),
+    (lambda: DropletParams(mode="ising"), UnsupportedError,
+     "unknown droplet mode 'ising'"),
+    (_branch_too_far, DimensionError,
+     "branch at position 2 requires 1 assigned values, got 0"),
+    (lambda: merge_solutions([]), DimensionError, "nothing to merge"),
+    (lambda: unpack_droplets(_one_droplet_solution(), max_depth=-1),
+     DimensionError, "max_depth must be >= 0, got -1"),
+    (lambda: unpack_droplets(_one_droplet_solution(), max_depth=1.5),
+     DimensionError, "max_depth must be an integer, got 1.5"),
+])
+def test_rejection_class_and_message(call, error, message):
+    assert_raises_exactly(call, error, message)
+
+
+def test_solution_repr_leaves_out_droplets():
+    # a droplet's repr walks every path of the droplet DAG
+    text = repr(_one_droplet_solution())
+    assert "Droplet(" not in text
+    assert "states=[(1, 1)]" in text
+
+
 def _adjacent_unassigned(m, n, k):
     """Brute force: the 0-based positions p < k of an ``m x n`` grid with
     a king neighbour at a position of at least ``k``."""
@@ -66,7 +105,7 @@ def _adjacent_unassigned(m, n, k):
                    for dr, dc in itertools.product((-1, 0, 1), repeat=2))}
 
 
-class TestBoundarySites:
+class TestBoundary:
     def test_first_row_mid(self):
         assert _boundary((3, 3), 2) == [0, 1]
 
@@ -1192,8 +1231,29 @@ class TestUnpackDroplets:
         sol = Solution(states=[(1, 1)], energies=[0.0],
                        log_probabilities=[0.0], droplets=[(outer,)],
                        largest_discarded_probability=0.0, beta=1.0)
+        assert len(unpack_droplets(sol, max_depth=0).states) == 1
         assert len(unpack_droplets(sol, max_depth=1).states) == 2
         assert len(unpack_droplets(sol, max_depth=2).states) == 3
+
+    def test_equal_states_keep_the_depth_first_entry(self):
+        # outer then its sub-droplet reach (2, 2, 1) at the energy that
+        # other reaches it at; walked depth first, the sub-droplet's
+        # entry comes first and keeps its own sub-droplets
+        third = Droplet(flips=((3, 2),), delta_energy=1.0)
+        inner = Droplet(flips=((2, 2),), delta_energy=0.25,
+                        sub_droplets=(third,))
+        outer = Droplet(flips=((1, 2),), delta_energy=0.5,
+                        sub_droplets=(inner,))
+        other = Droplet(flips=((1, 2), (2, 2)), delta_energy=0.75)
+        sol = search_module.Solution(
+            states=[(1, 1, 1)], energies=[0.0], log_probabilities=[-1.0],
+            droplets=[(outer, other)], largest_discarded_probability=0.0,
+            beta=1.0)
+        unpacked = unpack_droplets(sol)
+        at = unpacked.states.index((2, 2, 1))
+        assert unpacked.energies[at] == 0.75
+        assert unpacked.log_probabilities[at] == -1.75
+        assert unpacked.droplets[at] == (third,)
 
     def test_sorted_ascending(self):
         _, h = random_clustered(3, 3, 2, seed=21)

@@ -14,8 +14,8 @@ from kingspeps.tensor_core import (BoundaryMps, compress, left_canonicalize,
                                    overlap, svd_truncate)
 from kingspeps.errors import (DegenerateStateError, DimensionError,
                               NumericError)
-from conftest import (dense_mps_vector, expanded, normalize_scale,
-                      random_boundary_mps)
+from conftest import (assert_raises_exactly, dense_mps_vector, expanded,
+                      normalize_scale, random_boundary_mps)
 
 
 class TestSvdTruncate:
@@ -392,3 +392,15 @@ class TestParams:
     def test_non_finite_beta(self, beta):
         with pytest.raises(NumericError, match="positive and finite"):
             ContractionParams(beta=beta)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BoundaryMps([]), "an MPS needs at least one site"),
+    (lambda: BoundaryMps([np.ones((1, 2))]),
+     "site tensors must have 3 indices, got (1, 2)"),
+    (lambda: BoundaryMps([np.ones((2, 2, 1))]), "outer bonds must have extent 1"),
+    (lambda: svd_truncate(np.eye(2), 0), "bond_dim must be >= 1, got 0"),
+    (lambda: svd_truncate(np.ones(3), 2), "expected a matrix, got shape (3,)"),
+])
+def test_shape_rejection_class_and_message(call, message):
+    assert_raises_exactly(call, DimensionError, message)
