@@ -69,14 +69,20 @@ class ContractionDegenerateError(NumericError):
         self.position = position
 
 
-def check_count(name: str, value, low: int):
-    """Raise :class:`DimensionError` naming ``name`` unless ``value`` is
-    an integer, a numpy one too (:func:`operator.index`), of at least
-    ``low``."""
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, a numpy one too
+    (:func:`operator.index`)."""
     try:
         operator.index(value)
     except TypeError:
-        raise DimensionError(
-            f"{name} must be an integer, got {value!r}") from None
-    if value < low:
+        return False
+    return True
+
+
+def check_count(name: str, value, low: int | None = None):
+    """Raise :class:`DimensionError` naming ``name`` unless ``value`` is
+    an integer (:func:`is_integer`) of at least ``low``, when given."""
+    if not is_integer(value):
+        raise DimensionError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
         raise DimensionError(f"{name} must be >= {low}, got {value}")

@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 from typing import IO
 
 from .errors import (DimensionError, DuplicateEntryError, GeometryError,
-                     InvalidIndexError, NumericError, ParseError)
+                     InvalidIndexError, NumericError, ParseError, check_count)
 from .ising import IsingGraph
 from .potts import PottsHamiltonian, king_adjacent
 
@@ -107,9 +107,13 @@ def generate_instance(rows: int, cols: int, spins_per_cluster: int,
     clusters, in a fixed traversal order, so output is byte-identical
     for a given seed. A lone spin without fields gets the line ``1 1 0.0``,
     since the format takes the spin count from the largest index seen.
-    Raises :class:`DimensionError` for a size below 1
+    Raises :class:`DimensionError` for a size that is not an integer or
+    is below 1
     and :class:`NumericError` for a non-finite bound.
     """
+    for name, size in (("rows", rows), ("cols", cols),
+                       ("spins_per_cluster", spins_per_cluster)):
+        check_count(name, size)
     if min(rows, cols, spins_per_cluster) < 1:
         raise DimensionError(f"sizes must be >= 1, got {rows} x {cols} "
                              f"with {spins_per_cluster} spins per cluster")

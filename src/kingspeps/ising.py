@@ -13,7 +13,8 @@ from typing import Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionError, DuplicateEntryError, InvalidIndexError
+from .errors import (DimensionError, DuplicateEntryError, InvalidIndexError,
+                     check_count)
 
 Edge = Tuple[int, int]
 
@@ -28,6 +29,7 @@ class IsingGraph:
 
     def __init__(self, n_spins: int, couplings: Mapping[Edge, float] | None = None,
                  fields: Mapping[int, float] | Sequence[float] | None = None):
+        check_count("n_spins", n_spins)
         if n_spins < 0:
             raise InvalidIndexError(f"spin count must be non-negative, got {n_spins}")
         self.n_spins = int(n_spins)

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ContractionDegenerateError, DimensionError,
-                     InvalidIndexError, NumericError)
+                     InvalidIndexError, NumericError, UnsupportedError,
+                     is_integer)
 from .potts import PottsHamiltonian, _integer_states
 from .tensor_core import BoundaryMps, ContractionParams, compress
 from .tensor_core import overlap as mps_overlap
@@ -65,7 +66,7 @@ class LatticeTransform:
     code: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.code <= 7:
+        if not (is_integer(self.code) and 0 <= self.code <= 7):
             raise InvalidIndexError(f"transform code must be 0..7, got {self.code}")
 
     @property
@@ -126,6 +127,9 @@ class PepsNetwork:
         self.transform = transform
         self.beta = float(beta)
         self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.float32, np.float64):
+            raise UnsupportedError(
+                f"dtype must be float32 or float64, got {self.dtype}")
         grid = transform.grid((hamiltonian.rows, hamiltonian.cols))
         self.rows, self.cols = grid.shape
         self.position_map = grid.ravel()
@@ -325,12 +329,12 @@ def right_tables(net: PepsNetwork, bottom: BoundaryMps, row: int,
                  values: np.ndarray) -> list[np.ndarray]:
     """Summed weights of the free columns right of each column of ``row``.
 
-    ``values`` holds U assignments that cover at least the rows above
-    ``row``. In one backward sweep batched over U, each free column
+    ``values`` holds B assignments that cover at least the rows above
+    ``row``. In one backward sweep batched over B, each free column
     contributes its site weight, its edge to the left and its couplings
     to the row above. Entry ``col - 1`` of the result has shape
-    ``(U, d_col, right bond of column col)``, is indexed by the
-    candidate state of column ``col`` and is max-normalized per ``u``.
+    ``(B, d_col, right bond of column col)``, is indexed by the
+    candidate state of column ``col`` and is max-normalized per assignment.
     """
     env = np.ones((len(values), net.dim_at(row, net.cols), 1), dtype=net.dtype)
     tables = [env]

@@ -20,7 +20,7 @@ from typing import Iterator, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import (DimensionError, GeometryError, InvalidIndexError,
-                     NumericError, UnsupportedError)
+                     NumericError, UnsupportedError, check_count)
 from .ising import IsingGraph
 
 Site = Tuple[int, int]
@@ -35,6 +35,8 @@ class ClusterTopology:
     spins_per_cluster: int
 
     def __post_init__(self):
+        for name in ("rows", "cols", "spins_per_cluster"):
+            check_count(name, getattr(self, name))
         if self.rows < 1 or self.cols < 1 or self.spins_per_cluster < 1:
             raise DimensionError(f"topology entries must be positive, got {self}")
 
@@ -74,6 +76,8 @@ class PottsHamiltonian:
     """
 
     def __init__(self, rows: int, cols: int):
+        check_count("rows", rows)
+        check_count("cols", cols)
         if rows < 1 or cols < 1:
             raise DimensionError(f"grid must be at least 1x1, got {rows}x{cols}")
         self.rows = rows

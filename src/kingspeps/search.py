@@ -17,8 +17,8 @@ network's largest later king neighbour of p, is at least k.
 The lower half is contracted once per solve, into one bottom
 environment per row. One contraction per step then gives all
 conditionals: each branch carries its left vector along the row, and a
-row's right tables are built once, at its first column, for the
-distinct rows above.
+row's right tables are built once, at its first column, one row of
+tables per branch.
 
 Every population is kept sorted lexicographically by its values, so a
 branch's index is its rank. Sorted parents give sorted children, since
@@ -27,15 +27,15 @@ emit their survivors in index order, and the stable sorts they rank by
 break ties by index, that is, by values.
 
 Merging is batched as well. A merge ranks the branches by one stable
-lexsort of their boundary values, then energy (:func:`_ranked`), as a
-row start ranks the rows above; each run of equal boundary values is a
-group. Every distance a droplet candidate must be checked against is
-counted over whole configurations; Python only makes the sequential
-keep-or-evict decisions. The droplets a solve records go into one
-append-only :class:`DropletTable`, a dense row of flipped states each,
-and each branch holds the tuple of its droplets' ids in an object array
-gathered by index like the other columns. :class:`Droplet` objects are
-built once, at the end, for the droplets the final branches carry.
+lexsort of their boundary values, then energy (:func:`_ranked`); each
+run of equal boundary values is a group. Every distance a droplet
+candidate must be checked against is counted over whole configurations;
+Python only makes the sequential keep-or-evict decisions. The droplets
+a solve records go into one append-only :class:`DropletTable`, a dense
+row of flipped states each, and each branch holds the tuple of its
+droplets' ids in an object array gathered by index like the other
+columns. :class:`Droplet` objects are built once, at the end, for the
+droplets the final branches carry.
 """
 
 from __future__ import annotations
@@ -196,8 +196,9 @@ class Branches:
     ``log_probability`` (B,): summed log conditionals; ``energy`` (B,):
     exact energy of the terms determined so far; ``left``: left vectors
     in the current row, as :func:`conditionals` returns them (it
-    normalizes them where it reads them); ``above``: each branch's row
-    in ``right``, the current row's right tables (None between rows);
+    normalizes them where it reads them); ``above``: the index of the
+    branch's ancestor at the row start, its row in ``right``, the
+    current row's right tables (None between rows);
     ``droplets`` (B,): an object array holding each branch's tuple of
     droplet ids in ``table``, the solve's :class:`DropletTable`, so that
     it is gathered by index like the other columns.
@@ -261,26 +262,17 @@ def _boundary(reach: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(reach[:k] >= k)
 
 
-def _ranked(block: np.ndarray, *ties: np.ndarray):
+def _ranked(block: np.ndarray, tie: np.ndarray):
     """The order that ranks the rows of ``block`` lexicographically, ties
-    broken by ``ties`` (the last first), then by index; and, for each
-    ranked row, whether its ``block`` values differ from the row before."""
-    keys = ties + tuple(block.T[::-1])  # the last lexsort key is the primary
-    order = np.lexsort(keys) if keys else np.arange(len(block))
+    broken by ``tie``, then by index; and, for each ranked row, whether
+    its ``block`` values differ from the row before."""
+    # the last lexsort key is the primary one
+    order = np.lexsort((tie,) + tuple(block.T[::-1]))
     ranked = block.take(order, axis=0)
     new = np.ones(len(block), dtype=bool)
     # row sums as a product: numpy reduces short rows one at a time
     new[1:] = (ranked[1:] != ranked[:-1]) @ np.ones(block.shape[1]) > 0
     return order, new
-
-
-def _distinct_rows(block: np.ndarray):
-    """The first index of each distinct row of ``block`` and every row's
-    group, groups numbered in the rows' lexicographic order."""
-    order, new = _ranked(block)
-    group = np.empty(len(block), dtype=np.intp)
-    group[order] = new.cumsum() - 1
-    return order[new], group
 
 
 def branch(states: Branches, k: int, net: PepsNetwork,
@@ -303,12 +295,10 @@ def branch(states: Branches, k: int, net: PepsNetwork,
             f"branch at position {k} requires {k - 1} assigned values, "
             f"got {states.values.shape[1]}")
     bottom = envs[row - 1]
-    if col == 1:  # the boundary is the row above
-        first, index = _distinct_rows(
-            states.values[:, _boundary(net.reach, k - 1)])
+    if col == 1:
         states = replace(states, left=np.ones((len(states), 1), dtype=net.dtype),
-                         above=index,
-                         right=right_tables(net, bottom, row, states.values[first]))
+                         above=np.arange(len(states)),
+                         right=right_tables(net, bottom, row, states.values))
     terms = step_energies(net, row, col, states.values)
     probabilities, lefts = conditionals(
         net, bottom, row, col, states.left, states.right[col - 1],
@@ -554,13 +544,8 @@ def low_energy_spectrum(h: PottsHamiltonian,
             states, largest_discarded = prune(states, search_params,
                                               largest_discarded)
         if k % net.cols == 0:
-            if logger.isEnabledFor(logging.DEBUG):
-                above = _distinct_rows(
-                    states.values[:, _boundary(net.reach, k - net.cols)])[0]
-                logger.debug("row %d/%d: %d branches, %d distinct rows above, "
-                             "merged at %d of %d steps", k // net.cols,
-                             net.rows, len(states), len(above), merges,
-                             net.cols)
+            logger.debug("row %d/%d: %d branches, merged at %d of %d steps",
+                         k // net.cols, net.rows, len(states), merges, net.cols)
             merges = 0
 
     original = np.empty_like(states.values)

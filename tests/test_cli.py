@@ -16,6 +16,7 @@ from kingspeps import (ClusterTopology, cluster, exact_spectrum,
 from kingspeps.cli import _build_parser, _check_transforms, main
 from kingspeps.errors import (DimensionError, NumericError,
                               TransformDisagreementError)
+from conftest import assert_raises_exactly
 
 
 class TestGenerate:
@@ -53,6 +54,10 @@ class TestGenerate:
     def test_size_below_one_rejected(self, sizes):
         with pytest.raises(DimensionError, match="sizes must be >= 1"):
             generate_instance(*sizes, seed=1)
+
+    def test_non_integral_size_rejected(self):
+        assert_raises_exactly(lambda: generate_instance(2.5, 2, 1, seed=1),
+                              DimensionError, "rows must be an integer, got 2.5")
 
     @pytest.mark.parametrize("bounds,name", [
         ({"low": float("nan")}, "low"), ({"high": float("-inf")}, "high"),

@@ -63,6 +63,7 @@ def test_constructor_rejects_self_edge():
     ((2,), {"fields": {3: 1.0}}, InvalidIndexError, "field index 3 outside 1..2"),
     ((2,), {"fields": [1.0]}, DimensionError,
      "fields must have length 2, got (1,)"),
+    ((2.5,), {}, DimensionError, "n_spins must be an integer, got 2.5"),
 ])
 def test_constructor_rejection_class_and_message(args, kwargs, error, message):
     assert_raises_exactly(lambda: IsingGraph(*args, **kwargs), error, message)

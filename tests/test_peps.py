@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kingspeps import (ALL_TRANSFORMS, ClusterTopology, ContractionParams,
-                       cluster, exact_spectrum, potts_energy)
+                       cluster, exact_spectrum, low_energy_spectrum,
+                       potts_energy)
 from kingspeps.errors import (ContractionDegenerateError, DimensionError,
-                              InvalidIndexError, NumericError)
+                              InvalidIndexError, NumericError,
+                              UnsupportedError)
 from kingspeps.ising import IsingGraph
 from kingspeps.oracle import exact_conditional
 from kingspeps.peps import (LatticeTransform, bottom_environments,
@@ -187,7 +189,7 @@ class TestBuildNetwork:
             build_network(h, beta=beta)
 
 
-class TestRowTransferMpo:
+class TestRowProduct:
     """:func:`row_product`, the transfer from one row to the one above."""
 
     def test_uncoupled_columns_factorize(self):
@@ -678,6 +680,11 @@ class TestConditionalDistribution:
                 conditional_distribution(net, envs, partial)
 
 
+def _solve_3x3(dtype):
+    return low_energy_spectrum(random_clustered(3, 3, 1, seed=3)[1],
+                               dtype=dtype)
+
+
 def _conditional_after_every_site():
     net = build_network(random_potts(2, 2, 2, seed=16), beta=1.0)
     return conditional_distribution(net, exact_envs(net), (1, 2, 1, 2))
@@ -686,6 +693,14 @@ def _conditional_after_every_site():
 @pytest.mark.parametrize("call, error, message", [
     (lambda: LatticeTransform(8), InvalidIndexError,
      "transform code must be 0..7, got 8"),
+    (lambda: LatticeTransform(1.5), InvalidIndexError,
+     "transform code must be 0..7, got 1.5"),
+    (lambda: _solve_3x3(np.float16), UnsupportedError,
+     "dtype must be float32 or float64, got float16"),
+    (lambda: _solve_3x3(np.int64), UnsupportedError,
+     "dtype must be float32 or float64, got int64"),
+    (lambda: _solve_3x3(np.complex128), UnsupportedError,
+     "dtype must be float32 or float64, got complex128"),
     # a prefix that assigns every site is one condition with one class,
     # in the network's conditional and in the exact one
     (_conditional_after_every_site, DimensionError,

@@ -348,8 +348,12 @@ def _two_by_two():
     (lambda: ClusterTopology(0, 1, 1), DimensionError,
      "topology entries must be positive, got "
      "ClusterTopology(rows=0, cols=1, spins_per_cluster=1)"),
+    (lambda: ClusterTopology(2.5, 2, 1), DimensionError,
+     "rows must be an integer, got 2.5"),
     (lambda: PottsHamiltonian(0, 2), DimensionError,
      "grid must be at least 1x1, got 0x2"),
+    (lambda: PottsHamiltonian(2.0, 2), DimensionError,
+     "rows must be an integer, got 2.0"),
     (lambda: _two_by_two().set_node((3, 1), [0.0]), InvalidIndexError,
      "site (3, 1) outside 2x2 grid"),
     (lambda: _two_by_two().set_node((1, 2), []), DimensionError,

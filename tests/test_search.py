@@ -715,10 +715,20 @@ class TestDistances:
                 axis=1).tolist() == expected
 
 
+def _distinct_rows(block):
+    """The first index of each distinct row of ``block`` and every row's
+    group, groups numbered in the rows' lexicographic order, as
+    :func:`_ranked` ranks them under an all-equal tie."""
+    from kingspeps.search import _ranked
+    order, new = _ranked(block, np.zeros(len(block)))
+    group = np.empty(len(block), dtype=np.intp)
+    group[order] = new.cumsum() - 1
+    return order[new], group
+
+
 def _assert_ranks_match_unique(block):
-    """:func:`_distinct_rows` of ``block`` groups and orders its rows as
+    """:func:`_ranked` of ``block`` groups and orders its rows as
     ``np.unique(block, axis=0)`` does."""
-    from kingspeps.search import _distinct_rows
     first, group = _distinct_rows(block)
     _, unique_first, unique_group = np.unique(
         block, axis=0, return_index=True, return_inverse=True)
@@ -728,7 +738,6 @@ def _assert_ranks_match_unique(block):
 
 class TestDistinctRows:
     def test_wide_rows_match_row_tuples(self):
-        from kingspeps.search import _distinct_rows
         rng = np.random.default_rng(5)
         # 70 binary columns, half the rows repeats of the other half
         block = rng.integers(1, 3, size=(120, 70))
@@ -1016,13 +1025,45 @@ class TestMergeSkip:
         _, h = random_clustered(3, 3, 2, seed=33)
         with caplog.at_level(logging.DEBUG, logger="kingspeps.search"):
             _solve(h)
-        counts = [re.search(r"^row (\d)/3: .*merged at (\d) of 3 steps$",
+        counts = [re.search(r"^row (\d)/3: (\d+) branches, "
+                            r"merged at (\d) of 3 steps$",
                             r.getMessage()) for r in caplog.records
                   if r.getMessage().startswith("row ")]
         # row 1 sheds no site; row 2 sheds at columns 2, 3; row 3 at
         # column 2, its last step never merges
-        assert [m.groups() for m in counts] == [("1", "0"), ("2", "2"),
-                                                ("3", "1")]
+        assert [m.group(1, 3) for m in counts] == [("1", "0"), ("2", "2"),
+                                                   ("3", "1")]
+
+    @pytest.mark.parametrize("transform", ALL_TRANSFORMS, ids=lambda t: t.name)
+    @pytest.mark.parametrize("case", [
+        ("5x1", lambda: random_clustered(5, 1, 2, seed=15)[1], "spin"),
+        ("4x2", lambda: random_clustered(4, 2, 2, seed=42)[1], "spin"),
+        ("3x3x2", lambda: random_clustered(3, 3, 2, seed=33)[1], "spin"),
+        ("ragged3x4", lambda: _ragged_potts(3, 4, seed=34), "potts"),
+    ], ids=lambda case: case[0])
+    def test_row_starts_are_distinct_on_the_row_above(self, case, transform,
+                                                       monkeypatch):
+        # the step before a row start merges on the row above (or, at
+        # row 2, the population holds only row 1), so each branch at a
+        # row start builds its own right tables without repeating one
+        _, model, mode = case
+        starts, rows = [], set()
+
+        def checked(states, k, net, envs):
+            if net.site_of(k)[1] == 1:
+                above = states.values[:, max(k - 1 - net.cols, 0):k - 1]
+                assert len(np.unique(above, axis=0)) == len(states), k
+                starts.append(len(states))
+                rows.add(net.rows)
+            return branch(states, k, net, envs)
+
+        monkeypatch.setattr(search_module, "branch", checked)
+        _solve(model(), transform, bond_dim=8, max_states=12,
+               dp=DropletParams(energy_cutoff=4.0, hamming_cutoff=2,
+                                mode=mode))
+        assert [len(starts)] == list(rows)
+        # past row 1 every row start checks more than one branch
+        assert all(n > 1 for n in starts[1:])
 
 
 class TestGaugeFlip:
