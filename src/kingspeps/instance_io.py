@@ -15,7 +15,11 @@ Two input formats are supported:
   ``n r c s e`` (energy ``e`` for state ``s`` at site ``(r, c)``) and
   edge records ``e r1 c1 r2 c2 s1 s2 e``. Sites are 1-based, edge
   records must connect king-adjacent sites, and a site's dimension is
-  the largest state index referenced there. Unspecified entries are 0.
+  the largest state index referenced there. Unspecified entries are 0,
+  so a site named only by edge records gets a zero node table. The two
+  orientations of an edge are one entry, so a second record for it in
+  either orientation is a duplicate. Edge tables enter the energy sum
+  in the order of their first record.
 """
 
 from __future__ import annotations
@@ -33,14 +37,16 @@ from .potts import PottsHamiltonian, king_adjacent
 import numpy as np
 
 
-def _lines(text) -> list[str]:
+def _records(text, comment_prefixes):
+    """The record lines of a string or file-like object as ``(lineno,
+    stripped, tokens)``, skipping blank lines and lines that start with
+    one of ``comment_prefixes``."""
     if hasattr(text, "read"):
         text = text.read()
-    return text.splitlines()
-
-
-def _is_comment(stripped: str) -> bool:
-    return not stripped or stripped.startswith("#") or stripped.startswith("c")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith(comment_prefixes):
+            yield lineno, stripped, stripped.split()
 
 
 def _value(token: str, stripped: str, lineno: int) -> float:
@@ -64,14 +70,8 @@ def parse_ising(text) -> IsingGraph:
         DuplicateEntryError: the same edge or field appears twice.
         InvalidIndexError: a spin index is zero or negative.
     """
-    couplings: dict[tuple[int, int], float] = {}
-    fields: dict[int, float] = {}
-    n_spins = 0
-    for lineno, raw in enumerate(_lines(text), start=1):
-        stripped = raw.strip()
-        if _is_comment(stripped):
-            continue
-        tokens = stripped.split()
+    entries: dict[tuple[int, int], float] = {}  # (i, i) is a field
+    for lineno, stripped, tokens in _records(text, ("#", "c")):
         if len(tokens) != 3:
             raise ParseError(f"expected 'i j v', got {stripped!r}", line=lineno)
         try:
@@ -82,18 +82,16 @@ def parse_ising(text) -> IsingGraph:
         if i <= 0 or j <= 0:
             raise InvalidIndexError(
                 f"line {lineno}: spin indices are 1-based, got ({i}, {j})")
-        if i == j:
-            if i in fields:
-                raise DuplicateEntryError(f"field for spin {i} given twice",
-                                          line=lineno)
-            fields[i] = value
-        else:
-            key = (i, j) if i < j else (j, i)
-            if key in couplings:
-                raise DuplicateEntryError(
-                    f"coupling ({key[0]}, {key[1]}) given twice", line=lineno)
-            couplings[key] = value
-        n_spins = max(n_spins, i, j)
+        key = (i, j) if i <= j else (j, i)
+        if key in entries:
+            what = (f"field for spin {i}" if i == j
+                    else f"coupling ({key[0]}, {key[1]})")
+            raise DuplicateEntryError(f"{what} given twice", line=lineno)
+        entries[key] = value
+    couplings = {key: value for key, value in entries.items()
+                 if key[0] != key[1]}
+    fields = {i: value for (i, j), value in entries.items() if i == j}
+    n_spins = max((j for _, j in entries), default=0)
     return IsingGraph(n_spins, couplings, fields)
 
 
@@ -108,8 +106,7 @@ def generate_instance(rows: int, cols: int, spins_per_cluster: int,
     for a given seed. A lone spin without fields gets the line ``1 1 0.0``,
     since the format takes the spin count from the largest index seen.
     Raises :class:`DimensionError` for a size that is not an integer or
-    is below 1
-    and :class:`NumericError` for a non-finite bound.
+    is below 1, and :class:`NumericError` for a non-finite bound.
     """
     for name, size in (("rows", rows), ("cols", cols),
                        ("spins_per_cluster", spins_per_cluster)):
@@ -155,6 +152,10 @@ def generate_instance(rows: int, cols: int, spins_per_cluster: int,
     return "\n".join(rows_out) + "\n"
 
 
+# sites a Potts record names, by its tag and token count
+_RECORD_SITES = {("n", 5): 1, ("e", 8): 2}
+
+
 def parse_potts(text) -> PottsHamiltonian:
     """Parse the grid Potts format described in the module docstring.
 
@@ -164,30 +165,13 @@ def parse_potts(text) -> PottsHamiltonian:
         GeometryError: an edge record connects non-king-adjacent sites.
         InvalidIndexError: coordinates outside the declared grid, or a
             non-positive state index.
-        DuplicateEntryError: the same table entry is set twice.
+        DuplicateEntryError: the same table entry is set twice, an edge
+            entry in either orientation.
     """
     header = None
-    node_entries: dict[tuple[tuple[int, int], int], float] = {}
-    edge_entries: dict[tuple, float] = {}
+    entries: dict[tuple, float] = {}  # (sites, states), sites row-major
     dims: dict[tuple[int, int], int] = {}
-
-    def bump(site, state, lineno):
-        if state <= 0:
-            raise InvalidIndexError(
-                f"line {lineno}: state indices are 1-based, got {state}")
-        dims[site] = max(dims.get(site, 1), state)
-
-    def check_site(site, lineno):
-        r, c = site
-        if not (1 <= r <= header[0] and 1 <= c <= header[1]):
-            raise InvalidIndexError(
-                f"line {lineno}: site {site} outside {header[0]}x{header[1]} grid")
-
-    for lineno, raw in enumerate(_lines(text), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
+    for lineno, stripped, tokens in _records(text, "#"):
         if header is None:
             if tokens[0] != "P" or len(tokens) != 3:
                 raise ParseError(f"expected header 'P m n', got {stripped!r}",
@@ -201,63 +185,53 @@ def parse_potts(text) -> PottsHamiltonian:
                 raise ParseError(f"grid size must be positive, got {header}",
                                  line=lineno)
             continue
-        tag = tokens[0]
+        n_sites = _RECORD_SITES.get((tokens[0], len(tokens)))
+        if n_sites is None:
+            raise ParseError(f"unrecognized record {stripped!r}", line=lineno)
         try:
-            if tag == "n" and len(tokens) == 5:
-                site = (int(tokens[1]), int(tokens[2]))
-                state = int(tokens[3])
-                value = _value(tokens[4], stripped, lineno)
-                check_site(site, lineno)
-                bump(site, state, lineno)
-                key = (site, state)
-                if key in node_entries:
-                    raise DuplicateEntryError(
-                        f"node entry {site} state {state} given twice", line=lineno)
-                node_entries[key] = value
-            elif tag == "e" and len(tokens) == 8:
-                a = (int(tokens[1]), int(tokens[2]))
-                b = (int(tokens[3]), int(tokens[4]))
-                sa, sb = int(tokens[5]), int(tokens[6])
-                value = _value(tokens[7], stripped, lineno)
-                check_site(a, lineno)
-                check_site(b, lineno)
-                if a == b or not king_adjacent(a, b):
-                    raise GeometryError(
-                        f"line {lineno}: sites {a} and {b} are not king-adjacent")
-                bump(a, sa, lineno)
-                bump(b, sb, lineno)
-                if b < a:
-                    a, b, sa, sb = b, a, sb, sa
-                key = (a, b, sa, sb)
-                if key in edge_entries:
-                    raise DuplicateEntryError(
-                        f"edge entry {a}-{b} states ({sa}, {sb}) given twice",
-                        line=lineno)
-                edge_entries[key] = value
-            else:
-                raise ParseError(f"unrecognized record {stripped!r}", line=lineno)
+            numbers = [int(token) for token in tokens[1:-1]]
+            value = _value(tokens[-1], stripped, lineno)
         except ValueError:
             raise ParseError(f"non-numeric entry in {stripped!r}", line=lineno)
+        sites = tuple((numbers[2 * k], numbers[2 * k + 1])
+                      for k in range(n_sites))
+        states = tuple(numbers[2 * n_sites:])
+        m, n = header
+        for site in sites:
+            if not (1 <= site[0] <= m and 1 <= site[1] <= n):
+                raise InvalidIndexError(
+                    f"line {lineno}: site {site} outside {m}x{n} grid")
+        if n_sites == 2 and not king_adjacent(*sites):  # a self edge too
+            raise GeometryError(f"line {lineno}: sites {sites[0]} and "
+                                f"{sites[1]} are not king-adjacent")
+        for site, state in zip(sites, states):
+            if state <= 0:
+                raise InvalidIndexError(
+                    f"line {lineno}: state indices are 1-based, got {state}")
+            dims[site] = max(dims.get(site, 1), state)
+        if sites[-1] < sites[0]:
+            sites, states = sites[::-1], states[::-1]
+        if (sites, states) in entries:
+            what = (f"node entry {sites[0]} state {states[0]}" if n_sites == 1
+                    else f"edge entry {sites[0]}-{sites[1]} states {states}")
+            raise DuplicateEntryError(f"{what} given twice", line=lineno)
+        entries[(sites, states)] = value
 
     if header is None:
         raise ParseError("missing 'P m n' header")
 
+    # every referenced site gets a node table, then edges by first record
+    tables = {(site,): np.zeros(d) for site, d in dims.items()}
+    for (sites, states), value in entries.items():
+        if sites not in tables:
+            tables[sites] = np.zeros([dims[site] for site in sites])
+        tables[sites][tuple(state - 1 for state in states)] = value
     h = PottsHamiltonian(*header)
-    node_tables: dict[tuple[int, int], np.ndarray] = {}
-    for (site, state), value in node_entries.items():
-        table = node_tables.setdefault(site, np.zeros(dims[site]))
-        table[state - 1] = value
-    for site, d in dims.items():
-        table = node_tables.get(site)
-        if table is None:
-            table = np.zeros(d)
-        h.set_node(site, table)
-    edge_tables: dict[tuple, np.ndarray] = {}
-    for (a, b, sa, sb), value in edge_entries.items():
-        table = edge_tables.setdefault((a, b), np.zeros((dims[a], dims[b])))
-        table[sa - 1, sb - 1] = value
-    for (a, b), table in edge_tables.items():
-        h.set_edge(a, b, table)
+    for sites, table in tables.items():
+        if len(sites) == 1:
+            h.set_node(sites[0], table)
+        else:
+            h.set_edge(*sites, table)
     return h
 
 

@@ -643,9 +643,13 @@ def unpack_droplets(solution: Solution, max_depth: int | None = 2) -> Solution:
 def merge_solutions(solutions: Sequence[Solution]) -> Solution:
     """Combine per-transform runs: sort by energy, deduplicate by state.
     The first run's parameters name every run's transform, in order,
-    and map each transform's name to its run's best energy."""
+    and map each transform's name to its run's best energy. Every run
+    must share one beta, the one droplet unpacking scales by."""
     if not solutions:
         raise DimensionError("nothing to merge")
+    betas = sorted({s.beta for s in solutions})
+    if len(betas) > 1:
+        raise UnsupportedError(f"cannot merge runs at different beta: {betas}")
     entries = []
     for sol in solutions:
         entries.extend(zip(sol.energies, sol.states, sol.log_probabilities,

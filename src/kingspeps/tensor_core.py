@@ -217,22 +217,21 @@ def _truncate_right_sweep(mps: BoundaryMps, bond_dim: int):
     Each step multiplies ``u*s`` into the right bond of the site to its
     left, block by block where that site is carried, so the result has
     no carried site. Returns that right-canonical state (orthogonality
-    center at site 0) and whether every bond kept all its singular
-    values (each SVD's rank equal to its matrix's smaller side), in
-    which case the state is the input up to rounding.
+    center at site 0) and the discarded weight summed over the SVDs; at
+    exactly 0 the state is the input up to rounding.
     """
     tensors = [t for t in mps.tensors]
-    exact = True
+    discarded = 0.0
     for i in range(len(tensors) - 1, 0, -1):
         dl, d, dr = tensors[i].shape
-        u, s, v, _ = svd_truncate(tensors[i].reshape(dl, d * dr), bond_dim)
-        k = s.size
-        exact = exact and k == min(dl, d * dr)
-        tensors[i] = v.T.reshape(k, d, dr)
+        u, s, v, weight = svd_truncate(tensors[i].reshape(dl, d * dr),
+                                       bond_dim)
+        discarded += weight
+        tensors[i] = v.T.reshape(s.size, d, dr)
         tensors[i - 1] = _times_right(tensors[i - 1], u * s,
                                       mps.carried[i - 1])
     log_scale = _fold_center(tensors, mps.log_scale, 0)
-    return BoundaryMps(tensors, log_scale), exact
+    return BoundaryMps(tensors, log_scale), discarded
 
 
 def _variational_sweep(state: BoundaryMps, target: BoundaryMps) -> BoundaryMps:
@@ -301,13 +300,13 @@ def compress(mps: BoundaryMps, params: ContractionParams):
     <Pt|Pt> = <c|c>`` and the fidelity is ``|c|^2 / |t|^2``: the centre's
     norm against the input norm that :func:`left_canonicalize` yields.
 
-    Skip rule: when every SVD kept all its singular values (rank equal
-    to the smaller side of its matrix), ``P`` is the identity on the
-    range of ``t``, so ``c = t`` already and a sweep could only add
-    rounding. The sweeps are then skipped and a DEBUG line says so;
-    otherwise a DEBUG line reports the sweeps run. A value dropped only
-    by the ``RANK_EPS`` floor counts as a cut: at high beta the sweep
-    after such a drop still moves log-probabilities by about 1e-10.
+    Skip rule: when the discarded weight summed over the SVDs is
+    exactly 0, ``P`` is the identity on the range of ``t``, so ``c = t``
+    already and a sweep could only add rounding. The sweeps are then
+    skipped and a DEBUG line says so; otherwise a DEBUG line reports the
+    sweeps run. A nonzero value dropped only by the ``RANK_EPS`` floor
+    counts as a cut: at high beta the sweep after such a drop still
+    moves log-probabilities by about 1e-10.
 
     Returns:
         ``(compressed, fidelity)`` where fidelity is the normalized
@@ -317,8 +316,8 @@ def compress(mps: BoundaryMps, params: ContractionParams):
         DegenerateStateError: the input represents the zero vector.
     """
     canonical = left_canonicalize(mps)
-    state, exact = _truncate_right_sweep(canonical, params.bond_dim)
-    if exact:
+    state, discarded = _truncate_right_sweep(canonical, params.bond_dim)
+    if discarded == 0.0:
         logger.debug("compress: every bond kept whole, %d sweep(s) skipped",
                      params.num_sweeps)
     else:

@@ -401,6 +401,25 @@ class TestSolve:
 
 
 class TestPottsFormat:
+    @pytest.mark.parametrize("text, message", [
+        ("P 2 3\ne 1 1 1 3 1 1 -1.0",
+         "line 2: sites (1, 1) and (1, 3) are not king-adjacent"),
+        ("P 2 2\nn 1 1 1 0.0\ne 2 2 2 2 1 1 -1.0",
+         "line 3: sites (2, 2) and (2, 2) are not king-adjacent"),
+        ("P 2 2\nn 3 1 1 0.0", "line 2: site (3, 1) outside 2x2 grid"),
+        ("P 1 2\ne 1 1 1 2 0 1 0.5",
+         "line 2: state indices are 1-based, got 0"),
+        ("P 1 2\ne 1 1 1 2 1 2 0.5\ne 1 2 1 1 2 1 0.25",
+         "line 3: edge entry (1, 1)-(1, 2) states (1, 2) given twice"),
+        ("P 1 1\nn 1 1 1 x", "line 2: non-numeric entry in 'n 1 1 1 x'"),
+    ])
+    def test_record_error_exits_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "grid.txt"
+        path.write_text(text + "\n")
+        assert main(["solve", str(path), "--format", "potts"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_native_potts_solve(self, tmp_path):
         lines = ["P 2 2"]
         # a frustrated 3-state plaquette with explicit tables

@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import random
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from kingspeps import (ALL_TRANSFORMS, ContractionParams, DropletParams,
                        parse_ising, write_solution)
 from kingspeps.instance_io import parse_potts, solution_to_dict
 from kingspeps.ising import IsingGraph
+from kingspeps.potts import PottsHamiltonian, potts_energies
 from kingspeps.errors import (DuplicateEntryError, GeometryError,
                               InvalidIndexError, ParseError)
 from kingspeps.search import Droplet, Solution
-from conftest import assert_raises_exactly, random_clustered, serialize_ising
+from conftest import (assert_raises_exactly, ragged_potts, random_clustered,
+                      serialize_ising)
 from test_golden_search import CASES, _case_solutions
 
 
@@ -182,6 +185,73 @@ class TestParsePotts:
     ])
     def test_rejection_class_and_message(self, text, error, message):
         assert_raises_exactly(lambda: parse_potts(text), error, message)
+
+
+def _potts_records(h, rng, skipped):
+    """Every table entry of ``h`` as a Potts record ``(sites, states,
+    value)``, shuffled: no node records for the sites in ``skipped``,
+    and each edge record in a random orientation."""
+    records = []
+    for site in h.sites():
+        if site not in skipped:
+            records += [((site,), (s + 1,), float(v))
+                        for s, v in enumerate(h.node_table(site))]
+    for (a, b), table in h.edge_tables():
+        for (sa, sb), v in np.ndenumerate(table):
+            if rng.random() < 0.5:
+                records.append(((a, b), (sa + 1, sb + 1), float(v)))
+            else:
+                records.append(((b, a), (sb + 1, sa + 1), float(v)))
+    rng.shuffle(records)
+    return records
+
+
+def _potts_text(rows, cols, records):
+    lines = [f"P {rows} {cols}"]
+    for sites, states, value in records:
+        numbers = [x for site in sites for x in site] + list(states)
+        tag = "n" if len(sites) == 1 else "e"
+        lines.append(f"{tag} {' '.join(map(str, numbers))} {value!r}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 3), cols=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_potts_records_in_any_order(rows, cols, seed):
+    # a ragged model with some edges absent, written as shuffled records;
+    # some sites get no node records, so edge records alone name them
+    rng = np.random.default_rng(seed)
+    model = ragged_potts(rows, cols, rng.integers(1, 5, size=rows * cols),
+                         seed)
+    skipped = {site for site in model.sites() if rng.random() < 0.3}
+    records = _potts_records(model, random.Random(seed), skipped)
+    h = parse_potts(_potts_text(rows, cols, records))
+
+    named = dict.fromkeys(site for sites, _, _ in records for site in sites)
+    edges = list(dict.fromkeys(tuple(sorted(sites))
+                               for sites, _, _ in records if len(sites) == 2))
+    nodes = {site: np.zeros(model.dim(site)) if site in skipped
+             else model.node_table(site) for site in named}
+    assert list(h._edge) == edges
+    for site in model.sites():
+        assert h.dim(site) == (model.dim(site) if site in named else 1)
+        assert np.array_equal(h.node_table(site),
+                              nodes.get(site, np.zeros(1)))
+    assert list(h._node) == list(named)
+    assert ([(pair, t.tolist()) for pair, t in h.edge_tables()]
+            == [(pair, t.tolist()) for pair, t in model.edge_tables()])
+
+    # edge tables enter the energy sum in first-record order
+    reference = PottsHamiltonian(rows, cols)
+    for site, table in nodes.items():
+        reference.set_node(site, table)
+    for a, b in edges:
+        reference.set_edge(a, b, model.edge_table(a, b))
+    dims = [h.dim(site) for site in h.sites()]
+    values = rng.integers(1, np.array(dims) + 1, size=(64, len(dims)))
+    assert (potts_energies(h, values).tobytes()
+            == potts_energies(reference, values).tobytes())
 
 
 def _tiny_solution(droplets):

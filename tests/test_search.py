@@ -80,6 +80,9 @@ def _branch_too_far():
     (_branch_too_far, DimensionError,
      "branch at position 2 requires 1 assigned values, got 0"),
     (lambda: merge_solutions([]), DimensionError, "nothing to merge"),
+    (lambda: merge_solutions([_one_droplet_solution(),
+                              replace(_one_droplet_solution(), beta=2.0)]),
+     UnsupportedError, "cannot merge runs at different beta: [1.0, 2.0]"),
     (lambda: unpack_droplets(_one_droplet_solution(), max_depth=-1),
      DimensionError, "max_depth must be >= 0, got -1"),
     (lambda: unpack_droplets(_one_droplet_solution(), max_depth=1.5),
