@@ -8,6 +8,9 @@ former to exit code 1 and the latter to exit code 2.
 
 import operator
 
+# the most entries one table or enumeration may hold: 128 MiB of float64
+SIZE_GUARD = 2 ** 24
+
 
 class SolverError(Exception):
     """Base class for all errors raised by this package."""
@@ -44,7 +47,7 @@ class UnsupportedError(SolverError):
 
 
 class TooLargeError(SolverError):
-    """Exhaustive enumeration was requested beyond the safety guard."""
+    """A table or an enumeration would exceed :data:`SIZE_GUARD` entries."""
 
 
 class NumericError(SolverError):
@@ -86,3 +89,11 @@ def check_count(name: str, value, low: int | None = None):
         raise DimensionError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise DimensionError(f"{name} must be >= {low}, got {value}")
+
+
+def check_size(what: str, size: int):
+    """Raise :class:`TooLargeError` naming ``what`` when ``size`` entries
+    exceed ``SIZE_GUARD``; checked before anything that large is built."""
+    if size > SIZE_GUARD:
+        raise TooLargeError(f"{what} has {size} entries, more than the "
+                            f"size guard of {SIZE_GUARD}")

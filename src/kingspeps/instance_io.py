@@ -30,7 +30,8 @@ from datetime import datetime, timezone
 from typing import IO
 
 from .errors import (DimensionError, DuplicateEntryError, GeometryError,
-                     InvalidIndexError, NumericError, ParseError, check_count)
+                     InvalidIndexError, NumericError, ParseError, check_count,
+                     check_size)
 from .ising import IsingGraph
 from .potts import PottsHamiltonian, king_adjacent
 
@@ -106,7 +107,9 @@ def generate_instance(rows: int, cols: int, spins_per_cluster: int,
     for a given seed. A lone spin without fields gets the line ``1 1 0.0``,
     since the format takes the spin count from the largest index seen.
     Raises :class:`DimensionError` for a size that is not an integer or
-    is below 1, and :class:`NumericError` for a non-finite bound.
+    is below 1 and for a seed that is not an integer or is negative, and
+    :class:`NumericError` for a non-finite bound or when ``high - low``
+    is negative or not finite.
     """
     for name, size in (("rows", rows), ("cols", cols),
                        ("spins_per_cluster", spins_per_cluster)):
@@ -114,9 +117,14 @@ def generate_instance(rows: int, cols: int, spins_per_cluster: int,
     if min(rows, cols, spins_per_cluster) < 1:
         raise DimensionError(f"sizes must be >= 1, got {rows} x {cols} "
                              f"with {spins_per_cluster} spins per cluster")
+    if seed is not None:
+        check_count("seed", seed, 0)
     for name, bound in (("low", low), ("high", high)):
         if not math.isfinite(bound):
             raise NumericError(f"{name} must be finite, got {bound}")
+    if not 0 <= high - low < math.inf:
+        raise NumericError(f"high - low must be finite and >= 0, "
+                           f"got low={low}, high={high}")
     rng = np.random.default_rng(seed)
     t = spins_per_cluster
 
@@ -141,8 +149,7 @@ def generate_instance(rows: int, cols: int, spins_per_cluster: int,
             for i in spins_of(k):
                 for j in spins_of(other):
                     value = rng.uniform(low, high)
-                    a, b = (i, j) if i < j else (j, i)
-                    rows_out.append(f"{a} {b} {value!r}")
+                    rows_out.append(f"{i} {j} {value!r}")
     if with_fields:
         for i in range(1, n_clusters * t + 1):
             value = rng.uniform(low, high)
@@ -150,6 +157,15 @@ def generate_instance(rows: int, cols: int, spins_per_cluster: int,
     if not rows_out:  # a lone spin: its zero field gives the spin count
         rows_out.append("1 1 0.0")
     return "\n".join(rows_out) + "\n"
+
+
+def _zero_table(sites, dims) -> np.ndarray:
+    """The zero node or edge table of ``sites``, once its size has passed
+    :func:`~kingspeps.errors.check_size`."""
+    shape = [dims[site] for site in sites]
+    check_size(f"node table at {sites[0]}" if len(sites) == 1
+               else f"edge table for {sites[0]}-{sites[1]}", math.prod(shape))
+    return np.zeros(shape)
 
 
 # sites a Potts record names, by its tag and token count
@@ -167,6 +183,8 @@ def parse_potts(text) -> PottsHamiltonian:
             non-positive state index.
         DuplicateEntryError: the same table entry is set twice, an edge
             entry in either orientation.
+        TooLargeError: a node or edge table would hold more than
+            ``SIZE_GUARD`` entries.
     """
     header = None
     entries: dict[tuple, float] = {}  # (sites, states), sites row-major
@@ -221,10 +239,10 @@ def parse_potts(text) -> PottsHamiltonian:
         raise ParseError("missing 'P m n' header")
 
     # every referenced site gets a node table, then edges by first record
-    tables = {(site,): np.zeros(d) for site, d in dims.items()}
+    tables = {(site,): _zero_table((site,), dims) for site in dims}
     for (sites, states), value in entries.items():
         if sites not in tables:
-            tables[sites] = np.zeros([dims[site] for site in sites])
+            tables[sites] = _zero_table(sites, dims)
         tables[sites][tuple(state - 1 for state in states)] = value
     h = PottsHamiltonian(*header)
     for sites, table in tables.items():

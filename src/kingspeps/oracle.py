@@ -2,7 +2,7 @@
 
 Everything here is brute force on purpose: exact spectra, partition
 functions, and conditional distributions computed by summation over all
-completions. Guarded at 2^24 configurations.
+completions. Guarded at ``SIZE_GUARD`` (2^24) configurations.
 
 Enumeration is lexicographic: position ``i`` of the enumeration is the
 assignment whose row-major states, less one, are the mixed-radix digits
@@ -20,10 +20,9 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, TooLargeError
+from .errors import DimensionError, check_size
 from .potts import PottsHamiltonian, _checked_states, _integer_states
 
-ENUMERATION_GUARD = 2 ** 24
 BLOCK_ROWS = 2 ** 16
 
 
@@ -58,13 +57,10 @@ def _enumeration_size(dims: list[int]) -> int:
     """Number of assignments of sites with dimensions ``dims``.
 
     Raises:
-        TooLargeError: it exceeds ``ENUMERATION_GUARD``.
+        TooLargeError: it exceeds ``SIZE_GUARD``.
     """
     total = math.prod(dims)
-    if total > ENUMERATION_GUARD:
-        raise TooLargeError(
-            f"{total} configurations exceed the enumeration guard "
-            f"({ENUMERATION_GUARD})")
+    check_size("the enumeration of all configurations", total)
     return total
 
 

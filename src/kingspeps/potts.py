@@ -20,7 +20,7 @@ from typing import Iterator, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import (DimensionError, GeometryError, InvalidIndexError,
-                     NumericError, UnsupportedError, check_count)
+                     NumericError, UnsupportedError, check_count, check_size)
 from .ising import IsingGraph
 
 Site = Tuple[int, int]
@@ -71,8 +71,8 @@ class PottsHamiltonian:
     matrices stored once per pair with the row-major-earlier site first.
     Stored tables are read-only copies; ``set_node``/``set_edge``
     replace them.
-    ``cluster_map`` is present when the model came from an Ising graph
-    and maps each site to the ordered 1-based spin indices it absorbs.
+    ``topology`` is the :class:`ClusterTopology` of a model built by
+    :func:`cluster`, and None for a native grid model.
     """
 
     def __init__(self, rows: int, cols: int):
@@ -86,7 +86,7 @@ class PottsHamiltonian:
         self._node: dict[Site, np.ndarray] = {}
         self._edge: dict[tuple[Site, Site], np.ndarray] = {}
         self._terms = None
-        self.cluster_map: dict[Site, tuple[int, ...]] | None = None
+        self.topology: ClusterTopology | None = None
 
     # -- construction -------------------------------------------------
 
@@ -214,6 +214,8 @@ def cluster(graph: IsingGraph, topology: ClusterTopology) -> PottsHamiltonian:
         DimensionError: spin count does not match the topology.
         GeometryError: a coupling connects clusters that are not
             king-adjacent, naming the offending spins.
+        TooLargeError: a node table (2^t entries) or, when clusters are
+            coupled, an edge table (4^t) would exceed ``SIZE_GUARD``.
     """
     m, n, t = topology.rows, topology.cols, topology.spins_per_cluster
     if graph.n_spins != topology.n_spins:
@@ -222,7 +224,6 @@ def cluster(graph: IsingGraph, topology: ClusterTopology) -> PottsHamiltonian:
             f"needs {topology.n_spins}")
 
     d = 2 ** t
-    spins = cluster_spin_values(t).astype(np.float64).T
     sites = [(r + 1, c + 1) for r in range(m) for c in range(n)]
     spin = np.array(list(graph.couplings), dtype=np.intp).reshape(-1, 2) - 1
     coupling = np.fromiter(graph.couplings.values(), np.float64, len(spin))
@@ -238,6 +239,10 @@ def cluster(graph: IsingGraph, topology: ClusterTopology) -> PottsHamiltonian:
             f"coupling between spins {i} and {j} connects clusters at "
             f"{sites[(i - 1) // t]} and {sites[(j - 1) // t]}, "
             f"which are not king-adjacent")
+    check_size(f"node table of a cluster of {t} spins", d)
+    if inter.size:
+        check_size(f"edge table between clusters of {t} spins", d * d)
+    spins = cluster_spin_values(t).astype(np.float64).T
 
     # each table adds its terms in the order of the couplings, after the
     # fields for a node table; add.at adds at a repeated index in order
@@ -267,8 +272,7 @@ def cluster(graph: IsingGraph, topology: ClusterTopology) -> PottsHamiltonian:
     h._dims = dict.fromkeys(sites, d)
     h._node = dict(zip(sites, node))
     h._edge = dict(zip(ends, edge))
-    h.cluster_map = {site: tuple(range(c * t + 1, (c + 1) * t + 1))
-                     for c, site in enumerate(sites)}
+    h.topology = topology
     return h
 
 
@@ -347,35 +351,27 @@ def potts_energy(h: PottsHamiltonian, assignment) -> float:
 
 
 def decode(h: PottsHamiltonian, assignment) -> np.ndarray:
-    """Spin assignment (+1/-1 per source spin) encoded by a Potts assignment.
-
-    Requires a cluster map; inverse of the state enumeration used by
-    :func:`cluster`, so ``decode(cluster(g, topo), encode(...)) `` is the
-    identity on spin configurations.
-    """
-    if h.cluster_map is None:
-        raise UnsupportedError("model carries no cluster map; decode needs one")
-    states = _as_states(h, assignment)[0].tolist()
-    n_spins = sum(len(group) for group in h.cluster_map.values())
-    spins = np.zeros(n_spins, dtype=np.int8)
-    for (r, c), group in h.cluster_map.items():
-        b = states[(r - 1) * h.cols + c - 1] - 1
-        for q, spin_index in enumerate(group):
-            spins[spin_index - 1] = 1 - 2 * ((b >> q) & 1)
-    return spins
+    """The +1/-1 spins (int8) a Potts assignment of a clustered model
+    stands for: each state's row of :func:`cluster_spin_values`, in site
+    order, as :func:`cluster` gives cluster k spins k*t+1 .. (k+1)*t."""
+    if h.topology is None:
+        raise UnsupportedError("decode needs the topology of a clustered model")
+    t = h.topology.spins_per_cluster
+    return cluster_spin_values(t)[_as_states(h, assignment)[0] - 1].reshape(-1)
 
 
 def encode(h: PottsHamiltonian, spins: Sequence[int]) -> tuple[int, ...]:
-    """Potts assignment (row-major) for a spin configuration."""
-    if h.cluster_map is None:
-        raise UnsupportedError("model carries no cluster map; encode needs one")
-    s = np.asarray(spins)
-    out = []
-    for site in h.sites():
-        group = h.cluster_map[site]
-        b = 0
-        for q, spin_index in enumerate(group):
-            if s[spin_index - 1] < 0:
-                b |= 1 << q
-        out.append(b + 1)
-    return tuple(out)
+    """The row-major Potts states of a clustered model's +1/-1 spins, the
+    inverse of :func:`decode`. DimensionError unless ``spins`` has shape
+    ``(n_spins,)``, InvalidIndexError for any other spin value."""
+    if h.topology is None:
+        raise UnsupportedError("encode needs the topology of a clustered model")
+    n, t = h.topology.n_spins, h.topology.spins_per_cluster
+    spins = np.asarray(spins)
+    if spins.shape != (n,):
+        raise DimensionError(f"spins must have shape ({n},), got {spins.shape}")
+    valid = np.isin(spins, (-1, 1))
+    if not valid.all():
+        raise InvalidIndexError(f"spins must be +1 or -1, got {spins[~valid][0]}")
+    down = spins.reshape(-1, t) < 0
+    return tuple((down @ (1 << np.arange(t)) + 1).tolist())

@@ -520,9 +520,9 @@ def low_energy_spectrum(h: PottsHamiltonian,
     params = params or ContractionParams()
     search_params = search_params or SearchParams()
     if (droplet_params is not None and droplet_params.mode == "spin"
-            and h.cluster_map is None):
+            and h.topology is None):
         raise UnsupportedError(
-            "spin-mode droplet distances need a cluster map; "
+            "spin-mode droplet distances need a clustered model; "
             "use mode='potts' for native grid models")
 
     net = build_network(h, transform, params.beta, dtype)

@@ -66,6 +66,45 @@ class TestGenerate:
         with pytest.raises(NumericError, match=f"{name} must be finite"):
             generate_instance(1, 2, 1, seed=1, **bounds)
 
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"seed": -1}, DimensionError, "seed must be >= 0, got -1"),
+        ({"low": 1.0, "high": -1.0}, NumericError,
+         "high - low must be finite and >= 0, got low=1.0, high=-1.0"),
+        ({"low": -1e308, "high": 1e308}, NumericError,
+         "high - low must be finite and >= 0, got low=-1e+308, high=1e+308"),
+    ])
+    def test_seed_and_span_rejection_class_and_message(self, kwargs, error,
+                                                       message):
+        assert_raises_exactly(lambda: generate_instance(2, 2, 1, **kwargs),
+                              error, message)
+
+    @pytest.mark.parametrize("argv, code, line", [
+        (["--seed", "-1"], 1, "error: seed must be >= 0, got -1"),
+        (["--low", "1", "--high", "-1"], 2, "numerical failure: high - low "
+         "must be finite and >= 0, got low=1.0, high=-1.0"),
+        (["--low=-1e308", "--high=1e308"], 2, "numerical failure: high - low "
+         "must be finite and >= 0, got low=-1e+308, high=1e+308"),
+    ])
+    def test_gen_seed_and_span_errors_exit_without_traceback(
+            self, tmp_path, capsys, argv, code, line):
+        out = tmp_path / "inst.txt"
+        assert main(["gen", "2", "2", *argv, "-o", str(out)]) == code
+        assert capsys.readouterr().err == line + "\n"
+        assert not out.exists()
+
+    def test_gen_writes_to_stdout(self, capsys):
+        assert main(["gen", "2", "3", "--spins", "2", "--seed", "4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == generate_instance(2, 3, 2, seed=4)
+        assert captured.err == ""
+
+    def test_gen_takes_low_and_high(self, tmp_path):
+        out = tmp_path / "inst.txt"
+        assert main(["gen", "3", "2", "--seed", "8", "--fields",
+                     "--low=-0.25", "--high", "0.5", "-o", str(out)]) == 0
+        assert out.read_text() == generate_instance(
+            3, 2, 1, seed=8, low=-0.25, high=0.5, with_fields=True)
+
     @pytest.mark.parametrize("argv,name", [
         (["--low", "nan"], "low"), (["--low", "inf", "--high", "inf"], "low"),
         (["--high=-inf"], "high")])

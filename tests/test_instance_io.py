@@ -17,7 +17,7 @@ from kingspeps.instance_io import parse_potts, solution_to_dict
 from kingspeps.ising import IsingGraph
 from kingspeps.potts import PottsHamiltonian, potts_energies
 from kingspeps.errors import (DuplicateEntryError, GeometryError,
-                              InvalidIndexError, ParseError)
+                              InvalidIndexError, ParseError, TooLargeError)
 from kingspeps.search import Droplet, Solution
 from conftest import (assert_raises_exactly, ragged_potts, random_clustered,
                       serialize_ising)
@@ -182,6 +182,13 @@ class TestParsePotts:
         ("P 1 1\nn 1 1 x 0.0", ParseError,
          "line 2: non-numeric entry in 'n 1 1 x 0.0'"),
         ("# only a comment\n", ParseError, "missing 'P m n' header"),
+        # one entry over the guard: the table is refused before it is built
+        ("P 1 2\nn 1 1 16777217 0.5", TooLargeError,
+         "node table at (1, 1) has 16777217 entries, more than the size "
+         "guard of 16777216"),
+        ("P 1 2\ne 1 1 1 2 4097 4097 1.0", TooLargeError,
+         "edge table for (1, 1)-(1, 2) has 16785409 entries, more than the "
+         "size guard of 16777216"),
     ])
     def test_rejection_class_and_message(self, text, error, message):
         assert_raises_exactly(lambda: parse_potts(text), error, message)

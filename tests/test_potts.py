@@ -12,9 +12,9 @@ from kingspeps import (ClusterTopology, cluster, generate_instance,
 from kingspeps.ising import IsingGraph
 from kingspeps.potts import (PottsHamiltonian, cluster_spin_values, decode,
                              encode)
-from kingspeps.errors import (DimensionError, GeometryError,
-                              InvalidIndexError, NumericError,
-                              UnsupportedError)
+from kingspeps.errors import (SIZE_GUARD, DimensionError, GeometryError,
+                              InvalidIndexError, NumericError, TooLargeError,
+                              UnsupportedError, check_size)
 from kingspeps.potts import potts_energies
 from conftest import (assert_raises_exactly, ising_energy, ragged_potts,
                       random_clustered)
@@ -31,7 +31,7 @@ class TestClusterMapping:
     def test_spin_five_lands_at_row2_col1(self):
         g = IsingGraph(8)
         h = cluster(g, ClusterTopology(2, 2, 2))
-        assert h.cluster_map[(2, 1)] == (5, 6)
+        assert list(decode(h, (1, 1, 2, 1))) == [1, 1, 1, 1, -1, 1, 1, 1]
 
     def test_pair_cluster_node_table(self):
         # states ordered (up,up), (down,up), (up,down), (down,down)
@@ -278,6 +278,20 @@ class TestDecode:
             with pytest.raises((InvalidIndexError, DimensionError)):
                 decode(h, bad)
 
+    @pytest.mark.parametrize("spins, error, message", [
+        ([1, 1, -1], DimensionError, "spins must have shape (8,), got (3,)"),
+        ([1] * 20, DimensionError, "spins must have shape (8,), got (20,)"),
+        ([[1] * 4] * 2, DimensionError,
+         "spins must have shape (8,), got (2, 4)"),
+        ([1, -1, 0, 5, -3, 1, 1, 1], InvalidIndexError,
+         "spins must be +1 or -1, got 0"),
+        ([1, -1, 1, 1, 1, 1, 1, 0.5], InvalidIndexError,
+         "spins must be +1 or -1, got 0.5"),
+    ])
+    def test_encode_rejection_class_and_message(self, spins, error, message):
+        h = cluster(IsingGraph(8), ClusterTopology(2, 2, 2))
+        assert_raises_exactly(lambda: encode(h, spins), error, message)
+
     def test_requires_cluster_map(self):
         h = PottsHamiltonian(1, 1)
         h.set_node((1, 1), [0.0])
@@ -370,6 +384,26 @@ def _two_by_two():
 ])
 def test_construction_rejection_class_and_message(call, error, message):
     assert_raises_exactly(call, error, message)
+
+
+@pytest.mark.parametrize("graph, topology, message", [
+    (IsingGraph(25), ClusterTopology(1, 1, 25),
+     "node table of a cluster of 25 spins has 33554432 entries, more than "
+     "the size guard of 16777216"),
+    (IsingGraph(26, {(1, 14): 1.0}), ClusterTopology(1, 2, 13),
+     "edge table between clusters of 13 spins has 67108864 entries, more "
+     "than the size guard of 16777216"),
+])
+def test_oversized_cluster_rejected_before_building(graph, topology, message):
+    assert_raises_exactly(lambda: cluster(graph, topology), TooLargeError,
+                          message)
+
+
+def test_size_guard_admits_its_own_size():
+    check_size("table", SIZE_GUARD)
+    assert_raises_exactly(lambda: check_size("table", SIZE_GUARD + 1),
+                          TooLargeError, "table has 16777217 entries, more "
+                          "than the size guard of 16777216")
 
 
 class TestNanTables:
