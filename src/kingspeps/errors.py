@@ -8,7 +8,8 @@ former to exit code 1 and the latter to exit code 2.
 
 import operator
 
-# the most entries one table or enumeration may hold: 128 MiB of float64
+# the most entries one table, all tables of a model together, or an
+# enumeration may hold: 128 MiB of float64
 SIZE_GUARD = 2 ** 24
 
 
@@ -47,7 +48,8 @@ class UnsupportedError(SolverError):
 
 
 class TooLargeError(SolverError):
-    """A table or an enumeration would exceed :data:`SIZE_GUARD` entries."""
+    """A table, a model's tables together, or an enumeration would exceed
+    :data:`SIZE_GUARD` entries."""
 
 
 class NumericError(SolverError):

@@ -159,15 +159,6 @@ def generate_instance(rows: int, cols: int, spins_per_cluster: int,
     return "\n".join(rows_out) + "\n"
 
 
-def _zero_table(sites, dims) -> np.ndarray:
-    """The zero node or edge table of ``sites``, once its size has passed
-    :func:`~kingspeps.errors.check_size`."""
-    shape = [dims[site] for site in sites]
-    check_size(f"node table at {sites[0]}" if len(sites) == 1
-               else f"edge table for {sites[0]}-{sites[1]}", math.prod(shape))
-    return np.zeros(shape)
-
-
 # sites a Potts record names, by its tag and token count
 _RECORD_SITES = {("n", 5): 1, ("e", 8): 2}
 
@@ -183,8 +174,9 @@ def parse_potts(text) -> PottsHamiltonian:
             non-positive state index.
         DuplicateEntryError: the same table entry is set twice, an edge
             entry in either orientation.
-        TooLargeError: a node or edge table would hold more than
-            ``SIZE_GUARD`` entries.
+        TooLargeError: a node or edge table, or all tables together,
+            would hold more than ``SIZE_GUARD`` entries; checked before
+            any table is built.
     """
     header = None
     entries: dict[tuple, float] = {}  # (sites, states), sites row-major
@@ -239,10 +231,17 @@ def parse_potts(text) -> PottsHamiltonian:
         raise ParseError("missing 'P m n' header")
 
     # every referenced site gets a node table, then edges by first record
-    tables = {(site,): _zero_table((site,), dims) for site in dims}
+    shapes = {(site,): (dims[site],) for site in dims}
+    for sites, _ in entries:
+        shapes.setdefault(sites, tuple(dims[site] for site in sites))
+    for sites, shape in shapes.items():
+        check_size(f"node table at {sites[0]}" if len(sites) == 1
+                   else f"edge table for {sites[0]}-{sites[1]}",
+                   math.prod(shape))
+    check_size(f"a model of {len(dims)} node and {len(shapes) - len(dims)} "
+               f"edge tables", sum(map(math.prod, shapes.values())))
+    tables = {sites: np.zeros(shape) for sites, shape in shapes.items()}
     for (sites, states), value in entries.items():
-        if sites not in tables:
-            tables[sites] = _zero_table(sites, dims)
         tables[sites][tuple(state - 1 for state in states)] = value
     h = PottsHamiltonian(*header)
     for sites, table in tables.items():

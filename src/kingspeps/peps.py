@@ -231,7 +231,7 @@ def row_product(net: PepsNetwork, row: int, env: BoundaryMps) -> BoundaryMps:
         raise DimensionError(
             f"state dims {env.phys_dims} do not match row {lower}'s {dims_y}")
 
-    tensors, carried = [], []
+    tensors = []
     log_scale = env.log_scale
     dxl = dyl = 1
     for c, e in enumerate(env.tensors, start=1):
@@ -276,9 +276,8 @@ def row_product(net: PepsNetwork, row: int, env: BoundaryMps) -> BoundaryMps:
             t /= mx
             log_scale += math.log(mx)
         tensors.append(t)
-        carried.append(carry_x)
         dxl, dyl = (dx if carry_x else 1), (dy if carry_y else 1)
-    return BoundaryMps(tensors, log_scale, carried)
+    return BoundaryMps(tensors, log_scale)
 
 
 def bottom_environments(net: PepsNetwork,

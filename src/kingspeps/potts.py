@@ -58,9 +58,11 @@ def cluster_spin_values(t: int) -> np.ndarray:
     state; bit q of b gives spin (-1)^bit for the q-th spin, least
     significant bit first. State 1 is therefore all spins up.
     """
-    b = np.arange(2 ** t)[:, None]
-    q = np.arange(t)[None, :]
-    return (1 - 2 * ((b >> q) & 1)).astype(np.int8)
+    values = np.ones((2 ** t, t), dtype=np.int8)
+    for q in range(t):
+        # bit q of b is set in the upper half of each run of 2^(q+1) rows
+        values.reshape(-1, 2, 2 ** q, t)[:, 1, :, q] = -1
+    return values
 
 
 class PottsHamiltonian:
@@ -214,8 +216,9 @@ def cluster(graph: IsingGraph, topology: ClusterTopology) -> PottsHamiltonian:
         DimensionError: spin count does not match the topology.
         GeometryError: a coupling connects clusters that are not
             king-adjacent, naming the offending spins.
-        TooLargeError: a node table (2^t entries) or, when clusters are
-            coupled, an edge table (4^t) would exceed ``SIZE_GUARD``.
+        TooLargeError: a node table (2^t entries), an edge table (4^t)
+            between coupled clusters, or all tables together would exceed
+            ``SIZE_GUARD``; checked before any table is built.
     """
     m, n, t = topology.rows, topology.cols, topology.spins_per_cluster
     if graph.n_spins != topology.n_spins:
@@ -223,7 +226,7 @@ def cluster(graph: IsingGraph, topology: ClusterTopology) -> PottsHamiltonian:
             f"graph has {graph.n_spins} spins, topology ({m},{n},{t}) "
             f"needs {topology.n_spins}")
 
-    d = 2 ** t
+    d = 2 ** int(t)
     sites = [(r + 1, c + 1) for r in range(m) for c in range(n)]
     spin = np.array(list(graph.couplings), dtype=np.intp).reshape(-1, 2) - 1
     coupling = np.fromiter(graph.couplings.values(), np.float64, len(spin))
@@ -242,21 +245,25 @@ def cluster(graph: IsingGraph, topology: ClusterTopology) -> PottsHamiltonian:
     check_size(f"node table of a cluster of {t} spins", d)
     if inter.size:
         check_size(f"edge table between clusters of {t} spins", d * d)
-    spins = cluster_spin_values(t).astype(np.float64).T
+    pairs, first, slot = np.unique(k[inter] @ [m * n, 1], return_index=True,
+                                   return_inverse=True)
+    check_size(f"a model of {m * n} node and {len(pairs)} edge tables",
+               m * n * d + len(pairs) * d * d)
+    spins = cluster_spin_values(t).T
 
     # each table adds its terms in the order of the couplings, after the
-    # fields for a node table; add.at adds at a repeated index in order
+    # fields for a node table
     node = np.zeros((m * n, d))
     for bit, field in enumerate(graph.fields.reshape(m * n, t).T):
         node += field[:, None] * spins[bit]
-    np.add.at(node, k[intra, 0], coupling[intra, None]
-              * spins[q[intra, 0]] * spins[q[intra, 1]])
-    pairs, first, slot = np.unique(k[inter] @ [m * n, 1], return_index=True,
-                                   return_inverse=True)
+    cs, qa, qb = coupling[intra, None], q[intra, 0], q[intra, 1]
+    _add_in_order(node, k[intra, 0],
+                  lambda s: cs[s] * spins[qa[s]] * spins[qb[s]])
     order = np.argsort(first)  # the edges in order of their first coupling
     edge = np.zeros((len(pairs), d, d))
-    np.add.at(edge, np.argsort(order)[slot], coupling[inter, None, None]
-              * (spins[q[inter, 0]][:, :, None] * spins[q[inter, 1]][:, None, :]))
+    cs, qa, qb = coupling[inter, None, None], q[inter, 0], q[inter, 1]
+    _add_in_order(edge, np.argsort(order)[slot], lambda s: cs[s] * (
+        spins[qa[s]][:, :, None] * spins[qb[s]][:, None, :]))
     ends = [(sites[a], sites[b]) for a, b in zip(
         *(c.tolist() for c in np.divmod(pairs[order], m * n)))]
     bad = np.isnan(node).any(axis=1)
@@ -274,6 +281,19 @@ def cluster(graph: IsingGraph, topology: ClusterTopology) -> PottsHamiltonian:
     h._edge = dict(zip(ends, edge))
     h.topology = topology
     return h
+
+
+def _add_in_order(tables, at, terms):
+    """``tables[at[i]] += terms(i)`` for every coupling i, in order.
+
+    ``np.add.at`` adds at a repeated index in order, and so do batches
+    taken in order; each batch holds at most ``len(tables)`` couplings,
+    so its terms take no more memory than the tables they fill.
+    """
+    step = max(len(tables), 1)
+    for start in range(0, len(at), step):
+        s = slice(start, start + step)
+        np.add.at(tables, at[s], terms(s))
 
 
 def _as_states(h: PottsHamiltonian, assignment) -> np.ndarray:

@@ -6,10 +6,11 @@ Conventions:
 * a site may be *carried*: its right bond then carries the site's own
   physical state x, the logical tensor ``(dl, d, d*r)`` is zero off
   ``x == xr``, and only its d diagonal blocks are stored, as ``(dl, d,
-  r)``. A row product stores the columns whose upper state reaches the
-  next column that way; every kernel here works on the blocks and never
-  builds the zero-padded tensor. A state with no carried site is a
-  plain MPS, and :func:`compress` always returns one;
+  r)``; the next site's left bond, ``d*r`` rather than ``r``, is the
+  only record of that. A row product stores the columns whose upper
+  state reaches the next column that way; every kernel here works on the
+  blocks and never builds the zero-padded tensor. A state with no
+  carried site is a plain MPS, and :func:`compress` always returns one;
 * a :class:`BoundaryMps` represents ``(contraction of its tensors) *
   exp(log_scale)``. Keeping magnitudes in the log accumulator is what
   lets Boltzmann-weight chains with log-weights of several hundred pass
@@ -66,34 +67,30 @@ class ContractionParams:
 class BoundaryMps:
     """Matrix-product state over one grid row, with a log scale factor.
 
-    ``carried[i]`` marks site i as carried (see the module docstring):
-    its tensor ``(dl, d, r)`` holds the diagonal blocks of a logical right
-    bond of extent ``d*r``, which is what the next site's left bond and
-    :attr:`bond_dims` see. By default no site is carried.
+    Site i is carried (see the module docstring) exactly when the next
+    site's left bond is ``d_i`` times its stored right bond ``r``; a left
+    bond other than ``r`` or ``d_i * r`` is a mismatch. ``carried`` and
+    :attr:`bond_dims` are read off the shapes; at ``d_i = 1`` the two
+    layouts hold the same numbers and the site counts as plain.
     """
 
-    def __init__(self, tensors, log_scale: float = 0.0, carried=None):
+    def __init__(self, tensors, log_scale: float = 0.0):
         tensors = [np.asarray(t) for t in tensors]
         if not tensors:
             raise DimensionError("an MPS needs at least one site")
         for t in tensors:
             if t.ndim != 3:
                 raise DimensionError(f"site tensors must have 3 indices, got {t.shape}")
-        carried = (tuple(bool(c) for c in carried) if carried is not None
-                   else (False,) * len(tensors))
-        if len(carried) != len(tensors):
-            raise DimensionError(
-                f"{len(carried)} carried flags for {len(tensors)} sites")
-        bonds = [t.shape[2] * (t.shape[1] if c else 1)
-                 for t, c in zip(tensors, carried)]
-        if tensors[0].shape[0] != 1 or bonds[-1] != 1:
+        if tensors[0].shape[0] != 1 or tensors[-1].shape[2] != 1:
             raise DimensionError("outer bonds must have extent 1")
-        for bond, left, right in zip(bonds, tensors, tensors[1:]):
-            if bond != right.shape[0]:
+        for left, right in zip(tensors, tensors[1:]):
+            _, d, r = left.shape
+            if right.shape[0] not in (r, d * r):
                 raise DimensionError(
                     f"bond mismatch: {left.shape} next to {right.shape}")
         self.tensors = tensors
-        self.carried = carried
+        self.carried = tuple(right.shape[0] != left.shape[2] for left, right
+                             in zip(tensors, tensors[1:])) + (False,)
         self.log_scale = float(log_scale)
 
     @classmethod
@@ -110,9 +107,8 @@ class BoundaryMps:
 
     @property
     def bond_dims(self) -> tuple[int, ...]:
-        """Logical bond extents, a carried site's counting its blocks."""
-        return tuple(t.shape[2] * (t.shape[1] if c else 1)
-                     for t, c in zip(self.tensors[:-1], self.carried))
+        """Logical bond extents: the next sites' left bonds."""
+        return tuple(t.shape[0] for t in self.tensors[1:])
 
     def __repr__(self):
         return (f"BoundaryMps(phys={self.phys_dims}, bonds={self.bond_dims}, "
@@ -182,8 +178,7 @@ def left_canonicalize(mps: BoundaryMps) -> BoundaryMps:
         raise DegenerateStateError("cannot canonicalize a zero-norm state")
     if scale < 0:
         tensors[-1] = -tensors[-1]
-    return BoundaryMps(tensors, mps.log_scale + math.log(abs(scale)),
-                       mps.carried)
+    return BoundaryMps(tensors, mps.log_scale + math.log(abs(scale)))
 
 
 def _fold_center(tensors, log_scale, index):
@@ -203,11 +198,11 @@ def _times_left(m, t):
     return (m @ t.reshape(len(m), -1, d * dr)).reshape(-1, d, dr)
 
 
-def _times_right(t, m, carried: bool):
-    """Site tensor ``t``'s logical right bond contracted into ``m``; a
-    carried site's block x meets the rows ``x*r .. (x+1)*r`` of ``m``."""
+def _times_right(t, m):
+    """Site tensor ``t``'s logical right bond contracted into ``m``. If
+    ``m`` has ``d*r`` rows, not r, block x meets rows ``x*r .. (x+1)*r``."""
     dl, d, r = t.shape
-    b = _blocks(t, carried)
+    b = _blocks(t, len(m) != r)
     return _unblocks(b @ m.reshape(len(b), r, -1), dl, d)
 
 
@@ -228,8 +223,7 @@ def _truncate_right_sweep(mps: BoundaryMps, bond_dim: int):
                                        bond_dim)
         discarded += weight
         tensors[i] = v.T.reshape(s.size, d, dr)
-        tensors[i - 1] = _times_right(tensors[i - 1], u * s,
-                                      mps.carried[i - 1])
+        tensors[i - 1] = _times_right(tensors[i - 1], u * s)
     log_scale = _fold_center(tensors, mps.log_scale, 0)
     return BoundaryMps(tensors, log_scale), discarded
 
@@ -253,14 +247,14 @@ def _variational_sweep(state: BoundaryMps, target: BoundaryMps) -> BoundaryMps:
     renv = [None] * (length + 1)
     renv[length] = np.ones((1, 1), dtype=ts[0].dtype)
     for i in range(length - 1, 0, -1):
-        x = _times_right(ts[i], renv[i + 1].T, carried[i])
+        x = _times_right(ts[i], renv[i + 1].T)
         renv[i] = cs[i].reshape(len(cs[i]), -1) @ x.reshape(len(x), -1).T
 
     lenv = [None] * (length + 1)
     lenv[0] = np.ones((1, 1), dtype=ts[0].dtype)
     for i in range(length - 1):  # the backward pass starts at the last site
         y = _times_left(lenv[i], ts[i])
-        t = _times_right(y, renv[i + 1].T, carried[i])
+        t = _times_right(y, renv[i + 1].T)
         dl, d, dr = t.shape
         q, _ = np.linalg.qr(t.reshape(dl * d, dr))
         cs[i] = q.reshape(dl, d, q.shape[1])
@@ -271,13 +265,13 @@ def _variational_sweep(state: BoundaryMps, target: BoundaryMps) -> BoundaryMps:
 
     right = np.ones((1, 1), dtype=ts[0].dtype)
     for i in range(length - 1, 0, -1):
-        x = _times_right(ts[i], right.T, carried[i])
+        x = _times_right(ts[i], right.T)
         t = _times_left(lenv[i], x)
         dl, d, dr = t.shape
         q, _ = np.linalg.qr(t.reshape(dl, d * dr).T)
         cs[i] = q.T.reshape(q.shape[1], d, dr)
         right = q.T @ x.reshape(len(x), -1).T
-    cs[0] = _times_right(ts[0], right.T, carried[0])  # lenv[0] is [[1]]
+    cs[0] = _times_right(ts[0], right.T)  # lenv[0] is [[1]]
 
     log_scale = _fold_center(cs, target.log_scale, 0)
     return BoundaryMps(cs, log_scale)

@@ -5,6 +5,7 @@ of the library's own contraction code, so they can serve as oracles.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def normalize_scale(mps: BoundaryMps) -> BoundaryMps:
             log_scale += math.log(mx)
         else:
             out.append(t)
-    return BoundaryMps(out, log_scale, mps.carried)
+    return BoundaryMps(out, log_scale)
 
 
 def expanded(mps: BoundaryMps) -> BoundaryMps:
@@ -168,6 +169,17 @@ def chain_pair():
     """1x2 ferromagnetic spin pair (J = -1) as a clustered model."""
     graph = IsingGraph(2, {(1, 2): -1.0})
     return graph, cluster(graph, ClusterTopology(1, 2, 1))
+
+
+def peak_bytes(call):
+    """``(call(), peak)``: the result and the most memory the call held at
+    once, as tracemalloc counts it (numpy reports its array buffers)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_raises_exactly(call, error, message: str):

@@ -19,8 +19,8 @@ from kingspeps.potts import PottsHamiltonian, potts_energies
 from kingspeps.errors import (DuplicateEntryError, GeometryError,
                               InvalidIndexError, ParseError, TooLargeError)
 from kingspeps.search import Droplet, Solution
-from conftest import (assert_raises_exactly, ragged_potts, random_clustered,
-                      serialize_ising)
+from conftest import (assert_raises_exactly, peak_bytes, ragged_potts,
+                      random_clustered, serialize_ising)
 from test_golden_search import CASES, _case_solutions
 
 
@@ -192,6 +192,18 @@ class TestParsePotts:
     ])
     def test_rejection_class_and_message(self, text, error, message):
         assert_raises_exactly(lambda: parse_potts(text), error, message)
+
+    def test_tables_refused_together_before_building(self):
+        # 30 node tables of 2^24 states each pass the guard one by one;
+        # together they would take 3.75 GiB
+        text = "P 1 30\n" + "".join(f"n 1 {c} 16777216 0.5\n"
+                                    for c in range(1, 31))
+        assert len(text) == 598
+        _, peak = peak_bytes(lambda: assert_raises_exactly(
+            lambda: parse_potts(text), TooLargeError,
+            "a model of 30 node and 0 edge tables has 503316480 entries, "
+            "more than the size guard of 16777216"))
+        assert peak < 8 * 2**20, peak
 
 
 def _potts_records(h, rng, skipped):

@@ -16,8 +16,8 @@ from kingspeps.errors import (SIZE_GUARD, DimensionError, GeometryError,
                               InvalidIndexError, NumericError, TooLargeError,
                               UnsupportedError, check_size)
 from kingspeps.potts import potts_energies
-from conftest import (assert_raises_exactly, ising_energy, ragged_potts,
-                      random_clustered)
+from conftest import (assert_raises_exactly, ising_energy, peak_bytes,
+                      ragged_potts, random_clustered)
 
 
 class TestClusterMapping:
@@ -105,8 +105,9 @@ def _error(call):
 class TestClusterMatchesLoop:
     @pytest.mark.parametrize("rows, cols, t, seed, fields", [
         (16, 16, 1, 1600, False), (4, 4, 2, 4200, False),
-        (3, 3, 2, 3300, False), (3, 4, 3, 5, True)],
-        ids=["16x16x1", "4x4x2", "3x3x2", "3x4x3-fields"])
+        (3, 3, 2, 3300, False), (3, 4, 3, 5, True), (4, 4, 4, 44, False),
+        (2, 2, 8, 28, False)],
+        ids=["16x16x1", "4x4x2", "3x3x2", "3x4x3-fields", "4x4x4", "2x2x8"])
     def test_tables_bitwise_equal(self, rows, cols, t, seed, fields):
         graph = parse_ising(generate_instance(rows, cols, t, seed=seed,
                                               with_fields=fields))
@@ -292,7 +293,7 @@ class TestDecode:
         h = cluster(IsingGraph(8), ClusterTopology(2, 2, 2))
         assert_raises_exactly(lambda: encode(h, spins), error, message)
 
-    def test_requires_cluster_map(self):
+    def test_requires_topology(self):
         h = PottsHamiltonian(1, 1)
         h.set_node((1, 1), [0.0])
         with pytest.raises(UnsupportedError):
@@ -304,6 +305,9 @@ class TestDecode:
         assert list(s[0]) == [1, 1, 1]
         assert list(s[1]) == [-1, 1, 1]
         assert list(s[4]) == [1, 1, -1]
+        for t in range(1, 11):
+            bits = (np.arange(2**t)[:, None] >> np.arange(t)) & 1
+            assert np.array_equal(cluster_spin_values(t), 1 - 2 * bits)
 
 
 class TestEnergyEquivalence:
@@ -393,10 +397,43 @@ def test_construction_rejection_class_and_message(call, error, message):
     (IsingGraph(26, {(1, 14): 1.0}), ClusterTopology(1, 2, 13),
      "edge table between clusters of 13 spins has 67108864 entries, more "
      "than the size guard of 16777216"),
+    # 2**64 entries, whatever integer type holds the cluster size
+    (IsingGraph(64), ClusterTopology(1, 1, np.int64(64)),
+     "node table of a cluster of 64 spins has 18446744073709551616 entries, "
+     "more than the size guard of 16777216"),
 ])
 def test_oversized_cluster_rejected_before_building(graph, topology, message):
     assert_raises_exactly(lambda: cluster(graph, topology), TooLargeError,
                           message)
+
+
+def test_cluster_tables_refused_together_before_building():
+    # each edge table holds exactly 2^24 entries; the six of a 2x2 grid
+    # and its four node tables would take 768 MiB
+    graph = parse_ising(generate_instance(2, 2, 12, seed=1))
+    _, peak = peak_bytes(lambda: assert_raises_exactly(
+        lambda: cluster(graph, ClusterTopology(2, 2, 12)), TooLargeError,
+        "a model of 4 node and 6 edge tables has 100679680 entries, more "
+        "than the size guard of 16777216"))
+    assert peak < 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 2), (4, 4)])
+def test_cluster_memory_stays_near_its_tables(rows, cols):
+    # every coupling's term is as large as its table; summing a table's
+    # terms in batches keeps the peak near the tables themselves
+    graph = parse_ising(generate_instance(rows, cols, 8, seed=rows))
+    h, peak = peak_bytes(lambda: cluster(graph,
+                                         ClusterTopology(rows, cols, 8)))
+    tables = (sum(h.node_table(site).nbytes for site in h.sites())
+              + sum(table.nbytes for _, table in h.edge_tables()))
+    assert peak < 3 * tables, (peak, tables)
+
+
+def test_cluster_spin_values_memory_is_its_output():
+    values, peak = peak_bytes(lambda: cluster_spin_values(20))
+    assert values.dtype == np.int8 and values.shape == (2**20, 20)
+    assert peak < values.nbytes + 2**20, peak
 
 
 def test_size_guard_admits_its_own_size():

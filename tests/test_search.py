@@ -954,7 +954,7 @@ class TestLowEnergySpectrum:
             for a, b in itertools.combinations(droplets, 2):
                 assert droplet_distance(a, b, state, "spin") >= 5
 
-    def test_spin_mode_requires_cluster_map(self):
+    def test_spin_mode_requires_topology(self):
         h = random_potts(2, 2, 2, seed=16)
         with pytest.raises(UnsupportedError):
             _solve(h, dp=DropletParams(mode="spin"))

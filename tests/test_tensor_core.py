@@ -258,7 +258,7 @@ def random_carried_mps(phys_dims, carried, bond_dim, seed):
         r = 1 if i == len(phys_dims) - 1 else bond_dim
         tensors.append(rng.standard_normal((dl, d, r)))
         dl = r * (d if c else 1)
-    return BoundaryMps(tensors, 0.5, carried)
+    return BoundaryMps(tensors, 0.5)
 
 
 class TestCarriedSites:
@@ -271,10 +271,6 @@ class TestCarriedSites:
         mps = random_carried_mps(self.DIMS, self.CARRIED, 3, seed=40)
         assert mps.bond_dims == (6, 9, 3, 3)
         assert expanded(mps).bond_dims == mps.bond_dims
-        with pytest.raises(DimensionError):
-            BoundaryMps(mps.tensors, carried=[False] * 5)
-        with pytest.raises(DimensionError):
-            BoundaryMps(mps.tensors, carried=self.CARRIED[:4])
 
     def test_left_canonicalize_keeps_blocks(self):
         mps = random_carried_mps(self.DIMS, self.CARRIED, 3, seed=41)
@@ -399,6 +395,8 @@ class TestParams:
     (lambda: BoundaryMps([np.ones((1, 2))]),
      "site tensors must have 3 indices, got (1, 2)"),
     (lambda: BoundaryMps([np.ones((2, 2, 1))]), "outer bonds must have extent 1"),
+    (lambda: BoundaryMps([np.ones((1, 2, 3)), np.ones((4, 2, 1))]),
+     "bond mismatch: (1, 2, 3) next to (4, 2, 1)"),
     (lambda: svd_truncate(np.eye(2), 0), "bond_dim must be >= 1, got 0"),
     (lambda: svd_truncate(np.ones(3), 2), "expected a matrix, got shape (3,)"),
 ])
