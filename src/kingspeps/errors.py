@@ -8,8 +8,9 @@ former to exit code 1 and the latter to exit code 2.
 
 import operator
 
-# the most entries one table, all tables of a model together, or an
-# enumeration may hold: 128 MiB of float64
+# the most entries one table, all tables of a model together, an
+# enumeration or a frontier sweep's table may hold: 128 MiB of float64
+# (and the most bytes a frontier sweep's backpointers may take)
 SIZE_GUARD = 2 ** 24
 
 
@@ -48,8 +49,9 @@ class UnsupportedError(SolverError):
 
 
 class TooLargeError(SolverError):
-    """A table, a model's tables together, or an enumeration would exceed
-    :data:`SIZE_GUARD` entries."""
+    """A table, a model's tables together, an enumeration or a frontier
+    sweep's table would exceed :data:`SIZE_GUARD` entries, or the sweep's
+    backpointers its 128 MiB."""
 
 
 class NumericError(SolverError):

@@ -179,7 +179,7 @@ def parse_potts(text) -> PottsHamiltonian:
             any table is built.
     """
     header = None
-    entries: dict[tuple, float] = {}  # (sites, states), sites row-major
+    entries: dict[tuple, dict] = {}  # sites, row-major -> states -> value
     dims: dict[tuple[int, int], int] = {}
     for lineno, stripped, tokens in _records(text, "#"):
         if header is None:
@@ -221,18 +221,19 @@ def parse_potts(text) -> PottsHamiltonian:
             dims[site] = max(dims.get(site, 1), state)
         if sites[-1] < sites[0]:
             sites, states = sites[::-1], states[::-1]
-        if (sites, states) in entries:
+        values = entries.setdefault(sites, {})
+        if states in values:
             what = (f"node entry {sites[0]} state {states[0]}" if n_sites == 1
                     else f"edge entry {sites[0]}-{sites[1]} states {states}")
             raise DuplicateEntryError(f"{what} given twice", line=lineno)
-        entries[(sites, states)] = value
+        values[states] = value
 
     if header is None:
         raise ParseError("missing 'P m n' header")
 
     # every referenced site gets a node table, then edges by first record
     shapes = {(site,): (dims[site],) for site in dims}
-    for sites, _ in entries:
+    for sites in entries:
         shapes.setdefault(sites, tuple(dims[site] for site in sites))
     for sites, shape in shapes.items():
         check_size(f"node table at {sites[0]}" if len(sites) == 1
@@ -240,15 +241,17 @@ def parse_potts(text) -> PottsHamiltonian:
                    math.prod(shape))
     check_size(f"a model of {len(dims)} node and {len(shapes) - len(dims)} "
                f"edge tables", sum(map(math.prod, shapes.values())))
-    tables = {sites: np.zeros(shape) for sites, shape in shapes.items()}
-    for (sites, states), value in entries.items():
-        tables[sites][tuple(state - 1 for state in states)] = value
     h = PottsHamiltonian(*header)
-    for sites, table in tables.items():
+    for sites, shape in shapes.items():
+        # one table at a time, dropped once the model holds its copy
+        table = np.zeros(shape)
+        for states, value in entries.get(sites, {}).items():
+            table[tuple(state - 1 for state in states)] = value
         if len(sites) == 1:
             h.set_node(sites[0], table)
         else:
             h.set_edge(*sites, table)
+        del table
     return h
 
 

@@ -1,8 +1,12 @@
-"""Exhaustive-enumeration reference for small instances.
+"""Exact references for small and narrow instances.
 
-Everything here is brute force on purpose: exact spectra, partition
-functions, and conditional distributions computed by summation over all
-completions. Guarded at ``SIZE_GUARD`` (2^24) configurations.
+Spectra, ground energies, partition functions and conditional
+distributions are brute force on purpose: summed over every
+configuration, guarded at ``SIZE_GUARD`` (2^24) configurations. Beyond
+that guard, :func:`frontier_ground` finds a ground state by a min-sum
+sweep along the grid's shorter side. Its cost grows with the number of
+sites and exponentially only in the grid's width, so it reaches 8x8
+grids of 4-state sites and 16x16 grids of spins in seconds.
 
 Enumeration is lexicographic: position ``i`` of the enumeration is the
 assignment whose row-major states, less one, are the mixed-radix digits
@@ -20,8 +24,9 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, check_size
-from .potts import PottsHamiltonian, _checked_states, _integer_states
+from .errors import SIZE_GUARD, DimensionError, TooLargeError, check_size
+from .potts import (PottsHamiltonian, _checked_states, _integer_states,
+                    potts_energies)
 
 BLOCK_ROWS = 2 ** 16
 
@@ -86,23 +91,129 @@ def _log_sum_exp(values: np.ndarray) -> float:
     return peak + float(np.log(np.sum(np.exp(values - peak))))
 
 
+def frontier_ground(h: PottsHamiltonian) -> tuple[float, tuple[int, ...]]:
+    """A ground state of ``h`` by a min-sum sweep, and its energy.
+
+    Sites are placed one at a time, line by line along the grid's
+    shorter side (row-major unless the grid has more columns than
+    rows). A table over the placed sites that still have an edge to an
+    unplaced one holds, for each of their assignments, the lowest
+    energy of the terms placed so far. Placing a site adds its node
+    table and its edges to placed sites. A site whose last edge has been
+    placed is minimised out, and the state that attains the minimum (the
+    lowest one on a tie) is kept for each assignment of the rest, as a
+    backpointer in the smallest unsigned dtype that holds a state. On a
+    king's graph ``w`` sites wide the table spans at most ``w + 2``
+    sites; the backpointers walked back from the last site give the
+    state.
+
+    Returns:
+        ``(energy, state)``: ``state`` holds the 1-based row-major
+        states, and ``energy`` is :func:`~kingspeps.potts.potts_energies`
+        of it, summed in that function's order. The sweep sums in
+        another order, so where two assignments' energies lie within
+        its rounding it may pick the one whose energy is an ulp above
+        the enumeration's minimum; and a site minimised out at ``-inf``
+        before a ``+inf`` term is added gives NaN where the minimum is
+        ``+inf``. ``ExactSpectrum.min_energy`` is the exact minimum.
+
+    Raises:
+        TooLargeError: a table would exceed ``SIZE_GUARD`` entries, or
+            the backpointers together the guard's bytes (128 MiB);
+            checked before any table is built.
+    """
+    sites = list(h.sites())
+    order = sites
+    if h.cols > h.rows:  # column by column, along the shorter side
+        order = sorted(sites, key=lambda site: site[::-1])
+    step = {site: k for k, site in enumerate(order)}
+    dims = {site: h.dim(site) for site in sites}
+    back = {site: [] for site in sites}  # edges to sites placed before
+    last = dict(step)  # the step that places a site's last edge
+    for (a, b), edge in h.edge_tables():
+        if step[a] > step[b]:
+            a, b, edge = b, a, edge.T
+        back[b].append((a, edge))
+        last[a] = max(last[a], step[b])
+
+    dtype = _state_dtype(list(dims.values()))
+    leaving = []  # the sites minimised out after each step
+    live, size, largest, kept = [], 1, 1, 0
+    for k, site in enumerate(order):
+        live.append(site)
+        size *= dims[site]
+        largest = max(largest, size)
+        leaving.append([s for s in live if last[s] == k])
+        for gone in leaving[-1]:
+            live.remove(gone)
+            size //= dims[gone]
+            kept += size
+    check_size("the largest table of the frontier sweep", largest)
+    if kept * dtype.itemsize > 8 * SIZE_GUARD:
+        raise TooLargeError(
+            f"the frontier sweep's backpointers take {kept * dtype.itemsize} "
+            f"bytes, more than the size guard's {8 * SIZE_GUARD}")
+
+    table = np.zeros(())  # over the sites in live, in the order placed
+    trail = []  # (site, the live sites after it, backpointers)
+    for k, site in enumerate(order):
+        terms = h.node_table(site).reshape((1,) * len(live) + (-1,))
+        for a, edge in back[site]:
+            shape = [1] * (len(live) + 1)
+            shape[live.index(a)], shape[-1] = edge.shape
+            terms = terms + edge.reshape(shape)
+        table = table[..., None] + terms
+        live.append(site)
+        for gone in leaving[k]:
+            axis = live.index(gone)
+            del live[axis]
+            table, best = _min_out(table, axis, dtype)
+            trail.append((gone, list(live), best))
+
+    state = {}
+    for gone, rest, best in reversed(trail):
+        state[gone] = int(best[tuple(state[s] - 1 for s in rest)])
+    ground = tuple(state[site] for site in sites)
+    return float(potts_energies(h, [ground])[0]), ground
+
+
+def _min_out(table: np.ndarray, axis: int,
+             dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``table``'s minimum over ``axis``, and the 1-based state along it
+    that attains the minimum, the lowest on a tie. NaN (from infinite
+    terms of both signs) counts as above every number, as the
+    enumeration's sort puts it last."""
+    slices = np.moveaxis(table, axis, 0)
+    low = np.array(slices[0])
+    best = np.ones(low.shape, dtype=dtype)
+    for x in range(1, len(slices)):
+        best[(slices[x] < low) | np.isnan(low)] = x + 1
+        np.fmin(low, slices[x], out=low)
+    return low, best
+
+
 class ExactSpectrum:
     """Complete enumeration of a model, sorted ascending by energy.
 
-    Construction walks the enumeration in blocks of ``BLOCK_ROWS``
-    positions and keeps only the float64 energy of each assignment, in
-    enumeration order: 8 bytes per configuration. ``min_energy`` and
-    ``len()`` are answered from those.
+    Construction only checks that the enumeration fits ``SIZE_GUARD``,
+    and ``len()`` is the product of the site dimensions. ``min_energy``
+    walks the enumeration in blocks of ``BLOCK_ROWS`` positions when
+    first asked for and keeps a running ``np.fmin`` of their energies,
+    so it holds one block at a time, not 8 bytes per configuration. It
+    and the sorted arrays below read ``h`` as it stands when first
+    asked for.
 
     The first read of ``states`` or ``energies`` (and so of the partition
-    function, which reads the sorted energies) sorts them by one stable
-    ``argsort`` by energy. The enumeration is lexicographic, so ties are
-    broken lexicographically by assignment and the ordering is
-    reproducible. The unsorted energies are then dropped and the states
-    rebuilt block by block from their enumeration positions. That read
-    holds the sort order and the sorted energies (8 bytes per
-    configuration each) besides the states (one byte per site and
-    configuration up to 255 states per site).
+    function, which reads the sorted energies) walks the enumeration in
+    blocks of ``BLOCK_ROWS`` positions, keeping the float64 energy of
+    each assignment, and sorts them by one stable ``argsort`` by energy.
+    The enumeration is lexicographic, so ties are broken
+    lexicographically by assignment and the ordering is reproducible.
+    The unsorted energies are then dropped and the states rebuilt block
+    by block from their enumeration positions. That read holds at most
+    three arrays of 8 bytes per configuration (the energies unsorted and
+    sorted, and the sort order), and then the states (one byte per site
+    and configuration up to 255 states per site) besides the last two.
 
     Attributes:
         states: ``(n_configs, n_sites)`` 1-based states in row-major
@@ -110,26 +221,35 @@ class ExactSpectrum:
             largest site dimension (``np.min_scalar_type``; uint8 up to
             255 states per site).
         energies: float64 energies, ascending.
-        min_energy: the lowest energy.
+        min_energy: the lowest energy, bit-identical to ``energies[0]``
+            (``fmin`` skips NaN as the sort puts it last).
     """
 
     def __init__(self, h: PottsHamiltonian):
+        self._h = h
         self._dims = [h.dim(site) for site in h.sites()]
-        total = _enumeration_size(self._dims)
-        unsorted = np.empty(total, dtype=np.float64)
+        _enumeration_size(self._dims)
+
+    @functools.cached_property
+    def min_energy(self) -> float:
+        low = np.nan
+        for block in self._blocks():
+            low = np.fmin(low, np.fmin.reduce(block))
+        return float(low)
+
+    def _blocks(self):
+        """The energies of the enumeration, block by block, in order."""
+        total = len(self)
         for start in range(0, total, BLOCK_ROWS):
             index = np.arange(start, min(start + BLOCK_ROWS, total))
-            unsorted[start:start + len(index)] = config_energies(
-                h, _assignments(self._dims, index))
-        # fmin skips NaN as the sort does, which puts NaN last
-        self.min_energy = float(np.fmin.reduce(unsorted))
-        self._unsorted = unsorted
+            yield config_energies(self._h, _assignments(self._dims, index))
 
     @functools.cached_property
     def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        order = np.argsort(self._unsorted, kind="stable")
-        energies = self._unsorted[order]
-        self._unsorted = None
+        unsorted = np.concatenate(list(self._blocks()))
+        order = np.argsort(unsorted, kind="stable")
+        energies = unsorted[order]
+        del unsorted
         states = np.empty((len(order), len(self._dims)),
                           dtype=_state_dtype(self._dims))
         for start in range(0, len(order), BLOCK_ROWS):
@@ -156,7 +276,8 @@ class ExactSpectrum:
 
 
 def exact_spectrum(h: PottsHamiltonian) -> ExactSpectrum:
-    """Enumerate all assignments of a small model.
+    """The spectrum of a small model, enumerated when first read
+    (:class:`ExactSpectrum`).
 
     Raises:
         TooLargeError: the state space exceeds 2^24.

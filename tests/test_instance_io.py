@@ -205,6 +205,16 @@ class TestParsePotts:
             "more than the size guard of 16777216"))
         assert peak < 8 * 2**20, peak
 
+    def test_builds_one_table_at_a_time(self):
+        # four node tables of 2^18 states, 2 MiB each: the parser holds
+        # the model's copies and the one table it is filling
+        text = "P 1 4\n" + "".join(f"n 1 {c} 262144 0.5\n"
+                                   for c in range(1, 5))
+        h, peak = peak_bytes(lambda: parse_potts(text))
+        table = h.node_table((1, 4))
+        assert table[-1] == 0.5 and table.nbytes == 2**21
+        assert peak < 4 * table.nbytes + table.nbytes + 2**20, peak
+
 
 def _potts_records(h, rng, skipped):
     """Every table entry of ``h`` as a Potts record ``(sites, states,

@@ -1,4 +1,5 @@
-"""Enumeration reference: spectra, partition functions, conditionals."""
+"""Exact references: the frontier sweep, and spectra, partition functions
+and conditionals by enumeration."""
 
 import math
 import tracemalloc
@@ -12,10 +13,12 @@ from kingspeps import (ALL_TRANSFORMS, ClusterTopology, ContractionParams,
 from kingspeps.instance_io import parse_potts
 from kingspeps.ising import IsingGraph
 from kingspeps.oracle import (BLOCK_ROWS, config_energies, exact_conditional,
-                              _assignments, _enumeration_size, _log_sum_exp)
+                              frontier_ground, _assignments, _enumeration_size,
+                              _log_sum_exp)
 from kingspeps.potts import PottsHamiltonian, potts_energies
 from kingspeps.errors import DimensionError, InvalidIndexError, TooLargeError
-from conftest import ragged_potts, random_clustered, random_potts
+from conftest import (assert_raises_exactly, peak_bytes, ragged_potts,
+                      random_clustered, random_potts)
 
 
 def test_single_site_spectrum():
@@ -187,6 +190,88 @@ def test_spectrum_sums_out_of_order_edges_as_the_solver_does():
         ContractionParams(bond_dim=64, num_sweeps=0, beta=1.0),
         SearchParams(max_states=16))
     assert sol.best_energy == spec.min_energy
+
+
+# grids 1 and 2 sites wide in both orientations, ragged dimensions with
+# absent edges, and a single site
+FRONTIER_MODELS = {
+    **SPECTRUM_MODELS,
+    "out-of-order-edges": lambda: parse_potts(OUT_OF_ORDER_EDGES),
+    "1x7": lambda: random_potts(1, 7, 3, seed=1),
+    "7x1": lambda: random_potts(7, 1, 3, seed=2),
+    "2x6": lambda: random_potts(2, 6, 2, seed=3),
+    "6x2": lambda: random_potts(6, 2, 2, seed=4),
+    "2x5-ragged": lambda: ragged_potts(2, 5, [3, 1, 4, 2, 2, 4, 3, 1, 2, 3], 6),
+    "5x2-ragged": lambda: ragged_potts(5, 2, [2, 4, 1, 3, 3, 2, 4, 2, 1, 3], 7),
+    "4x3-ragged": lambda: ragged_potts(4, 3, [1, 2, 3, 2, 3, 1, 2, 2, 3, 1, 2,
+                                             3], 9),
+    "3x4-ragged-ties": lambda: integer_valued(
+        ragged_potts(3, 4, [2, 3, 1, 2, 3, 2, 2, 1, 3, 2, 3, 2], 10)),
+    "1x1": lambda: random_potts(1, 1, 5, seed=11),
+}
+
+
+@pytest.mark.parametrize("name", FRONTIER_MODELS)
+def test_frontier_ground_is_the_enumeration_minimum(name):
+    h = FRONTIER_MODELS[name]()
+    energy, state = frontier_ground(h)
+    assert energy.hex() == float(exact_spectrum(h).energies[0]).hex()
+    assert potts_energy(h, state) == energy
+
+
+def test_frontier_ground_puts_nan_last_as_the_sort_does():
+    # a coupled pair whose energies are inf, NaN (inf + -inf), 0 and -inf
+    h = PottsHamiltonian(1, 2)
+    h.set_node((1, 1), [np.inf, 0.0])
+    h.set_node((1, 2), [0.0, -np.inf])
+    h.set_edge((1, 1), (1, 2), np.zeros((2, 2)))
+    with np.errstate(invalid="ignore"):
+        energy, state = frontier_ground(h)
+        energies = exact_spectrum(h).energies
+    assert np.isnan(energies[-1])
+    assert energy == energies[0] == -np.inf and state == (2, 2)
+
+
+@pytest.mark.parametrize("rows, cols, message", [
+    (30, 30, "the largest table of the frontier sweep has 4294967296 "
+             "entries, more than the size guard of 16777216"),
+    # each table fits, but 1280 sites keep a backpointer of up to 2^21
+    # bytes each
+    (64, 20, "the frontier sweep's backpointers take 2541748215 bytes, "
+             "more than the size guard's 134217728")])
+def test_frontier_refused_before_building(rows, cols, message):
+    h = random_potts(rows, cols, 2, seed=1)
+    _, peak = peak_bytes(lambda: assert_raises_exactly(
+        lambda: frontier_ground(h), TooLargeError, message))
+    assert peak < 2**20, peak
+
+
+def test_min_energy_holds_one_block():
+    # 2^20 configurations: their energies alone take 8 MiB
+    h = random_potts(4, 5, 2, seed=12)
+    _, peak = peak_bytes(lambda: exact_spectrum(h).min_energy)
+    assert peak < 5 * 2**20, peak
+
+
+def _pair(first, second, edge=None):
+    h = PottsHamiltonian(1, 2)
+    h.set_node((1, 1), first)
+    h.set_node((1, 2), second)
+    if edge is not None:
+        h.set_edge((1, 1), (1, 2), np.array(edge))
+    return h
+
+
+@pytest.mark.parametrize("h", [
+    # (0.1 + 0.2) + 0.3 ties 0.6 + 0.0 in another summation order, but
+    # is an ulp above it in the enumeration's
+    _pair([0.1, 0.6], [0.2, 0.0], [[0.3, 10.0], [10.0, 0.0]]),
+    # -inf + inf is NaN; the minimum is 0 + inf
+    _pair([-np.inf, 0.0], [np.inf])], ids=["near-tie", "infinite"])
+def test_min_energy_is_the_sorted_minimum(h):
+    with np.errstate(invalid="ignore"):
+        spec = exact_spectrum(h)
+        assert spec.min_energy.hex() == float(spec.energies[0]).hex()
 
 
 class TestExactConditional:

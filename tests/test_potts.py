@@ -15,7 +15,7 @@ from kingspeps.potts import (PottsHamiltonian, cluster_spin_values, decode,
 from kingspeps.errors import (SIZE_GUARD, DimensionError, GeometryError,
                               InvalidIndexError, NumericError, TooLargeError,
                               UnsupportedError, check_size)
-from kingspeps.potts import potts_energies
+from kingspeps.potts import _add_in_order, potts_energies
 from conftest import (assert_raises_exactly, ising_energy, peak_bytes,
                       ragged_potts, random_clustered)
 
@@ -428,6 +428,23 @@ def test_cluster_memory_stays_near_its_tables(rows, cols):
     tables = (sum(h.node_table(site).nbytes for site in h.sites())
               + sum(table.nbytes for _, table in h.edge_tables()))
     assert peak < 3 * tables, (peak, tables)
+
+
+@pytest.mark.parametrize("n_tables, n_terms, shape", [
+    (1, 40, (3, 4)), (2, 40, (3, 4)), (5, 40, (3, 4)),
+    (5, 12, (2**17,))])  # 1 MiB tables, batches of five that repeat a table
+def test_add_in_order_matches_scalar_loop(n_tables, n_terms, shape):
+    # uneven and interleaved counts per table, terms of mixed magnitude
+    rng = np.random.default_rng(n_tables)
+    at = rng.integers(0, n_tables, size=n_terms)
+    values = rng.standard_normal((n_terms, *shape)) * 10.0 ** rng.integers(
+        -8, 8, size=(n_terms,) + (1,) * len(shape))
+    tables = rng.standard_normal((n_tables, *shape))
+    expected = tables.copy()
+    for i, k in enumerate(at):
+        expected[k] += values[i]
+    _add_in_order(tables, at, lambda s: values[s])
+    assert tables.tobytes() == expected.tobytes()
 
 
 def test_cluster_spin_values_memory_is_its_output():

@@ -20,6 +20,7 @@ from kingspeps import (ALL_TRANSFORMS, ClusterTopology, ContractionParams,
                        unpack_droplets)
 from kingspeps.instance_io import parse_potts
 from kingspeps.ising import IsingGraph
+from kingspeps.oracle import frontier_ground
 from kingspeps.peps import _reach, bottom_environments, build_network
 from kingspeps.potts import PottsHamiltonian, decode, encode
 from kingspeps.search import (Branches, Droplet, DropletTable,
@@ -988,6 +989,28 @@ def _distinct(droplets) -> dict:
             seen[id(droplet)] = droplet
             stack.extend(droplet.sub_droplets)
     return seen
+
+
+class TestExactAtScale:
+    """The best energy at 128 and 256 spins is the exact ground energy
+    of the frontier sweep."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_8x8x2(self, seed):
+        _, h = random_clustered(8, 8, 2, seed=seed)
+        exact, _ = frontier_ground(h)
+        assert _solve(h).best_energy == pytest.approx(exact, rel=1e-9)
+
+    @pytest.fixture(scope="class")
+    def spins16x16(self):
+        _, h = random_clustered(16, 16, 1, seed=7)
+        return h, frontier_ground(h)[0]
+
+    @pytest.mark.parametrize("code", [0, 1], ids=["r0", "r90"])
+    def test_16x16x1_beta4(self, spins16x16, code):
+        h, exact = spins16x16
+        sol = _solve(h, ALL_TRANSFORMS[code], beta=4.0)
+        assert sol.best_energy == pytest.approx(exact, rel=1e-9)
 
 
 class TestMergeSkip:
