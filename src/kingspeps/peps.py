@@ -159,7 +159,8 @@ class PepsNetwork:
         if not np.all(np.isfinite(weight)):
             raise NumericError(
                 "Boltzmann weight overflowed; reduce beta or rescale energies")
-        weight = weight.astype(self.dtype)
+        with np.errstate(over="ignore"):
+            weight = _finite(weight.astype(self.dtype), "Boltzmann weight")
         ends = np.cumsum([table.size for table in tables]).tolist()
         views = iter([weight[end - table.size:end].reshape(table.shape)
                       for table, end in zip(tables, ends)])
@@ -187,6 +188,15 @@ class PepsNetwork:
     def __repr__(self):
         return (f"PepsNetwork({self.rows}x{self.cols}, beta={self.beta}, "
                 f"transform={self.transform.name})")
+
+
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    """``x``, unless ``what``, which it holds, overflowed its dtype: then
+    a NumericError, which suggests float64 only to float32."""
+    if not np.all(np.isfinite(x)):
+        raise NumericError(f"{what} overflows {x.dtype}; reduce beta" + (
+            " or use float64" if x.dtype == np.float32 else ""))
+    return x
 
 
 def build_network(hamiltonian: PottsHamiltonian,
@@ -256,10 +266,7 @@ def row_product(net: PepsNetwork, row: int, env: BoundaryMps) -> BoundaryMps:
             if w is not None:
                 # couples x_c with y_{c-1}; table is (d_x, d_{y,c-1})
                 a = a * w.T[None, :, :, None]
-        if not np.all(np.isfinite(a)):
-            raise NumericError(
-                f"weight table of row pair {row}|{lower} at column {c} "
-                f"overflows {net.dtype}; reduce beta or use float64")
+        _finite(a, f"weight table of row pair {row}|{lower} at column {c}")
 
         # p[xl, yl, chi_l, x, yr, chi_r]
         if carry_y:
@@ -334,6 +341,8 @@ def right_tables(net: PepsNetwork, bottom: BoundaryMps, row: int,
     to the row above. Entry ``col - 1`` of the result has shape
     ``(B, d_col, right bond of column col)``, is indexed by the
     candidate state of column ``col`` and is max-normalized per assignment.
+    No row product covers row 1 or a site's own ``"ne"`` edge, so an
+    overflow here raises :func:`row_product`'s NumericError.
     """
     env = np.ones((len(values), net.dim_at(row, net.cols), 1), dtype=net.dtype)
     tables = [env]
@@ -342,18 +351,21 @@ def right_tables(net: PepsNetwork, bottom: BoundaryMps, row: int,
         # h[u, x, a] = sum_b a[a, x, b] env[u, x, b], one matmul per x
         h = np.matmul(env.transpose(1, 0, 2), a.transpose(1, 2, 0))
         # v[u, x_{col-1}, x_col]: the weights of free column col
-        v = (np.ones((net.dim_at(row, col - 1), 1), dtype=net.dtype)
-             * net.site_weight[(row, col)][None, :])
-        w_horiz = net.back(row, col, "w")
-        if w_horiz is not None:
-            v = v * w_horiz
-        for direction in ("n", "nw", "ne"):
-            w = net.back(row, col, direction)
-            if w is not None:
-                dr, dc = _BACK_OFFSETS[direction]
-                v = v * w.take(values[:, net.position(row + dr, col + dc) - 1]
-                               - 1, axis=0)[:, None, :]
-        env = _max_normalized(v @ h.transpose(1, 0, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = (np.ones((net.dim_at(row, col - 1), 1), dtype=net.dtype)
+                 * net.site_weight[(row, col)][None, :])
+            w_horiz = net.back(row, col, "w")
+            if w_horiz is not None:
+                v = v * w_horiz
+            for direction in ("n", "nw", "ne"):
+                w = net.back(row, col, direction)
+                if w is not None:
+                    dr, dc = _BACK_OFFSETS[direction]
+                    above = values[:, net.position(row + dr, col + dc) - 1]
+                    v = v * w.take(above - 1, axis=0)[:, None, :]
+            env = v @ h.transpose(1, 0, 2)
+        env = _max_normalized(
+            _finite(env, f"weight table of row {row} at column {col}"))
         tables.append(env)
     return tables[::-1]
 

@@ -10,9 +10,11 @@ the lowest-energy one; the survivors are pruned to the most probable
 droplet records a discarded branch on its survivor: the bulk sites
 where the two differed, plus the energy gap. Unpacking droplets
 afterwards reconstructs the low-energy configurations the merges
-absorbed. Steps where no site leaves the boundary only prune. After k
-placements the boundary is the positions p < k whose ``reach``, the
-network's largest later king neighbour of p, is at least k.
+absorbed. Steps where no site leaves the boundary only prune. Every
+step prunes through :func:`prune`; the solve keeps the running maximum
+of the log probabilities it discards. After k placements the boundary
+is the positions p < k whose ``reach``, the network's largest later
+king neighbour of p, is at least k.
 
 The lower half is contracted once per solve, into one bottom
 environment per row. One contraction per step then gives all
@@ -275,9 +277,9 @@ def _ranked(block: np.ndarray, tie: np.ndarray):
     return order, new
 
 
-def branch(states: Branches, k: int, net: PepsNetwork,
+def branch(states: Branches, net: PepsNetwork,
            envs: list[BoundaryMps]) -> Branches:
-    """Extend every branch by all states of site ``k``.
+    """Extend every branch by all states of the next unassigned site.
 
     ``envs`` holds the solve's bottom environments, one per row, from
     :func:`bottom_environments`. Children come parent-major with their
@@ -286,14 +288,10 @@ def branch(states: Branches, k: int, net: PepsNetwork,
     terms (:func:`step_energies`: the site's own table plus its edges to
     already-assigned neighbors, which also weigh the conditionals).
     """
-    total = net.rows * net.cols
-    if not 1 <= k <= total:
+    k, total = states.values.shape[1] + 1, net.rows * net.cols
+    if k > total:
         raise InvalidIndexError(f"position {k} outside 1..{total}")
     row, col = net.site_of(k)
-    if states.values.shape[1] != k - 1:
-        raise DimensionError(
-            f"branch at position {k} requires {k - 1} assigned values, "
-            f"got {states.values.shape[1]}")
     bottom = envs[row - 1]
     if col == 1:
         states = replace(states, left=np.ones((len(states), 1), dtype=net.dtype),
@@ -365,10 +363,9 @@ def _clashes(values, others, carriers, run, run_start, counts, held, mode,
 
 
 def merge_and_collect(states: Branches, positions: np.ndarray,
-                      dp: DropletParams, sp: SearchParams,
-                      largest_discarded: float = -math.inf):
+                      dp: DropletParams, sp: SearchParams):
     """Merge branches with identical boundary values, prune the
-    survivors as :func:`prune` does, and collect droplets on those kept.
+    survivors through :func:`prune`, and collect droplets on those kept.
 
     Within a group the lowest-energy branch survives (ties broken by
     index, which is lexicographic). A discarded branch within
@@ -391,8 +388,8 @@ def merge_and_collect(states: Branches, positions: np.ndarray,
     full configurations. Python walks each candidate's slice of the
     clashing pairs: one still standing with a gap no larger rejects it,
     as every earlier candidate kept does (gaps ascend within a
-    survivor); else it evicts the rest. Returns what :func:`prune`
-    returns, the survivors in index order.
+    survivor); else it evicts the rest. Returns the survivors in index
+    order and what :func:`prune` discarded of them.
     """
     table, values = states.table, states.values
     k = values.shape[1]
@@ -400,8 +397,7 @@ def merge_and_collect(states: Branches, positions: np.ndarray,
     survivors = order[first]
     survivor = survivors[first.cumsum() - 1]
     survivors.sort()
-    kept, largest_discarded = _prune_order(
-        states.log_probability[survivors], sp, largest_discarded)
+    kept, discarded = prune(states.log_probability[survivors], sp)
     survivors = survivors[kept]
     merged = states.take(survivors)
     alive = np.zeros(len(states), dtype=bool)
@@ -409,7 +405,7 @@ def merge_and_collect(states: Branches, positions: np.ndarray,
     gap = states.energy[order] - states.energy[survivor]
     pick = (~first & (gap <= dp.energy_cutoff) & alive[survivor]).nonzero()[0]
     if not len(pick):
-        return merged, largest_discarded
+        return merged, discarded
 
     others, carriers, gaps = order[pick], survivor[pick], gap[pick]
     mine = values.take(others, axis=0)
@@ -453,15 +449,18 @@ def merge_and_collect(states: Branches, positions: np.ndarray,
             merged.droplets[slot] = (tuple(compress(old, stays))
                                      + tuple(range(start, start + gained)))
             start += gained
-    return merged, largest_discarded
+    return merged, discarded
 
 
-def _prune_order(log_probability: np.ndarray, sp: SearchParams,
-                 largest_discarded: float):
-    """Indices of the branches :func:`prune` keeps, in index order, and
-    the updated running maximum of the discarded log probabilities.
+def prune(log_probability: np.ndarray, sp: SearchParams):
+    """Indices of the ``max_states`` most probable branches within
+    ``cut_off_prob`` of the best, in index order, and the largest log
+    probability discarded (-inf if none).
 
-    The most probable are kept, ties broken by index: a stable sort.
+    Ties go to the lower index, the lexicographically first: a stable
+    sort. Every search step prunes through here, a merge step inside
+    :func:`merge_and_collect`; :func:`low_energy_spectrum` keeps the
+    running maximum of what the steps discard.
     """
     order = (-log_probability).argsort(kind="stable")
     ranked = log_probability[order]
@@ -470,24 +469,9 @@ def _prune_order(log_probability: np.ndarray, sp: SearchParams,
         threshold = ranked[0] + math.log(sp.cut_off_prob)
         keep = max(1, int(np.count_nonzero(ranked >= threshold)))
     keep = min(keep, sp.max_states)
-    if keep < len(order):
-        largest_discarded = max(largest_discarded, float(ranked[keep]))
+    discarded = float(ranked[keep]) if keep < len(order) else -math.inf
     order[:keep].sort()
-    return order[:keep], largest_discarded
-
-
-def prune(states: Branches, sp: SearchParams,
-          largest_discarded: float = -math.inf):
-    """Keep the ``max_states`` most probable branches above the threshold.
-
-    Of equally probable branches the lexicographically first are kept.
-    Returns the kept branches in index order, so still sorted, and the
-    updated running maximum of the discarded log probabilities. A merge
-    step prunes by the same rule inside :func:`merge_and_collect`.
-    """
-    kept, largest_discarded = _prune_order(
-        states.log_probability, sp, largest_discarded)
-    return states.take(kept), largest_discarded
+    return order[:keep], discarded
 
 
 def _sheds_boundary(reach: np.ndarray, k: int) -> bool:
@@ -533,16 +517,17 @@ def low_energy_spectrum(h: PottsHamiltonian,
     largest_discarded = -math.inf
     merges = 0
     for k in range(1, total + 1):
-        states = branch(states, k, net, envs)
+        states = branch(states, net, envs)
         if (droplet_params is not None and k < total
                 and _sheds_boundary(net.reach, k)):
-            states, largest_discarded = merge_and_collect(
+            states, discarded = merge_and_collect(
                 states, _boundary(net.reach, k), droplet_params,
-                search_params, largest_discarded)
+                search_params)
             merges += 1
         else:
-            states, largest_discarded = prune(states, search_params,
-                                              largest_discarded)
+            kept, discarded = prune(states.log_probability, search_params)
+            states = states.take(kept)
+        largest_discarded = max(largest_discarded, discarded)
         if k % net.cols == 0:
             logger.debug("row %d/%d: %d branches, merged at %d of %d steps",
                          k // net.cols, net.rows, len(states), merges, net.cols)

@@ -289,6 +289,35 @@ class TestSolve:
                          "--transforms", "r0"]) == 2
         assert "weight table of row pair" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case, message", [
+        ("cast", "Boltzmann weight overflows float32; reduce beta or "
+         "use float64"),
+        ("right-tables", "weight table of row 1 at column 3 overflows "
+         "float32; reduce beta or use float64"),
+    ], ids=["cast", "right-tables"])
+    def test_float32_overflow_is_one_numerical_failure(self, tmp_path, capsys,
+                                                       case, message):
+        # the float32 cast of a weight, and a product of weights that no
+        # row product covers, each overflow before the search starts
+        if case == "cast":
+            path = _write_instance(tmp_path, rows=3, cols=3, t=2, seed=1)
+            args = ["--topology", "3", "3", "2", "--beta", "50"]
+        else:
+            path = tmp_path / "potts.txt"
+            path.write_text("P 2 3\n" + "".join(
+                f"n {r} {c} 1 -45\nn {r} {c} 2 0\n"
+                for r in (1, 2) for c in (1, 2, 3))
+                + "e 1 1 1 2 1 1 -45\ne 1 2 1 3 1 1 -45\n")
+            args = ["--format", "potts", "--beta", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve", str(path), *args, "--precision", "float32",
+                         "--transforms", "r0"]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines()
+                if "numerical failure" in line] == [
+                    f"numerical failure: {message}"]
+
     def test_usage_error_exits_one(self):
         assert main(["solve"]) == 1
 

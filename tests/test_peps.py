@@ -139,6 +139,19 @@ class TestBuildNetwork:
         with pytest.raises(NumericError):
             build_network(h, beta=1.0)
 
+    def test_float32_cast_overflow_raises(self):
+        # exp(100) fits float64 but not float32
+        h = PottsHamiltonian(1, 1)
+        h.set_node((1, 1), [-100.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_raises_exactly(
+                lambda: build_network(h, beta=1.0, dtype=np.float32),
+                NumericError,
+                "Boltzmann weight overflows float32; reduce beta or use float64")
+        assert build_network(h, beta=1.0).site_weight[(1, 1)][0] == \
+            pytest.approx(math.exp(100))
+
     def test_invalid_beta(self):
         h = PottsHamiltonian(1, 1)
         h.set_node((1, 1), [0.0])
@@ -252,15 +265,21 @@ class TestRowProduct:
             with pytest.raises(DimensionError):
                 row_product(net, 1, BoundaryMps.ones(dims))
 
-    def test_overflowing_weight_table_names_rows_and_column(self):
-        # each weight exp(30) fits float32, but column 2 of row 2 multiplies
-        # five of them (site, n, w, nw and the ne edge of (2, 1))
+    @staticmethod
+    def _five_weights():
+        """A 2x2 model whose row pair 1|2 multiplies, at column 2, five
+        weights exp(30 beta) (site, n, w, nw and the ne edge of (2, 1))."""
         h = PottsHamiltonian(2, 2)
         for site in h.sites():
             h.set_node(site, [-30.0, 0.0])
         for a, b in (((1, 1), (1, 2)), ((1, 1), (2, 1)), ((1, 2), (2, 2)),
                      ((2, 1), (2, 2)), ((1, 1), (2, 2)), ((1, 2), (2, 1))):
             h.set_edge(a, b, [[-30.0, 0.0], [0.0, 0.0]])
+        return h
+
+    def test_overflowing_weight_table_names_rows_and_column(self):
+        # each weight exp(30) fits float32, but five of them do not
+        h = self._five_weights()
         net = build_network(h, beta=1.0, dtype=np.float32)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -271,6 +290,35 @@ class TestRowProduct:
         # the same model contracts in float64
         assert network_z(build_network(h, beta=1.0)) == pytest.approx(
             brute_z(h, 1.0), rel=1e-10)
+
+    def test_float64_overflow_does_not_suggest_float64(self):
+        # each weight exp(150) fits float64, but five of them do not
+        net = build_network(self._five_weights(), beta=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_raises_exactly(
+                lambda: row_product(net, 1, BoundaryMps.ones([2, 2])),
+                NumericError, "weight table of row pair 1|2 at column 2 "
+                "overflows float64; reduce beta")
+
+    def test_overflowing_right_tables_name_row_and_column(self):
+        # no row product covers row 1: site (1, 3) and its edge to (1, 2)
+        # weigh exp(45) each, and their product overflows float32
+        h = PottsHamiltonian(2, 3)
+        for site in h.sites():
+            h.set_node(site, [-45.0, 0.0])
+        for a, b in (((1, 1), (1, 2)), ((1, 2), (1, 3))):
+            h.set_edge(a, b, [[-45.0, 0.0], [0.0, 0.0]])
+        net = build_network(h, beta=1.0, dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bottom = exact_envs(net)[0]
+            assert_raises_exactly(
+                lambda: right_tables(net, bottom, 1,
+                                     np.zeros((1, 0), dtype=np.intp)),
+                NumericError, "weight table of row 1 at column 3 overflows "
+                "float32; reduce beta or use float64")
+            assert low_energy_spectrum(h).best_energy == -360.0
 
 
 def reference_row_product(net, row, env):

@@ -67,10 +67,11 @@ def _one_droplet_solution():
         largest_discarded_probability=0.0, beta=1.0)
 
 
-def _branch_too_far():
-    net = build_network(random_potts(2, 2, 2, seed=16), beta=1.0)
+def _branch_past_last_site():
+    net = build_network(random_potts(1, 2, 2, seed=16), beta=1.0)
     envs = bottom_environments(net, ContractionParams(beta=1.0))
-    return branch(Branches.root(net), 2, net, envs)
+    states = branch(branch(Branches.root(net), net, envs), net, envs)
+    return branch(states, net, envs)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -78,8 +79,7 @@ def _branch_too_far():
      "cut_off_prob must lie in [0, 1], got 1.5"),
     (lambda: DropletParams(mode="ising"), UnsupportedError,
      "unknown droplet mode 'ising'"),
-    (_branch_too_far, DimensionError,
-     "branch at position 2 requires 1 assigned values, got 0"),
+    (_branch_past_last_site, InvalidIndexError, "position 3 outside 1..2"),
     (lambda: merge_solutions([]), DimensionError, "nothing to merge"),
     (lambda: merge_solutions([_one_droplet_solution(),
                               replace(_one_droplet_solution(), beta=2.0)]),
@@ -195,8 +195,8 @@ def _grown(net, envs, row):
     """A population holding ``row``, grown from the root by branching so
     that it carries its environment."""
     states = Branches.root(net)
-    for k, value in enumerate(row.values, start=1):
-        states = branch(states, k, net, envs)
+    for value in row.values:
+        states = branch(states, net, envs)
         states = states.take(np.flatnonzero(states.values[:, -1] == value))
     return replace(states, log_probability=np.array([row.log_probability]),
                    energy=np.array([row.energy]))
@@ -211,9 +211,10 @@ def _merge(rows, k, grid, dp):
                                    _KEEP_ALL)[0])
 
 
-def _prune(rows, sp, **kwargs):
-    kept, largest_discarded = prune(_population(rows), sp, **kwargs)
-    return _rows(kept), largest_discarded
+def _prune(rows, sp):
+    states = _population(rows)
+    kept, discarded = prune(states.log_probability, sp)
+    return _rows(states.take(kept)), discarded
 
 
 class TestMergeKeys:
@@ -271,8 +272,8 @@ def _run_branch_chain(h, beta=1.0, bond_dim=64):
     envs = bottom_environments(net, params)
     states = Branches.root(net)
     history = [_rows(states)]
-    for k in range(1, net.rows * net.cols + 1):
-        states = branch(states, k, net, envs)
+    for _ in range(net.rows * net.cols):
+        states = branch(states, net, envs)
         history.append(_rows(states))
     return net, history
 
@@ -284,7 +285,7 @@ class TestBranch:
         params = ContractionParams(bond_dim=16, num_sweeps=0, beta=1.0)
         envs = bottom_environments(net, params)
         parent = _Row((1,), -0.3, 0.55, ())
-        children = _rows(branch(_grown(net, envs, parent), 2, net, envs))
+        children = _rows(branch(_grown(net, envs, parent), net, envs))
         assert len(children) == 2
         total = sum(math.exp(c.log_probability) for c in children)
         assert total == pytest.approx(math.exp(parent.log_probability), rel=1e-10)
@@ -296,7 +297,7 @@ class TestBranch:
         net = build_network(h, beta=1.0)
         params = ContractionParams(bond_dim=4, num_sweeps=0, beta=1.0)
         envs = bottom_environments(net, params)
-        children = _rows(branch(Branches.root(net), 1, net, envs))
+        children = _rows(branch(Branches.root(net), net, envs))
         assert all(c.log_probability == pytest.approx(math.log(0.5))
                    for c in children)
 
@@ -305,10 +306,10 @@ class TestBranch:
         net = build_network(h, beta=1.0)
         envs = bottom_environments(net, ContractionParams(beta=1.0))
         states = Branches.root(net)
-        for k in range(1, 5):
-            states = branch(states, k, net, envs)
+        for _ in range(4):
+            states = branch(states, net, envs)
         with pytest.raises(InvalidIndexError):
-            branch(states, 5, net, envs)
+            branch(states, net, envs)
 
     @pytest.mark.parametrize("model, mode", [
         (lambda: random_clustered(4, 4, 2, seed=4200)[1], "spin"),
@@ -317,7 +318,9 @@ class TestBranch:
     def test_populations_distinct_and_sorted_along_a_solve(self, model, mode,
                                                            monkeypatch):
         # a branch's index is its rank: every population the search makes
-        # holds distinct rows in lexicographic order of their values
+        # holds distinct rows in lexicographic order of their values, and
+        # prune keeps indices ascending, so a population taken at them
+        # stays sorted
         seen = {"branch": 0, "prune": 0, "merge_and_collect": 0}
 
         def checked(name):
@@ -325,7 +328,10 @@ class TestBranch:
 
             def step(*args, **kwargs):
                 out = real(*args, **kwargs)
-                rows = (out if name == "branch" else out[0]).values.tolist()
+                if name == "prune":  # the kept indices
+                    rows = out[0].tolist()
+                else:
+                    rows = (out if name == "branch" else out[0]).values.tolist()
                 assert all(a < b for a, b in zip(rows, rows[1:])), name
                 seen[name] += 1
                 return out
@@ -337,9 +343,8 @@ class TestBranch:
         sol = _solve(h, max_states=64, dp=DropletParams(
             energy_cutoff=10.0, hamming_cutoff=5, mode=mode))
         total = h.rows * h.cols
-        assert seen["branch"] == total
-        assert seen["prune"] + seen["merge_and_collect"] == total
-        assert seen["prune"] and seen["merge_and_collect"]
+        assert seen["branch"] == seen["prune"] == total
+        assert seen["merge_and_collect"]
         assert any(sol.droplets)
 
     def test_incremental_energy_matches_oracle(self):
@@ -571,7 +576,7 @@ def _merge_cases(draw):
 
 class TestMergeEquivalence:
     @staticmethod
-    def _check(states, k, dims, dp, sp, largest_discarded=-math.inf):
+    def _check(states, k, dims, dp, sp):
         """``merge_and_collect`` equals the per-candidate merge loop
         followed by the prune rule, the survivors in index order. The
         loop runs on the input's droplets as the table builds them, and
@@ -579,7 +584,7 @@ class TestMergeEquivalence:
         inputs = np.fromiter(_materialized(states), dtype=object,
                              count=len(states))
         merged, discarded = merge_and_collect(states, _boundary(dims, k), dp,
-                                              sp, largest_discarded)
+                                              sp)
         survivors, droplets = _reference_merge(
             replace(states, droplets=inputs), k, dims, dp)
         kept, reference_discarded = _reference_prune(states, survivors, sp)
@@ -592,7 +597,7 @@ class TestMergeEquivalence:
             states.log_probability[kept].tolist()
         assert repr(_materialized(merged)) == \
             repr([droplets_of[i] for i in kept])
-        assert discarded == max(largest_discarded, reference_discarded)
+        assert discarded == reference_discarded
 
     @settings(max_examples=200, deadline=None)
     @given(_merge_cases())
@@ -606,7 +611,7 @@ class TestMergeEquivalence:
         sp = SearchParams(
             max_states=data.draw(st.integers(1, len(states))),
             cut_off_prob=data.draw(st.sampled_from([0.0, 1e-4, 0.5])))
-        self._check(*case, sp, data.draw(st.sampled_from([-math.inf, -3.0])))
+        self._check(*case, sp)
 
     def test_tied_gaps_and_a_clash_chain(self):
         # 3x3 at k=7: row 1 is bulk. The carrier holds H (site 1 set to
@@ -668,9 +673,10 @@ class TestMergeEquivalence:
                                       _KEEP_ALL)
         assert len(states.table.subs) == 2
         assert sorted(merged.droplets.tolist()) == [(0,), (1,)]
-        kept, _ = prune(merged, SearchParams(max_states=1, cut_off_prob=0.0))
+        kept, _ = prune(merged.log_probability,
+                        SearchParams(max_states=1, cut_off_prob=0.0))
         assert built == []
-        (droplets,) = _materialized(kept)
+        (droplets,) = _materialized(merged.take(kept))
         assert len(built) == 1
         assert droplets == (Droplet(((1, 2),), 0.5),)
 
@@ -815,11 +821,39 @@ class TestPrune:
         assert [s.values for s in kept] == [(1,), (2,)]
         assert ldp == -1.0
 
-    def test_running_maximum_carried(self):
-        states = [_mk((1,), 0.0, log_p=0.0)]
-        kept, ldp = _prune(states, SearchParams(max_states=1, cut_off_prob=1e-4),
-                           largest_discarded=math.log(0.25))
-        assert ldp == math.log(0.25)
+    @pytest.mark.parametrize("dp", [
+        None, DropletParams(energy_cutoff=10.0, hamming_cutoff=2, mode="spin"),
+    ], ids=["no-droplets", "droplets"])
+    def test_every_step_prunes_through_prune(self, dp, monkeypatch):
+        # one prune call per site, merge steps included, and the solve
+        # reports the largest probability those calls discarded
+        calls, merging = [], []
+        real_prune = search_module.prune
+        real_merge = search_module.merge_and_collect
+
+        def counted_prune(*args):
+            kept, discarded = real_prune(*args)
+            calls.append((bool(merging), discarded))
+            return kept, discarded
+
+        def counted_merge(*args):
+            merging.append(True)
+            try:
+                return real_merge(*args)
+            finally:
+                merging.pop()
+
+        monkeypatch.setattr(search_module, "prune", counted_prune)
+        monkeypatch.setattr(search_module, "merge_and_collect", counted_merge)
+        _, h = random_clustered(3, 3, 2, seed=17)
+        sol = _solve(h, max_states=4, dp=dp)
+        assert len(calls) == h.rows * h.cols
+        largest = max(discarded for _, discarded in calls)
+        assert sol.largest_discarded_probability == math.exp(largest) > 0
+        if dp is not None:
+            # merge steps prune, and what they discard counts
+            assert any(inside and discarded > -math.inf
+                       for inside, discarded in calls)
 
 
 def _solve(h, transform=ALL_TRANSFORMS[0], beta=2.0, bond_dim=16,
@@ -1075,13 +1109,14 @@ class TestMergeSkip:
         _, model, mode = case
         starts, rows = [], set()
 
-        def checked(states, k, net, envs):
+        def checked(states, net, envs):
+            k = states.values.shape[1] + 1
             if net.site_of(k)[1] == 1:
                 above = states.values[:, max(k - 1 - net.cols, 0):k - 1]
                 assert len(np.unique(above, axis=0)) == len(states), k
                 starts.append(len(states))
                 rows.add(net.rows)
-            return branch(states, k, net, envs)
+            return branch(states, net, envs)
 
         monkeypatch.setattr(search_module, "branch", checked)
         _solve(model(), transform, bond_dim=8, max_states=12,
@@ -1199,19 +1234,25 @@ def _reachable(table, per_branch) -> set:
 class TestFinalize:
     @staticmethod
     def _solve_keeping_last(monkeypatch):
-        """The 4x4x2 (seed 4200, r90) solve and its last pruned branches."""
+        """The 4x4x2 (seed 4200, r90) solve and its last pruned branches:
+        its last step does not merge, so they are the last branched ones
+        at the indices the last prune kept."""
         last = {}
 
-        def keep_last(states, *args):
-            kept = prune(states, *args)
-            last["states"] = kept[0]
-            return kept
+        def keep_branched(*args):
+            last["branched"] = branch(*args)
+            return last["branched"]
 
-        monkeypatch.setattr(search_module, "prune", keep_last)
+        def keep_kept(*args):
+            last["kept"], discarded = prune(*args)
+            return last["kept"], discarded
+
+        monkeypatch.setattr(search_module, "branch", keep_branched)
+        monkeypatch.setattr(search_module, "prune", keep_kept)
         _, h = random_clustered(4, 4, 2, seed=4200)
         sol = _solve(h, transform=ALL_TRANSFORMS[1], dp=DropletParams(
             energy_cutoff=10.0, hamming_cutoff=5, mode="spin"))
-        return sol, last["states"]
+        return sol, last["branched"].take(last["kept"])
 
     def test_remaps_each_shared_droplet_once(self, monkeypatch):
         sol, last = self._solve_keeping_last(monkeypatch)
