@@ -51,7 +51,8 @@ class UnsupportedError(SolverError):
 class TooLargeError(SolverError):
     """A table, a model's tables together, an enumeration or a frontier
     sweep's table would exceed :data:`SIZE_GUARD` entries, or the sweep's
-    backpointers its 128 MiB."""
+    backpointers its 128 MiB. An Ising graph's spins and a grid's sites
+    count too: each takes a field or a node-table entry at least."""
 
 
 class NumericError(SolverError):

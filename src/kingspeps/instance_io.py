@@ -175,8 +175,9 @@ def parse_potts(text) -> PottsHamiltonian:
         DuplicateEntryError: the same table entry is set twice, an edge
             entry in either orientation.
         TooLargeError: a node or edge table, or all tables together,
-            would hold more than ``SIZE_GUARD`` entries; checked before
-            any table is built.
+            would hold more than ``SIZE_GUARD`` entries, counting one
+            entry for each site no record names; checked before any
+            table is built.
     """
     header = None
     entries: dict[tuple, dict] = {}  # sites, row-major -> states -> value
@@ -239,8 +240,11 @@ def parse_potts(text) -> PottsHamiltonian:
         check_size(f"node table at {sites[0]}" if len(sites) == 1
                    else f"edge table for {sites[0]}-{sites[1]}",
                    math.prod(shape))
-    check_size(f"a model of {len(dims)} node and {len(shapes) - len(dims)} "
-               f"edge tables", sum(map(math.prod, shapes.values())))
+    # a site no record names still gets a node table of one entry
+    m, n = header
+    check_size(f"a model of {m * n} node and {len(shapes) - len(dims)} "
+               f"edge tables", sum(map(math.prod, shapes.values()))
+               + m * n - len(dims))
     h = PottsHamiltonian(*header)
     for sites, shape in shapes.items():
         # one table at a time, dropped once the model holds its copy
@@ -314,6 +318,17 @@ def solution_to_dict(solution) -> dict:
     }
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it replaced by None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def write_solution(solution, dest: str | IO[str]) -> int:
     """Write a solution as a compact one-line JSON document to a path or
     open text sink; returns the document's size in UTF-8 bytes.
@@ -322,10 +337,16 @@ def write_solution(solution, dest: str | IO[str]) -> int:
     state's ``droplets`` and each table entry's ``sub_droplets`` are
     indices into ``droplet_table``, which holds every distinct droplet
     once, children before parents; droplet flips map 1-based row-major
-    positions to alternative values. Sink failures propagate to the
-    caller.
+    positions to alternative values. A number that is not finite (a
+    log-probability of -inf, an unbounded energy cutoff) is written as
+    ``null``, so the document stays RFC 8259 JSON. Sink failures
+    propagate to the caller.
     """
-    text = json.dumps(solution_to_dict(solution)) + "\n"
+    doc = solution_to_dict(solution)
+    try:
+        text = json.dumps(doc, allow_nan=False) + "\n"
+    except ValueError:  # a non-finite number: one more pass, only then
+        text = json.dumps(_finite_or_null(doc), allow_nan=False) + "\n"
     if hasattr(dest, "write"):
         dest.write(text)
     else:

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import (DimensionError, DuplicateEntryError, InvalidIndexError,
-                     check_count)
+                     check_count, check_size)
 
 Edge = Tuple[int, int]
 
@@ -24,7 +24,8 @@ class IsingGraph:
 
     Couplings are stored once per edge with i < j. Fields default to
     zero. Instances are immutable after construction and safe to share
-    across threads.
+    across threads. More than ``SIZE_GUARD`` spins raise TooLargeError
+    before the field vector is built.
     """
 
     def __init__(self, n_spins: int, couplings: Mapping[Edge, float] | None = None,
@@ -32,6 +33,7 @@ class IsingGraph:
         check_count("n_spins", n_spins)
         if n_spins < 0:
             raise InvalidIndexError(f"spin count must be non-negative, got {n_spins}")
+        check_size(f"the field vector of {n_spins} spins", n_spins)
         self.n_spins = int(n_spins)
         self.couplings: dict[Edge, float] = {}
         for (i, j), value in (couplings or {}).items():

@@ -15,6 +15,9 @@ memory a block takes while it is evaluated does not grow with the
 number of configurations: its assignments (one byte per site and row up
 to 255 states per site) and a handful of 8-byte arrays of
 ``BLOCK_ROWS`` entries: a few MiB.
+
+Every energy is :func:`~kingspeps.potts.potts_energies`, the solver's
+own sum, also under the name ``config_energies``.
 """
 
 from __future__ import annotations
@@ -31,31 +34,7 @@ from .potts import (PottsHamiltonian, _checked_states, _integer_states,
 BLOCK_ROWS = 2 ** 16
 
 
-def config_energies(h: PottsHamiltonian, configs: np.ndarray) -> np.ndarray:
-    """Energies of many assignments at once.
-
-    The terms are added one at a time, in the order
-    :func:`~kingspeps.potts.potts_energies` adds them (node tables in
-    site order, then edge tables in the order they were set), so the
-    energies are bit-identical to that function's and memory stays
-    linear in rows.
-
-    Args:
-        h: the model.
-        configs: integer array (n_configs, n_sites) of 1-based states in
-            row-major site order.
-
-    Raises as :func:`~kingspeps.potts.potts_energies` does.
-    """
-    configs = _checked_states(h, configs)
-    flat, offset, first, second, stride, _ = h._energy_terms()
-    energies = np.zeros(configs.shape[0], dtype=np.float64)
-    for at, a, b, step in zip(offset, first, second, stride):
-        # flat[at + x_a * step + x_b] for the 0-based states x
-        index = (configs[:, a].astype(np.intp) - 1) * step + at - 1
-        index += configs[:, b].astype(np.intp)
-        energies += flat[index]
-    return energies
+config_energies = potts_energies
 
 
 def _enumeration_size(dims: list[int]) -> int:
@@ -242,7 +221,7 @@ class ExactSpectrum:
         total = len(self)
         for start in range(0, total, BLOCK_ROWS):
             index = np.arange(start, min(start + BLOCK_ROWS, total))
-            yield config_energies(self._h, _assignments(self._dims, index))
+            yield potts_energies(self._h, _assignments(self._dims, index))
 
     @functools.cached_property
     def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +289,7 @@ def exact_conditional(h: PottsHamiltonian, beta: float, partial) -> np.ndarray:
         block = configs[:min(BLOCK_ROWS, total - start)]
         block[:, k - 1:] = _assignments(
             dims[k - 1:], np.arange(start, start + len(block)))
-        log_weights[start:start + len(block)] = config_energies(h, block)
+        log_weights[start:start + len(block)] = potts_energies(h, block)
     log_weights *= -beta
     # completions come ordered by the site's state first
     log_mass = np.array([_log_sum_exp(weights) for weights

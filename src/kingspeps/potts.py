@@ -25,6 +25,9 @@ from .ising import IsingGraph
 
 Site = Tuple[int, int]
 
+# the most terms potts_energies gathers at once: 256 KiB of indices
+_BLOCK_TERMS = 2 ** 15
+
 
 @dataclass(frozen=True)
 class ClusterTopology:
@@ -74,7 +77,8 @@ class PottsHamiltonian:
     Stored tables are read-only copies; ``set_node``/``set_edge``
     replace them.
     ``topology`` is the :class:`ClusterTopology` of a model built by
-    :func:`cluster`, and None for a native grid model.
+    :func:`cluster`, and None for a native grid model. A grid of more
+    than ``SIZE_GUARD`` sites raises TooLargeError.
     """
 
     def __init__(self, rows: int, cols: int):
@@ -82,6 +86,7 @@ class PottsHamiltonian:
         check_count("cols", cols)
         if rows < 1 or cols < 1:
             raise DimensionError(f"grid must be at least 1x1, got {rows}x{cols}")
+        check_size(f"the node tables of a {rows}x{cols} grid", rows * cols)
         self.rows = rows
         self.cols = cols
         self._dims: dict[Site, int] = {}
@@ -338,12 +343,14 @@ def potts_energies(h: PottsHamiltonian, values) -> np.ndarray:
     """Exact energies of full assignments, one per row of ``values``.
 
     ``values`` is a ``(B, N)`` integer array of 1-based states in
-    row-major site order. Every term of every row is gathered in one
-    pass through ``PottsHamiltonian._energy_terms`` and the terms are
-    summed left to right: node tables in ``h.sites()`` order, then edge
-    tables in the order they were set. That is the order of a plain
-    scalar loop starting from 0.0, so each energy is bit-identical to
-    one, whatever ``B``.
+    row-major site order. Rows are summed in blocks of at most
+    ``_BLOCK_TERMS`` terms (one row at least): a block gathers its terms
+    through ``PottsHamiltonian._energy_terms`` as a ``(terms, rows)``
+    array headed by ``flat[0] = 0.0`` and adds them down the terms with
+    ``np.add.accumulate``, in order and never pairwise as a reduce may:
+    node tables in ``h.sites()`` order, then edge tables in the order
+    they were set. So each energy is bit-identical to a plain scalar
+    loop from 0.0, whatever ``B`` and wherever a block ends.
 
     Raises:
         DimensionError: ``values`` is not ``(B, rows * cols)``.
@@ -351,11 +358,16 @@ def potts_energies(h: PottsHamiltonian, values) -> np.ndarray:
             site's ``1..dim``; the first offending entry is named.
     """
     flat, offset, first, second, stride, _ = h._energy_terms()
-    x = _checked_states(h, values).astype(np.intp) - 1
-    at = np.zeros((len(x), len(offset) + 1), dtype=np.intp)
-    at[:, 1:] = offset + x[:, first] * stride + x[:, second]
-    # add.accumulate adds left to right, from flat[0] = 0.0
-    return np.add.accumulate(flat[at], axis=1)[:, -1]
+    x = _checked_states(h, values)
+    step = max(_BLOCK_TERMS // (len(offset) + 1), 1)
+    energies = np.empty(len(x))
+    for start in range(0, len(x), step):
+        block = x[start:start + step].T.astype(np.intp) - 1
+        at = np.zeros((len(offset) + 1, block.shape[1]), dtype=np.intp)
+        np.multiply(block[first], stride[:, None], out=at[1:])  # no temporary
+        at[1:] += block[second] + offset[:, None]
+        energies[start:start + step] = np.add.accumulate(flat[at], axis=0)[-1]
+    return energies
 
 
 def potts_energy(h: PottsHamiltonian, assignment) -> float:

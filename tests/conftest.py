@@ -4,6 +4,7 @@ The dense helpers deliberately use plain tensordot chains, independent
 of the library's own contraction code, so they can serve as oracles.
 """
 
+import json
 import math
 import tracemalloc
 
@@ -169,6 +170,14 @@ def chain_pair():
     """1x2 ferromagnetic spin pair (J = -1) as a clustered model."""
     graph = IsingGraph(2, {(1, 2): -1.0})
     return graph, cluster(graph, ClusterTopology(1, 2, 1))
+
+
+def strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON: ``Infinity``, ``-Infinity`` and
+    ``NaN``, which ``json.loads`` accepts by default, raise ValueError."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def peak_bytes(call):

@@ -16,7 +16,7 @@ from kingspeps import (ClusterTopology, cluster, exact_spectrum,
 from kingspeps.cli import _build_parser, _check_transforms, main
 from kingspeps.errors import (DimensionError, NumericError,
                               TransformDisagreementError)
-from conftest import assert_raises_exactly
+from conftest import assert_raises_exactly, strict_json
 
 
 class TestGenerate:
@@ -261,6 +261,38 @@ class TestSolve:
         err = capsys.readouterr().err
         assert f"error: {path}: byte 0 is not UTF-8 text" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, args, message", [
+        ("1 2000000000 1.0", ["--topology", "1", "1", "1"],
+         "the field vector of 2000000000 spins has 2000000000 entries"),
+        ("P 100000 100000", ["--format", "potts"],
+         "a model of 10000000000 node and 0 edge tables has 10000000000 "
+         "entries"),
+    ])
+    def test_oversized_tiny_file_exits_one(self, tmp_path, capsys, text,
+                                           args, message):
+        # a line of text asks for a 15 GiB field vector or a 75 GiB grid
+        path = tmp_path / "tiny.txt"
+        path.write_text(text + "\n")
+        assert main(["solve", str(path), *args]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {message}, more than the size guard of 16777216"]
+
+    def test_underflowed_log_probabilities_written_as_null(self, tmp_path):
+        # a state 1000 above the others at the default beta of 2 has
+        # probability exp(-2000), which underflows to 0: a
+        # log-probability of -inf
+        path = tmp_path / "grid.txt"
+        path.write_text("P 1 2\nn 1 1 1 0\nn 1 1 2 1000\nn 1 2 1 0\n"
+                        "n 1 2 2 0\n")
+        out = tmp_path / "out.json"
+        assert main(["solve", str(path), "--format", "potts",
+                     "--cut-off-prob", "0", "--transforms", "r0",
+                     "-o", str(out)]) == 0
+        doc = strict_json(out.read_text())
+        assert doc["energies"] == [0.0, 0.0, 1000.0, 1000.0]
+        assert doc["log_probabilities"][2:] == [None, None]
+        assert all(p < 0 for p in doc["log_probabilities"][:2])
 
     def test_wrong_topology_exits_one(self, tmp_path):
         path = _write_instance(tmp_path, rows=3, cols=3, t=1)

@@ -20,7 +20,7 @@ from kingspeps.errors import (DuplicateEntryError, GeometryError,
                               InvalidIndexError, ParseError, TooLargeError)
 from kingspeps.search import Droplet, Solution
 from conftest import (assert_raises_exactly, peak_bytes, ragged_potts,
-                      random_clustered, serialize_ising)
+                      random_clustered, serialize_ising, strict_json)
 from test_golden_search import CASES, _case_solutions
 
 
@@ -189,6 +189,14 @@ class TestParsePotts:
         ("P 1 2\ne 1 1 1 2 4097 4097 1.0", TooLargeError,
          "edge table for (1, 1)-(1, 2) has 16785409 entries, more than the "
          "size guard of 16777216"),
+        # every site no record names gets a one-entry node table: a bare
+        # header of 10^10 sites, and 2^24 sites of which one has 2 states
+        ("P 100000 100000", TooLargeError,
+         "a model of 10000000000 node and 0 edge tables has 10000000000 "
+         "entries, more than the size guard of 16777216"),
+        ("P 4096 4096\nn 1 1 2 0.5", TooLargeError,
+         "a model of 16777216 node and 0 edge tables has 16777217 "
+         "entries, more than the size guard of 16777216"),
     ])
     def test_rejection_class_and_message(self, text, error, message):
         assert_raises_exactly(lambda: parse_potts(text), error, message)
@@ -327,6 +335,24 @@ class TestWriteSolution:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_non_finite_numbers_written_as_null(self):
+        sol = _tiny_solution([(), ()])
+        sol.log_probabilities[1] = -np.inf
+        sol.parameters["energy_cutoff"] = np.inf
+        buf = io.StringIO()
+        write_solution(sol, buf)
+        doc = strict_json(buf.getvalue())
+        assert doc["log_probabilities"] == [-0.1, None]
+        assert doc["parameters"] == {"beta": 1.0, "energy_cutoff": None}
+        assert doc["energies"] == [-1.0, 0.5]
+
+    def test_finite_document_as_json_dumps_writes_it(self):
+        buf = io.StringIO()
+        size = write_solution(_tiny_solution([(), ()]), buf)
+        text = buf.getvalue()
+        assert size == len(text) and text.endswith("\n")
+        assert json.dumps(json.loads(text)) + "\n" == text
 
     def test_write_to_stream_and_path(self, tmp_path):
         sol = _tiny_solution([(), ()])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from kingspeps.ising import IsingGraph
 from kingspeps.errors import (DimensionError, DuplicateEntryError,
-                              InvalidIndexError)
+                              InvalidIndexError, TooLargeError)
 from conftest import assert_raises_exactly, ising_energy
 
 
@@ -64,6 +64,10 @@ def test_constructor_rejects_self_edge():
     ((2,), {"fields": [1.0]}, DimensionError,
      "fields must have length 2, got (1,)"),
     ((2.5,), {}, DimensionError, "n_spins must be an integer, got 2.5"),
+    # refused before the 15 GiB field vector is built
+    ((2_000_000_000,), {}, TooLargeError,
+     "the field vector of 2000000000 spins has 2000000000 entries, more "
+     "than the size guard of 16777216"),
 ])
 def test_constructor_rejection_class_and_message(args, kwargs, error, message):
     assert_raises_exactly(lambda: IsingGraph(*args, **kwargs), error, message)

@@ -15,7 +15,7 @@ from kingspeps.potts import (PottsHamiltonian, cluster_spin_values, decode,
 from kingspeps.errors import (SIZE_GUARD, DimensionError, GeometryError,
                               InvalidIndexError, NumericError, TooLargeError,
                               UnsupportedError, check_size)
-from kingspeps.potts import _add_in_order, potts_energies
+from kingspeps.potts import _BLOCK_TERMS, _add_in_order, potts_energies
 from conftest import (assert_raises_exactly, ising_energy, peak_bytes,
                       ragged_potts, random_clustered)
 
@@ -202,6 +202,11 @@ def _bits(energies):
     return np.asarray(energies, dtype=np.float64).view(np.int64).tolist()
 
 
+def _spins_16x16():
+    return cluster(parse_ising(generate_instance(
+        16, 16, 1, seed=16, with_fields=True)), ClusterTopology(16, 16, 1))
+
+
 class TestPottsEnergies:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.data())
@@ -225,6 +230,66 @@ class TestPottsEnergies:
         assert energies == _bits([_scalar_energy(h, x) for x in assignments])
         assert energies == _bits([potts_energy(h, x) for x in assignments])
         assert energies == _bits(potts_energies(h, values.astype(np.uint8)))
+
+    def test_bit_identical_across_block_edges(self):
+        # a block holds _BLOCK_TERMS // (terms + 1) rows, 27 of this
+        # model's 1,186 terms and the 0.0 a sum starts from
+        h = _spins_16x16()
+        step = _BLOCK_TERMS // (len(h._energy_terms()[1]) + 1)
+        assert step == 27
+        rng = np.random.default_rng(27)
+        for batch in (0, 1, step - 1, step, step + 1, 2 * step + 1):
+            values = rng.integers(1, 3, size=(batch, 256), dtype=np.uint8)
+            energies = potts_energies(h, values)
+            assert energies.shape == (batch,)
+            assert energies.dtype == np.float64
+            assert _bits(energies) == _bits(
+                [_scalar_energy(h, x) for x in values.tolist()])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_over_sixteen_decades(self, seed):
+        # entries from 1e-8 to 1e8 round apart when summed pairwise, as
+        # a reduce down one row's terms would; 300 batches of 1-8 rows,
+        # each of them within one block
+        rng = np.random.default_rng(seed)
+        h = ragged_potts(3, 3, rng.integers(1, 5, size=9).tolist(), seed)
+        for site in h.sites():
+            table = h.node_table(site)
+            h.set_node(site, table * 10.0 ** rng.uniform(-8, 8, table.shape))
+        for (a, b), table in list(h.edge_tables()):
+            h.set_edge(a, b, table * 10.0 ** rng.uniform(-8, 8, table.shape))
+        dims = np.array([h.dim(site) for site in h.sites()])
+        for batch in rng.integers(1, 9, size=300):
+            values = rng.integers(1, dims + 1, size=(batch, 9))
+            assert _bits(potts_energies(h, values)) == _bits(
+                [_scalar_energy(h, x) for x in values.tolist()])
+
+    def test_infinities_of_both_signs_sum_to_nan(self):
+        h = PottsHamiltonian(2, 2)
+        h.set_node((1, 1), [0.0, np.inf])
+        h.set_node((2, 2), [-np.inf, 1.0])
+        h.set_edge((1, 1), (1, 2), [[1.0, -np.inf], [2.0, 3.0]])
+        h.set_edge((2, 1), (2, 2), [[np.inf, 0.5], [-1.0, 2.0]])
+        values = np.array(list(itertools.product((1, 2), repeat=4)))
+        with np.errstate(invalid="ignore"):  # inf - inf, as the loop adds
+            energies = potts_energies(h, values)
+        assert np.isnan(energies).any() and np.isinf(energies).any()
+        assert np.isfinite(energies).any()
+        assert _bits(energies) == _bits(
+            [_scalar_energy(h, x) for x in values.tolist()])
+
+    @pytest.mark.parametrize("rows, cols, t, batch, limit", [
+        (16, 16, 1, 20_000, 4 * 2**20),  # 582 MiB gathered at once
+        (3, 3, 2, 2**16, 1.5 * 2**20)])  # one enumeration block
+    def test_memory_stays_in_blocks(self, rows, cols, t, batch, limit):
+        h = cluster(parse_ising(generate_instance(
+            rows, cols, t, seed=batch, with_fields=True)),
+            ClusterTopology(rows, cols, t))
+        values = np.random.default_rng(0).integers(
+            1, 2 ** t + 1, size=(batch, rows * cols), dtype=np.uint8)
+        energies, peak = peak_bytes(lambda: potts_energies(h, values))
+        assert energies.shape == (batch,)
+        assert peak <= limit, peak
 
     @pytest.mark.parametrize("state", ["zero", "above"])
     @pytest.mark.parametrize("position", [0, 4, 5])
@@ -372,6 +437,9 @@ def _two_by_two():
      "grid must be at least 1x1, got 0x2"),
     (lambda: PottsHamiltonian(2.0, 2), DimensionError,
      "rows must be an integer, got 2.0"),
+    (lambda: PottsHamiltonian(100_000, 100_000), TooLargeError,
+     "the node tables of a 100000x100000 grid has 10000000000 entries, "
+     "more than the size guard of 16777216"),
     (lambda: _two_by_two().set_node((3, 1), [0.0]), InvalidIndexError,
      "site (3, 1) outside 2x2 grid"),
     (lambda: _two_by_two().set_node((1, 2), []), DimensionError,
