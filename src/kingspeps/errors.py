@@ -6,11 +6,13 @@ contraction (:class:`NumericError` and subclasses). The CLI maps the
 former to exit code 1 and the latter to exit code 2.
 """
 
+import math
 import operator
 
 # the most entries one table, all tables of a model together, an
 # enumeration or a frontier sweep's table may hold: 128 MiB of float64
-# (and the most bytes a frontier sweep's backpointers may take)
+# (and the most bytes a frontier sweep's backpointers, or a network's
+# per-site structures, may take)
 SIZE_GUARD = 2 ** 24
 
 
@@ -51,8 +53,9 @@ class UnsupportedError(SolverError):
 class TooLargeError(SolverError):
     """A table, a model's tables together, an enumeration or a frontier
     sweep's table would exceed :data:`SIZE_GUARD` entries, or the sweep's
-    backpointers its 128 MiB. An Ising graph's spins and a grid's sites
-    count too: each takes a field or a node-table entry at least."""
+    backpointers or a network's per-site structures its 128 MiB. An
+    Ising graph's spins and a grid's sites count too: each takes a field
+    or a node-table entry at least."""
 
 
 class NumericError(SolverError):
@@ -102,3 +105,10 @@ def check_size(what: str, size: int):
     if size > SIZE_GUARD:
         raise TooLargeError(f"{what} has {size} entries, more than the "
                             f"size guard of {SIZE_GUARD}")
+
+
+def check_beta(beta):
+    """Raise :class:`NumericError` unless the inverse temperature ``beta``
+    is positive and finite."""
+    if not (beta > 0 and math.isfinite(beta)):
+        raise NumericError(f"beta must be positive and finite, got {beta}")

@@ -10,11 +10,17 @@ grids of 4-state sites and 16x16 grids of spins in seconds.
 
 Enumeration is lexicographic: position ``i`` of the enumeration is the
 assignment whose row-major states, less one, are the mixed-radix digits
-of ``i``. A spectrum walks it in blocks of ``BLOCK_ROWS`` positions. The
-memory a block takes while it is evaluated does not grow with the
-number of configurations: its assignments (one byte per site and row up
-to 255 states per site) and a handful of 8-byte arrays of
-``BLOCK_ROWS`` entries: a few MiB.
+of ``i``. Every reference walks it in blocks of ``BLOCK_ROWS``
+positions (:func:`_energy_blocks`), behind a fixed prefix of states
+where it conditions on one. A block takes the same memory however many
+configurations there are: its assignments (one byte per site and row
+up to 255 states per site), a handful of 8-byte arrays of
+``BLOCK_ROWS`` entries and the gathered terms of
+:func:`~kingspeps.potts.potts_energies`, under 1.5 MiB on a 3x3 grid of
+4-state sites. Between blocks the minimum energy keeps one running
+minimum, the partition function one running log-sum-exp and a
+conditional one per state of its site; only the sorted ``states`` and
+``energies`` of a spectrum hold a value per configuration.
 
 Every energy is :func:`~kingspeps.potts.potts_energies`, the solver's
 own sum, also under the name ``config_energies``.
@@ -27,11 +33,12 @@ import math
 
 import numpy as np
 
-from .errors import SIZE_GUARD, DimensionError, TooLargeError, check_size
+from .errors import (SIZE_GUARD, DimensionError, TooLargeError, check_beta,
+                     check_size)
 from .potts import (PottsHamiltonian, _checked_states, _integer_states,
                     potts_energies)
 
-BLOCK_ROWS = 2 ** 16
+BLOCK_ROWS = 2 ** 12
 
 
 config_energies = potts_energies
@@ -65,9 +72,54 @@ def _assignments(dims: list[int], index: np.ndarray) -> np.ndarray:
     return configs
 
 
+def _energy_blocks(h: PottsHamiltonian, dims: list[int], prefix=()):
+    """The energies of the enumeration of the sites after ``prefix``, the
+    first sites held at the states ``prefix``, in blocks of at most
+    ``BLOCK_ROWS`` assignments, in order.
+
+    Raises:
+        TooLargeError: the enumeration exceeds ``SIZE_GUARD``.
+    """
+    k = len(prefix)
+    total = _enumeration_size(dims[k:])
+    configs = np.empty((min(total, BLOCK_ROWS), len(dims)),
+                       dtype=_state_dtype(dims))
+    configs[:, :k] = prefix
+    for start in range(0, total, BLOCK_ROWS):
+        block = configs[:min(BLOCK_ROWS, total - start)]
+        block[:, k:] = _assignments(
+            dims[k:], np.arange(start, start + len(block)))
+        yield potts_energies(h, block)
+
+
+def _fold(peak: np.ndarray, scale: np.ndarray, values: np.ndarray,
+          starts) -> tuple[np.ndarray, np.ndarray]:
+    """Running log-sum-exps ``(peak, scale)`` with ``values`` added:
+    segment i of ``values``, from ``starts[i]`` to the next start, goes
+    to sum i. Sum i stands for ``peak[i] + log(scale[i])``: ``peak`` is
+    the largest value yet and ``scale`` the sum of ``exp(value - peak)``.
+    A sum starts at ``(-inf, 0)``; where ``peak`` is infinite or NaN,
+    ``scale`` is meaningless and :func:`_finish` returns ``peak``."""
+    high = np.maximum(peak, np.maximum.reduceat(values, starts))
+    shift = np.where(np.isfinite(high), high, 0.0)
+    counts = np.diff(starts, append=len(values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = scale * np.exp(peak - shift) + np.add.reduceat(
+            np.exp(values - np.repeat(shift, counts)), starts)
+    return high, scale
+
+
+def _finish(peak: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(values)))`` of each running sum of :func:`_fold`:
+    -inf where every value was -inf, +inf where one was +inf, NaN where
+    one was NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.isfinite(peak), peak + np.log(scale), peak)
+
+
 def _log_sum_exp(values: np.ndarray) -> float:
-    peak = float(np.max(values))
-    return peak + float(np.log(np.sum(np.exp(values - peak))))
+    return float(_finish(*_fold(np.array([-np.inf]), np.zeros(1), values,
+                                [0]))[0])
 
 
 def frontier_ground(h: PottsHamiltonian) -> tuple[float, tuple[int, ...]]:
@@ -175,24 +227,25 @@ class ExactSpectrum:
     """Complete enumeration of a model, sorted ascending by energy.
 
     Construction only checks that the enumeration fits ``SIZE_GUARD``,
-    and ``len()`` is the product of the site dimensions. ``min_energy``
-    walks the enumeration in blocks of ``BLOCK_ROWS`` positions when
-    first asked for and keeps a running ``np.fmin`` of their energies,
-    so it holds one block at a time, not 8 bytes per configuration. It
-    and the sorted arrays below read ``h`` as it stands when first
-    asked for.
+    and ``len()`` is the product of the site dimensions. Every reference
+    reads ``h`` as it stands when it is computed. ``min_energy`` and
+    ``log_partition`` walk the enumeration in blocks of ``BLOCK_ROWS``
+    positions (:func:`_energy_blocks`) and hold one block at a time, not
+    8 bytes per configuration: ``min_energy``, computed when first asked
+    for and kept, is a running ``np.fmin`` of the blocks' energies;
+    ``log_partition`` one running log-sum-exp, walked again at each
+    call.
 
-    The first read of ``states`` or ``energies`` (and so of the partition
-    function, which reads the sorted energies) walks the enumeration in
-    blocks of ``BLOCK_ROWS`` positions, keeping the float64 energy of
-    each assignment, and sorts them by one stable ``argsort`` by energy.
-    The enumeration is lexicographic, so ties are broken
-    lexicographically by assignment and the ordering is reproducible.
-    The unsorted energies are then dropped and the states rebuilt block
-    by block from their enumeration positions. That read holds at most
-    three arrays of 8 bytes per configuration (the energies unsorted and
-    sorted, and the sort order), and then the states (one byte per site
-    and configuration up to 255 states per site) besides the last two.
+    The first read of ``states`` or ``energies`` walks the same blocks
+    into one array of the float64 energy of each assignment, and sorts
+    them by one stable ``argsort`` by energy. The enumeration is
+    lexicographic, so ties are broken lexicographically by assignment
+    and the ordering is reproducible. The unsorted energies are then
+    dropped and the states rebuilt block by block from their enumeration
+    positions. That read holds at most three arrays of 8 bytes per
+    configuration (the energies unsorted and sorted, and the sort
+    order), and then the states (one byte per site and configuration up
+    to 255 states per site) besides the last two.
 
     Attributes:
         states: ``(n_configs, n_sites)`` 1-based states in row-major
@@ -212,20 +265,17 @@ class ExactSpectrum:
     @functools.cached_property
     def min_energy(self) -> float:
         low = np.nan
-        for block in self._blocks():
+        for block in _energy_blocks(self._h, self._dims):
             low = np.fmin(low, np.fmin.reduce(block))
         return float(low)
 
-    def _blocks(self):
-        """The energies of the enumeration, block by block, in order."""
-        total = len(self)
-        for start in range(0, total, BLOCK_ROWS):
-            index = np.arange(start, min(start + BLOCK_ROWS, total))
-            yield potts_energies(self._h, _assignments(self._dims, index))
-
     @functools.cached_property
     def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        unsorted = np.concatenate(list(self._blocks()))
+        unsorted = np.empty(len(self))
+        start = 0
+        for block in _energy_blocks(self._h, self._dims):
+            unsorted[start:start + len(block)] = block
+            start += len(block)
         order = np.argsort(unsorted, kind="stable")
         energies = unsorted[order]
         del unsorted
@@ -248,7 +298,17 @@ class ExactSpectrum:
         return math.prod(self._dims)
 
     def log_partition(self, beta: float) -> float:
-        return _log_sum_exp(-beta * self.energies)
+        """``log Z``, the log of the sum over every configuration of
+        ``exp(-beta * energy)``: -inf when every energy is +inf.
+
+        Raises:
+            NumericError: ``beta`` is not positive and finite.
+        """
+        check_beta(beta)
+        peak, scale = np.array([-np.inf]), np.zeros(1)
+        for block in _energy_blocks(self._h, self._dims):
+            peak, scale = _fold(peak, scale, -beta * block, [0])
+        return float(_finish(peak, scale)[0])
 
     def partition(self, beta: float) -> float:
         return float(np.exp(self.log_partition(beta)))
@@ -266,11 +326,23 @@ def exact_spectrum(h: PottsHamiltonian) -> ExactSpectrum:
 
 def exact_conditional(h: PottsHamiltonian, beta: float, partial) -> np.ndarray:
     """Exact Boltzmann conditional of the site after its row-major
-    predecessors ``partial``, by summation over all completions, walked
-    in blocks of ``BLOCK_ROWS`` behind the prefix; only their float64
-    weights are kept. A value that is not an integer in its site's 1..d
-    raises InvalidIndexError; a prefix that assigns every site,
-    DimensionError, as in :func:`kingspeps.peps.conditional_distribution`."""
+    predecessors ``partial``, by summation over all completions.
+
+    The completions are walked in blocks of ``BLOCK_ROWS`` behind the
+    prefix (:func:`_energy_blocks`). They come ordered by the site's
+    state first, and each block's weights are folded into one running
+    log-sum-exp per state of the site, so the walk holds one block and
+    two floats per state, not one float per completion. A state whose
+    every completion has infinite energy gets probability 0.
+
+    Raises:
+        NumericError: ``beta`` is not positive and finite.
+        InvalidIndexError: a value of ``partial`` is not an integer in
+            its site's 1..d.
+        DimensionError: ``partial`` assigns every site, as in
+            :func:`kingspeps.peps.conditional_distribution`.
+    """
+    check_beta(beta)
     partial = _integer_states(tuple(partial)).astype(np.int64)
     sites = list(h.sites())
     k = len(partial) + 1
@@ -280,18 +352,16 @@ def exact_conditional(h: PottsHamiltonian, beta: float, partial) -> np.ndarray:
     _checked_states(h, [partial.tolist() + [1] * (len(sites) - k + 1)])
 
     dims = [h.dim(site) for site in sites]
-    total = _enumeration_size(dims[k - 1:])
-    log_weights = np.empty(total)
-    configs = np.empty((min(total, BLOCK_ROWS), len(dims)),
-                       dtype=_state_dtype(dims))
-    configs[:, :k - 1] = partial
-    for start in range(0, total, BLOCK_ROWS):
-        block = configs[:min(BLOCK_ROWS, total - start)]
-        block[:, k - 1:] = _assignments(
-            dims[k - 1:], np.arange(start, start + len(block)))
-        log_weights[start:start + len(block)] = potts_energies(h, block)
-    log_weights *= -beta
-    # completions come ordered by the site's state first
-    log_mass = np.array([_log_sum_exp(weights) for weights
-                         in log_weights.reshape(dims[k - 1], -1)])
+    # the completions of each state of the site, in one run each
+    per = _enumeration_size(dims[k - 1:]) // dims[k - 1]
+    peak, scale = np.full(dims[k - 1], -np.inf), np.zeros(dims[k - 1])
+    start = 0
+    for energies in _energy_blocks(h, dims, partial):
+        # the states of the site whose completions this block holds
+        span = slice(start // per, (start + len(energies) - 1) // per + 1)
+        starts = np.maximum(np.arange(span.start, span.stop) * per - start, 0)
+        peak[span], scale[span] = _fold(peak[span], scale[span],
+                                        -beta * energies, starts)
+        start += len(energies)
+    log_mass = _finish(peak, scale)
     return np.exp(log_mass - _log_sum_exp(log_mass))

@@ -41,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ContractionDegenerateError, DimensionError,
-                     InvalidIndexError, NumericError, UnsupportedError,
-                     is_integer)
+from .errors import (SIZE_GUARD, ContractionDegenerateError, DimensionError,
+                     InvalidIndexError, NumericError, TooLargeError,
+                     UnsupportedError, check_beta, is_integer)
 from .potts import PottsHamiltonian, _integer_states
 from .tensor_core import BoundaryMps, ContractionParams, compress
 from .tensor_core import overlap as mps_overlap
@@ -99,6 +99,11 @@ def _reach(shape) -> np.ndarray:
     return np.where(later > 0, p + later, -1)
 
 
+# the Python structures a network builds for each site (its keys, dict
+# slots, energy table and weight view): tracemalloc peaks at 560-580 B
+# a site on one-state grids of 64x64 to 256x256
+_SITE_BYTES = 640
+
 _BACK_OFFSETS = {"w": (0, -1), "nw": (-1, -1), "n": (-1, 0), "ne": (-1, 1)}
 _DIRECTIONS = {offset: name for name, offset in _BACK_OFFSETS.items()}
 
@@ -117,20 +122,31 @@ class PepsNetwork:
     grid ``position_map`` maps each 0-based row-major position to the
     original one, ``dim_grid`` holds the site dimensions and ``reach``
     (:func:`_reach`) each one's largest later king neighbour.
+
+    Raises:
+        NumericError: ``beta`` is not positive and finite.
+        TooLargeError: the per-site structures, ``_SITE_BYTES`` a site,
+            would take more than the size guard's bytes (128 MiB);
+            checked before any of them is built.
     """
 
     def __init__(self, hamiltonian: PottsHamiltonian,
                  transform: LatticeTransform, beta: float,
                  dtype=np.float64):
-        if not (beta > 0 and math.isfinite(beta)):
-            raise NumericError(f"beta must be positive and finite, got {beta}")
+        check_beta(beta)
+        rows, cols = hamiltonian.rows, hamiltonian.cols
+        if rows * cols * _SITE_BYTES > 8 * SIZE_GUARD:
+            raise TooLargeError(
+                f"the network of a {rows}x{cols} grid takes about "
+                f"{rows * cols * _SITE_BYTES} bytes, more than the size "
+                f"guard's {8 * SIZE_GUARD}")
         self.transform = transform
         self.beta = float(beta)
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.float32, np.float64):
             raise UnsupportedError(
                 f"dtype must be float32 or float64, got {self.dtype}")
-        grid = transform.grid((hamiltonian.rows, hamiltonian.cols))
+        grid = transform.grid((rows, cols))
         self.rows, self.cols = grid.shape
         self.position_map = grid.ravel()
         self.reach = _reach(grid.shape)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateStateError, DimensionError, NumericError,
-                     check_count)
+                     check_beta, check_count)
 
 logger = logging.getLogger(__name__)
 
@@ -59,9 +59,7 @@ class ContractionParams:
     def __post_init__(self):
         check_count("bond_dim", self.bond_dim, 1)
         check_count("num_sweeps", self.num_sweeps, 0)
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise NumericError(
-                f"beta must be positive and finite, got {self.beta}")
+        check_beta(self.beta)
 
 
 class BoundaryMps:

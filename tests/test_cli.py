@@ -264,19 +264,24 @@ class TestSolve:
 
     @pytest.mark.parametrize("text, args, message", [
         ("1 2000000000 1.0", ["--topology", "1", "1", "1"],
-         "the field vector of 2000000000 spins has 2000000000 entries"),
+         "the field vector of 2000000000 spins has 2000000000 entries, "
+         "more than the size guard of 16777216"),
         ("P 100000 100000", ["--format", "potts"],
          "a model of 10000000000 node and 0 edge tables has 10000000000 "
-         "entries"),
+         "entries, more than the size guard of 16777216"),
+        ("P 4096 4096", ["--format", "potts", "--transforms", "r0"],
+         "the network of a 4096x4096 grid takes about 10737418240 bytes, "
+         "more than the size guard's 134217728"),
     ])
     def test_oversized_tiny_file_exits_one(self, tmp_path, capsys, text,
                                            args, message):
-        # a line of text asks for a 15 GiB field vector or a 75 GiB grid
+        # a line of text asks for a 15 GiB field vector, a 75 GiB grid,
+        # or 2^24 one-state sites: tables the size guard admits, but a
+        # network whose Python structures take 10 GiB
         path = tmp_path / "tiny.txt"
         path.write_text(text + "\n")
         assert main(["solve", str(path), *args]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {message}, more than the size guard of 16777216"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     def test_underflowed_log_probabilities_written_as_null(self, tmp_path):
         # a state 1000 above the others at the default beta of 2 has

@@ -16,7 +16,10 @@ from kingspeps.oracle import (BLOCK_ROWS, config_energies, exact_conditional,
                               frontier_ground, _assignments, _enumeration_size,
                               _log_sum_exp)
 from kingspeps.potts import PottsHamiltonian, potts_energies
-from kingspeps.errors import DimensionError, InvalidIndexError, TooLargeError
+from kingspeps.errors import (DimensionError, InvalidIndexError, NumericError,
+                              TooLargeError)
+from kingspeps.peps import (bottom_environments, build_network,
+                            conditional_distribution)
 from conftest import (assert_raises_exactly, peak_bytes, ragged_potts,
                       random_clustered, random_potts)
 
@@ -137,9 +140,9 @@ SPECTRUM_MODELS = {
         ragged_potts(3, 4, [1, 2, 3, 4, 4, 3, 2, 1, 2, 4, 1, 3], 8)),
     "ragged-ties-2": lambda: integer_valued(
         ragged_potts(2, 3, [3, 1, 2, 2, 3, 3], 21)),
-    # 73728 states: one full block and a partial one
+    # 6912 states: one full block and a partial one
     "two-blocks": lambda: integer_valued(
-        ragged_potts(3, 3, [4, 4, 4, 4, 4, 4, 3, 3, 2], 5)),
+        ragged_potts(3, 3, [4, 4, 4, 3, 3, 3, 2, 2, 1], 5)),
 }
 
 
@@ -253,6 +256,70 @@ def test_min_energy_holds_one_block():
     assert peak < 5 * 2**20, peak
 
 
+# a 3x3 grid of 4-state clusters: 2^18 configurations
+def _clustered_2_18():
+    return random_clustered(3, 3, 2, seed=7)[1]
+
+
+@pytest.mark.parametrize("reference", [
+    lambda h: exact_spectrum(h).min_energy,
+    lambda h: exact_spectrum(h).log_partition(1.0),
+    lambda h: exact_conditional(h, 1.0, ()),
+], ids=["min_energy", "log_partition", "exact_conditional"])
+def test_references_hold_one_block(reference):
+    # a value per configuration alone would take 2 MiB
+    h = _clustered_2_18()
+    _, peak = peak_bytes(lambda: reference(h))
+    assert peak < 1.5 * 2**20, peak
+
+
+# log Z and conditionals of the spectrum summed whole, sorted by energy
+# (log Z) or by completion (conditionals), in one log-sum-exp each
+@pytest.mark.parametrize("beta, log_z", [
+    (0.5, 15.664326997149535), (1.0, 22.715114015943797),
+    (2.0, 40.12461470618247)])
+def test_log_partition_matches_the_whole_sum(beta, log_z):
+    assert exact_spectrum(_clustered_2_18()).log_partition(beta) == \
+        pytest.approx(log_z, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("partial, expected", [
+    ((), [0.2637697719235034, 0.23623022807649743, 0.23623022807649743,
+          0.2637697719235034]),
+    ((3,), [0.07021432904314823, 0.4332551564543049, 0.28313287114137964,
+            0.21339764336116726]),
+    ((2, 4, 1), [0.6226019402760145, 0.034732992796497525,
+                 0.13715960721754689, 0.20550545970994183])])
+def test_exact_conditional_matches_the_whole_sum(partial, expected):
+    p = exact_conditional(_clustered_2_18(), 1.0, partial)
+    assert p == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_log_partition_of_infinite_energies_is_minus_inf():
+    h = PottsHamiltonian(1, 1)
+    h.set_node((1, 1), [np.inf, np.inf])
+    assert exact_spectrum(h).log_partition(1.0) == -np.inf
+    assert exact_spectrum(h).partition(1.0) == 0.0
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_log_partition_rejects_beta_outside_positive_finite(beta):
+    spec = exact_spectrum(random_potts(2, 2, 2, seed=4))
+    for call in (spec.log_partition, spec.partition):
+        assert_raises_exactly(lambda: call(beta), NumericError,
+                              f"beta must be positive and finite, got {beta}")
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([-np.inf], -np.inf), ([-np.inf, -np.inf], -np.inf),
+    ([-np.inf, 0.0], 0.0), ([1.0, np.inf], np.inf),
+    ([np.inf, -np.inf], np.inf), ([0.0, np.nan], np.nan),
+    ([0.0, 0.0], math.log(2.0)), ([-1000.0, -1000.0], -1000 + math.log(2))])
+def test_log_sum_exp_of_infinite_values(values, expected):
+    assert _log_sum_exp(np.array(values)) == pytest.approx(
+        expected, rel=1e-15, nan_ok=True)
+
+
 def _pair(first, second, edge=None):
     h = PottsHamiltonian(1, 2)
     h.set_node((1, 1), first)
@@ -320,10 +387,11 @@ class TestExactConditional:
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_blocks_match_whole_table_in_bounded_memory(self):
-        # 3**11 completions: two full blocks and a partial one
-        h = random_potts(3, 4, 3, seed=8)
+        # 3**9 completions: four full blocks and a partial one, each
+        # state's 3**8 running over a block's end
+        h = random_potts(2, 5, 3, seed=8)
         partial = (2,)
-        total = 3 ** 11
+        total = 3 ** 9
         assert total > 2 * BLOCK_ROWS and total % BLOCK_ROWS
         expected = _whole_table_conditional(h, 0.8, partial)
         tracemalloc.start()
@@ -332,10 +400,28 @@ class TestExactConditional:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert p.tobytes() == expected.tobytes()
-        # the weights, 8 bytes a completion, and a few block-sized arrays;
-        # the whole table alone takes 8 bytes a site and completion
-        assert peak < 8 * total + 4 * 2**20, peak
+        assert np.allclose(p, expected, rtol=1e-12, atol=0)
+        # block-sized arrays only; the weights alone take 8 bytes a
+        # completion, and the whole table 8 bytes a site and completion
+        assert peak < 2**20, peak
+
+    def test_infinite_energy_state_has_probability_zero(self):
+        # every completion of state 2 has energy +inf: its log mass is
+        # -inf, its probability 0, as in the network's conditional
+        h = _pair([0.0, 1.0], [0.0, np.inf])
+        p = exact_conditional(h, 1.0, (1,))
+        assert p.tolist() == [1.0, 0.0]
+        net = build_network(h, beta=1.0)
+        envs = bottom_environments(net, ContractionParams(bond_dim=4))
+        assert np.array_equal(conditional_distribution(net, envs, (1,)), p)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0,
+                                      -1.0])
+    def test_beta_outside_positive_finite_rejected(self, beta):
+        h = random_potts(2, 2, 2, seed=4)
+        assert_raises_exactly(lambda: exact_conditional(h, beta, ()),
+                              NumericError,
+                              f"beta must be positive and finite, got {beta}")
 
 
 def _whole_table_conditional(h, beta, partial):

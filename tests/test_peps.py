@@ -15,7 +15,7 @@ from kingspeps import (ALL_TRANSFORMS, ClusterTopology, ContractionParams,
                        potts_energy)
 from kingspeps.errors import (ContractionDegenerateError, DimensionError,
                               InvalidIndexError, NumericError,
-                              UnsupportedError)
+                              TooLargeError, UnsupportedError)
 from kingspeps.ising import IsingGraph
 from kingspeps.oracle import exact_conditional
 from kingspeps.peps import (LatticeTransform, bottom_environments,
@@ -25,8 +25,8 @@ from kingspeps.peps import (LatticeTransform, bottom_environments,
 from kingspeps.potts import PottsHamiltonian
 from kingspeps.tensor_core import BoundaryMps, compress, overlap
 from conftest import (assert_raises_exactly, dense_mps_vector, expanded,
-                      normalize_scale, random_boundary_mps, random_potts,
-                      ragged_potts, random_clustered)
+                      normalize_scale, peak_bytes, random_boundary_mps,
+                      random_potts, ragged_potts, random_clustered)
 
 
 def exact_params(net):
@@ -200,6 +200,25 @@ class TestBuildNetwork:
         h.set_node((1, 2), [0.0, 1.0])
         with pytest.raises(NumericError, match="positive and finite"):
             build_network(h, beta=beta)
+
+    @pytest.mark.parametrize("rows, cols", [(4096, 4096), (1, 209716)])
+    def test_per_site_structures_refused_before_building(self, rows, cols):
+        # 640 bytes a site: 2^24 sites want 10 GiB, and 209716 sites are
+        # the fewest whose structures exceed 128 MiB
+        h = PottsHamiltonian(rows, cols)
+        _, peak = peak_bytes(lambda: assert_raises_exactly(
+            lambda: build_network(h, ALL_TRANSFORMS[1]), TooLargeError,
+            f"the network of a {rows}x{cols} grid takes about "
+            f"{rows * cols * 640} bytes, more than the size guard's "
+            f"134217728"))
+        assert peak < 2**16, peak
+
+    @pytest.mark.parametrize("transform", [0, 1])
+    def test_per_site_bytes_cover_a_one_state_grid(self, transform):
+        h = PottsHamiltonian(128, 128)
+        _, peak = peak_bytes(
+            lambda: build_network(h, ALL_TRANSFORMS[transform]))
+        assert 500 * 128 * 128 < peak <= 640 * 128 * 128, peak
 
 
 class TestRowProduct:
