@@ -182,10 +182,28 @@ def count_sweeps(monkeypatch):
 
 
 def schmidt_ranks(mps):
-    """Exact rank of the state's vector across each bond."""
+    """Exact rank of the state's vector across each bond.
+
+    The numerical rank of the dense vector can count rounding noise as a
+    singular value (about 1e-15 relative, just above ``matrix_rank``'s
+    default tolerance), so it is capped by the rank the shapes allow:
+    across bond i at most ``min(left_i, right_i)``, where ``left_i =
+    min(r_i, d_i * left_{i-1})`` chains the bonds and physical
+    dimensions from the left and ``right_i`` likewise from the right.
+    """
     vec = dense_mps_vector(mps)
     dims = mps.phys_dims
-    return [np.linalg.matrix_rank(vec.reshape(math.prod(dims[:i]), -1))
+    left, bound = 1, []
+    for t in mps.tensors[:-1]:
+        left = min(t.shape[2], left * t.shape[1])
+        bound.append(left)
+    right = 1
+    for i in range(len(dims) - 1, 0, -1):
+        t = mps.tensors[i]
+        right = min(t.shape[0], right * t.shape[1])
+        bound[i - 1] = min(bound[i - 1], right)
+    return [min(np.linalg.matrix_rank(vec.reshape(math.prod(dims[:i]), -1)),
+                bound[i - 1])
             for i in range(1, len(dims))]
 
 
