@@ -11,8 +11,8 @@ import operator
 
 # the most entries one table, all tables of a model together, an
 # enumeration or a frontier sweep's table may hold: 128 MiB of float64
-# (and the most bytes a frontier sweep's backpointers, or a network's
-# per-site structures, may take)
+# (and the most bytes a frontier sweep's backpointers, or the arrays a
+# network or a frontier sweep builds over a model's tables, may take)
 SIZE_GUARD = 2 ** 24
 
 
@@ -53,9 +53,10 @@ class UnsupportedError(SolverError):
 class TooLargeError(SolverError):
     """A table, a model's tables together, an enumeration or a frontier
     sweep's table would exceed :data:`SIZE_GUARD` entries, or the sweep's
-    backpointers or a network's per-site structures its 128 MiB. An
-    Ising graph's spins and a grid's sites count too: each takes a field
-    or a node-table entry at least."""
+    backpointers, or the arrays a network or a frontier sweep builds
+    (counted from the grid's positions, edges and table entries), its
+    128 MiB. An Ising graph's spins and a grid's sites count too: each
+    takes a field or a node-table entry at least."""
 
 
 class NumericError(SolverError):

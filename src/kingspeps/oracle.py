@@ -33,8 +33,9 @@ import math
 
 import numpy as np
 
-from .errors import (SIZE_GUARD, DimensionError, TooLargeError, check_beta,
-                     check_size)
+from .errors import (SIZE_GUARD, ContractionDegenerateError, DimensionError,
+                     TooLargeError, check_beta, check_size)
+from .peps import _BACK_OFFSETS, Frame, LatticeTransform
 from .potts import (PottsHamiltonian, _checked_states, _integer_states,
                     potts_energies)
 
@@ -126,15 +127,17 @@ def frontier_ground(h: PottsHamiltonian) -> tuple[float, tuple[int, ...]]:
     """A ground state of ``h`` by a min-sum sweep, and its energy.
 
     Sites are placed one at a time, line by line along the grid's
-    shorter side (row-major unless the grid has more columns than
-    rows). A table over the placed sites that still have an edge to an
-    unplaced one holds, for each of their assignments, the lowest
-    energy of the terms placed so far. Placing a site adds its node
-    table and its edges to placed sites. A site whose last edge has been
-    placed is minimised out, and the state that attains the minimum (the
-    lowest one on a tie) is kept for each assignment of the rest, as a
-    backpointer in the smallest unsigned dtype that holds a state. On a
-    king's graph ``w`` sites wide the table spans at most ``w + 2``
+    shorter side: row-major in a :class:`~kingspeps.peps.Frame` of the
+    grid, transposed (r270f) when it has more columns than rows, whose
+    int arrays locate each site's node table and back edges in the
+    model's flat buffer. A table over the placed sites that still have
+    an edge to an unplaced one holds, for each of their assignments, the
+    lowest energy of the terms placed so far. Placing a site adds its
+    node table and its edges to placed sites. A site whose last edge has
+    been placed is minimised out, and the state that attains the minimum
+    (the lowest one on a tie) is kept for each assignment of the rest, as
+    a backpointer in the smallest unsigned dtype that holds a state. On
+    a king's graph ``w`` sites wide the table spans at most ``w + 2``
     sites; the backpointers walked back from the last site give the
     state.
 
@@ -149,35 +152,30 @@ def frontier_ground(h: PottsHamiltonian) -> tuple[float, tuple[int, ...]]:
         ``+inf``. ``ExactSpectrum.min_energy`` is the exact minimum.
 
     Raises:
-        TooLargeError: a table would exceed ``SIZE_GUARD`` entries, or
-            the backpointers together the guard's bytes (128 MiB);
-            checked before any table is built.
+        TooLargeError: the frame's arrays, or the backpointers together,
+            would take more than the guard's bytes (128 MiB), or a table
+            more than ``SIZE_GUARD`` entries; checked before any table
+            is built.
     """
-    sites = list(h.sites())
-    order = sites
-    if h.cols > h.rows:  # column by column, along the shorter side
-        order = sorted(sites, key=lambda site: site[::-1])
-    step = {site: k for k, site in enumerate(order)}
-    dims = {site: h.dim(site) for site in sites}
-    back = {site: [] for site in sites}  # edges to sites placed before
-    last = dict(step)  # the step that places a site's last edge
-    for (a, b), edge in h.edge_tables():
-        if step[a] > step[b]:
-            a, b, edge = b, a, edge.T
-        back[b].append((a, edge))
-        last[a] = max(last[a], step[b])
+    # r270f transposes the grid: its row-major order is column by column
+    frame = Frame(h, LatticeTransform(7 if h.cols > h.rows else 0),
+                  "the frontier sweep's layout")
+    total, dims = frame.dim_grid.size, frame.dim_grid.reshape(-1)
+    steps = [dr * frame.cols + dc for dr, dc in _BACK_OFFSETS.values()]
+    last = np.arange(total)  # the step that places a site's last edge
+    for k, step in enumerate(steps):
+        later = np.flatnonzero(frame.edge[:, k] >= 0)
+        last[later + step] = np.maximum(last[later + step], later)
 
-    dtype = _state_dtype(list(dims.values()))
-    leaving = []  # the sites minimised out after each step
+    dtype = np.min_scalar_type(int(dims.max()))
     live, size, largest, kept = [], 1, 1, 0
-    for k, site in enumerate(order):
-        live.append(site)
-        size *= dims[site]
+    for k in range(total):
+        live.append(k)
+        size *= dims.item(k)
         largest = max(largest, size)
-        leaving.append([s for s in live if last[s] == k])
-        for gone in leaving[-1]:
+        for gone in [s for s in live if last[s] == k]:
             live.remove(gone)
-            size //= dims[gone]
+            size //= dims.item(gone)
             kept += size
     check_size("the largest table of the frontier sweep", largest)
     if kept * dtype.itemsize > 8 * SIZE_GUARD:
@@ -187,24 +185,33 @@ def frontier_ground(h: PottsHamiltonian) -> tuple[float, tuple[int, ...]]:
 
     table = np.zeros(())  # over the sites in live, in the order placed
     trail = []  # (site, the live sites after it, backpointers)
-    for k, site in enumerate(order):
-        terms = h.node_table(site).reshape((1,) * len(live) + (-1,))
-        for a, edge in back[site]:
+    for k in range(total):
+        row, col = frame.site_of(k + 1)
+        terms = frame.table(frame.energy, row, col).reshape(
+            (1,) * len(live) + (-1,))
+        # the edges to placed sites, summed in the model's sorted order
+        # of pairs: by the neighbour's original position
+        back = []
+        for direction, step in zip(_BACK_OFFSETS, steps):
+            edge = frame.table(frame.energy, row, col, direction)
+            if edge is not None:
+                back.append((frame.position_map[k + step], k + step, edge))
+        for _, other, edge in sorted(back, key=lambda entry: entry[0]):
             shape = [1] * (len(live) + 1)
-            shape[live.index(a)], shape[-1] = edge.shape
+            shape[live.index(other)], shape[-1] = edge.shape
             terms = terms + edge.reshape(shape)
         table = table[..., None] + terms
-        live.append(site)
-        for gone in leaving[k]:
+        live.append(k)
+        for gone in [s for s in live if last[s] == k]:
             axis = live.index(gone)
             del live[axis]
             table, best = _min_out(table, axis, dtype)
             trail.append((gone, list(live), best))
 
-    state = {}
+    state = np.zeros(total, dtype=np.intp)  # by position in the frame
     for gone, rest, best in reversed(trail):
-        state[gone] = int(best[tuple(state[s] - 1 for s in rest)])
-    ground = tuple(state[site] for site in sites)
+        state[gone] = best[tuple(state[rest] - 1)]
+    ground = tuple(state[np.argsort(frame.position_map)].tolist())
     return float(potts_energies(h, [ground])[0]), ground
 
 
@@ -259,7 +266,7 @@ class ExactSpectrum:
 
     def __init__(self, h: PottsHamiltonian):
         self._h = h
-        self._dims = [h.dim(site) for site in h.sites()]
+        self._dims = h._energy_terms()[-1].tolist()
         _enumeration_size(self._dims)
 
     @functools.cached_property
@@ -336,6 +343,9 @@ def exact_conditional(h: PottsHamiltonian, beta: float, partial) -> np.ndarray:
     every completion has infinite energy gets probability 0.
 
     Raises:
+        ContractionDegenerateError: every completion has infinite
+            energy, as :func:`kingspeps.peps.conditional_distribution`
+            raises when every weight vanished.
         NumericError: ``beta`` is not positive and finite.
         InvalidIndexError: a value of ``partial`` is not an integer in
             its site's 1..d.
@@ -344,14 +354,13 @@ def exact_conditional(h: PottsHamiltonian, beta: float, partial) -> np.ndarray:
     """
     check_beta(beta)
     partial = _integer_states(tuple(partial)).astype(np.int64)
-    sites = list(h.sites())
+    dims = h._energy_terms()[-1].tolist()
     k = len(partial) + 1
-    if k > len(sites):
-        raise DimensionError(f"site position {k} outside 1..{len(sites)}")
+    if k > len(dims):
+        raise DimensionError(f"site position {k} outside 1..{len(dims)}")
     # checked first: the blocks' small dtype would wrap a bad state round
-    _checked_states(h, [partial.tolist() + [1] * (len(sites) - k + 1)])
+    _checked_states(h, [partial.tolist() + [1] * (len(dims) - k + 1)])
 
-    dims = [h.dim(site) for site in sites]
     # the completions of each state of the site, in one run each
     per = _enumeration_size(dims[k - 1:]) // dims[k - 1]
     peak, scale = np.full(dims[k - 1], -np.inf), np.zeros(dims[k - 1])
@@ -364,4 +373,9 @@ def exact_conditional(h: PottsHamiltonian, beta: float, partial) -> np.ndarray:
                                         -beta * energies, starts)
         start += len(energies)
     log_mass = _finish(peak, scale)
-    return np.exp(log_mass - _log_sum_exp(log_mass))
+    total = _log_sum_exp(log_mass)
+    if total == -np.inf:
+        raise ContractionDegenerateError(
+            "conditional weights vanished",
+            position=((k - 1) // h.cols + 1, (k - 1) % h.cols + 1))
+    return np.exp(log_mass - total)

@@ -8,17 +8,13 @@ Running the same search under several transforms probes different
 contraction orders of the same model.
 
 Interaction bookkeeping uses the backward star of each site: every
-king edge is stored once, on its row-major-later endpoint, under the
-direction that points back to the earlier endpoint:
-
-    "w"  : (r, c-1)   -- same row, left
-    "nw" : (r-1, c-1) -- upper left diagonal
-    "n"  : (r-1, c)   -- directly above
-    "ne" : (r-1, c+1) -- upper right diagonal
-
-With that layout the environment kernels, :func:`row_product` (built
-from one weight table per column) and :func:`right_tables`, read the
-four weight tables; a search step reads the energy tables once, in
+king edge is stored once, on its row-major-later endpoint (r, c), under
+the direction that points back to the earlier endpoint: "w" (r, c-1),
+"nw" (r-1, c-1), "n" (r-1, c) or "ne" (r-1, c+1). A :class:`Frame`
+reads the model's tables in that layout through position-indexed int
+arrays. The environment kernels, :func:`row_product` (built from one
+weight table per column) and :func:`right_tables`, read the weight
+tables; a search step reads the energy tables once, in
 :func:`step_energies`, for its energy increments and local factors.
 
 A solve contracts the lower half once: :func:`bottom_environments`
@@ -94,96 +90,96 @@ def _reach(shape) -> np.ndarray:
     largest position among its later king neighbours, -1 if it has none:
     p, plus n where a row follows, plus 1 where a column follows."""
     m, n = shape
-    p = np.arange(m * n, dtype=np.intp)
-    later = n * (p < (m - 1) * n) + (p % n < n - 1)
-    return np.where(later > 0, p + later, -1)
+    reach = np.arange(m * n, dtype=np.intp).reshape(m, n)
+    reach[:-1] += n
+    reach[:, :-1] += 1
+    reach[-1, -1] = -1
+    return reach.reshape(-1)
 
-
-# the Python structures a network builds for each site (its keys, dict
-# slots, energy table and weight view): tracemalloc peaks at 560-580 B
-# a site on one-state grids of 64x64 to 256x256
-_SITE_BYTES = 640
 
 _BACK_OFFSETS = {"w": (0, -1), "nw": (-1, -1), "n": (-1, 0), "ne": (-1, 1)}
-_DIRECTIONS = {offset: name for name, offset in _BACK_OFFSETS.items()}
+_BACK = {name: (k, *offset) for k, (name, offset) in
+         enumerate(_BACK_OFFSETS.items())}
+
+# the most bytes building a frame holds at once: a position's ten int
+# arrays (four of them edge offsets, two temporaries) and four flip
+# flags, an edge's four int temporaries and three flags
+_POSITION_BYTES = 10 * np.dtype(np.intp).itemsize + 4
+_EDGE_BYTES = 4 * np.dtype(np.intp).itemsize + 3
 
 
-class PepsNetwork:
-    """Boltzmann tables of a model in a transformed frame.
+class Frame:
+    """A model's tables in a transformed frame, read through int arrays.
 
-    Carries both raw energy tables (read by :func:`step_energies`) and
-    their Boltzmann weights ``exp(-beta * E)`` in the requested dtype
-    (read by the environment kernels). All weights are exponentiated in
-    one pass, over the concatenation of every node and edge table, and
-    each table's weights are a view of that one buffer. Immutable once
-    built; share freely.
-
-    Every per-site fact comes from the transform's grid: the flattened
-    grid ``position_map`` maps each 0-based row-major position to the
-    original one, ``dim_grid`` holds the site dimensions and ``reach``
-    (:func:`_reach`) each one's largest later king neighbour.
-
-    Raises:
-        NumericError: ``beta`` is not positive and finite.
-        TooLargeError: the per-site structures, ``_SITE_BYTES`` a site,
-            would take more than the size guard's bytes (128 MiB);
-            checked before any of them is built.
+    The arrays are indexed by the 0-based row-major position p in the
+    transformed grid (:meth:`LatticeTransform.grid`), built with numpy
+    from the model's flat buffer ``energy`` (:meth:`~kingspeps.potts.
+    PottsHamiltonian._energy_terms`): ``position_map[p]`` is the site's
+    original position, ``dim_grid`` (``rows x cols``) its dimension,
+    ``reach[p]`` its largest later king neighbour (:func:`_reach`),
+    ``node[p]`` the offset of its node table, ``edge[p, k]`` that of its
+    back edge in direction k (w, nw, n, ne) or -1, and ``flip[p, k]``
+    whether that table is stored (own state, neighbour's state).
+    TooLargeError, naming ``what``, if building would hold more than the
+    size guard's 128 MiB: ``_POSITION_BYTES`` a position, ``_EDGE_BYTES``
+    an edge and ``entry_bytes`` an entry of ``energy``.
     """
 
     def __init__(self, hamiltonian: PottsHamiltonian,
-                 transform: LatticeTransform, beta: float,
-                 dtype=np.float64):
-        check_beta(beta)
+                 transform: LatticeTransform, what: str, entry_bytes: int = 0):
         rows, cols = hamiltonian.rows, hamiltonian.cols
-        if rows * cols * _SITE_BYTES > 8 * SIZE_GUARD:
+        need = (rows * cols * _POSITION_BYTES
+                + len(hamiltonian._edge) * _EDGE_BYTES
+                + hamiltonian._entry_count() * entry_bytes)
+        if need > 8 * SIZE_GUARD:
             raise TooLargeError(
-                f"the network of a {rows}x{cols} grid takes about "
-                f"{rows * cols * _SITE_BYTES} bytes, more than the size "
-                f"guard's {8 * SIZE_GUARD}")
+                f"{what} of a {rows}x{cols} grid takes up to {need} bytes, "
+                f"more than the size guard's {8 * SIZE_GUARD}")
+        self.energy, offset, first, second, _, dims = hamiltonian._energy_terms()
         self.transform = transform
-        self.beta = float(beta)
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.float32, np.float64):
-            raise UnsupportedError(
-                f"dtype must be float32 or float64, got {self.dtype}")
-        grid = transform.grid((rows, cols))
-        self.rows, self.cols = grid.shape
-        self.position_map = grid.ravel()
-        self.reach = _reach(grid.shape)
-        # the transformed site of each original one, row-major
-        landing = dict(zip(hamiltonian.sites(), map(
-            self.site_of, (np.argsort(self.position_map) + 1).tolist())))
+        self.rows, self.cols = transform.grid((rows, cols)).shape
+        self.position_map = transform.grid((rows, cols)).ravel()
+        self.reach = _reach((self.rows, self.cols))
+        self.dim_grid = dims[self.position_map].reshape(self.rows, self.cols)
 
-        self.site_energy: dict[tuple[int, int], np.ndarray] = {
-            ts: hamiltonian.node_table(site) for site, ts in landing.items()}
-        self.back_energy: dict[tuple[tuple[int, int], str], np.ndarray] = {}
-        self.dim_grid = np.array([table.size for table in
-                                  self.site_energy.values()])[grid]
+        nodes = len(offset) - len(hamiltonian._edge)  # edge terms come last
+        inverse = np.argsort(self.position_map)
+        self.node = np.zeros(len(inverse), dtype=np.intp)
+        self.node[inverse[first[:nodes]]] = offset[:nodes]
+        self.edge = np.full((len(inverse), 4), -1, dtype=np.intp)
+        self.flip = np.zeros((len(inverse), 4), dtype=bool)
+        a, b = inverse[first[nodes:]], inverse[second[nodes:]]
+        later, swap = np.maximum(a, b), a > b
+        gap = np.abs(np.subtract(a, b, out=a), out=a)
+        del b
+        # a gap of 1 within a row is "w"; else cols + 1, cols or cols - 1
+        # name "nw", "n" or "ne"
+        direction = np.where((gap == 1) & (later % self.cols > 0), 0,
+                             self.cols + 2 - gap)
+        self.edge[later, direction] = offset[nodes:]
+        self.flip[later, direction] = swap
 
-        for (a, b), table in hamiltonian.edge_tables():
-            ta, tb = landing[a], landing[b]
-            if tb < ta:
-                ta, tb, table = tb, ta, table.T
-            direction = _DIRECTIONS[(ta[0] - tb[0], ta[1] - tb[1])]
-            self.back_energy[(tb, direction)] = table
-
-        tables = [np.asarray(table, dtype=np.float64) for table in
-                  [*self.site_energy.values(), *self.back_energy.values()]]
-        with np.errstate(over="ignore"):
-            weight = np.exp(-self.beta * np.concatenate(
-                [table.reshape(-1) for table in tables]))
-        if not np.all(np.isfinite(weight)):
-            raise NumericError(
-                "Boltzmann weight overflowed; reduce beta or rescale energies")
-        with np.errstate(over="ignore"):
-            weight = _finite(weight.astype(self.dtype), "Boltzmann weight")
-        ends = np.cumsum([table.size for table in tables]).tolist()
-        views = iter([weight[end - table.size:end].reshape(table.shape)
-                      for table, end in zip(tables, ends)])
-        self.site_weight = dict(zip(self.site_energy, views))
-        self.back_weight = dict(zip(self.back_energy, views))
-
-    # -- transformed-frame helpers --------------------------------------
+    def table(self, buffer: np.ndarray, row: int, col: int,
+              direction: str | None = None):
+        """A view of site ``(row, col)``'s node table in ``buffer`` (laid
+        out as ``energy``), or of its back edge's in ``direction``,
+        oriented (neighbour's state, own state); None if it has none."""
+        if not (0 < row <= self.rows and 0 < col <= self.cols):
+            return None
+        p = (row - 1) * self.cols + col - 1
+        d = self.dim_grid.item(p)
+        if direction is None:
+            at = self.node.item(p)
+            return buffer[at:at + d]
+        k, dr, dc = _BACK[direction]
+        at = self.edge.item(p, k)
+        if at < 0:
+            return None
+        other = self.dim_grid.item(row - 1 + dr, col - 1 + dc)
+        table = buffer[at:at + d * other]
+        if self.flip.item(p, k):
+            return table.reshape(d, other).T
+        return table.reshape(other, d)
 
     def dim_at(self, row: int, col: int) -> int:
         return int(self.dim_grid[row - 1, col - 1])
@@ -191,15 +187,49 @@ class PepsNetwork:
     def row_dims(self, row: int) -> list[int]:
         return self.dim_grid[row - 1].tolist()
 
-    def back(self, row: int, col: int, direction: str):
-        return self.back_weight.get(((row, col), direction))
-
     def position(self, row: int, col: int) -> int:
         """Row-major 1-based linear position in the transformed frame."""
         return (row - 1) * self.cols + col
 
     def site_of(self, position: int) -> tuple[int, int]:
         return ((position - 1) // self.cols + 1, (position - 1) % self.cols + 1)
+
+
+class PepsNetwork(Frame):
+    """Boltzmann tables of a model in a transformed frame: a
+    :class:`Frame` whose ``weight`` buffer holds ``exp(-beta * E)`` of
+    each entry E of ``energy``, in one elementwise pass, in ``dtype``.
+    The environment kernels read weight tables, :func:`step_energies`
+    energy tables. Immutable once built; share freely. NumericError
+    unless ``beta`` is positive and finite; TooLargeError before any
+    array is built if they, the weights and their float64 temporary
+    (the itemsize plus 8 bytes an entry) exceed the size guard's bytes.
+    """
+
+    def __init__(self, hamiltonian: PottsHamiltonian,
+                 transform: LatticeTransform, beta: float,
+                 dtype=np.float64):
+        check_beta(beta)
+        self.beta = float(beta)
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.float32, np.float64):
+            raise UnsupportedError(
+                f"dtype must be float32 or float64, got {self.dtype}")
+        super().__init__(hamiltonian, transform, "the network",
+                         self.dtype.itemsize + 8)
+        with np.errstate(over="ignore"):
+            weight = self.energy * -self.beta
+            np.exp(weight, out=weight)
+        if not np.all(np.isfinite(weight)):
+            raise NumericError(
+                "Boltzmann weight overflowed; reduce beta or rescale energies")
+        with np.errstate(over="ignore"):
+            self.weight = weight.astype(self.dtype, copy=False)
+        del weight  # the float64 temporary, before the cast is checked
+        _finite(self.weight, "Boltzmann weight")
+
+    def back(self, row: int, col: int, direction: str):
+        return self.table(self.weight, row, col, direction)
 
     def __repr__(self):
         return (f"PepsNetwork({self.rows}x{self.cols}, beta={self.beta}, "
@@ -268,7 +298,7 @@ def row_product(net: PepsNetwork, row: int, env: BoundaryMps) -> BoundaryMps:
                    or net.back(lower, c, "ne") is not None)
         with np.errstate(over="ignore", invalid="ignore"):
             a = (np.ones((dxl, dyl, dx, dy), dtype=net.dtype)
-                 * net.site_weight[(lower, c)])
+                 * net.table(net.weight, lower, c))
             w = net.back(lower, c, "n")
             if w is not None:
                 a = a * w
@@ -369,7 +399,7 @@ def right_tables(net: PepsNetwork, bottom: BoundaryMps, row: int,
         # v[u, x_{col-1}, x_col]: the weights of free column col
         with np.errstate(over="ignore", invalid="ignore"):
             v = (np.ones((net.dim_at(row, col - 1), 1), dtype=net.dtype)
-                 * net.site_weight[(row, col)][None, :])
+                 * net.table(net.weight, row, col)[None, :])
             w_horiz = net.back(row, col, "w")
             if w_horiz is not None:
                 v = v * w_horiz
@@ -393,13 +423,16 @@ def step_energies(net: PepsNetwork, row: int, col: int,
     if it has no backward edge): its own energy plus its ``"w"``,
     ``"nw"``, ``"n"`` and ``"ne"`` edges, summed in that order. Rows are
     gathered with ``take``, here several times faster than indexing."""
-    terms = net.site_energy[(row, col)][None, :]
+    terms = net.table(net.energy, row, col)[None, :]
     for direction, (dr, dc) in _BACK_OFFSETS.items():
-        table = net.back_energy.get(((row, col), direction))
+        table = net.table(net.energy, row, col, direction)
         if table is not None:
             terms = terms + table.take(
                 values[:, net.position(row + dr, col + dc) - 1] - 1, axis=0)
     return terms
+
+
+_LARGEST = np.finfo(np.float64).max
 
 
 def conditionals(net: PepsNetwork, bottom: BoundaryMps, row: int, col: int,
@@ -425,15 +458,17 @@ def conditionals(net: PepsNetwork, bottom: BoundaryMps, row: int, col: int,
     result is the same, since max-normalizing rows commutes with
     gathering them and leaves a normalized row (largest magnitude
     exactly 1) as it is. Raises ContractionDegenerateError when every
-    weight of a branch underflowed.
+    weight of a branch underflowed or every state's energy is infinite.
     """
     a = bottom.tensors[col - 1]
     chi, d, chi_right = a.shape
     t = (_max_normalized(left) @ a.reshape(chi, d * chi_right)).reshape(
         -1, d, chi_right)
     numerator = np.einsum("bsc,bsc->bs", t, right.take(above, axis=0))
-    # branch minima down a transposed copy, as in _max_normalized
-    shift = np.array(energy.T, order="C").min(axis=0)
+    # branch minima down a transposed copy, as in _max_normalized; a
+    # branch whose every energy is +inf shifts by the largest float, not
+    # by inf, so its weights vanish without forming inf - inf
+    shift = np.array(energy.T, order="C").min(axis=0, initial=_LARGEST)
     numerator = numerator * np.exp(-net.beta * (energy - shift[:, None]))
 
     if logger.isEnabledFor(logging.DEBUG):

@@ -15,6 +15,7 @@ variable with 2^t states, blocks placed row-major on the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -175,33 +176,52 @@ class PottsHamiltonian:
         for pair in sorted(self._edge):
             yield pair, self._edge[pair]
 
+    def _positions(self, sites) -> np.ndarray:
+        """0-based row-major positions of the ``(row, col)`` ``sites``."""
+        rc = np.fromiter(chain.from_iterable(sites), np.intp).reshape(-1, 2)
+        return (rc[:, 0] - 1) * self.cols + rc[:, 1] - 1
+
+    def _entry_count(self) -> int:
+        """The size of :meth:`_energy_terms`' ``flat``, counted without
+        building it."""
+        if self._terms is not None:
+            return self._terms[0].size
+        return max(self._dims.values(), default=1) + sum(
+            map(np.size, chain(self._node.values(), self._edge.values())))
+
     def _energy_terms(self):
         """Every energy term as arrays, in summation order.
 
         Returns ``(flat, offset, first, second, stride, dims)``: term t
         is ``flat[offset[t] + x[first[t]] * stride[t] + x[second[t]]]``
-        for 0-based row-major states x, ``flat[0]`` is the 0.0 a sum
-        starts from and ``dims`` holds the site dimensions. Node terms
-        come in ``sites()`` order, naming their site twice with stride 0;
-        edge terms follow in the order the edges were first set. Built
-        once and dropped whenever a table is set.
+        for 0-based row-major states x, and ``dims`` holds the site
+        dimensions. ``flat`` starts with as many zeros as the largest
+        dimension: ``flat[0]`` is the 0.0 a sum starts from, and the
+        first d entries stand for the node table of a site of d states
+        that has none. Node terms come in ``sites()`` order, naming
+        their site twice with stride 0; edge terms follow in the order
+        the edges were first set, with the later site's dimension as
+        stride. Built once and dropped whenever a table is set.
         """
         if self._terms is None:
-            sites = list(self.sites())
-            column = {site: idx for idx, site in enumerate(sites)}
-            nodes = [(column[site], self._node[site]) for site in sites
-                     if site in self._node]
-            edges = list(self._edge.items())
-            tables = [t for _, t in nodes] + [t for _, t in edges]
-            first = [c for c, _ in nodes] + [column[a] for (a, _), _ in edges]
-            second = [c for c, _ in nodes] + [column[b] for (_, b), _ in edges]
-            stride = [0] * len(nodes) + [t.shape[1] for _, t in edges]
+            dims = np.ones(self.rows * self.cols, dtype=np.intp)
+            dims[self._positions(self._dims)] = np.fromiter(
+                self._dims.values(), np.intp, len(self._dims))
+            nodes = self._positions(self._node)
+            order = np.argsort(nodes)
+            tables = list(self._node.values())
+            tables = [tables[i] for i in order.tolist()] + list(
+                self._edge.values())
+            ends = self._positions(chain.from_iterable(self._edge)).reshape(-1, 2)
+            sizes = np.fromiter(map(np.size, tables), np.intp, len(tables))
+            head = int(dims.max())
             self._terms = (
-                np.concatenate([np.zeros(1)] + tables, axis=None),
-                np.cumsum([1] + [t.size for t in tables])[:-1].astype(np.intp),
-                np.array(first, dtype=np.intp), np.array(second, dtype=np.intp),
-                np.array(stride, dtype=np.intp),
-                np.array([self._dims.get(site, 1) for site in sites]))
+                np.concatenate([np.zeros(head)] + tables, axis=None),
+                head + np.cumsum(sizes) - sizes,
+                np.concatenate([nodes[order], ends[:, 0]]),
+                np.concatenate([nodes[order], ends[:, 1]]),
+                np.concatenate([np.zeros(len(nodes), np.intp), dims[ends[:, 1]]]),
+                dims)
         return self._terms
 
     def __repr__(self):

@@ -270,14 +270,14 @@ class TestSolve:
          "a model of 10000000000 node and 0 edge tables has 10000000000 "
          "entries, more than the size guard of 16777216"),
         ("P 4096 4096", ["--format", "potts", "--transforms", "r0"],
-         "the network of a 4096x4096 grid takes about 10737418240 bytes, "
+         "the network of a 4096x4096 grid takes up to 1409286160 bytes, "
          "more than the size guard's 134217728"),
     ])
     def test_oversized_tiny_file_exits_one(self, tmp_path, capsys, text,
                                            args, message):
         # a line of text asks for a 15 GiB field vector, a 75 GiB grid,
         # or 2^24 one-state sites: tables the size guard admits, but a
-        # network whose Python structures take 10 GiB
+        # network whose index arrays take 1.3 GiB
         path = tmp_path / "tiny.txt"
         path.write_text(text + "\n")
         assert main(["solve", str(path), *args]) == 1

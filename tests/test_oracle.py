@@ -3,6 +3,7 @@ and conditionals by enumeration."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from kingspeps.oracle import (BLOCK_ROWS, config_energies, exact_conditional,
                               frontier_ground, _assignments, _enumeration_size,
                               _log_sum_exp)
 from kingspeps.potts import PottsHamiltonian, potts_energies
-from kingspeps.errors import (DimensionError, InvalidIndexError, NumericError,
-                              TooLargeError)
+from kingspeps.errors import (ContractionDegenerateError, DimensionError,
+                              InvalidIndexError, NumericError, TooLargeError)
 from kingspeps.peps import (bottom_environments, build_network,
                             conditional_distribution)
 from conftest import (assert_raises_exactly, peak_bytes, ragged_potts,
@@ -241,9 +242,15 @@ def test_frontier_ground_puts_nan_last_as_the_sort_does():
     # each table fits, but 1280 sites keep a backpointer of up to 2^21
     # bytes each
     (64, 20, "the frontier sweep's backpointers take 2541748215 bytes, "
-             "more than the size guard's 134217728")])
+             "more than the size guard's 134217728"),
+    # its index arrays take 84 bytes a position: a bare row of 1597831
+    # sites is the shortest past 128 MiB
+    (1, 1597831, "the frontier sweep's layout of a 1x1597831 grid takes "
+                 "up to 134217804 bytes, more than the size guard's "
+                 "134217728")])
 def test_frontier_refused_before_building(rows, cols, message):
-    h = random_potts(rows, cols, 2, seed=1)
+    h = (random_potts(rows, cols, 2, seed=1) if rows > 1
+         else PottsHamiltonian(rows, cols))
     _, peak = peak_bytes(lambda: assert_raises_exactly(
         lambda: frontier_ground(h), TooLargeError, message))
     assert peak < 2**20, peak
@@ -293,6 +300,21 @@ def test_log_partition_matches_the_whole_sum(beta, log_z):
 def test_exact_conditional_matches_the_whole_sum(partial, expected):
     p = exact_conditional(_clustered_2_18(), 1.0, partial)
     assert p == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("partial, site", [((), (1, 1)), ((1,), (1, 2))])
+def test_exact_conditional_of_infinite_completions_raises(partial, site):
+    # every completion has energy +inf: no conditional exists, as in the
+    # network's conditional, and no NaN or RuntimeWarning comes first
+    h = PottsHamiltonian(1, 2)
+    h.set_node((1, 1), [0.0, 1.0])
+    h.set_node((1, 2), [np.inf, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_raises_exactly(
+            lambda: exact_conditional(h, 1.0, partial),
+            ContractionDegenerateError,
+            f"conditional weights vanished (at site {site})")
 
 
 def test_log_partition_of_infinite_energies_is_minus_inf():

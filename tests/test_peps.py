@@ -29,6 +29,19 @@ from conftest import (assert_raises_exactly, dense_mps_vector, expanded,
                       random_potts, ragged_potts, random_clustered)
 
 
+def _without_node_table(h, bare):
+    """``h`` with site ``bare``'s node table left out: its dimension comes
+    only from its edges."""
+    out = PottsHamiltonian(h.rows, h.cols)
+    for site in h.sites():
+        if site != bare:
+            out.set_node(site, h.node_table(site))
+    for (a, b), table in h.edge_tables():
+        out.set_edge(a, b, table)
+    assert bare not in out._node and out.dim(bare) == h.dim(bare) > 1
+    return out
+
+
 def exact_params(net):
     return ContractionParams(bond_dim=2 ** 30, num_sweeps=0, beta=net.beta)
 
@@ -78,7 +91,7 @@ class TestLatticeTransform:
             # every node table and dimension lands where the grid says
             for p, q in enumerate(position_map.tolist(), start=1):
                 site = net.site_of(p)
-                assert net.site_energy[site].tolist() == [q] * (1 + q % 3)
+                assert net.table(net.energy, *site).tolist() == [q] * (1 + q % 3)
                 assert net.dim_at(*site) == 1 + q % 3
                 assert net.row_dims(site[0])[site[1] - 1] == 1 + q % 3
 
@@ -149,8 +162,8 @@ class TestBuildNetwork:
                 lambda: build_network(h, beta=1.0, dtype=np.float32),
                 NumericError,
                 "Boltzmann weight overflows float32; reduce beta or use float64")
-        assert build_network(h, beta=1.0).site_weight[(1, 1)][0] == \
-            pytest.approx(math.exp(100))
+        net = build_network(h, beta=1.0)
+        assert net.table(net.weight, 1, 1)[0] == pytest.approx(math.exp(100))
 
     def test_invalid_beta(self):
         h = PottsHamiltonian(1, 1)
@@ -162,24 +175,71 @@ class TestBuildNetwork:
     @pytest.mark.parametrize("model", [
         lambda: random_clustered(3, 3, 2, seed=3300)[1],
         lambda: ragged_potts(3, 4, [1, 2, 3, 4, 4, 3, 2, 1, 2, 4, 1, 3], 8),
-    ], ids=["clustered3x3x2", "ragged3x4"])
+        lambda: _without_node_table(
+            ragged_potts(3, 4, [1, 2, 3, 4, 4, 3, 2, 1, 2, 4, 1, 3], 8),
+            (2, 2)),
+    ], ids=["clustered3x3x2", "ragged3x4", "bare-site3x4"])
     def test_weights_equal_per_table_exp(self, model, dtype):
-        # the one-pass build exponentiates the concatenation of every
-        # table; each table's weights must match its own exp bit for bit
+        # the one-pass build exponentiates the model's flat buffer; each
+        # table's weights must match its own exp bit for bit
         h = model()
         for tr in ALL_TRANSFORMS:
             for beta in (0.5, 2.0, 7.3):
                 net = build_network(h, tr, beta=beta, dtype=dtype)
-                for energy, weight in ((net.site_energy, net.site_weight),
-                                       (net.back_energy, net.back_weight)):
-                    assert weight.keys() == energy.keys()
-                    for key, table in energy.items():
-                        expected = np.exp(-beta * np.asarray(
-                            table, dtype=np.float64)).astype(dtype)
-                        got = weight[key]
-                        assert got.shape == expected.shape
-                        assert got.dtype == expected.dtype
-                        assert np.all(got == expected), (tr.name, key)
+                for k, direction in itertools.product(
+                        range(1, net.rows * net.cols + 1),
+                        (None, "w", "nw", "n", "ne")):
+                    site = net.site_of(k)
+                    table = net.table(net.energy, *site, direction)
+                    got = net.table(net.weight, *site, direction)
+                    if table is None:
+                        assert got is None and direction is not None
+                        continue
+                    expected = np.exp(-beta * np.asarray(
+                        table, dtype=np.float64)).astype(dtype)
+                    assert got.shape == expected.shape
+                    assert got.dtype == expected.dtype
+                    assert np.all(got == expected), (tr.name, site, direction)
+
+    @pytest.mark.parametrize("model", [
+        lambda: random_clustered(3, 3, 2, seed=3300)[1],
+        lambda: ragged_potts(3, 4, [1, 2, 3, 4, 4, 3, 2, 1, 2, 4, 1, 3], 8),
+        lambda: _without_node_table(
+            ragged_potts(3, 4, [1, 2, 3, 4, 4, 3, 2, 1, 2, 4, 1, 3], 8),
+            (2, 2)),
+        # under r90 a grid of two or one columns, where a gap of 1
+        # between positions is also an "ne" or an "n" edge
+        lambda: ragged_potts(2, 3, [2, 3, 1, 4, 2, 3], 9),
+        lambda: ragged_potts(1, 3, [2, 3, 4], 9),
+    ], ids=["clustered3x3x2", "ragged3x4", "bare-site3x4", "ragged2x3",
+            "ragged1x3"])
+    def test_tables_land_where_the_grid_says(self, model):
+        # each transformed site reads its original site's node table and,
+        # in each back direction, the model's edge table to the original
+        # neighbour, oriented (neighbour's state, own state)
+        h = model()
+        for tr in ALL_TRANSFORMS:
+            net = build_network(h, tr)
+            original = [divmod(int(q), h.cols) for q in net.position_map]
+            for k in range(1, net.rows * net.cols + 1):
+                row, col = net.site_of(k)
+                r, c = original[k - 1]
+                assert np.array_equal(net.table(net.energy, row, col),
+                                      h.node_table((r + 1, c + 1)))
+                for direction, (dr, dc) in (("w", (0, -1)), ("nw", (-1, -1)),
+                                            ("n", (-1, 0)), ("ne", (-1, 1))):
+                    table = net.table(net.energy, row, col, direction)
+                    if not (1 <= row + dr <= net.rows
+                            and 1 <= col + dc <= net.cols):
+                        assert table is None
+                        continue
+                    rn, cn = original[net.position(row + dr, col + dc) - 1]
+                    expected = h.edge_table((rn + 1, cn + 1), (r + 1, c + 1))
+                    if expected is None:
+                        assert table is None
+                    else:
+                        assert np.array_equal(table, expected), (tr.name, k)
+                        assert net.back(row, col, direction).shape == table.shape
 
     def test_overflowing_edge_table_raises(self):
         # one edge entry overflows, every node table is fine
@@ -201,24 +261,47 @@ class TestBuildNetwork:
         with pytest.raises(NumericError, match="positive and finite"):
             build_network(h, beta=beta)
 
-    @pytest.mark.parametrize("rows, cols", [(4096, 4096), (1, 209716)])
+    @pytest.mark.parametrize("rows, cols", [(4096, 4096), (1, 1597830)])
     def test_per_site_structures_refused_before_building(self, rows, cols):
-        # 640 bytes a site: 2^24 sites want 10 GiB, and 209716 sites are
-        # the fewest whose structures exceed 128 MiB
+        # a bare grid's network holds 84 bytes a position (ten int arrays
+        # and four flags) and 16 for the one zero of its flat buffer
+        # (its float64 weight and temporary): 2^24 sites want 1.3 GiB,
+        # and 1597830 sites are the fewest past 128 MiB (1597829 take
+        # 134217652 bytes)
+        need = rows * cols * 84 + 16
+        if rows == 1:  # the first one-row grid past the guard
+            assert need - 84 <= 2 ** 27 < need
         h = PottsHamiltonian(rows, cols)
         _, peak = peak_bytes(lambda: assert_raises_exactly(
             lambda: build_network(h, ALL_TRANSFORMS[1]), TooLargeError,
-            f"the network of a {rows}x{cols} grid takes about "
-            f"{rows * cols * 640} bytes, more than the size guard's "
-            f"134217728"))
+            f"the network of a {rows}x{cols} grid takes up to {need} "
+            f"bytes, more than the size guard's 134217728"))
         assert peak < 2**16, peak
 
     @pytest.mark.parametrize("transform", [0, 1])
     def test_per_site_bytes_cover_a_one_state_grid(self, transform):
         h = PottsHamiltonian(128, 128)
+        h._energy_terms()  # the model's buffer, not the network's
         _, peak = peak_bytes(
             lambda: build_network(h, ALL_TRANSFORMS[transform]))
-        assert 500 * 128 * 128 < peak <= 640 * 128 * 128, peak
+        # it keeps 68 bytes a position: eight ints (position, reach,
+        # dimension, node offset, four edge offsets) and four flags
+        assert 68 * 128 * 128 < peak <= 128 * 128 * 84 + 16, peak
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_predicted_bytes_cover_a_grid_with_every_king_edge(self, dtype):
+        # 64x64 sites of 2 states and 16002 edges: 84 bytes a position,
+        # 35 an edge (four int temporaries and three flags) and the
+        # weight itemsize plus 8 (its float64 temporary) for each of
+        # the flat buffer's 2 + 4096 * 2 + 16002 * 4 entries
+        h = random_clustered(64, 64, 1, seed=1)[1]
+        assert len(h._edge) == 16002
+        h._energy_terms()
+        need = (4096 * 84 + 16002 * 35
+                + (2 + 4096 * 2 + 16002 * 4) * (np.dtype(dtype).itemsize + 8))
+        _, peak = peak_bytes(
+            lambda: build_network(h, ALL_TRANSFORMS[1], 2.0, dtype))
+        assert peak <= need, (peak, need)
 
 
 class TestRowProduct:
@@ -354,7 +437,7 @@ def reference_row_product(net, row, env):
         carry_y = (net.back(lower, c + 1, "w") is not None
                    or net.back(lower, c, "ne") is not None)
         a = (np.ones((dxl, dyl, dx, dy), dtype=net.dtype)
-             * net.site_weight[(lower, c)])
+             * net.table(net.weight, lower, c))
         w = net.back(lower, c, "n")
         if w is not None:
             a = a * w
@@ -633,6 +716,21 @@ class TestConditionalDistribution:
             conditional_distribution(net, envs, ())
         assert err.value.position == (1, 1)
 
+    def test_branch_of_infinite_energies_raises_without_warning(self):
+        # site (1, 2) has energy +inf in every state: the shift by the
+        # branch minimum would form inf - inf
+        h = PottsHamiltonian(1, 2)
+        h.set_node((1, 1), [0.0, 1.0])
+        h.set_node((1, 2), [np.inf, np.inf])
+        net = build_network(h, beta=1.0)
+        envs = exact_envs(net)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_raises_exactly(
+                lambda: conditional_distribution(net, envs, (1,)),
+                ContractionDegenerateError,
+                "conditional weights vanished (at site (1, 2))")
+
     @staticmethod
     def _magnitude_lines(caplog):
         return [r.getMessage() for r in caplog.records
@@ -784,7 +882,7 @@ def _weights_as_gathered(net, row, col, values):
     """The local factor as a product of weights, ``(B, d)``: the site's
     weights times the rows of its back weight tables that the
     neighbours' values pick."""
-    weights = np.broadcast_to(net.site_weight[(row, col)],
+    weights = np.broadcast_to(net.table(net.weight, row, col),
                               (len(values), net.dim_at(row, col)))
     for direction, (dr, dc) in (("w", (0, -1)), ("n", (-1, 0)),
                                 ("nw", (-1, -1)), ("ne", (-1, 1))):
