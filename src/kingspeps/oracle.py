@@ -23,7 +23,7 @@ conditional one per state of its site; only the sorted ``states`` and
 ``energies`` of a spectrum hold a value per configuration.
 
 Every energy is :func:`~kingspeps.potts.potts_energies`, the solver's
-own sum, also under the name ``config_energies``.
+own sum.
 """
 
 from __future__ import annotations
@@ -35,14 +35,11 @@ import numpy as np
 
 from .errors import (SIZE_GUARD, ContractionDegenerateError, DimensionError,
                      TooLargeError, check_beta, check_size)
-from .peps import _BACK_OFFSETS, Frame, LatticeTransform
+from .peps import Frame, LatticeTransform
 from .potts import (PottsHamiltonian, _checked_states, _integer_states,
                     potts_energies)
 
 BLOCK_ROWS = 2 ** 12
-
-
-config_energies = potts_energies
 
 
 def _enumeration_size(dims: list[int]) -> int:
@@ -138,8 +135,8 @@ def frontier_ground(h: PottsHamiltonian) -> tuple[float, tuple[int, ...]]:
     (the lowest one on a tie) is kept for each assignment of the rest, as
     a backpointer in the smallest unsigned dtype that holds a state. On
     a king's graph ``w`` sites wide the table spans at most ``w + 2``
-    sites; the backpointers walked back from the last site give the
-    state.
+    sites. The backpointers fill one buffer, read by replaying the sweep
+    backwards; beside them and the frame it holds about 10 bytes a site.
 
     Returns:
         ``(energy, state)``: ``state`` holds the 1-based row-major
@@ -157,24 +154,31 @@ def frontier_ground(h: PottsHamiltonian) -> tuple[float, tuple[int, ...]]:
             more than ``SIZE_GUARD`` entries; checked before any table
             is built.
     """
+    ground = tuple(_frontier_state(h).tolist())
+    return float(potts_energies(h, [ground])[0]), ground
+
+
+def _frontier_state(h: PottsHamiltonian) -> np.ndarray:
+    """The sweep of :func:`frontier_ground`: its state, as an array."""
     # r270f transposes the grid: its row-major order is column by column
     frame = Frame(h, LatticeTransform(7 if h.cols > h.rows else 0),
                   "the frontier sweep's layout")
     total, dims = frame.dim_grid.size, frame.dim_grid.reshape(-1)
-    steps = [dr * frame.cols + dc for dr, dc in _BACK_OFFSETS.values()]
     last = np.arange(total)  # the step that places a site's last edge
-    for k, step in enumerate(steps):
+    for k, step in enumerate(frame.step):
         later = np.flatnonzero(frame.edge[:, k] >= 0)
         last[later + step] = np.maximum(last[later + step], later)
 
+    def gone_at(k: int) -> list[int]:  # ascending: k or a back neighbour
+        return [s for s in sorted({k, *(k + step for step in frame.step)})
+                if s >= 0 and last.item(s) == k]
+
     dtype = np.min_scalar_type(int(dims.max()))
-    live, size, largest, kept = [], 1, 1, 0
+    size, largest, kept = 1, 1, 0
     for k in range(total):
-        live.append(k)
         size *= dims.item(k)
         largest = max(largest, size)
-        for gone in [s for s in live if last[s] == k]:
-            live.remove(gone)
+        for gone in gone_at(k):
             size //= dims.item(gone)
             kept += size
     check_size("the largest table of the frontier sweep", largest)
@@ -183,17 +187,15 @@ def frontier_ground(h: PottsHamiltonian) -> tuple[float, tuple[int, ...]]:
             f"the frontier sweep's backpointers take {kept * dtype.itemsize} "
             f"bytes, more than the size guard's {8 * SIZE_GUARD}")
 
-    table = np.zeros(())  # over the sites in live, in the order placed
-    trail = []  # (site, the live sites after it, backpointers)
+    table, live = np.zeros(()), []  # table is over live, in placing order
+    best, end = np.empty(kept, dtype=dtype), 0  # backpointers, in turn
     for k in range(total):
-        row, col = frame.site_of(k + 1)
-        terms = frame.table(frame.energy, row, col).reshape(
-            (1,) * len(live) + (-1,))
+        terms = frame.table(frame.energy, k).reshape((1,) * len(live) + (-1,))
         # the edges to placed sites, summed in the model's sorted order
         # of pairs: by the neighbour's original position
         back = []
-        for direction, step in zip(_BACK_OFFSETS, steps):
-            edge = frame.table(frame.energy, row, col, direction)
+        for direction, step in enumerate(frame.step):
+            edge = frame.table(frame.energy, k, direction)
             if edge is not None:
                 back.append((frame.position_map[k + step], k + step, edge))
         for _, other, edge in sorted(back, key=lambda entry: entry[0]):
@@ -202,17 +204,26 @@ def frontier_ground(h: PottsHamiltonian) -> tuple[float, tuple[int, ...]]:
             terms = terms + edge.reshape(shape)
         table = table[..., None] + terms
         live.append(k)
-        for gone in [s for s in live if last[s] == k]:
+        for gone in gone_at(k):
             axis = live.index(gone)
             del live[axis]
-            table, best = _min_out(table, axis, dtype)
-            trail.append((gone, list(live), best))
+            table, pointers = _min_out(table, axis, dtype)
+            best[end:end + pointers.size] = pointers.reshape(-1)
+            end += pointers.size
 
-    state = np.zeros(total, dtype=np.intp)  # by position in the frame
-    for gone, rest, best in reversed(trail):
-        state[gone] = best[tuple(state[rest] - 1)]
-    ground = tuple(state[np.argsort(frame.position_map)].tolist())
-    return float(potts_energies(h, [ground])[0]), ground
+    # the sweep replayed backwards rebuilds each live list
+    state = np.zeros(total, dtype=dtype)  # by position in the frame
+    for k in range(total - 1, -1, -1):
+        for gone in reversed(gone_at(k)):
+            shape = dims[live]
+            at = end - math.prod(shape)
+            state[gone] = best[at:end].reshape(shape)[tuple(state[live] - 1)]
+            end = at
+            live = sorted([*live, gone])
+        live.pop()  # k, the latest placed
+    ground = np.empty_like(state)
+    ground[frame.position_map] = state
+    return ground
 
 
 def _min_out(table: np.ndarray, axis: int,

@@ -9,10 +9,10 @@ contraction orders of the same model.
 
 Interaction bookkeeping uses the backward star of each site: every
 king edge is stored once, on its row-major-later endpoint (r, c), under
-the direction that points back to the earlier endpoint: "w" (r, c-1),
-"nw" (r-1, c-1), "n" (r-1, c) or "ne" (r-1, c+1). A :class:`Frame`
-reads the model's tables in that layout through position-indexed int
-arrays. The environment kernels, :func:`row_product` (built from one
+the direction k = 0..3 that points back to the earlier endpoint: "w"
+(r, c-1), "nw" (r-1, c-1), "n" (r-1, c) or "ne" (r-1, c+1). Every
+kernel reads the model's tables in that layout by position, through
+:meth:`Frame.table`. The environment kernels, :func:`row_product` (built from one
 weight table per column) and :func:`right_tables`, read the weight
 tables; a search step reads the energy tables once, in
 :func:`step_energies`, for its energy increments and local factors.
@@ -97,9 +97,7 @@ def _reach(shape) -> np.ndarray:
     return reach.reshape(-1)
 
 
-_BACK_OFFSETS = {"w": (0, -1), "nw": (-1, -1), "n": (-1, 0), "ne": (-1, 1)}
-_BACK = {name: (k, *offset) for k, (name, offset) in
-         enumerate(_BACK_OFFSETS.items())}
+_W, _NW, _N, _NE = range(4)  # the back directions, Frame.edge's columns
 
 # the most bytes building a frame holds at once: a position's ten int
 # arrays (four of them edge offsets, two temporaries) and four flip
@@ -118,8 +116,9 @@ class Frame:
     original position, ``dim_grid`` (``rows x cols``) its dimension,
     ``reach[p]`` its largest later king neighbour (:func:`_reach`),
     ``node[p]`` the offset of its node table, ``edge[p, k]`` that of its
-    back edge in direction k (w, nw, n, ne) or -1, and ``flip[p, k]``
-    whether that table is stored (own state, neighbour's state).
+    back edge in direction k (w, nw, n, ne), to position ``p + step[k]``,
+    or -1, and ``flip[p, k]`` whether that table is stored (own state,
+    neighbour's state).
     TooLargeError, naming ``what``, if building would hold more than the
     size guard's 128 MiB: ``_POSITION_BYTES`` a position, ``_EDGE_BYTES``
     an edge and ``entry_bytes`` an entry of ``energy``.
@@ -140,6 +139,7 @@ class Frame:
         self.rows, self.cols = transform.grid((rows, cols)).shape
         self.position_map = transform.grid((rows, cols)).ravel()
         self.reach = _reach((self.rows, self.cols))
+        self.step = (-1, -self.cols - 1, -self.cols, 1 - self.cols)
         self.dim_grid = dims[self.position_map].reshape(self.rows, self.cols)
 
         nodes = len(offset) - len(hamiltonian._edge)  # edge terms come last
@@ -159,37 +159,25 @@ class Frame:
         self.edge[later, direction] = offset[nodes:]
         self.flip[later, direction] = swap
 
-    def table(self, buffer: np.ndarray, row: int, col: int,
-              direction: str | None = None):
-        """A view of site ``(row, col)``'s node table in ``buffer`` (laid
-        out as ``energy``), or of its back edge's in ``direction``,
-        oriented (neighbour's state, own state); None if it has none."""
-        if not (0 < row <= self.rows and 0 < col <= self.cols):
-            return None
-        p = (row - 1) * self.cols + col - 1
+    def table(self, buffer: np.ndarray, p: int, k: int | None = None):
+        """A view of position ``p``'s node table in ``buffer`` (laid out
+        as ``energy``), or of its back edge's in direction ``k`` as (other
+        state, own state); None if it has none. ``p`` is not checked."""
         d = self.dim_grid.item(p)
-        if direction is None:
+        if k is None:
             at = self.node.item(p)
             return buffer[at:at + d]
-        k, dr, dc = _BACK[direction]
         at = self.edge.item(p, k)
         if at < 0:
             return None
-        other = self.dim_grid.item(row - 1 + dr, col - 1 + dc)
+        other = self.dim_grid.item(p + self.step[k])
         table = buffer[at:at + d * other]
         if self.flip.item(p, k):
             return table.reshape(d, other).T
         return table.reshape(other, d)
 
-    def dim_at(self, row: int, col: int) -> int:
-        return int(self.dim_grid[row - 1, col - 1])
-
     def row_dims(self, row: int) -> list[int]:
         return self.dim_grid[row - 1].tolist()
-
-    def position(self, row: int, col: int) -> int:
-        """Row-major 1-based linear position in the transformed frame."""
-        return (row - 1) * self.cols + col
 
     def site_of(self, position: int) -> tuple[int, int]:
         return ((position - 1) // self.cols + 1, (position - 1) % self.cols + 1)
@@ -227,9 +215,6 @@ class PepsNetwork(Frame):
             self.weight = weight.astype(self.dtype, copy=False)
         del weight  # the float64 temporary, before the cast is checked
         _finite(self.weight, "Boltzmann weight")
-
-    def back(self, row: int, col: int, direction: str):
-        return self.table(self.weight, row, col, direction)
 
     def __repr__(self):
         return (f"PepsNetwork({self.rows}x{self.cols}, beta={self.beta}, "
@@ -291,24 +276,25 @@ def row_product(net: PepsNetwork, row: int, env: BoundaryMps) -> BoundaryMps:
     log_scale = env.log_scale
     dxl = dyl = 1
     for c, e in enumerate(env.tensors, start=1):
+        site = row * net.cols + c - 1  # the position of (lower, c)
         dx, dy = dims_x[c - 1], dims_y[c - 1]
-        # does the bond to column c+1 carry the upper / lower state?
-        carry_x = net.back(lower, c + 1, "nw") is not None
-        carry_y = (net.back(lower, c + 1, "w") is not None
-                   or net.back(lower, c, "ne") is not None)
+        more = c < net.cols  # does a bond to column c+1 carry x / y?
+        carry_x = more and net.table(net.weight, site + 1, _NW) is not None
+        carry_y = ((more and net.table(net.weight, site + 1, _W) is not None)
+                   or net.table(net.weight, site, _NE) is not None)
         with np.errstate(over="ignore", invalid="ignore"):
             a = (np.ones((dxl, dyl, dx, dy), dtype=net.dtype)
-                 * net.table(net.weight, lower, c))
-            w = net.back(lower, c, "n")
+                 * net.table(net.weight, site))
+            w = net.table(net.weight, site, _N)
             if w is not None:
                 a = a * w
-            w = net.back(lower, c, "w")
+            w = net.table(net.weight, site, _W)
             if w is not None:
                 a = a * w[None, :, None, :]
-            w = net.back(lower, c, "nw")
+            w = net.table(net.weight, site, _NW)
             if w is not None:
                 a = a * w[:, None, None, :]
-            w = net.back(lower, c - 1, "ne")
+            w = net.table(net.weight, site - 1, _NE) if c > 1 else None
             if w is not None:
                 # couples x_c with y_{c-1}; table is (d_x, d_{y,c-1})
                 a = a * w.T[None, :, :, None]
@@ -390,24 +376,24 @@ def right_tables(net: PepsNetwork, bottom: BoundaryMps, row: int,
     No row product covers row 1 or a site's own ``"ne"`` edge, so an
     overflow here raises :func:`row_product`'s NumericError.
     """
-    env = np.ones((len(values), net.dim_at(row, net.cols), 1), dtype=net.dtype)
+    env = np.ones((len(values), net.row_dims(row)[-1], 1), dtype=net.dtype)
     tables = [env]
     for col in range(net.cols, 1, -1):
+        p = (row - 1) * net.cols + col - 1
         a = bottom.tensors[col - 1]
         # h[u, x, a] = sum_b a[a, x, b] env[u, x, b], one matmul per x
         h = np.matmul(env.transpose(1, 0, 2), a.transpose(1, 2, 0))
         # v[u, x_{col-1}, x_col]: the weights of free column col
         with np.errstate(over="ignore", invalid="ignore"):
-            v = (np.ones((net.dim_at(row, col - 1), 1), dtype=net.dtype)
-                 * net.table(net.weight, row, col)[None, :])
-            w_horiz = net.back(row, col, "w")
+            v = (np.ones((net.dim_grid.item(p - 1), 1), dtype=net.dtype)
+                 * net.table(net.weight, p)[None, :])
+            w_horiz = net.table(net.weight, p, _W)
             if w_horiz is not None:
                 v = v * w_horiz
-            for direction in ("n", "nw", "ne"):
-                w = net.back(row, col, direction)
+            for k in (_N, _NW, _NE):
+                w = net.table(net.weight, p, k)
                 if w is not None:
-                    dr, dc = _BACK_OFFSETS[direction]
-                    above = values[:, net.position(row + dr, col + dc) - 1]
+                    above = values[:, p + net.step[k]]
                     v = v * w.take(above - 1, axis=0)[:, None, :]
             env = v @ h.transpose(1, 0, 2)
         env = _max_normalized(
@@ -423,12 +409,12 @@ def step_energies(net: PepsNetwork, row: int, col: int,
     if it has no backward edge): its own energy plus its ``"w"``,
     ``"nw"``, ``"n"`` and ``"ne"`` edges, summed in that order. Rows are
     gathered with ``take``, here several times faster than indexing."""
-    terms = net.table(net.energy, row, col)[None, :]
-    for direction, (dr, dc) in _BACK_OFFSETS.items():
-        table = net.table(net.energy, row, col, direction)
+    p = (row - 1) * net.cols + col - 1
+    terms = net.table(net.energy, p)[None, :]
+    for k, step in enumerate(net.step):
+        table = net.table(net.energy, p, k)
         if table is not None:
-            terms = terms + table.take(
-                values[:, net.position(row + dr, col + dc) - 1] - 1, axis=0)
+            terms = terms + table.take(values[:, p + step] - 1, axis=0)
     return terms
 
 
@@ -537,7 +523,9 @@ def contract_network(net: PepsNetwork, params: ContractionParams | None = None):
 
     Returns ``(value, log_scale)``; the partition function is
     ``value * exp(log_scale)``. With ``params=None`` the contraction is
-    exact up to the rank-revealing floor (no bond cap).
+    exact up to the rank-revealing floor (no bond cap), which limits it
+    at high beta: on ragged models of at most 9 sites log Z's worst
+    relative error was 1.3e-9 at beta 10, 7.3e-5 at 20 and 1.03 at 40.
     """
     if params is None:
         params = ContractionParams(bond_dim=2 ** 31 - 1, num_sweeps=0,

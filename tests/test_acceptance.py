@@ -15,7 +15,8 @@ from kingspeps import (ALL_TRANSFORMS, ClusterTopology, ContractionParams,
                        DropletParams, SearchParams, cluster, exact_spectrum,
                        generate_instance, low_energy_spectrum, parse_ising,
                        potts_energy, unpack_droplets)
-from kingspeps.oracle import config_energies, exact_conditional
+from kingspeps.oracle import exact_conditional
+from kingspeps.potts import potts_energies
 from kingspeps.peps import (bottom_environments, build_network,
                             conditional_distribution, contract_network)
 from kingspeps.tensor_core import compress, svd_truncate
@@ -227,7 +228,7 @@ def test_criterion_8_scale_robustness():
     for _ in range(5):
         configs = rng.integers(1, 3, size=(20000, 256), dtype=np.int8)
         best_random = min(best_random,
-                          float(config_energies(h, configs).min()))
+                          float(potts_energies(h, configs).min()))
     _report(8, "256-spin instance solves fast and beats random sampling",
             finite and elapsed < 60.0 and sol.best_energy <= best_random,
             f"{elapsed:.1f}s, found {sol.best_energy:.4f} vs "

@@ -13,14 +13,13 @@ from kingspeps import (ALL_TRANSFORMS, ClusterTopology, ContractionParams,
                        low_energy_spectrum, potts_energy)
 from kingspeps.instance_io import parse_potts
 from kingspeps.ising import IsingGraph
-from kingspeps.oracle import (BLOCK_ROWS, config_energies, exact_conditional,
-                              frontier_ground, _assignments, _enumeration_size,
-                              _log_sum_exp)
+from kingspeps.oracle import (BLOCK_ROWS, exact_conditional, frontier_ground,
+                              _assignments, _enumeration_size, _log_sum_exp)
 from kingspeps.potts import PottsHamiltonian, potts_energies
 from kingspeps.errors import (ContractionDegenerateError, DimensionError,
                               InvalidIndexError, NumericError, TooLargeError)
-from kingspeps.peps import (bottom_environments, build_network,
-                            conditional_distribution)
+from kingspeps.peps import (_EDGE_BYTES, _POSITION_BYTES, bottom_environments,
+                            build_network, conditional_distribution)
 from conftest import (assert_raises_exactly, peak_bytes, ragged_potts,
                       random_clustered, random_potts)
 
@@ -84,7 +83,7 @@ def test_clustered_spectrum_states_compact():
     spec = exact_spectrum(h)
     assert spec.states.dtype == np.uint8 and spec.states.shape == (256, 4)
     assert np.array_equal(spec.energies,
-                          config_energies(h, spec.states.astype(np.int64)))
+                          potts_energies(h, spec.states.astype(np.int64)))
     assert len({tuple(s) for s in spec.states.tolist()}) == 256
 
 
@@ -117,7 +116,7 @@ def lexsort_spectrum(h):
     dims = [h.dim(site) for site in h.sites()]
     configs = (np.stack(np.unravel_index(np.arange(math.prod(dims)), dims),
                         axis=1) + 1).astype(np.min_scalar_type(max(dims)))
-    energies = config_energies(h, configs)
+    energies = potts_energies(h, configs)
     keys = tuple(configs[:, i] for i in range(configs.shape[1] - 1, -1, -1))
     order = np.lexsort(keys + (energies,))
     return configs[order], energies[order]
@@ -254,6 +253,21 @@ def test_frontier_refused_before_building(rows, cols, message):
     _, peak = peak_bytes(lambda: assert_raises_exactly(
         lambda: frontier_ground(h), TooLargeError, message))
     assert peak < 2**20, peak
+
+
+def test_frontier_sweep_holds_what_its_guards_count():
+    # a 2x2000 king grid of 2-state sites, its terms built beforehand:
+    # the sweep holds no more than its guards count, the frame's bytes a
+    # position and an edge and the backpointers, here at most 8 one-byte
+    # entries a site (each minimised out over at most three live sites)
+    h = random_potts(2, 2000, 2, seed=1)
+    h._energy_terms()
+    sites = h.rows * h.cols
+    counted = (sites * _POSITION_BYTES + len(h._edge) * _EDGE_BYTES
+               + 8 * sites)
+    (energy, state), peak = peak_bytes(lambda: frontier_ground(h))
+    assert len(state) == sites and potts_energy(h, state) == energy
+    assert peak <= counted, (peak, counted)
 
 
 def test_min_energy_holds_one_block():
@@ -454,7 +468,7 @@ def _whole_table_conditional(h, beta, partial):
     completions = _assignments(free_dims, np.arange(math.prod(free_dims)))
     prefix = np.tile(np.array(partial, dtype=np.int64),
                      (completions.shape[0], 1))
-    log_weights = -beta * config_energies(
+    log_weights = -beta * potts_energies(
         h, np.concatenate([prefix, completions], axis=1))
     log_mass = np.empty(free_dims[0])
     for state in range(1, free_dims[0] + 1):
@@ -467,7 +481,7 @@ def test_config_energies_matches_scalar():
     h = random_potts(2, 2, 3, seed=4)
     rng = np.random.default_rng(0)
     configs = rng.integers(1, 4, size=(20, 4))
-    energies = config_energies(h, configs)
+    energies = potts_energies(h, configs)
     for row, energy in zip(configs, energies):
         assert potts_energy(h, tuple(int(v) for v in row)) == pytest.approx(
             energy, rel=1e-12)
@@ -482,4 +496,4 @@ def test_config_energies_rejects_out_of_range_states(dtype, bad):
     configs = np.ones((3, 4), dtype=dtype)
     configs[1, 2] = bad
     with pytest.raises(InvalidIndexError, match=rf"state {bad} at site \(2, 1\)"):
-        config_energies(h, configs)
+        potts_energies(h, configs)

@@ -29,6 +29,10 @@ from conftest import (assert_raises_exactly, dense_mps_vector, expanded,
                       random_potts, ragged_potts, random_clustered)
 
 
+# the back directions, as Frame.table numbers them
+W, NW, N, NE = range(4)
+
+
 def _without_node_table(h, bare):
     """``h`` with site ``bare``'s node table left out: its dimension comes
     only from its edges."""
@@ -89,10 +93,10 @@ class TestLatticeTransform:
             assert position_map.flags.c_contiguous
             assert np.array_equal(position_map, tr.grid((m, n)).reshape(-1))
             # every node table and dimension lands where the grid says
-            for p, q in enumerate(position_map.tolist(), start=1):
-                site = net.site_of(p)
-                assert net.table(net.energy, *site).tolist() == [q] * (1 + q % 3)
-                assert net.dim_at(*site) == 1 + q % 3
+            for p, q in enumerate(position_map.tolist()):
+                site = net.site_of(p + 1)
+                assert net.table(net.energy, p).tolist() == [q] * (1 + q % 3)
+                assert net.dim_grid.item(p) == 1 + q % 3
                 assert net.row_dims(site[0])[site[1] - 1] == 1 + q % 3
 
     def test_all_eight_are_bijections(self):
@@ -163,7 +167,7 @@ class TestBuildNetwork:
                 NumericError,
                 "Boltzmann weight overflows float32; reduce beta or use float64")
         net = build_network(h, beta=1.0)
-        assert net.table(net.weight, 1, 1)[0] == pytest.approx(math.exp(100))
+        assert net.table(net.weight, 0)[0] == pytest.approx(math.exp(100))
 
     def test_invalid_beta(self):
         h = PottsHamiltonian(1, 1)
@@ -186,12 +190,10 @@ class TestBuildNetwork:
         for tr in ALL_TRANSFORMS:
             for beta in (0.5, 2.0, 7.3):
                 net = build_network(h, tr, beta=beta, dtype=dtype)
-                for k, direction in itertools.product(
-                        range(1, net.rows * net.cols + 1),
-                        (None, "w", "nw", "n", "ne")):
-                    site = net.site_of(k)
-                    table = net.table(net.energy, *site, direction)
-                    got = net.table(net.weight, *site, direction)
+                for p, direction in itertools.product(
+                        range(net.rows * net.cols), (None, 0, 1, 2, 3)):
+                    table = net.table(net.energy, p, direction)
+                    got = net.table(net.weight, p, direction)
                     if table is None:
                         assert got is None and direction is not None
                         continue
@@ -199,7 +201,7 @@ class TestBuildNetwork:
                         table, dtype=np.float64)).astype(dtype)
                     assert got.shape == expected.shape
                     assert got.dtype == expected.dtype
-                    assert np.all(got == expected), (tr.name, site, direction)
+                    assert np.all(got == expected), (tr.name, p, direction)
 
     @pytest.mark.parametrize("model", [
         lambda: random_clustered(3, 3, 2, seed=3300)[1],
@@ -211,35 +213,42 @@ class TestBuildNetwork:
         # between positions is also an "ne" or an "n" edge
         lambda: ragged_potts(2, 3, [2, 3, 1, 4, 2, 3], 9),
         lambda: ragged_potts(1, 3, [2, 3, 4], 9),
+        # one row and one column with every edge: no read may wrap
+        # across a row's end to the next row's first site
+        lambda: random_potts(1, 5, 3, seed=5),
+        lambda: random_potts(5, 1, 3, seed=6),
     ], ids=["clustered3x3x2", "ragged3x4", "bare-site3x4", "ragged2x3",
-            "ragged1x3"])
+            "ragged1x3", "full1x5", "full5x1"])
     def test_tables_land_where_the_grid_says(self, model):
-        # each transformed site reads its original site's node table and,
-        # in each back direction, the model's edge table to the original
-        # neighbour, oriented (neighbour's state, own state)
+        # each transformed position reads its original site's node table
+        # and, in each back direction k (w, nw, n, ne), the model's edge
+        # table to the original neighbour at p + step[k], oriented
+        # (neighbour's state, own state)
         h = model()
         for tr in ALL_TRANSFORMS:
             net = build_network(h, tr)
             original = [divmod(int(q), h.cols) for q in net.position_map]
-            for k in range(1, net.rows * net.cols + 1):
-                row, col = net.site_of(k)
-                r, c = original[k - 1]
-                assert np.array_equal(net.table(net.energy, row, col),
+            for p in range(net.rows * net.cols):
+                row, col = net.site_of(p + 1)
+                r, c = original[p]
+                assert np.array_equal(net.table(net.energy, p),
                                       h.node_table((r + 1, c + 1)))
-                for direction, (dr, dc) in (("w", (0, -1)), ("nw", (-1, -1)),
-                                            ("n", (-1, 0)), ("ne", (-1, 1))):
-                    table = net.table(net.energy, row, col, direction)
+                for k, (dr, dc) in enumerate(((0, -1), (-1, -1), (-1, 0),
+                                              (-1, 1))):
+                    table = net.table(net.energy, p, k)
                     if not (1 <= row + dr <= net.rows
                             and 1 <= col + dc <= net.cols):
                         assert table is None
                         continue
-                    rn, cn = original[net.position(row + dr, col + dc) - 1]
+                    neighbour = p + net.step[k]
+                    assert neighbour == (row + dr - 1) * net.cols + col + dc - 1
+                    rn, cn = original[neighbour]
                     expected = h.edge_table((rn + 1, cn + 1), (r + 1, c + 1))
                     if expected is None:
                         assert table is None
                     else:
-                        assert np.array_equal(table, expected), (tr.name, k)
-                        assert net.back(row, col, direction).shape == table.shape
+                        assert np.array_equal(table, expected), (tr.name, p)
+                        assert net.table(net.weight, p, k).shape == table.shape
 
     def test_overflowing_edge_table_raises(self):
         # one edge entry overflows, every node table is fine
@@ -432,22 +441,24 @@ def reference_row_product(net, row, env):
     tensors = []
     dxl = dyl = 1
     for c, e in enumerate(env.tensors, start=1):
+        site = row * net.cols + c - 1  # the position of (lower, c)
         dx, dy = dims_x[c - 1], dims_y[c - 1]
-        carry_x = net.back(lower, c + 1, "nw") is not None
-        carry_y = (net.back(lower, c + 1, "w") is not None
-                   or net.back(lower, c, "ne") is not None)
+        more = c < net.cols
+        carry_x = more and net.table(net.weight, site + 1, NW) is not None
+        carry_y = ((more and net.table(net.weight, site + 1, W) is not None)
+                   or net.table(net.weight, site, NE) is not None)
         a = (np.ones((dxl, dyl, dx, dy), dtype=net.dtype)
-             * net.table(net.weight, lower, c))
-        w = net.back(lower, c, "n")
+             * net.table(net.weight, site))
+        w = net.table(net.weight, site, N)
         if w is not None:
             a = a * w
-        w = net.back(lower, c, "w")
+        w = net.table(net.weight, site, W)
         if w is not None:
             a = a * w[None, :, None, :]
-        w = net.back(lower, c, "nw")
+        w = net.table(net.weight, site, NW)
         if w is not None:
             a = a * w[:, None, None, :]
-        w = net.back(lower, c - 1, "ne")
+        w = net.table(net.weight, site - 1, NE) if c > 1 else None
         if w is not None:
             a = a * w.T[None, :, :, None]
         if carry_y:
@@ -882,13 +893,13 @@ def _weights_as_gathered(net, row, col, values):
     """The local factor as a product of weights, ``(B, d)``: the site's
     weights times the rows of its back weight tables that the
     neighbours' values pick."""
-    weights = np.broadcast_to(net.table(net.weight, row, col),
-                              (len(values), net.dim_at(row, col)))
-    for direction, (dr, dc) in (("w", (0, -1)), ("n", (-1, 0)),
-                                ("nw", (-1, -1)), ("ne", (-1, 1))):
-        table = net.back(row, col, direction)
+    p = (row - 1) * net.cols + col - 1
+    weights = np.broadcast_to(net.table(net.weight, p),
+                              (len(values), net.dim_grid.item(p)))
+    for k in (W, N, NW, NE):
+        table = net.table(net.weight, p, k)
         if table is not None:
-            neighbour = values[:, net.position(row + dr, col + dc) - 1]
+            neighbour = values[:, p + net.step[k]]
             weights = weights * table[neighbour - 1]
     return weights
 
@@ -914,7 +925,7 @@ class TestConditionalsContract:
             envs = exact_envs(net)
             n = net.rows * net.cols
             # 16 branches, each with its own row of the right tables
-            values = np.stack([rng.integers(1, net.dim_at(*net.site_of(k)) + 1,
+            values = np.stack([rng.integers(1, net.dim_grid.item(k - 1) + 1,
                                             size=16) for k in range(1, n + 1)],
                               axis=1)
             above = np.arange(len(values))
