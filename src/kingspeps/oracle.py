@@ -18,9 +18,11 @@ up to 255 states per site), a handful of 8-byte arrays of
 ``BLOCK_ROWS`` entries and the gathered terms of
 :func:`~kingspeps.potts.potts_energies`, under 1.5 MiB on a 3x3 grid of
 4-state sites. Between blocks the minimum energy keeps one running
-minimum, the partition function one running log-sum-exp and a
-conditional one per state of its site; only the sorted ``states`` and
-``energies`` of a spectrum hold a value per configuration.
+minimum and every other reference one running log-sum-exp per walk
+(:func:`_log_sum_exp`): the partition function walks the enumeration
+once, and a conditional walks the completions of each state of its
+site, one walk per state. Only the sorted ``states`` and ``energies``
+of a spectrum hold a value per configuration.
 
 Every energy is :func:`~kingspeps.potts.potts_energies`, the solver's
 own sum.
@@ -90,34 +92,20 @@ def _energy_blocks(h: PottsHamiltonian, dims: list[int], prefix=()):
         yield potts_energies(h, block)
 
 
-def _fold(peak: np.ndarray, scale: np.ndarray, values: np.ndarray,
-          starts) -> tuple[np.ndarray, np.ndarray]:
-    """Running log-sum-exps ``(peak, scale)`` with ``values`` added:
-    segment i of ``values``, from ``starts[i]`` to the next start, goes
-    to sum i. Sum i stands for ``peak[i] + log(scale[i])``: ``peak`` is
-    the largest value yet and ``scale`` the sum of ``exp(value - peak)``.
-    A sum starts at ``(-inf, 0)``; where ``peak`` is infinite or NaN,
-    ``scale`` is meaningless and :func:`_finish` returns ``peak``."""
-    high = np.maximum(peak, np.maximum.reduceat(values, starts))
-    shift = np.where(np.isfinite(high), high, 0.0)
-    counts = np.diff(starts, append=len(values))
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = scale * np.exp(peak - shift) + np.add.reduceat(
-            np.exp(values - np.repeat(shift, counts)), starts)
-    return high, scale
-
-
-def _finish(peak: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """``log(sum(exp(values)))`` of each running sum of :func:`_fold`:
-    -inf where every value was -inf, +inf where one was +inf, NaN where
-    one was NaN."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.isfinite(peak), peak + np.log(scale), peak)
-
-
-def _log_sum_exp(values: np.ndarray) -> float:
-    return float(_finish(*_fold(np.array([-np.inf]), np.zeros(1), values,
-                                [0]))[0])
+def _log_sum_exp(blocks) -> float:
+    """``log(sum(exp(v)))`` over every value of the arrays ``blocks``
+    yields, folded into one running peak (the largest value yet) and one
+    sum of ``exp(v - peak)``, so it holds one block at a time: -inf when
+    every value is -inf or there is none, +inf when one is +inf, NaN
+    when one is NaN."""
+    peak, scale = -np.inf, 0.0
+    for values in blocks:
+        high = np.maximum(peak, np.max(values, initial=-np.inf))
+        shift = high if np.isfinite(high) else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = scale * np.exp(peak - shift) + np.exp(values - shift).sum()
+        peak = high
+    return float(peak + np.log(scale) if np.isfinite(peak) else peak)
 
 
 def frontier_ground(h: PottsHamiltonian) -> tuple[float, tuple[int, ...]]:
@@ -251,8 +239,8 @@ class ExactSpectrum:
     positions (:func:`_energy_blocks`) and hold one block at a time, not
     8 bytes per configuration: ``min_energy``, computed when first asked
     for and kept, is a running ``np.fmin`` of the blocks' energies;
-    ``log_partition`` one running log-sum-exp, walked again at each
-    call.
+    ``log_partition`` one running log-sum-exp (:func:`_log_sum_exp`) of
+    their ``-beta * energy``, walked again at each call.
 
     The first read of ``states`` or ``energies`` walks the same blocks
     into one array of the float64 energy of each assignment, and sorts
@@ -323,10 +311,8 @@ class ExactSpectrum:
             NumericError: ``beta`` is not positive and finite.
         """
         check_beta(beta)
-        peak, scale = np.array([-np.inf]), np.zeros(1)
-        for block in _energy_blocks(self._h, self._dims):
-            peak, scale = _fold(peak, scale, -beta * block, [0])
-        return float(_finish(peak, scale)[0])
+        return _log_sum_exp(-beta * block
+                            for block in _energy_blocks(self._h, self._dims))
 
     def partition(self, beta: float) -> float:
         return float(np.exp(self.log_partition(beta)))
@@ -346,12 +332,14 @@ def exact_conditional(h: PottsHamiltonian, beta: float, partial) -> np.ndarray:
     """Exact Boltzmann conditional of the site after its row-major
     predecessors ``partial``, by summation over all completions.
 
-    The completions are walked in blocks of ``BLOCK_ROWS`` behind the
-    prefix (:func:`_energy_blocks`). They come ordered by the site's
-    state first, and each block's weights are folded into one running
-    log-sum-exp per state of the site, so the walk holds one block and
-    two floats per state, not one float per completion. A state whose
-    every completion has infinite energy gets probability 0.
+    Each state s of the site takes one walk, in blocks of
+    ``BLOCK_ROWS``, over the completions behind the prefix ``(*partial,
+    s)`` (:func:`_energy_blocks`), folded into one running log-sum-exp
+    of ``-beta * energy`` (:func:`_log_sum_exp`): the log mass of s. One
+    more fold over the ``d`` log masses normalizes them. A walk holds
+    one block, so the conditional holds one block and a float per
+    state, not one float per completion. A state whose every completion
+    has infinite energy gets probability 0.
 
     Raises:
         ContractionDegenerateError: every completion has infinite
@@ -372,19 +360,12 @@ def exact_conditional(h: PottsHamiltonian, beta: float, partial) -> np.ndarray:
     # checked first: the blocks' small dtype would wrap a bad state round
     _checked_states(h, [partial.tolist() + [1] * (len(dims) - k + 1)])
 
-    # the completions of each state of the site, in one run each
-    per = _enumeration_size(dims[k - 1:]) // dims[k - 1]
-    peak, scale = np.full(dims[k - 1], -np.inf), np.zeros(dims[k - 1])
-    start = 0
-    for energies in _energy_blocks(h, dims, partial):
-        # the states of the site whose completions this block holds
-        span = slice(start // per, (start + len(energies) - 1) // per + 1)
-        starts = np.maximum(np.arange(span.start, span.stop) * per - start, 0)
-        peak[span], scale[span] = _fold(peak[span], scale[span],
-                                        -beta * energies, starts)
-        start += len(energies)
-    log_mass = _finish(peak, scale)
-    total = _log_sum_exp(log_mass)
+    _enumeration_size(dims[k - 1:])  # the d walks together, before any
+    log_mass = np.array([
+        _log_sum_exp(-beta * block
+                     for block in _energy_blocks(h, dims, (*partial, s)))
+        for s in range(1, dims[k - 1] + 1)])
+    total = _log_sum_exp([log_mass])
     if total == -np.inf:
         raise ContractionDegenerateError(
             "conditional weights vanished",

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import (SIZE_GUARD, ContractionDegenerateError, DimensionError,
                      InvalidIndexError, NumericError, TooLargeError,
-                     UnsupportedError, check_beta, is_integer)
+                     UnsupportedError, check_beta, check_size, is_integer)
 from .potts import PottsHamiltonian, _integer_states
 from .tensor_core import BoundaryMps, ContractionParams, compress
 from .tensor_core import overlap as mps_overlap
@@ -262,6 +262,8 @@ def row_product(net: PepsNetwork, row: int, env: BoundaryMps) -> BoundaryMps:
         InvalidIndexError: ``row`` is outside ``0 .. net.rows - 1``.
         DimensionError: ``env`` is not a state over row ``row + 1``.
         NumericError: a weight table overflows ``net.dtype``.
+        TooLargeError: a column's weight table or product would exceed
+            ``SIZE_GUARD`` entries; checked before the column allocates.
     """
     if not 0 <= row < net.rows:
         raise InvalidIndexError(f"row pair {row}|{row + 1} outside grid")
@@ -282,6 +284,11 @@ def row_product(net: PepsNetwork, row: int, env: BoundaryMps) -> BoundaryMps:
         carry_x = more and net.table(net.weight, site + 1, _NW) is not None
         carry_y = ((more and net.table(net.weight, site + 1, _W) is not None)
                    or net.table(net.weight, site, _NE) is not None)
+        # the larger of the weight table a and the product p below
+        chi_l, _, chi_r = e.shape
+        check_size(f"the row product of row pair {row}|{lower} at column {c}",
+                   max(dxl * dyl * dx * dy, dxl * dyl * chi_l * dx
+                       * (dy if carry_y else 1) * chi_r))
         with np.errstate(over="ignore", invalid="ignore"):
             a = (np.ones((dxl, dyl, dx, dy), dtype=net.dtype)
                  * net.table(net.weight, site))

@@ -346,14 +346,50 @@ def test_log_partition_rejects_beta_outside_positive_finite(beta):
                               f"beta must be positive and finite, got {beta}")
 
 
-@pytest.mark.parametrize("values, expected", [
+_LOG_SUM_EXP_CASES = [
     ([-np.inf], -np.inf), ([-np.inf, -np.inf], -np.inf),
     ([-np.inf, 0.0], 0.0), ([1.0, np.inf], np.inf),
     ([np.inf, -np.inf], np.inf), ([0.0, np.nan], np.nan),
-    ([0.0, 0.0], math.log(2.0)), ([-1000.0, -1000.0], -1000 + math.log(2))])
+    ([0.0, 0.0], math.log(2.0)), ([-1000.0, -1000.0], -1000 + math.log(2))]
+
+
+@pytest.mark.parametrize("values, expected", _LOG_SUM_EXP_CASES)
 def test_log_sum_exp_of_infinite_values(values, expected):
-    assert _log_sum_exp(np.array(values)) == pytest.approx(
+    assert _log_sum_exp([np.array(values)]) == pytest.approx(
         expected, rel=1e-15, nan_ok=True)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("values, expected", _LOG_SUM_EXP_CASES)
+def test_log_sum_exp_split_over_blocks(values, expected, parts):
+    # two values over three parts leave one block empty
+    blocks = np.array_split(np.array(values), parts)
+    assert _log_sum_exp(iter(blocks)) == pytest.approx(
+        expected, rel=1e-15, nan_ok=True)
+
+
+@pytest.mark.parametrize("blocks, expected", [
+    ([[0.0, 1.0], [np.inf]], np.inf),  # +inf in a later block
+    ([[np.inf], [0.0]], np.inf),
+    ([[0.0], [], [np.nan, 1.0]], np.nan),  # NaN after an empty block
+    ([[np.nan], [np.inf]], np.nan),
+    ([[np.inf], [np.nan]], np.nan),
+    ([[-np.inf, -np.inf], [-np.inf]], -np.inf),  # every block -inf
+    ([[], []], -np.inf), ([], -np.inf),  # no value at all
+    ([[], [2.0]], 2.0)], ids=str)
+def test_log_sum_exp_of_infinite_blocks(blocks, expected):
+    got = _log_sum_exp([np.array(block, dtype=float) for block in blocks])
+    assert got == pytest.approx(expected, rel=1e-15, nan_ok=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_log_sum_exp_split_matches_one_block(seed):
+    # the peak sits in the last block, so the earlier sums are rescaled
+    values = np.random.default_rng(seed).normal(0.0, 3.0, 6000)
+    values[[values.argmax(), -1]] = values[[-1, values.argmax()]]
+    blocks = np.split(values, [7, 3000])
+    assert _log_sum_exp(blocks) == pytest.approx(
+        _log_sum_exp([values]), rel=1e-15, abs=0)
 
 
 def _pair(first, second, edge=None):
@@ -473,8 +509,8 @@ def _whole_table_conditional(h, beta, partial):
     log_mass = np.empty(free_dims[0])
     for state in range(1, free_dims[0] + 1):
         log_mass[state - 1] = _log_sum_exp(
-            log_weights[completions[:, 0] == state])
-    return np.exp(log_mass - _log_sum_exp(log_mass))
+            [log_weights[completions[:, 0] == state]])
+    return np.exp(log_mass - _log_sum_exp([log_mass]))
 
 
 def test_config_energies_matches_scalar():

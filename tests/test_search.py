@@ -28,8 +28,8 @@ from kingspeps.search import (Branches, Droplet, DropletTable,
                               prune)
 from kingspeps import search as search_module
 from kingspeps.errors import (DimensionError, InvalidIndexError,
-                              UnsupportedError)
-from conftest import (assert_raises_exactly, droplet_distance,
+                              TooLargeError, UnsupportedError)
+from conftest import (assert_raises_exactly, droplet_distance, peak_bytes,
                       random_clustered, random_potts)
 from test_golden_search import _ragged_potts
 
@@ -1012,6 +1012,17 @@ class TestLowEnergySpectrum:
                                                  mode="spin"))
             for state, energy in zip(sol.states, sol.energies):
                 assert energy == pytest.approx(reference[state], rel=1e-9)
+
+    def test_oversized_row_product_refused_before_building(self):
+        # column 2 of row pair 1|2 would build a weight table of 128^4
+        # entries (2 GiB); the network itself is under 3 MiB
+        h = cluster(parse_ising(generate_instance(2, 3, 7, seed=1)),
+                    ClusterTopology(2, 3, 7))
+        _, peak = peak_bytes(lambda: assert_raises_exactly(
+            lambda: low_energy_spectrum(h), TooLargeError,
+            "the row product of row pair 1|2 at column 2 has 268435456 "
+            "entries, more than the size guard of 16777216"))
+        assert peak < 8 * 2**20, peak
 
 
 def _distinct(droplets) -> dict:
